@@ -3,7 +3,7 @@
 Run:  python3 demos/04_retrieval_baseline.py   (takes a few seconds)
 """
 
-from nlbash import build_index, build_splits, dedupe_hits, filter_examples, normalize_nl, retrieve
+from nlbash import TfIdfIndex, build_splits, dedupe_hits, filter_examples, normalize_nl, retrieve
 from nlbash.harness import evaluate
 from nlbash.retrieval import TfIdfPredictor, pairs_from_examples
 from nlbash.synth import toy_corpus
@@ -24,7 +24,7 @@ print()
 
 # Retrieval returns the top cosine matches; duplicate templates are wasted
 # slots (the metric takes a max), so pruning pulls in diverse candidates.
-index = build_index(pairs)
+index = TfIdfIndex(pairs)
 query = test[0].invocation
 print("query:", query)
 hits = retrieve(index, query, k=10)

@@ -61,7 +61,6 @@ from .retrieval import (
     RetrievalHit,
     TfIdfIndex,
     TfIdfPredictor,
-    build_index,
     calibrate,
     dedupe_hits,
     normalize_nl,
@@ -108,7 +107,6 @@ __all__ = [
     "UnknownUtilityError",
     "UtilityVocabulary",
     "VocabularyFormatError",
-    "build_index",
     "build_splits",
     "calibrate",
     "dataset_fingerprint",

@@ -50,10 +50,10 @@ def _vocab_from_args(args):
     return default_vocabulary()
 
 
-def _load_filtered(path, vocab, quiet=False):
+def _load_filtered(path, vocab):
     examples = load_examples(path)
     report = filter_examples(examples, vocab)
-    if report.rejected and not quiet:
+    if report.rejected:
         print(f"filtered out {len(report.rejected)} of {len(examples)} examples", file=sys.stderr)
     return report.kept
 
@@ -93,7 +93,10 @@ def _cmd_filter(args):
 def _cmd_split(args):
     vocab = _vocab_from_args(args)
     examples = _load_filtered(args.data, vocab) if args.filter else load_examples(args.data)
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError:
+        fractions = ()
     if len(fractions) != 3:
         raise UsageError("--fractions must be three comma-separated numbers")
     train, val, test = build_splits(examples, seed=args.seed, fractions=fractions)

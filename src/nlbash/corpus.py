@@ -5,9 +5,11 @@ Datasets are UTF-8 JSON lines, one object per line::
     {"id": "...", "invocation": "...", "cmd": "..." or ["...", ...], "source": "..."}
 
 ``id`` and ``source`` are optional. Filtering keeps a reference command
-only when it parses, reconstructs byte-identically, and uses whitelisted
-utilities throughout; an example survives when at least one reference
-does.
+only when it parses and reconstructs byte-identically; an example survives
+when at least one reference does. ``parse`` enforces the utility whitelist
+at every nesting depth. Round-trip holds by construction (``reconstruct``
+copies the gaps between tokens from the raw text), and the filter still
+checks it.
 """
 
 from __future__ import annotations
@@ -143,8 +145,6 @@ def _check_reference(cmd: str, vocab: UtilityVocabulary) -> RejectReason | None:
         return RejectReason.PARSE_ERROR
     if reconstruct(ast) != cmd:
         return RejectReason.ROUNDTRIP_MISMATCH
-    if any(u not in vocab for u in flatten_utilities(ast)):
-        return RejectReason.NON_WHITELIST_UTILITY
     return None
 
 

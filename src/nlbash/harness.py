@@ -6,7 +6,9 @@ alone (monotonic clock), parses each predicted command, and scores its
 template against all reference templates. A prediction the parser rejects
 scores -delta — a command outside the grammar can never match a reference,
 and silently dropping it would game the averaging branch. A predictor
-exception scores the whole example -1. A predictor that returns nothing
+exception scores the whole example -1, and so does a prediction set whose
+first k items are not all a ``str`` cmd with a finite real confidence;
+both count as predictor failures. A predictor that returns nothing
 abstains and scores 0.
 
 Evaluation is sequential by design so latency numbers stay honest.
@@ -15,6 +17,8 @@ Evaluation is sequential by design so latency numbers stay honest.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import shlex
 import statistics
 import subprocess
@@ -156,6 +160,17 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(float(value), lo), hi)
 
 
+def _contract_violation(predictions: Sequence[Prediction]) -> str | None:
+    """Describe the first prediction lacking a str cmd or a finite real confidence."""
+    for i, p in enumerate(predictions):
+        cmd, confidence = getattr(p, "cmd", None), getattr(p, "confidence", None)
+        if not isinstance(cmd, str) or not (
+            isinstance(confidence, numbers.Real) and math.isfinite(confidence)
+        ):
+            return f"prediction {i} needs a str cmd and a finite confidence, got {p!r}"
+    return None
+
+
 def evaluate(
     predictor: Predictor,
     dataset: Sequence[Example],
@@ -180,18 +195,22 @@ def evaluate(
     failures = 0
     for ex in dataset:
         ref_templates = [normalize_template(parse(r, vocab), vocab) for r in ex.references]
+        error = None
         start = time.perf_counter()
         try:
             raw_predictions = list(predictor.predict(ex.invocation, k))
         except Exception as exc:  # predictor failure: record, score -1
-            elapsed = time.perf_counter() - start
+            error = repr(exc)
+        elapsed = time.perf_counter() - start
+        if error is None:
+            raw_predictions = raw_predictions[:k]
+            error = _contract_violation(raw_predictions)
+        if error is not None:
             failures += 1
             score = ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE)
-            results.append(ExampleResult(ex.id, score, elapsed, error=repr(exc)))
+            results.append(ExampleResult(ex.id, score, elapsed, error=error))
             continue
-        elapsed = time.perf_counter() - start
 
-        raw_predictions = raw_predictions[:k]
         if not raw_predictions:
             score = ExampleScore(0.0, (), Aggregation.AVERAGE)
             results.append(ExampleResult(ex.id, score, elapsed))

@@ -110,24 +110,30 @@ def _walk(cmd: SimpleCommand):
 # Lexer
 
 
+def _skip_quoted(s: str, j: int) -> int:
+    """Return the index just past the quoted string that opens at s[j]."""
+    if s[j] == "'":
+        k = s.find("'", j + 1)
+        if k == -1:
+            raise BashSyntaxError("unbalanced single quote")
+        return k + 1
+    n = len(s)
+    k = j + 1
+    while k < n and s[k] != '"':
+        k += 2 if s[k] == "\\" else 1
+    if k >= n:
+        raise BashSyntaxError("unbalanced double quote")
+    return k + 1
+
+
 def _scan_word(s: str, i: int, in_backtick: bool) -> int:
     """Return the end index of the word starting at i."""
     n = len(s)
     j = i
     while j < n:
         c = s[j]
-        if c == "'":
-            k = s.find("'", j + 1)
-            if k == -1:
-                raise BashSyntaxError("unbalanced single quote")
-            j = k + 1
-        elif c == '"':
-            k = j + 1
-            while k < n and s[k] != '"':
-                k += 2 if s[k] == "\\" else 1
-            if k >= n:
-                raise BashSyntaxError("unbalanced double quote")
-            j = k + 1
+        if c == "'" or c == '"':
+            j = _skip_quoted(s, j)
         elif c == "\\":
             if j + 1 >= n:
                 raise BashSyntaxError("trailing backslash")
@@ -156,18 +162,8 @@ def _absorb_dollar_paren(s: str, i: int) -> int:
     j = i + 2
     while j < n and depth > 0:
         c = s[j]
-        if c == "'":
-            k = s.find("'", j + 1)
-            if k == -1:
-                raise BashSyntaxError("unbalanced single quote")
-            j = k + 1
-        elif c == '"':
-            k = j + 1
-            while k < n and s[k] != '"':
-                k += 2 if s[k] == "\\" else 1
-            if k >= n:
-                raise BashSyntaxError("unbalanced double quote")
-            j = k + 1
+        if c == "'" or c == '"':
+            j = _skip_quoted(s, j)
         elif c == "\\":
             j += 2
         else:
@@ -225,6 +221,14 @@ def _scan_redirect(s: str, i: int) -> int:
 _SELF_CONTAINED_REDIRECT = re.compile(r"\d*[<>]{1,2}&(\d+|-)")
 
 
+def _fd_redirect_at(s: str, i: int) -> bool:
+    """True when the digits from i end at '<' or '>', an fd prefix like 2> or 10<."""
+    j = i
+    while j < len(s) and s[j].isdigit():
+        j += 1
+    return s[j : j + 1] in ("<", ">")
+
+
 def _redirect_needs_target(text: str) -> bool:
     # fd duplications like 2>&1 are self-contained; everything else
     # consumes the following word as its target.
@@ -263,22 +267,10 @@ def tokenize(text: str) -> list[Token]:
                 i = j
             else:
                 raise BashSyntaxError("background '&' is not supported")
-        elif c in "<>":
+        elif c in "<>" or (c.isdigit() and _fd_redirect_at(text, i)):
             j = _scan_redirect(text, i)
             tokens.append(Token(TokenKind.REDIRECT, text[i:j], i, j))
             i = j
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] in "<>":
-                j = _scan_redirect(text, i)
-                tokens.append(Token(TokenKind.REDIRECT, text[i:j], i, j))
-                i = j
-            else:
-                j = _scan_word(text, i, in_backtick=bool(stack and stack[-1] == "`"))
-                tokens.append(Token(TokenKind.WORD, text[i:j], i, j))
-                i = j
         elif c == "$" and text[i + 1 : i + 2] == "(":
             if text[i + 2 : i + 3] == "(":
                 raise BashSyntaxError("arithmetic expansion is not supported")

@@ -32,6 +32,11 @@ from .vocab import UtilityVocabulary, default_vocabulary
 
 INDEX_FORMAT_VERSION = 1
 
+# Candidates retrieved per requested hit when template duplicates are pruned.
+DEDUPE_POOL_FACTOR = 5
+# Calibrated confidences are lowered only when P(every hit negative) reaches this.
+LOWER_THRESHOLD = 0.8
+
 _STRIP_CHARS = ".,!?;:()[]{}<>\"'`"
 _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
 _IP = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?")
@@ -90,6 +95,7 @@ def plain_tokens(utterance: str) -> list[str]:
 
 @dataclass(frozen=True)
 class IndexedDocument:
+    invocation: str
     tokens: tuple[str, ...]
     command: str
     template: TemplateCommand
@@ -117,12 +123,12 @@ class TfIdfIndex:
         if vocab is None:
             vocab = default_vocabulary()
         self.normalize = normalize
-        self._pairs = [(str(nl), str(cmd)) for nl, cmd in pairs]
         self.documents: list[IndexedDocument] = []
-        for nl, cmd in self._pairs:
+        for nl, cmd in pairs:
+            nl, cmd = str(nl), str(cmd)
             tokens = tuple(self._tokenize(nl))
             template = normalize_template(parse(cmd, vocab), vocab)
-            self.documents.append(IndexedDocument(tokens, cmd, template))
+            self.documents.append(IndexedDocument(nl, tokens, cmd, template))
 
         d = len(self.documents)
         self.vocabulary: dict[str, int] = {}
@@ -132,12 +138,9 @@ class TfIdfIndex:
         self._idf = {
             term: math.log((1.0 + d) / (1.0 + df)) + 1.0 for term, df in self.vocabulary.items()
         }
-        self.vectors: list[dict[str, float]] = []
         self._inverted: dict[str, list[tuple[int, float]]] = {}
         for doc_idx, doc in enumerate(self.documents):
-            vec = self._vectorize(doc.tokens)
-            self.vectors.append(vec)
-            for term, weight in vec.items():
+            for term, weight in self._vectorize(doc.tokens).items():
                 self._inverted.setdefault(term, []).append((doc_idx, weight))
 
     def _tokenize(self, utterance: str) -> list[str]:
@@ -164,7 +167,7 @@ class TfIdfIndex:
         payload = {
             "version": INDEX_FORMAT_VERSION,
             "normalize": self.normalize,
-            "pairs": [[nl, cmd] for nl, cmd in self._pairs],
+            "pairs": [[doc.invocation, doc.command] for doc in self.documents],
         }
         Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
@@ -178,15 +181,6 @@ class TfIdfIndex:
             vocab=vocab,
             normalize=bool(payload["normalize"]),
         )
-
-
-def build_index(
-    pairs: Sequence[tuple[str, str]],
-    vocab: UtilityVocabulary | None = None,
-    normalize: bool = False,
-) -> TfIdfIndex:
-    """Index NL-command pairs. Commands must be pre-filtered (parseable)."""
-    return TfIdfIndex(pairs, vocab=vocab, normalize=normalize)
 
 
 def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
@@ -226,6 +220,14 @@ def dedupe_hits(hits: Sequence[RetrievalHit], k: int) -> list[RetrievalHit]:
         if len(out) == k:
             break
     return out
+
+
+def _top_hits(index: TfIdfIndex, nlc: str, k: int, dedupe: bool) -> list[RetrievalHit]:
+    """Up to k hits; with ``dedupe``, one per template from a deeper pool."""
+    if not dedupe:
+        return retrieve(index, nlc, k)
+    hits = retrieve(index, nlc, k * DEDUPE_POOL_FACTOR)
+    return dedupe_hits(hits, k)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +375,12 @@ def make_calibration_data(
     if not train or not holdout:
         raise ValueError("holdout split left one side empty")
 
-    index = build_index(train, vocab=vocab, normalize=normalize)
+    index = TfIdfIndex(train, vocab=vocab, normalize=normalize)
     features: list[list[float]] = []
     labels: list[int] = []
     for nl, cmd in holdout:
         ref = normalize_template(parse(cmd, vocab), vocab)
-        hits = retrieve(index, nl, k * 5 if dedupe else k)
-        if dedupe:
-            hits = dedupe_hits(hits, k)
-        else:
-            hits = hits[:k]
-        for hit in hits:
+        for hit in _top_hits(index, nl, k, dedupe):
             scored = ScoredPrediction(template=hit.template, delta=1.0, raw=hit.command)
             label = 1 if prediction_score(scored, [ref]) > 0.0 else 0
             features.append(hit_features(hit))
@@ -404,8 +401,8 @@ class TfIdfPredictor:
 
     Calibration is applied the way it pays off under the metric: per-hit
     positive-probabilities are combined into the chance that every hit
-    scores negatively, and only when that chance crosses
-    ``lower_threshold`` are the hit confidences actually lowered.
+    scores negatively, and only when that chance reaches
+    ``LOWER_THRESHOLD`` are the hit confidences actually lowered.
     Confidently keeping delta at 1.0 for sets that look right costs
     nothing, while lowering delta on sets that look wrong shrinks the
     penalty the averaging branch hands out.
@@ -418,14 +415,10 @@ class TfIdfPredictor:
         normalize: bool = False,
         dedupe: bool = False,
         calibration: CalibrationModel | None = None,
-        oversample: int = 5,
-        lower_threshold: float = 0.8,
     ):
-        self.index = build_index(pairs, vocab=vocab, normalize=normalize)
+        self.index = TfIdfIndex(pairs, vocab=vocab, normalize=normalize)
         self.dedupe = dedupe
         self.calibration = calibration
-        self.oversample = max(1, oversample)
-        self.lower_threshold = lower_threshold
         self.name = "tfidf"
         if dedupe:
             self.name += "+dedupe"
@@ -441,7 +434,6 @@ class TfIdfPredictor:
         vocab: UtilityVocabulary | None = None,
         normalize: bool = True,
         dedupe: bool = True,
-        holdout_fraction: float = 0.2,
         seed: int = 0,
         k: int = 5,
     ) -> "TfIdfPredictor":
@@ -449,7 +441,6 @@ class TfIdfPredictor:
         features, labels = make_calibration_data(
             pairs,
             vocab=vocab,
-            holdout_fraction=holdout_fraction,
             seed=seed,
             k=k,
             normalize=normalize,
@@ -459,17 +450,12 @@ class TfIdfPredictor:
         return cls(pairs, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
-        depth = k * self.oversample if self.dedupe else k
-        hits = retrieve(self.index, nlc, depth)
-        if self.dedupe:
-            hits = dedupe_hits(hits, k)
-        else:
-            hits = hits[:k]
+        hits = _top_hits(self.index, nlc, k, self.dedupe)
         if self.calibration is not None and hits:
             all_negative = 1.0
             for hit in hits:
                 all_negative *= 1.0 - self.calibration.probability(hit_features(hit))
-            if all_negative >= self.lower_threshold:
+            if all_negative >= LOWER_THRESHOLD:
                 hits = calibrate(hits, self.calibration)
         return [Prediction(cmd=h.command, confidence=h.confidence) for h in hits]
 

@@ -40,9 +40,6 @@ class TemplateCommand:
     units: tuple[TemplateUnit, ...]
     erased_args: tuple[int, ...] = field(default=(), compare=False)
 
-    def utilities(self) -> list[str]:
-        return [u.utility for u in self.units]
-
     def flag_count(self) -> int:
         return sum(len(u.flags) for u in self.units)
 

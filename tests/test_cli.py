@@ -40,11 +40,16 @@ def test_missing_file_is_data_error(tmp_path):
     assert cli(["filter", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_usage_error_exit_code(data_file, tmp_path):
+def test_usage_error_exit_code(data_file, tmp_path, capsys):
     # eval without --baseline or --predictor-cmd
     assert cli(["eval", "--data", str(data_file)]) == 1
     # missing required argument entirely
     assert cli(["filter", "--data", str(data_file)]) == 1
+    # fractions that are not numbers
+    prefix = str(tmp_path / "part")
+    capsys.readouterr()
+    assert cli(["split", "--data", str(data_file), "--fractions", "a,b,c", "--out-prefix", prefix]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_help_exits_zero():

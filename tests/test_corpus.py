@@ -101,8 +101,20 @@ def test_filter_keeps_parseable(tmp_path):
     assert len(report.kept) == 1 and not report.rejected
 
 
-def test_filter_rejects_non_whitelist_utility():
-    report = filter_examples([ex("f", "frobnicate -x")], VOCAB)
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        "frobnicate -x",
+        "ls $(frobnicate)",
+        "ls `frobnicate`",
+        "find . -exec frobnicate {} \\;",
+        "/usr/local/bin/frobnicate",
+        "sudo ls | frobnicate",
+    ],
+)
+def test_filter_rejects_non_whitelist_utility(cmd):
+    # parse rejects an unknown utility at any nesting depth
+    report = filter_examples([ex("f", cmd)], VOCAB)
     assert report.rejected[0].reason is RejectReason.NON_WHITELIST_UTILITY
 
 

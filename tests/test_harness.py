@@ -93,6 +93,31 @@ def test_predictor_failure_recorded_and_scored_minus_one():
     assert all(r.error for r in report.per_example)
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        Prediction("ls", float("nan")),
+        Prediction("frobnicate -x", float("nan")),
+        "ls",
+        Prediction("ls", float("inf")),
+        Prediction("ls", "0.5"),
+        Prediction(None, 1.0),
+    ],
+    ids=["nan", "nan-unparseable", "bare-str", "inf", "str-confidence", "none-cmd"],
+)
+def test_malformed_prediction_is_a_predictor_failure(item):
+    class Malformed:
+        def predict(self, nlc, k):
+            return [Prediction("ls", 1.0), item]
+
+    data = dataset(3, seed=3)
+    report = evaluate(Malformed(), data, vocab=VOCAB)
+    assert report.predictor_failure_count == len(data)
+    assert report.unparseable_prediction_count == 0
+    assert report.mean_score == -1.0
+    assert all(r.error and r.score.per_prediction == (-1.0,) for r in report.per_example)
+
+
 def test_empty_prediction_set_abstains_at_zero():
     data = dataset(4, seed=4)
     report = evaluate(SilentPredictor(), data, vocab=VOCAB)

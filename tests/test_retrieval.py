@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,11 +7,11 @@ import pytest
 
 from nlbash.errors import DegenerateLabelsError, EmptyCorpusError
 from nlbash.retrieval import (
+    INDEX_FORMAT_VERSION,
     CalibrationModel,
     RetrievalHit,
     TfIdfIndex,
     TfIdfPredictor,
-    build_index,
     calibrate,
     dedupe_hits,
     hit_features,
@@ -86,14 +87,14 @@ PAIRS = [
 
 
 def test_disjoint_documents_have_zero_similarity():
-    index = build_index([("alpha beta", "ls"), ("gamma delta", "df")], VOCAB)
+    index = TfIdfIndex([("alpha beta", "ls"), ("gamma delta", "df")], VOCAB)
     hits = retrieve(index, "alpha beta", k=5)
     assert len(hits) == 1  # the disjoint doc is dropped entirely
     assert hits[0].command == "ls"
 
 
 def test_self_similarity_is_one():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     hits = retrieve(index, PAIRS[0][0], k=1)
     assert hits[0].similarity == pytest.approx(1.0, abs=1e-9)
     assert hits[0].command == PAIRS[0][1]
@@ -101,7 +102,7 @@ def test_self_similarity_is_one():
 
 def test_idf_rare_terms_weigh_more():
     docs = [("shared alpha", "ls"), ("shared beta", "df"), ("shared gamma", "du -s .")]
-    index = build_index(docs, VOCAB)
+    index = TfIdfIndex(docs, VOCAB)
     # a term present in all docs gets a lower idf than a singleton term
     assert index._idf["shared"] < index._idf["alpha"]
     d = len(docs)
@@ -110,66 +111,79 @@ def test_idf_rare_terms_weigh_more():
 
 
 def test_vectors_are_l2_normalized():
-    index = build_index(PAIRS, VOCAB)
-    for vec in index.vectors:
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        assert norm == pytest.approx(1.0, abs=1e-9)
+    index = TfIdfIndex(PAIRS, VOCAB)
+    squared = [0.0] * len(index)
+    for postings in index._inverted.values():
+        for doc_idx, weight in postings:
+            squared[doc_idx] += weight * weight
+    assert squared == pytest.approx([1.0] * len(index), abs=1e-9)
 
 
 def test_document_frequencies_counted_once_per_document():
-    index = build_index([("files files files", "ls"), ("files here", "df")], VOCAB)
+    index = TfIdfIndex([("files files files", "ls"), ("files here", "df")], VOCAB)
     assert index.vocabulary["files"] == 2
 
 
 def test_k_larger_than_corpus_returns_everything_relevant():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     hits = retrieve(index, "files disk lines text details", k=50)
     assert len(hits) <= len(PAIRS)
 
 
 def test_unknown_vocabulary_query_returns_empty():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     assert retrieve(index, "zzz qqq", k=5) == []
 
 
 def test_retrieval_is_deterministic():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     a = retrieve(index, "show files", k=5)
     b = retrieve(index, "show files", k=5)
     assert a == b
 
 
 def test_similarities_bounded():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     for query in ("list files", "disk space", "count the lines", "show details"):
         for hit in retrieve(index, query, k=5):
             assert 0.0 <= hit.similarity <= 1.0
 
 
 def test_ties_break_by_insertion_order():
-    index = build_index([("same words", "ls"), ("same words", "df")], VOCAB)
+    index = TfIdfIndex([("same words", "ls"), ("same words", "df")], VOCAB)
     hits = retrieve(index, "same words", k=2)
     assert [h.command for h in hits] == ["ls", "df"]
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpusError):
-        build_index([], VOCAB)
+        TfIdfIndex([], VOCAB)
 
 
 def test_invalid_k_rejected():
-    index = build_index(PAIRS, VOCAB)
+    index = TfIdfIndex(PAIRS, VOCAB)
     with pytest.raises(ValueError):
         retrieve(index, "files", k=0)
 
 
 def test_index_save_load_round_trip(tmp_path):
-    index = build_index(PAIRS, VOCAB, normalize=True)
+    index = TfIdfIndex(PAIRS, VOCAB, normalize=True)
     path = tmp_path / "index.json"
     index.save(path)
     loaded = TfIdfIndex.load(path, VOCAB)
     assert loaded.normalize is True
     assert retrieve(loaded, "list files", k=3) == retrieve(index, "list files", k=3)
+
+
+def test_index_save_writes_version_normalize_and_pairs_in_input_order(tmp_path):
+    pairs = list(reversed(PAIRS))
+    path = tmp_path / "index.json"
+    TfIdfIndex(pairs, VOCAB, normalize=True).save(path)
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "version": INDEX_FORMAT_VERSION,
+        "normalize": True,
+        "pairs": [[nl, cmd] for nl, cmd in pairs],
+    }
 
 
 # --- dedupe -------------------------------------------------------------------
@@ -331,7 +345,7 @@ def test_predictor_lowers_confidence_only_when_set_looks_hopeless():
         ("show free disk space on filesystems", "df -h"),
         ("count the lines inside a file", "wc -l notes.txt"),
     ]
-    predictor = TfIdfPredictor(pairs, VOCAB, calibration=model, lower_threshold=0.8)
+    predictor = TfIdfPredictor(pairs, VOCAB, calibration=model)
 
     # shares a single weak term with each document: low similarity, all
     # hits look wrong, so the whole set gets lowered
