@@ -19,7 +19,7 @@ from .corpus import (
     save_filter_report,
     utility_histogram,
 )
-from .errors import NlbashError
+from .errors import InvalidFractionsError, NlbashError
 from .harness import (
     SubprocessPredictor,
     emit_report,
@@ -45,7 +45,7 @@ class UsageError(Exception):
 
 
 def _vocab_from_args(args):
-    if getattr(args, "vocab", None):
+    if args.vocab:
         return load_vocabulary(args.vocab)
     return default_vocabulary()
 
@@ -96,10 +96,11 @@ def _cmd_split(args):
     try:
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError:
-        fractions = ()
-    if len(fractions) != 3:
-        raise UsageError("--fractions must be three comma-separated numbers")
-    train, val, test = build_splits(examples, seed=args.seed, fractions=fractions)
+        raise UsageError("--fractions must be three comma-separated numbers") from None
+    try:
+        train, val, test = build_splits(examples, seed=args.seed, fractions=fractions)
+    except InvalidFractionsError as exc:
+        raise UsageError(f"--fractions: {exc}") from exc
     for name, part in (("train", train), ("val", val), ("test", test)):
         path = f"{args.out_prefix}.{name}.jsonl"
         save_examples(part, path)
@@ -164,11 +165,9 @@ def _make_baseline(args, pairs, vocab):
         return TfIdfPredictor(pairs, vocab, dedupe=True)
     if variant == "normalize":
         return TfIdfPredictor(pairs, vocab, dedupe=True, normalize=True)
-    if variant == "full":
-        return TfIdfPredictor.with_calibration(
-            pairs, vocab, normalize=True, dedupe=True, seed=args.seed, k=args.k
-        )
-    raise UsageError(f"unknown baseline variant: {variant!r}")
+    return TfIdfPredictor.with_calibration(
+        pairs, vocab, normalize=True, dedupe=True, seed=args.seed, k=args.k
+    )
 
 
 def _cmd_eval(args):
@@ -177,8 +176,6 @@ def _cmd_eval(args):
     predictor = None
     closer = None
     if args.baseline:
-        if args.baseline != "tfidf":
-            raise UsageError(f"unknown baseline: {args.baseline!r}")
         if not args.train:
             raise UsageError("--baseline tfidf requires --train")
         train_examples = _load_filtered(args.train, vocab)

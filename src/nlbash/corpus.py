@@ -7,15 +7,17 @@ Datasets are UTF-8 JSON lines, one object per line::
 ``id`` and ``source`` are optional. Filtering keeps a reference command
 only when it parses and reconstructs byte-identically; an example survives
 when at least one reference does. ``parse`` enforces the utility whitelist
-at every nesting depth. Round-trip holds by construction (``reconstruct``
-copies the gaps between tokens from the raw text), and the filter still
-checks it.
+at every nesting depth it parses; a substitution inside a word or inside
+double quotes is argument text, so its command is not checked. Round-trip
+holds by construction (``reconstruct`` copies the gaps between tokens from
+the raw text), and the filter still checks it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .parser import parse, reconstruct
 from .template import flatten_utilities
-from .vocab import UtilityVocabulary, default_vocabulary
+from .vocab import UtilityVocabulary
 
 
 class Source(Enum):
@@ -156,8 +158,6 @@ def filter_examples(
     Surviving references replace the original list; an example with no
     survivors is rejected with the reason of its first failing reference.
     """
-    if vocab is None:
-        vocab = default_vocabulary()
     report = FilterReport()
     for ex in examples:
         survivors: list[str] = []
@@ -208,8 +208,10 @@ def build_splits(
     numbers the realized sizes match them exactly.
     """
     fracs = tuple(float(f) for f in fractions)
-    if len(fracs) != 3 or any(f < 0 for f in fracs):
-        raise InvalidFractionsError(f"fractions must be three non-negative numbers, got {fractions}")
+    if len(fracs) != 3 or any(not math.isfinite(f) or f < 0 for f in fracs):
+        raise InvalidFractionsError(
+            f"fractions must be three finite non-negative numbers, got {fractions}"
+        )
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise InvalidFractionsError(f"fractions must sum to 1.0, got {sum(fracs)}")
 
@@ -241,8 +243,6 @@ def utility_histogram(
     Expects pre-filtered references (every command must parse). Ties break
     lexicographically.
     """
-    if vocab is None:
-        vocab = default_vocabulary()
     counts: dict[str, int] = {}
     for ex in examples:
         for ref in ex.references:

@@ -47,7 +47,7 @@ from .metric import (
 )
 from .parser import parse
 from .template import normalize_template
-from .vocab import UtilityVocabulary, default_vocabulary
+from .vocab import UtilityVocabulary
 
 
 class Predictor(Protocol):
@@ -176,7 +176,6 @@ def evaluate(
     dataset: Sequence[Example],
     k: int = DEFAULT_TOP_K,
     vocab: UtilityVocabulary | None = None,
-    name: str | None = None,
 ) -> EvaluationReport:
     """Score a predictor over a filtered dataset.
 
@@ -187,8 +186,6 @@ def evaluate(
         raise ValueError("k must be >= 1")
     if not dataset:
         raise EmptyDatasetError("cannot evaluate over an empty dataset")
-    if vocab is None:
-        vocab = default_vocabulary()
 
     results: list[ExampleResult] = []
     unparseable = 0
@@ -230,7 +227,7 @@ def evaluate(
         results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
 
     return EvaluationReport(
-        predictor=name or getattr(predictor, "name", type(predictor).__name__),
+        predictor=getattr(predictor, "name", type(predictor).__name__),
         k=k,
         per_example=results,
         mean_score=dataset_score([r.score for r in results]),
@@ -308,6 +305,16 @@ class ReplayPredictor:
         return list(self._by_id.get(ex_id, ()))[:k]
 
 
+def _decode_predictions(items) -> list[Prediction]:
+    """Predictions from a decoded JSON array of ``{"cmd", "confidence"}`` objects.
+
+    Values are kept as sent, so ``evaluate`` applies one type rule to every
+    route into the harness. Raises KeyError or TypeError for an item that is
+    not an object with a "cmd".
+    """
+    return [Prediction(cmd=p["cmd"], confidence=p.get("confidence", 1.0)) for p in items]
+
+
 def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
     """Read JSON-lines predictions: {"id", "predictions": [{"cmd", "confidence"}]}."""
     by_id: dict[str, list[Prediction]] = {}
@@ -317,12 +324,8 @@ def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
                 continue
             try:
                 obj = json.loads(line)
-                preds = [
-                    Prediction(cmd=str(p["cmd"]), confidence=float(p.get("confidence", 1.0)))
-                    for p in obj["predictions"]
-                ]
-                by_id[str(obj["id"])] = preds
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                by_id[str(obj["id"])] = _decode_predictions(obj["predictions"])
+            except (KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise NlbashError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
     return by_id
 
@@ -336,7 +339,7 @@ def score_prediction_file(
     """Offline scoring: identical to evaluate() with a replay predictor."""
     by_id = load_prediction_file(prediction_path)
     replay = ReplayPredictor([ex.id for ex in dataset], by_id)
-    return evaluate(replay, dataset, k=k, vocab=vocab, name="replay")
+    return evaluate(replay, dataset, k=k, vocab=vocab)
 
 
 class SubprocessPredictor:
@@ -368,12 +371,8 @@ class SubprocessPredictor:
         if not line:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
-            items = json.loads(line)
-            return [
-                Prediction(cmd=str(p["cmd"]), confidence=float(p.get("confidence", 1.0)))
-                for p in items
-            ]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            return _decode_predictions(json.loads(line))
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise PredictorProtocolError(f"bad predictor reply: {exc}") from exc
 
     def close(self) -> None:

@@ -5,8 +5,12 @@ commands, each a utility followed by flags, arguments, redirects,
 ``$( )`` / backtick substitutions, and (for find-style utilities) an
 ``-exec utility ... \\;`` payload. Anything outside that shape —
 ``&&`` / ``||`` lists, ``;`` sequences, subshells, here-docs, process
-substitution, control flow — raises BashSyntaxError, which is exactly how
-corpus filtering rejects it.
+substitution, control flow, nesting deeper than MAX_NESTING_DEPTH — raises
+BashSyntaxError, which is exactly how corpus filtering rejects it.
+
+Only a substitution that starts a word is parsed as a nested command. One
+inside a word or inside double quotes (``x=$(cmd)``, ``"$(cmd)"``) stays
+opaque argument text: its utility is neither checked nor templated.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -36,6 +40,11 @@ _RESERVED_WORDS = frozenset(
 
 _WORD_BREAK = set(" \t\n\r|;&<>()`")
 
+# Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
+# backtick substitutions) that parse accepts; deeper text is refused
+# rather than exhausting the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 64
+
 
 class TokenKind(Enum):
     WORD = "word"
@@ -57,7 +66,6 @@ class Token:
 class ElementKind(Enum):
     FLAG = "flag"
     ARG = "arg"
-    ATTACHED_VALUE = "attached_value"
 
 
 @dataclass(frozen=True)
@@ -177,62 +185,11 @@ def _absorb_dollar_paren(s: str, i: int) -> int:
     return j
 
 
-def _scan_redirect(s: str, i: int) -> int:
-    """Return the end index of the redirect operator starting at i.
-
-    Accepts [fd]>, [fd]>>, [fd]<, &>, &>>, and >&fd / 2>&1 duplications.
-    """
-    n = len(s)
-    j = i
-    if s[j] == "&":  # &> / &>>
-        j += 1
-        if j >= n or s[j] != ">":
-            raise BashSyntaxError(f"bad redirect at offset {i}")
-        j += 1
-        if j < n and s[j] == ">":
-            j += 1
-        if j < n and s[j] == "(":
-            raise BashSyntaxError("process substitution is not supported")
-        return j
-    while j < n and s[j].isdigit():
-        j += 1
-    if j >= n or s[j] not in "<>":
-        raise BashSyntaxError(f"bad redirect at offset {i}")
-    op = s[j]
-    j += 1
-    if op == "<" and j < n and s[j] == "<":
-        raise BashSyntaxError("here-documents are not supported")
-    if op == ">" and j < n and s[j] == ">":
-        j += 1
-    if j < n and s[j] == "(":
-        raise BashSyntaxError("process substitution is not supported")
-    if j < n and s[j] == "&":
-        j += 1
-        if j < n and s[j] == "-":
-            j += 1
-        elif j < n and s[j].isdigit():
-            while j < n and s[j].isdigit():
-                j += 1
-        else:
-            raise BashSyntaxError(f"bad redirect at offset {i}")
-    return j
-
-
-_SELF_CONTAINED_REDIRECT = re.compile(r"\d*[<>]{1,2}&(\d+|-)")
-
-
-def _fd_redirect_at(s: str, i: int) -> bool:
-    """True when the digits from i end at '<' or '>', an fd prefix like 2> or 10<."""
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    return s[j : j + 1] in ("<", ">")
-
-
-def _redirect_needs_target(text: str) -> bool:
-    # fd duplications like 2>&1 are self-contained; everything else
-    # consumes the following word as its target.
-    return _SELF_CONTAINED_REDIRECT.fullmatch(text) is None
+# A redirect operator: [fd]>, [fd]>>, [fd]<, &>, &>>, or an fd duplication
+# such as 2>&1, <&0 or >&-. As in Bash, only ASCII digits name an fd.
+# _REDIRECT_START gates the match so that ordinary words skip the regex.
+_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>?|<)(?:&(?:[0-9]+|-))?")
+_REDIRECT_START = frozenset("<>&0123456789")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -257,20 +214,22 @@ def tokenize(text: str) -> list[Token]:
         elif c == "\\" and text[i + 1 : i + 2] == ";":
             tokens.append(Token(TokenKind.SEMI, "\\;", i, i + 2))
             i += 2
-        elif c == "&":
-            nxt = text[i + 1 : i + 2]
-            if nxt == "&":
-                raise BashSyntaxError("'&&' lists are not supported")
-            if nxt == ">":
-                j = _scan_redirect(text, i)
-                tokens.append(Token(TokenKind.REDIRECT, text[i:j], i, j))
-                i = j
-            else:
-                raise BashSyntaxError("background '&' is not supported")
-        elif c in "<>" or (c.isdigit() and _fd_redirect_at(text, i)):
-            j = _scan_redirect(text, i)
-            tokens.append(Token(TokenKind.REDIRECT, text[i:j], i, j))
+        elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
+            op, j = m.group(), m.end()
+            nxt = text[j : j + 1]
+            if op[-1] in "<>":  # a plain operator: refuse <<, <( / >( and a bare >&
+                if op[-1] == "<" and nxt == "<":
+                    raise BashSyntaxError("here-documents are not supported")
+                if nxt == "(":
+                    raise BashSyntaxError("process substitution is not supported")
+                if nxt == "&" and op[0] != "&":
+                    raise BashSyntaxError(f"bad redirect at offset {i}")
+            tokens.append(Token(TokenKind.REDIRECT, op, i, j))
             i = j
+        elif c == "&":
+            if text[i + 1 : i + 2] == "&":
+                raise BashSyntaxError("'&&' lists are not supported")
+            raise BashSyntaxError("background '&' is not supported")
         elif c == "$" and text[i + 1 : i + 2] == "(":
             if text[i + 2 : i + 3] == "(":
                 raise BashSyntaxError("arithmetic expansion is not supported")
@@ -317,6 +276,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.depth = 0  # simple commands open on the current nesting path
 
     def peek(self) -> Token | None:
         if self._pos < len(self._tokens):
@@ -328,15 +288,6 @@ class _Cursor:
         self._pos += 1
         return tok
 
-    def back(self) -> None:
-        self._pos -= 1
-
-
-def _flag_name(text: str) -> str:
-    if text.startswith("--"):
-        return text[2:].split("=", 1)[0]
-    return text[1:]
-
 
 def _parse_simple(
     cur: _Cursor,
@@ -344,6 +295,11 @@ def _parse_simple(
     in_subst: bool,
     in_exec: bool,
 ) -> SimpleCommand:
+    cur.depth += 1
+    if cur.depth > MAX_NESTING_DEPTH:
+        raise BashSyntaxError(
+            f"commands nested deeper than {MAX_NESTING_DEPTH} levels are not supported"
+        )
     tok = cur.peek()
     if tok is None or tok.kind is not TokenKind.WORD:
         raise BashSyntaxError("empty pipeline stage")
@@ -381,7 +337,9 @@ def _parse_simple(
             continue
         if tok.kind is TokenKind.REDIRECT:
             cur.take()
-            if _redirect_needs_target(tok.text):
+            # fd duplications like 2>&1 are self-contained; everything else,
+            # &> included, consumes the following word as its target.
+            if "&" not in tok.text[1:]:
                 target = cur.peek()
                 if target is None or target.kind is not TokenKind.WORD:
                     raise BashSyntaxError(f"redirect {tok.text!r} is missing its target")
@@ -389,29 +347,29 @@ def _parse_simple(
                 elements.append(Element(ElementKind.ARG, target.text))
             continue
         # WORD
-        cur.take()
         if _is_flag_word(tok.text):
+            cur.take()
             if tok.text.startswith("--") and "=" in tok.text:
                 head, value = tok.text.split("=", 1)
                 elements.append(Element(ElementKind.FLAG, head))
-                elements.append(Element(ElementKind.ATTACHED_VALUE, value))
+                elements.append(Element(ElementKind.ARG, value))
             else:
                 elements.append(Element(ElementKind.FLAG, tok.text))
-            if not tok.text.startswith("--") and _flag_name(tok.text) in EXEC_FLAGS:
+            if not tok.text.startswith("--") and tok.text[1:] in EXEC_FLAGS:
                 payload = _parse_exec_payload(cur, vocab, in_subst)
                 if payload is not None:
                     nested.append(payload)
             continue
         if in_exec and tok.text == "+":
-            # '+' terminates the surrounding -exec clause; hand it back.
-            cur.back()
+            # '+' terminates the surrounding -exec clause; leave it to the caller.
             break
         if may_wrap and vocab.lookup(tok.text) is not None:
-            cur.back()
             nested.append(_parse_simple(cur, vocab, in_subst=in_subst, in_exec=in_exec))
             break
+        cur.take()
         elements.append(Element(ElementKind.ARG, tok.text))
 
+    cur.depth -= 1
     return SimpleCommand(utility=utility, elements=tuple(elements), nested=tuple(nested))
 
 

@@ -28,7 +28,7 @@ from .errors import DegenerateLabelsError, EmptyCorpusError
 from .metric import Prediction, ScoredPrediction, prediction_score
 from .parser import parse
 from .template import TemplateCommand, normalize_template
-from .vocab import UtilityVocabulary, default_vocabulary
+from .vocab import UtilityVocabulary
 
 INDEX_FORMAT_VERSION = 1
 
@@ -36,6 +36,9 @@ INDEX_FORMAT_VERSION = 1
 DEDUPE_POOL_FACTOR = 5
 # Calibrated confidences are lowered only when P(every hit negative) reaches this.
 LOWER_THRESHOLD = 0.8
+# Full-batch gradient descent settings of the calibration fit.
+CALIBRATION_LEARNING_RATE = 0.1
+CALIBRATION_EPOCHS = 500
 
 _STRIP_CHARS = ".,!?;:()[]{}<>\"'`"
 _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
@@ -120,8 +123,6 @@ class TfIdfIndex:
     ):
         if not pairs:
             raise EmptyCorpusError("cannot index an empty corpus")
-        if vocab is None:
-            vocab = default_vocabulary()
         self.normalize = normalize
         self.documents: list[IndexedDocument] = []
         for nl, cmd in pairs:
@@ -292,8 +293,6 @@ def hit_features(hit: RetrievalHit) -> list[float]:
 def train_calibrator(
     features: Sequence[Sequence[float]],
     labels: Sequence[int],
-    learning_rate: float = 0.1,
-    epochs: int = 500,
 ) -> CalibrationModel:
     """Fit a logistic regression by full-batch gradient descent on log-loss.
 
@@ -317,14 +316,14 @@ def train_calibrator(
     w = np.zeros(d)
     b = 0.0
     losses = []
-    for _ in range(epochs):
+    for _ in range(CALIBRATION_EPOCHS):
         logits = z @ w + b
         p = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
         pc = np.clip(p, 1e-12, 1.0 - 1e-12)
         losses.append(float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
         grad = p - y
-        w -= learning_rate * (z.T @ grad) / n
-        b -= learning_rate * float(grad.mean())
+        w -= CALIBRATION_LEARNING_RATE * (z.T @ grad) / n
+        b -= CALIBRATION_LEARNING_RATE * float(grad.mean())
     return CalibrationModel(
         weights=tuple(float(v) for v in w),
         bias=float(b),
@@ -362,8 +361,6 @@ def make_calibration_data(
     each hit becomes one row labeled 1 when it scores positively against
     the held-out reference.
     """
-    if vocab is None:
-        vocab = default_vocabulary()
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -81,8 +81,9 @@ _SUFFIXES = (
     " if possible",
 )
 
-# Seeded synonym swaps; rare wordings are how real users surprise a
-# retrieval baseline.
+# Seeded synonym swaps, each word with probability _SYNONYM_RATE; rare
+# wordings are how real users surprise a retrieval baseline.
+_SYNONYM_RATE = 0.35
 _SYNONYMS: dict[str, tuple[str, ...]] = {
     "show": ("display", "print", "output", "reveal"),
     "list": ("enumerate", "show me"),
@@ -1043,20 +1044,20 @@ def _draw_slots(rng: random.Random, family: TaskFamily) -> dict:
     return slots
 
 
-def _synonymize(text: str, rng: random.Random, rate: float) -> str:
+def _synonymize(text: str, rng: random.Random) -> str:
     words = text.split()
     out = []
     for word in words:
         options = _SYNONYMS.get(word.lower())
-        if options and rng.random() < rate:
+        if options and rng.random() < _SYNONYM_RATE:
             out.append(rng.choice(options))
         else:
             out.append(word)
     return " ".join(out)
 
 
-def _perturb(text: str, rng: random.Random, synonym_rate: float) -> str:
-    text = _synonymize(text, rng, synonym_rate)
+def _perturb(text: str, rng: random.Random) -> str:
+    text = _synonymize(text, rng)
     if rng.random() < 0.35:
         text = rng.choice(_PREFIXES) + text
     if rng.random() < 0.25:
@@ -1075,9 +1076,7 @@ def _pick_phrasing(rng: random.Random, family: TaskFamily) -> str:
     return rng.choices(family.phrasings, weights=weights, k=1)[0]
 
 
-def toy_corpus(
-    n: int, seed: int = 0, noise: bool = True, synonym_rate: float = 0.35
-) -> list[Example]:
+def toy_corpus(n: int, seed: int = 0, noise: bool = True) -> list[Example]:
     """Generate n synthetic examples with family-weighted task sampling."""
     rng = random.Random(seed)
     weights = [f.weight for f in FAMILIES]
@@ -1087,7 +1086,7 @@ def toy_corpus(
         slots = _draw_slots(rng, family)
         invocation = _fill(_pick_phrasing(rng, family), slots)
         if noise:
-            invocation = _perturb(invocation, rng, synonym_rate)
+            invocation = _perturb(invocation, rng)
         refs = tuple(_fill(cmd, slots) for cmd in family.commands)
         examples.append(
             Example(

@@ -48,7 +48,12 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
     # fractions that are not numbers
     prefix = str(tmp_path / "part")
     capsys.readouterr()
-    assert cli(["split", "--data", str(data_file), "--fractions", "a,b,c", "--out-prefix", prefix]) == 1
+    for fractions in ("a,b,c", "nan,0,0"):
+        assert cli(["split", "--data", str(data_file), "--fractions", fractions,
+                    "--out-prefix", prefix]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+    # a negative fraction
+    assert cli(["split", "--data", str(data_file), "--fractions=-1,1,1", "--out-prefix", prefix]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
@@ -65,6 +70,22 @@ def test_filter_writes_outputs(data_file, tmp_path, capsys):
     assert code == 0
     assert out.exists() and rejected.exists()
     assert "kept" in capsys.readouterr().out
+
+
+def test_filter_rejects_deep_nesting_without_traceback(tmp_path, capsys):
+    data = tmp_path / "deep.jsonl"
+    deep = ["sudo " * 3000 + "ls", "echo " + "$( echo " * 1500 + "ls" + " )" * 1500, "ls -l"]
+    data.write_text(
+        "".join(json.dumps({"invocation": "x", "cmd": c}) + "\n" for c in deep), encoding="utf-8"
+    )
+    rejected = tmp_path / "rejected.jsonl"
+    args = ["filter", "--data", str(data), "--out", str(tmp_path / "kept.jsonl")]
+    assert cli(args + ["--rejected", str(rejected)]) == 0
+    captured = capsys.readouterr()
+    assert "kept 1, rejected 2" in captured.out
+    assert "Traceback" not in captured.err
+    reasons = [json.loads(line)["reason"] for line in rejected.read_text().splitlines()]
+    assert reasons == ["parse_error", "parse_error"]
 
 
 def test_split_roundtrip(data_file, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from strategies import shell_text
 
 from nlbash.corpus import (
     Example,
@@ -123,6 +125,20 @@ def test_filter_rejects_parse_errors():
     assert report.rejected[0].reason is RejectReason.PARSE_ERROR
 
 
+def test_filter_rejects_nesting_past_the_limit_as_parse_error():
+    deep = ["sudo " * 3000 + "ls", "echo " + "$( echo " * 1500 + "ls" + " )" * 1500]
+    report = filter_examples([ex(f"deep{i}", cmd) for i, cmd in enumerate(deep)], VOCAB)
+    assert not report.kept
+    assert [r.reason for r in report.rejected] == [RejectReason.PARSE_ERROR] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell_text)
+def test_filter_never_raises(cmd):
+    report = filter_examples([ex("f", cmd)], VOCAB)
+    assert len(report.kept) + len(report.rejected) == 1
+
+
 def test_filter_keeps_surviving_references_only():
     report = filter_examples([ex("f", "frobnicate -x", "ls -la")], VOCAB)
     assert report.kept[0].references == ("ls -la",)
@@ -193,7 +209,10 @@ def test_splits_append_only_test_growth():
     assert len(after_ids) > len(before_ids)
 
 
-@pytest.mark.parametrize("fractions", [(0.5, 0.5, 0.5), (0.9, 0.2, -0.1), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "fractions",
+    [(0.5, 0.5, 0.5), (0.9, 0.2, -0.1), (1.0, 0.0), (float("nan"), 0, 0), (float("inf"), 0, 0)],
+)
 def test_invalid_fractions_rejected(fractions):
     with pytest.raises(InvalidFractionsError):
         build_splits(toy_corpus(10, seed=1), seed=0, fractions=fractions)

@@ -118,6 +118,30 @@ def test_malformed_prediction_is_a_predictor_failure(item):
     assert all(r.error and r.score.per_prediction == (-1.0,) for r in report.per_example)
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"cmd": None, "confidence": 0.5},
+        {"cmd": "ls", "confidence": "0.5"},
+        {"cmd": 5, "confidence": 1.0},
+        {"cmd": "ls", "confidence": float("nan")},
+        {"cmd": "ls", "confidence": None},
+    ],
+    ids=["null-cmd", "str-confidence", "int-cmd", "nan", "null-confidence"],
+)
+def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
+    data = dataset(3, seed=3)
+    path = tmp_path / "preds.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex in data:
+            record = {"id": ex.id, "predictions": [{"cmd": "ls", "confidence": 1.0}, item]}
+            fh.write(json.dumps(record) + "\n")
+    report = score_prediction_file(str(path), data, vocab=VOCAB)
+    assert report.predictor_failure_count == len(data)
+    assert report.unparseable_prediction_count == 0
+    assert report.mean_score == -1.0
+
+
 def test_empty_prediction_set_abstains_at_zero():
     data = dataset(4, seed=4)
     report = evaluate(SilentPredictor(), data, vocab=VOCAB)
@@ -280,6 +304,17 @@ def test_subprocess_predictor_round_trip(tmp_path):
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     assert report.mean_score == pytest.approx(0.9)
+
+
+def test_subprocess_reply_is_not_coerced(tmp_path):
+    script = tmp_path / "null_cmd.py"
+    script.write_text(ECHO_PREDICTOR.replace('"ls -la"', "None"), encoding="utf-8")
+    data = [Example("1", "list files", ("ls -la",), Source.OTHER)]
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    # a null cmd is a predictor failure, not the command text "None"
+    assert report.predictor_failure_count == 1
+    assert report.unparseable_prediction_count == 0
 
 
 def test_subprocess_predictor_protocol_error(tmp_path):

@@ -1,7 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from strategies import shell_text
 
-from nlbash.errors import BashSyntaxError, UnknownUtilityError
-from nlbash.parser import TokenKind, parse, reconstruct, tokenize
+from nlbash.errors import BashSyntaxError, NlbashError, UnknownUtilityError
+from nlbash.parser import (
+    MAX_NESTING_DEPTH,
+    Element,
+    ElementKind,
+    TokenKind,
+    parse,
+    reconstruct,
+    tokenize,
+)
 from nlbash.vocab import default_vocabulary
 
 VOCAB = default_vocabulary()
@@ -86,6 +96,11 @@ def test_utility_path_resolves_to_basename():
         "if true; then ls; fi",
         "echo )",
         "ls > ",
+        "ls >&",
+        "ls 2>&x",
+        "ls &>(sort)",
+        "ls 2<<EOF",
+        "ls &>&1",
     ],
 )
 def test_unsupported_or_malformed_rejected(cmd):
@@ -193,6 +208,56 @@ def test_self_contained_redirects_take_no_target():
     assert "&1" not in args
 
 
+@pytest.mark.parametrize(
+    "cmd, args",
+    [
+        ("ls &> out.txt", ["out.txt"]),
+        ("ls &>> out.txt", ["out.txt"]),
+        ("ls >&- x", ["x"]),
+        ("ls 10<&0 x", ["x"]),
+        ("ls 2>>err.txt", ["err.txt"]),
+    ],
+)
+def test_redirect_takes_a_target_unless_it_duplicates_an_fd(cmd, args):
+    assert [e.text for e in parse(cmd, VOCAB).stages[0].elements] == args
+
+
+def test_only_ascii_digits_name_a_file_descriptor():
+    tokens = tokenize("echo ²>x")
+    assert [(t.kind, t.text) for t in tokens] == [
+        (TokenKind.WORD, "echo"),
+        (TokenKind.WORD, "²"),
+        (TokenKind.REDIRECT, ">"),
+        (TokenKind.WORD, "x"),
+    ]
+
+
+DEEPLY_NESTED = [
+    "sudo " * 3000 + "ls",
+    "echo " + "$( echo " * 1500 + "ls" + " )" * 1500,
+]
+
+
+@pytest.mark.parametrize("cmd", DEEPLY_NESTED, ids=["sudo", "substitution"])
+def test_nesting_past_the_limit_is_a_syntax_error(cmd):
+    with pytest.raises(BashSyntaxError, match="nested deeper"):
+        parse(cmd, VOCAB)
+
+
+def test_nesting_at_the_limit_parses():
+    cmd = "sudo " * (MAX_NESTING_DEPTH - 1) + "ls"
+    assert len(list(parse(cmd, VOCAB).walk())) == MAX_NESTING_DEPTH
+    with pytest.raises(BashSyntaxError):
+        parse("sudo " + cmd, VOCAB)
+
+
+def test_attached_flag_value_is_an_argument():
+    assert parse("ls --color=auto", VOCAB).stages[0].elements == (
+        Element(ElementKind.FLAG, "--color"),
+        Element(ElementKind.ARG, "auto"),
+    )
+
+
 def test_quoted_strings_are_single_arguments():
     ast = parse("grep -i 'foo bar' f.txt", VOCAB)
     args = [e.text for e in ast.stages[0].elements if not e.text.startswith("-")]
@@ -210,3 +275,13 @@ def test_round_trip_over_generated_corpus():
     commands = command_corpus(500, seed=3)
     for cmd in commands:
         assert reconstruct(parse(cmd, VOCAB)) == cmd
+
+
+@settings(max_examples=400, deadline=None)
+@given(shell_text)
+def test_parse_raises_only_nlbash_error_and_round_trips(text):
+    try:
+        ast = parse(text, VOCAB)
+    except NlbashError:
+        return
+    assert reconstruct(ast) == text
