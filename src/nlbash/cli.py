@@ -93,10 +93,7 @@ def _cmd_filter(args):
 def _cmd_split(args):
     vocab = _vocab_from_args(args)
     examples = _load_filtered(args.data, vocab) if args.filter else load_examples(args.data)
-    try:
-        fractions = tuple(float(f) for f in args.fractions.split(","))
-    except ValueError:
-        raise UsageError("--fractions must be three comma-separated numbers") from None
+    fractions = args.fractions.split(",")
     try:
         train, val, test = build_splits(examples, seed=args.seed, fractions=fractions)
     except InvalidFractionsError as exc:

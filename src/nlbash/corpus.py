@@ -7,10 +7,10 @@ Datasets are UTF-8 JSON lines, one object per line::
 ``id`` and ``source`` are optional. Filtering keeps a reference command
 only when it parses and reconstructs byte-identically; an example survives
 when at least one reference does. ``parse`` enforces the utility whitelist
-at every nesting depth it parses; a substitution inside a word or inside
-double quotes is argument text, so its command is not checked. Round-trip
-holds by construction (``reconstruct`` copies the gaps between tokens from
-the raw text), and the filter still checks it.
+at every nesting depth it parses, every unquoted substitution included;
+only one inside double quotes is argument text, so its command is not
+checked. Round-trip holds by construction (``reconstruct`` copies the gaps
+between tokens from the raw text), and the filter still checks it.
 """
 
 from __future__ import annotations
@@ -126,8 +126,9 @@ def load_examples(path: str | Path) -> list[Example]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # JSONDecodeError, or an int past the str digit limit
+                reason = getattr(exc, "msg", exc)
+                raise SchemaError(f"line {lineno}: invalid JSON ({reason})") from exc
             examples.append(_example_from_record(record, lineno, default_id=f"ex-{lineno:06d}"))
     return examples
 
@@ -195,9 +196,12 @@ def _unit_interval(seed: int, ex: Example) -> float:
 def build_splits(
     examples: Sequence[Example],
     seed: int,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    fractions: Sequence[float | str] = (0.8, 0.1, 0.1),
 ) -> tuple[list[Example], list[Example], list[Example]]:
     """Deterministic train/val/test partition with append-only growth.
+
+    ``fractions`` are three values ``float()`` accepts (numeric strings
+    too); anything else raises InvalidFractionsError.
 
     Each example draws a pseudo-random number from (seed, id, invocation)
     and is assigned to one of the three buckets with probability
@@ -207,7 +211,10 @@ def build_splits(
     the test set only ever grows; and whenever the target counts are whole
     numbers the realized sizes match them exactly.
     """
-    fracs = tuple(float(f) for f in fractions)
+    try:
+        fracs = tuple(float(f) for f in fractions)
+    except (TypeError, ValueError, OverflowError):
+        fracs = ()  # fails the length check below
     if len(fracs) != 3 or any(not math.isfinite(f) or f < 0 for f in fracs):
         raise InvalidFractionsError(
             f"fractions must be three finite non-negative numbers, got {fractions}"

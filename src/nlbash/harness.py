@@ -7,9 +7,9 @@ template against all reference templates. A prediction the parser rejects
 scores -delta — a command outside the grammar can never match a reference,
 and silently dropping it would game the averaging branch. A predictor
 exception scores the whole example -1, and so does a prediction set whose
-first k items are not all a ``str`` cmd with a finite real confidence;
-both count as predictor failures. A predictor that returns nothing
-abstains and scores 0.
+first k items are not all a ``str`` cmd with a real confidence that
+converts to a finite float; both count as predictor failures. A predictor
+that returns nothing abstains and scores 0.
 
 Evaluation is sequential by design so latency numbers stay honest.
 """
@@ -160,14 +160,27 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(float(value), lo), hi)
 
 
+def _describe(value) -> str:
+    """repr(value), or its type when repr fails (an int past the str digit limit)."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
+
+
 def _contract_violation(predictions: Sequence[Prediction]) -> str | None:
-    """Describe the first prediction lacking a str cmd or a finite real confidence."""
+    """Describe the first prediction lacking a str cmd or a finite real confidence.
+
+    A real too large for a float (a 400-digit int) counts as not finite.
+    """
     for i, p in enumerate(predictions):
         cmd, confidence = getattr(p, "cmd", None), getattr(p, "confidence", None)
-        if not isinstance(cmd, str) or not (
-            isinstance(confidence, numbers.Real) and math.isfinite(confidence)
-        ):
-            return f"prediction {i} needs a str cmd and a finite confidence, got {p!r}"
+        try:
+            finite = isinstance(confidence, numbers.Real) and math.isfinite(confidence)
+        except OverflowError:
+            finite = False
+        if not isinstance(cmd, str) or not finite:
+            return f"prediction {i} needs a str cmd and a finite confidence, got {_describe(p)}"
     return None
 
 
@@ -197,7 +210,7 @@ def evaluate(
         try:
             raw_predictions = list(predictor.predict(ex.invocation, k))
         except Exception as exc:  # predictor failure: record, score -1
-            error = repr(exc)
+            error = _describe(exc)
         elapsed = time.perf_counter() - start
         if error is None:
             raw_predictions = raw_predictions[:k]
@@ -325,7 +338,7 @@ def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
             try:
                 obj = json.loads(line)
                 by_id[str(obj["id"])] = _decode_predictions(obj["predictions"])
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise NlbashError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
     return by_id
 
@@ -372,7 +385,7 @@ class SubprocessPredictor:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
             return _decode_predictions(json.loads(line))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PredictorProtocolError(f"bad predictor reply: {exc}") from exc
 
     def close(self) -> None:

@@ -2,15 +2,16 @@
 
 The grammar is deliberately narrow: a command is a pipeline of simple
 commands, each a utility followed by flags, arguments, redirects,
-``$( )`` / backtick substitutions, and (for find-style utilities) an
-``-exec utility ... \\;`` payload. Anything outside that shape —
-``&&`` / ``||`` lists, ``;`` sequences, subshells, here-docs, process
-substitution, control flow, nesting deeper than MAX_NESTING_DEPTH — raises
+``$( )`` / backtick substitutions, and an ``-exec utility ... \\;`` payload
+after an exec flag the vocabulary lists for that utility (find's). Anything
+else — ``&&`` / ``||`` lists, ``;`` sequences, subshells, here-docs, process
+substitution, arithmetic, control flow, a command name glued to a
+substitution (``ls$(cmd)``), nesting deeper than MAX_NESTING_DEPTH — raises
 BashSyntaxError, which is exactly how corpus filtering rejects it.
 
-Only a substitution that starts a word is parsed as a nested command. One
-inside a word or inside double quotes (``x=$(cmd)``, ``"$(cmd)"``) stays
-opaque argument text: its utility is neither checked nor templated.
+Every unquoted substitution is a nested command, also one inside a word
+(``x=$(cmd)``); only one inside double quotes (``"$(cmd)"``) stays opaque
+argument text, its utility neither checked nor templated.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -31,7 +32,8 @@ from .vocab import UtilityVocabulary, default_vocabulary
 # Utilities that run another command given as their trailing words.
 WRAPPER_UTILITIES = frozenset({"sudo", "xargs", "time", "nice"})
 
-# Flags whose payload is a nested command terminated by ';' or '+'.
+# Flags whose payload is a nested command terminated by ';' or '+', for a
+# utility whose vocabulary entry lists them as unsplittable (find).
 EXEC_FLAGS = frozenset({"exec", "execdir", "ok", "okdir"})
 
 _RESERVED_WORDS = frozenset(
@@ -80,7 +82,7 @@ class SimpleCommand:
 
     ``nested`` holds commands this stage runs itself — the target of a
     wrapper like sudo/xargs, an ``-exec`` payload, or the stages of a
-    standalone ``$( )`` / backtick substitution — in source order.
+    ``$( )`` / backtick substitution outside double quotes — in source order.
     """
 
     utility: str
@@ -134,8 +136,8 @@ def _skip_quoted(s: str, j: int) -> int:
     return k + 1
 
 
-def _scan_word(s: str, i: int, in_backtick: bool) -> int:
-    """Return the end index of the word starting at i."""
+def _scan_word(s: str, i: int) -> int:
+    """Return the end index of the word starting at i; an unquoted ``$(`` ends it."""
     n = len(s)
     j = i
     while j < n:
@@ -146,42 +148,10 @@ def _scan_word(s: str, i: int, in_backtick: bool) -> int:
             if j + 1 >= n:
                 raise BashSyntaxError("trailing backslash")
             j += 2
-        elif c == "$" and s[j + 1 : j + 2] == "(":
-            # Substitution embedded mid-word (x=$(...)): absorb it whole.
-            j = _absorb_dollar_paren(s, j)
-        elif c == "`":
-            if in_backtick:
-                break  # closes the surrounding substitution
-            k = s.find("`", j + 1)
-            if k == -1:
-                raise BashSyntaxError("unbalanced backtick")
-            j = k + 1
-        elif c in _WORD_BREAK:
+        elif c in _WORD_BREAK or (c == "$" and s[j + 1 : j + 2] == "("):
             break
         else:
             j += 1
-    return j
-
-
-def _absorb_dollar_paren(s: str, i: int) -> int:
-    """Scan past a $( ... ) group starting at i, honoring quotes."""
-    n = len(s)
-    depth = 1
-    j = i + 2
-    while j < n and depth > 0:
-        c = s[j]
-        if c == "'" or c == '"':
-            j = _skip_quoted(s, j)
-        elif c == "\\":
-            j += 2
-        else:
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            j += 1
-    if depth > 0:
-        raise BashSyntaxError("unterminated command substitution")
     return j
 
 
@@ -254,7 +224,7 @@ def tokenize(text: str) -> list[Token]:
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
         else:
-            j = _scan_word(text, i, in_backtick=bool(stack and stack[-1] == "`"))
+            j = _scan_word(text, i)
             if j == i:
                 raise BashSyntaxError(f"cannot tokenize at offset {i}: {text[i]!r}")
             tokens.append(Token(TokenKind.WORD, text[i:j], i, j))
@@ -310,6 +280,9 @@ def _parse_simple(
     utility = vocab.lookup(word)
     if utility is None:
         raise UnknownUtilityError(word)
+    glued = cur.peek()
+    if glued is not None and glued.kind is TokenKind.SUBST_OPEN and glued.start == tok.end:
+        raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
 
     elements: list[Element] = []
     nested: list[SimpleCommand] = []
@@ -355,7 +328,8 @@ def _parse_simple(
                 elements.append(Element(ElementKind.ARG, value))
             else:
                 elements.append(Element(ElementKind.FLAG, tok.text))
-            if not tok.text.startswith("--") and tok.text[1:] in EXEC_FLAGS:
+            name = tok.text[1:]
+            if name in EXEC_FLAGS and name in vocab.unsplittable_flags(utility):
                 payload = _parse_exec_payload(cur, vocab, in_subst)
                 if payload is not None:
                     nested.append(payload)

@@ -15,6 +15,7 @@ the same corpus.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .corpus import Example, Source
 
 @dataclass(frozen=True)
 class TaskFamily:
-    key: str
     phrasings: tuple[str, ...]
     commands: tuple[str, ...]  # every entry becomes a reference
     weight: float = 1.0
@@ -132,126 +132,101 @@ _SYNONYMS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _expand_theme(
-    key: str,
+def _siblings(
     stubs: tuple[str, ...],
-    variants: tuple[tuple[str, str], ...],
+    command: str,
     weight: float,
+    **axes: tuple[tuple[str, str], ...],
 ) -> tuple[TaskFamily, ...]:
     """Build sibling families from shared phrasing stubs.
 
-    Each variant is (modifier phrase, command template); the modifier
-    replaces ``{mod}`` in every stub. Siblings share most vocabulary and
-    differ in a few words, the way real corpora distinguish ``ls -lt``
-    from ``ls -lS``.
+    Each keyword axis gives (phrase, command part) options for the
+    placeholder it names. Every combination of options, first axis
+    outermost, is one family: each phrase replaces ``{axis}`` in every
+    stub, and each command part fills ``{axis}`` in ``command``. Siblings
+    share most vocabulary and differ in a few words, the way real corpora
+    distinguish ``ls -lt`` from ``ls -lS``; their weights cycle through a
+    skew so that support is uneven.
     """
     skew = (2.2, 1.0, 0.45)
     families = []
-    for i, (mod, cmd) in enumerate(variants):
-        phrasings = tuple(" ".join(stub.replace("{mod}", mod).split()) for stub in stubs)
+    for n, combo in enumerate(itertools.product(*axes.values())):
+        phrasings = []
+        for stub in stubs:
+            for name, (phrase, _) in zip(axes, combo):
+                stub = stub.replace("{%s}" % name, phrase)
+            phrasings.append(" ".join(stub.split()))
+        parts = {name: part for name, (_, part) in zip(axes, combo)}
         families.append(
-            TaskFamily(f"{key}:{mod or 'plain'}", phrasings, (cmd,), weight * skew[i % 3])
+            TaskFamily(tuple(phrasings), (command.format(**parts),), weight * skew[n % 3])
         )
     return tuple(families)
 
 
-def _find_combos(weight: float) -> tuple[TaskFamily, ...]:
-    """Combinatorial find micro-families: scope x matcher x action.
-
-    Dozens of templates share their phrasing stubs and compete for the
-    same queries, so the correct flag combination has thin support — as
-    in real corpora, where most find variants occur a handful of times.
-    """
-    stubs = (
+# Combinatorial find micro-families: scope x matcher x action. Dozens of
+# templates share their phrasing stubs and compete for the same queries, so
+# the correct flag combination has thin support — as in real corpora, where
+# most find variants occur a handful of times.
+_FIND_THEME = _siblings(
+    (
         "find files {matcher} under {dir} {scope} {action}",
         "search {dir} for files {matcher} {scope} {action}",
         "list files {matcher} below {dir} {scope} {action}",
         "show files {matcher} in {dir} {scope} {action}",
-    )
-    scopes = (
+    ),
+    "find {{dir}} {scope}{matcher}{action}",
+    weight=0.45,
+    scope=(
         ("", ""),
         ("only regular files", "-type f "),
         ("only directories", "-type d "),
         ("at most {num} levels deep", "-maxdepth {num} "),
-    )
-    matchers = (
+    ),
+    matcher=(
         ("named {name}", "-name {name}"),
         ("named {name} ignoring case", "-iname {name}"),
-    )
-    actions = (
+    ),
+    action=(
         ("", ""),
         ("and delete them", " -delete"),
         ("and remove them", " -exec rm {{}} \\;"),
         ("with their details", " -ls"),
         ("and count them", " | wc -l"),
         ("and search them for {pattern}", " -exec grep -l {pattern} {{}} \\;"),
-    )
-    skew = (2.2, 1.0, 0.45)
-    families = []
-    n = 0
-    for s_phrase, s_cmd in scopes:
-        for m_phrase, m_cmd in matchers:
-            for a_phrase, a_cmd in actions:
-                phrasings = tuple(
-                    " ".join(
-                        stub.replace("{matcher}", m_phrase)
-                        .replace("{scope}", s_phrase)
-                        .replace("{action}", a_phrase)
-                        .split()
-                    )
-                    for stub in stubs
-                )
-                cmd = f"find {{dir}} {s_cmd}{m_cmd}{a_cmd}"
-                key = f"find:{s_cmd.strip() or 'any'}:{m_cmd.split()[0]}:{a_cmd.strip() or 'print'}"
-                families.append(TaskFamily(key, phrasings, (cmd,), weight * skew[n % 3]))
-                n += 1
-    return tuple(families)
+    ),
+)
 
-
-def _grep_combos(weight: float) -> tuple[TaskFamily, ...]:
-    stubs = (
+_GREP_THEME = _siblings(
+    (
         "search {where} for {pattern} {mod}",
         "find {pattern} {where} {mod}",
         "look for lines with {pattern} {where} {mod}",
-    )
-    targets = (
+    ),
+    "grep {mod}{where}",
+    weight=0.4,
+    where=(
         ("in {file}", "{pattern} {file}"),
         ("in every file under {dir}", "-r {pattern} {dir}"),
-    )
-    mods = (
+    ),
+    mod=(
         ("", ""),
         ("ignoring case", "-i "),
         ("showing line numbers", "-n "),
         ("counting the matches", "-c "),
         ("keeping only lines without it", "-v "),
         ("printing just the file names", "-l "),
-    )
-    skew = (2.2, 1.0, 0.45)
-    families = []
-    n = 0
-    for t_phrase, t_cmd in targets:
-        for m_phrase, m_cmd in mods:
-            phrasings = tuple(
-                " ".join(stub.replace("{where}", t_phrase).replace("{mod}", m_phrase).split())
-                for stub in stubs
-            )
-            key = f"grep:{(m_cmd.strip() or 'plain')}:{'dir' if '-r' in t_cmd else 'file'}"
-            families.append(TaskFamily(key, phrasings, (f"grep {m_cmd}{t_cmd}",), weight * skew[n % 3]))
-            n += 1
-    return tuple(families)
+    ),
+)
 
-
-_FIND_THEME = _find_combos(weight=0.45)
-_GREP_THEME = _grep_combos(weight=0.4)
-
-_LS_THEME = _expand_theme(
-    "ls",
+_LS_THEME = _siblings(
     (
         "list the files in {dir} {mod}",
         "show the files in {dir} {mod}",
         "list everything in {dir} {mod}",
     ),
-    (
+    "{mod}",
+    weight=0.45,
+    mod=(
         ("with details", "ls -la {dir}"),
         ("sorted by modification time", "ls -lt {dir}"),
         ("sorted by size", "ls -lS {dir}"),
@@ -261,645 +236,83 @@ _LS_THEME = _expand_theme(
         ("recursively", "ls -R {dir}"),
         ("one per line", "ls -1 {dir}"),
     ),
-    weight=0.45,
 )
 
-_WC_THEME = _expand_theme(
-    "wc",
+_WC_THEME = _siblings(
     (
         "count the {mod} in {file}",
         "how many {mod} does {file} have",
         "print the number of {mod} in {file}",
     ),
-    (
+    "{mod}",
+    weight=0.5,
+    mod=(
         ("lines", "wc -l {file}"),
         ("words", "wc -w {file}"),
         ("characters", "wc -c {file}"),
     ),
-    weight=0.5,
 )
 
-_SORT_THEME = _expand_theme(
-    "sort",
+_SORT_THEME = _siblings(
     (
         "sort the lines of {file} {mod}",
         "order the contents of {file} {mod}",
         "print {file} sorted {mod}",
     ),
-    (
+    "{mod}",
+    weight=0.35,
+    mod=(
         ("", "sort {file}"),
         ("numerically", "sort -n {file}"),
         ("in reverse", "sort -r {file}"),
         ("dropping duplicates", "sort -u {file}"),
         ("by number descending", "sort -rn {file}"),
     ),
-    weight=0.35,
 )
 
-_HEADTAIL_THEME = _expand_theme(
-    "headtail",
+_HEADTAIL_THEME = _siblings(
     (
         "show the {mod} of {file}",
         "print the {mod} from {file}",
         "display the {mod} in {file}",
     ),
-    (
+    "{mod}",
+    weight=0.5,
+    mod=(
         ("first {num} lines", "head -n {num} {file}"),
         ("last {num} lines", "tail -n {num} {file}"),
         ("first {num} bytes", "head -c {num} {file}"),
         ("last {num} bytes", "tail -c {num} {file}"),
     ),
-    weight=0.5,
 )
 
-_TAR_THEME = _expand_theme(
-    "tar",
+_TAR_THEME = _siblings(
     (
         "{mod} with tar",
         "use tar to {mod}",
     ),
-    (
+    "{mod}",
+    weight=0.5,
+    mod=(
         ("compress {dir} into {archive}", "tar -czf {archive} {dir}"),
         ("extract the archive {archive}", "tar -xzf {archive}"),
         ("list the contents of {archive}", "tar -tzf {archive}"),
         ("extract {archive} into {dir}", "tar -xzf {archive} -C {dir}"),
     ),
-    weight=0.5,
 )
 
-_DISK_THEME = _expand_theme(
-    "disk",
+_DISK_THEME = _siblings(
     (
         "{mod}",
         "report {mod}",
     ),
-    (
+    "{mod}",
+    weight=0.5,
+    mod=(
         ("the disk space used by {dir}", "du -sh {dir}"),
         ("the disk space used by every file in {dir}", "du -ah {dir}"),
         ("the free disk space", "df -h"),
         ("the free inodes on every filesystem", "df -i"),
-    ),
-    weight=0.5,
-)
-
-FAMILIES: tuple[TaskFamily, ...] = (
-    _FIND_THEME
-    + _GREP_THEME
-    + _LS_THEME
-    + _WC_THEME
-    + _SORT_THEME
-    + _HEADTAIL_THEME
-    + _TAR_THEME
-    + _DISK_THEME
-) + (
-    TaskFamily(
-        "find-empty-delete",
-        (
-            "delete all empty files under {dir}",
-            "find empty files in {dir} and delete them",
-            "remove every empty file in {dir}",
-            "clean up empty files below {dir}",
-        ),
-        ("find {dir} -type f -empty -delete", "find {dir} -type f -empty -exec rm {{}} \\;"),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "find-size",
-        (
-            "find files bigger than {num} megabytes in {dir}",
-            "list files larger than {num}M under {dir}",
-            "search {dir} for files over {num} megabytes",
-            "show files in {dir} larger than {num} MB",
-        ),
-        ("find {dir} -type f -size +{num}M",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "find-mtime",
-        (
-            "find files modified in the last {num} days under {dir}",
-            "list files changed within {num} days in {dir}",
-            "show files in {dir} modified less than {num} days ago",
-            "search {dir} for files newer than {num} days",
-        ),
-        ("find {dir} -type f -mtime -{num}",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "find-old-remove",
-        (
-            "delete files older than {num} days in {dir}",
-            "remove files in {dir} not modified for {num} days",
-            "clean {dir} of files older than {num} days",
-        ),
-        ("find {dir} -type f -mtime +{num} -delete", "find {dir} -type f -mtime +{num} -exec rm {{}} \\;"),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "find-exec-grep",
-        (
-            "find {name} files under {dir} containing {pattern}",
-            "search every {name} file in {dir} for {pattern}",
-            "find the text {pattern} in {name} files below {dir}",
-            "list {name} files in {dir} that mention {pattern}",
-        ),
-        (
-            "find {dir} -name {name} -exec grep -l {pattern} {{}} \\;",
-            "find {dir} -name {name} | xargs grep -l {pattern}",
-        ),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "find-chmod",
-        (
-            "make every file under {dir} mode 644",
-            "change permissions of all files in {dir} to 644",
-            "set permissions 644 on all files below {dir}",
-        ),
-        ("find {dir} -type f -exec chmod 644 {{}} \\;",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "lsof",
-        (
-            "list all open files and the processes using them",
-            "show open files with their owning processes",
-            "list files that are currently open",
-        ),
-        ("lsof",),
-        weight=0.75,
-    ),
-    # --- disk cluster: du vs df share most of their vocabulary ---
-    TaskFamily(
-        "df-total",
-        (
-            "show only the total of the disk space report",
-            "print just the total line of disk usage",
-            "display the overall disk space total",
-        ),
-        ("df --total | tail -n 1",),
-        weight=0.75,
-    ),
-    # --- archive cluster ---
-    TaskFamily(
-        "gzip-file",
-        (
-            "compress the file {file} with gzip",
-            "gzip {file} to save space",
-            "make a compressed version of {file}",
-        ),
-        ("gzip {file}",),
-        weight=0.75,
-    ),
-    TaskFamily(
-        "tail-follow",
-        (
-            "show new lines of {file} as they arrive",
-            "keep printing {file} as it grows",
-            "follow the end of {file} live",
-        ),
-        ("tail -f {file}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "freq-count",
-        (
-            "count duplicate lines in {file} most frequent first",
-            "rank the repeated lines of {file} by how often they occur",
-            "show line frequencies in {file} sorted descending",
-        ),
-        ("sort {file} | uniq -c | sort -rn",),
-        weight=1.0,
-    ),
-    # --- process cluster: show vs find vs kill a process ---
-    TaskFamily(
-        "ps-grep",
-        (
-            "find the {proc} process",
-            "show the running {proc} process",
-            "check whether {proc} is running",
-            "is the {proc} process alive",
-        ),
-        ("ps aux | grep {proc}",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "kill-name",
-        (
-            "kill the {proc} process",
-            "stop every {proc} process",
-            "terminate all processes called {proc}",
-        ),
-        ("pkill {proc}", "killall {proc}"),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "kill-jobs",
-        (
-            "kill all my background jobs",
-            "stop every job running in this shell",
-            "terminate the shell background jobs",
-        ),
-        ("kill $( jobs -p )",),
-        weight=0.75,
-    ),
-    TaskFamily(
-        "pstree",
-        (
-            "show the process tree",
-            "display processes as a tree",
-            "print the tree of running processes",
-        ),
-        ("pstree",),
-        weight=0.5,
-    ),
-    # --- permissions cluster ---
-    TaskFamily(
-        "chmod-exec",
-        (
-            "make {file} executable",
-            "add execute permission to {file}",
-            "let {file} run as a program",
-        ),
-        ("chmod +x {file}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "chown-user",
-        (
-            "change the owner of {file} to {user}",
-            "make {user} the owner of {file}",
-            "give {user} ownership of {file}",
-        ),
-        ("sudo chown {user} {file}",),
-        weight=1.5,
-    ),
-    # --- copy/move cluster: local copy vs remote copy collide ---
-    TaskFamily(
-        "cp-dir",
-        (
-            "copy the directory {dir} to {dir2}",
-            "copy {dir} and its contents to {dir2}",
-            "recursively copy the folder {dir} to {dir2}",
-        ),
-        ("cp -R {dir} {dir2}",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "cp-file",
-        (
-            "copy {file} to {file2}",
-            "copy the file {file} over to {file2}",
-            "make a copy of {file} named {file2}",
-        ),
-        ("cp {file} {file2}",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "scp-file",
-        (
-            "copy {file} to the host {host}",
-            "copy the file {file} to the remote machine {host}",
-            "transfer {file} to {host} over ssh",
-        ),
-        ("scp {file} {user}@{host}:{dir}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "mv-file",
-        (
-            "rename {file} to {file2}",
-            "move {file} to {file2}",
-            "change the name of {file} to {file2}",
-        ),
-        ("mv {file} {file2}",),
-        weight=2.0,
-    ),
-    # --- create/delete cluster ---
-    TaskFamily(
-        "mkdir-p",
-        (
-            "create the directory {dir} with its parents",
-            "make the folder {dir} creating missing parents",
-            "create {dir} including parent directories",
-        ),
-        ("mkdir -p {dir}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "touch-file",
-        (
-            "create an empty file called {file}",
-            "make a new empty file {file}",
-            "create the file {file} if it does not exist",
-        ),
-        ("touch {file}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "rm-dir",
-        (
-            "delete the directory {dir} and everything in it",
-            "remove the folder {dir} recursively",
-            "delete {dir} with all of its contents",
-        ),
-        ("rm -rf {dir}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "rm-file",
-        (
-            "delete the file {file}",
-            "remove {file} from disk",
-            "get rid of the file {file}",
-        ),
-        ("rm {file}",),
-        weight=1.5,
-    ),
-    # --- viewing cluster ---
-    TaskFamily(
-        "cat-file",
-        (
-            "show the contents of {file}",
-            "print {file} to the terminal",
-            "display what is inside {file}",
-        ),
-        ("cat {file}",),
-        weight=2.0,
-    ),
-    TaskFamily(
-        "less-file",
-        (
-            "view {file} one page at a time",
-            "open {file} in a pager",
-            "read {file} page by page",
-        ),
-        ("less {file}",),
-        weight=0.75,
-    ),
-    TaskFamily(
-        "file-type",
-        (
-            "show what kind of file {file} is",
-            "detect the type of {file}",
-            "what format is the file {file}",
-        ),
-        ("file {file}",),
-        weight=0.5,
-    ),
-    # --- network cluster ---
-    TaskFamily(
-        "ping-host",
-        (
-            "ping {host} {num} times",
-            "send {num} pings to {host}",
-            "check connectivity to {host} with {num} packets",
-        ),
-        ("ping -c {num} {host}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "ssh-host",
-        (
-            "connect to {host} as {user} over ssh",
-            "open an ssh session to {host} as the user {user}",
-            "log into the host {host} as {user}",
-        ),
-        ("ssh {user}@{host}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "wget-url",
-        (
-            "download the file at {url}",
-            "fetch {url} from the web",
-            "download {url} and save it locally",
-        ),
-        ("wget {url}", "curl -O {url}"),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "dns-lookup",
-        (
-            "look up the dns records for {host}",
-            "resolve the hostname {host}",
-            "find the ip address of {host}",
-        ),
-        ("nslookup {host}", "host {host}"),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "traceroute-host",
-        (
-            "trace the network route to {host}",
-            "show the hops to reach {host}",
-            "trace the path packets take to {host}",
-        ),
-        ("traceroute {host}",),
-        weight=0.5,
-    ),
-    # --- text editing cluster ---
-    TaskFamily(
-        "sed-replace",
-        (
-            "replace {pattern} with {pattern2} in {file}",
-            "substitute {pattern2} for {pattern} everywhere in {file}",
-            "swap every {pattern} for {pattern2} inside {file}",
-        ),
-        ("sed -i 's/{pattern}/{pattern2}/g' {file}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "tr-upper",
-        (
-            "print {file} in all uppercase letters",
-            "convert the contents of {file} to uppercase",
-            "uppercase everything in {file}",
-        ),
-        ("cat {file} | tr a-z A-Z",),
-        weight=0.75,
-    ),
-    TaskFamily(
-        "echo-append",
-        (
-            "append the line {pattern} to {file}",
-            "add {pattern} to the end of {file}",
-            "write {pattern} at the bottom of {file}",
-        ),
-        ("echo {pattern} >> {file}",),
-        weight=1.0,
-    ),
-    # --- comparison / checksums ---
-    TaskFamily(
-        "diff-files",
-        (
-            "compare {file} with {file2}",
-            "show the differences between {file} and {file2}",
-            "diff the files {file} and {file2}",
-        ),
-        ("diff {file} {file2}",),
-        weight=1.5,
-    ),
-    TaskFamily(
-        "md5-file",
-        (
-            "compute the md5 checksum of {file}",
-            "show the md5 hash of {file}",
-            "calculate the md5 digest for {file}",
-        ),
-        ("md5sum {file}",),
-        weight=1.0,
-    ),
-    # --- misc tail: small families with shared generic vocabulary ---
-    TaskFamily(
-        "history-grep",
-        (
-            "search my shell history for {pattern}",
-            "find {pattern} in the command history",
-            "which past commands mention {pattern}",
-        ),
-        ("history | grep {pattern}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "free-mem",
-        (
-            "show memory usage in megabytes",
-            "how much memory is free",
-            "display how much ram is used",
-        ),
-        ("free -m",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "uname-kernel",
-        (
-            "show the kernel release version",
-            "what kernel version is running",
-            "print the version of the running kernel",
-        ),
-        ("uname -r",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "which-cmd",
-        (
-            "where is the {proc} binary installed",
-            "show the path of the {proc} command",
-            "which executable runs when i type {proc}",
-        ),
-        ("which {proc}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "ln-symlink",
-        (
-            "create a symbolic link from {file} to {file2}",
-            "make {file2} a symlink pointing at {file}",
-            "link {file2} to {file} symbolically",
-        ),
-        ("ln -s {file} {file2}",),
-        weight=1.0,
-    ),
-    TaskFamily(
-        "whoami",
-        (
-            "show which user i am logged in as",
-            "print my current username",
-            "what user am i",
-        ),
-        ("whoami",),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "who-logged",
-        (
-            "show who is logged into this machine",
-            "list the users currently logged in",
-            "which users have sessions open",
-        ),
-        ("who",),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "uptime",
-        (
-            "how long has the machine been up",
-            "show the system uptime",
-            "print how long the server has been running",
-        ),
-        ("uptime",),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "date-now",
-        (
-            "print the current date and time",
-            "show today's date",
-            "what time is it according to the system",
-        ),
-        ("date",),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "env-vars",
-        (
-            "show all environment variables",
-            "print the current environment",
-            "list the environment variables that are set",
-        ),
-        ("printenv", "env"),
-        weight=0.5,
-    ),
-    TaskFamily(
-        "lsblk",
-        (
-            "list the block devices",
-            "show the disks and partitions",
-            "display the block device tree",
-        ),
-        ("lsblk",),
-        weight=0.35,
-    ),
-    TaskFamily(
-        "lscpu",
-        (
-            "show information about the cpu",
-            "display the processor details",
-            "what cpu does this machine have",
-        ),
-        ("lscpu",),
-        weight=0.35,
-    ),
-    TaskFamily(
-        "watch-df",
-        (
-            "watch the disk space refresh every few seconds",
-            "monitor free disk space continuously",
-            "keep an eye on disk usage as it changes",
-        ),
-        ("watch df -h",),
-        weight=0.35,
-    ),
-    TaskFamily(
-        "seq-numbers",
-        (
-            "print the numbers from 1 to {num}",
-            "generate a sequence up to {num}",
-            "count from 1 to {num}",
-        ),
-        ("seq {num}",),
-        weight=0.35,
-    ),
-    TaskFamily(
-        "sleep-secs",
-        (
-            "pause for {num} seconds",
-            "wait {num} seconds before continuing",
-            "do nothing for {num} seconds",
-        ),
-        ("sleep {num}",),
-        weight=0.35,
     ),
 )
 
@@ -982,30 +395,526 @@ _RARE_SPECS = (
 _RARE_JITTER = (("", ""), (" verbosely", " -v"), (" quietly", " -q"))
 
 
-def _rare_families() -> tuple[TaskFamily, ...]:
-    """One-off tasks: ~200 templates that occur about once per corpus.
-
-    Real evaluation sets deliberately include utilities with little or no
-    training support; these families reproduce that. Their phrasings
-    reuse everyday words (show, list, file, lines), so a retrieval
-    baseline confidently returns something related and wrong — the
-    population confidence calibration exists to protect.
-    """
-    families = []
-    for i, (phrasing, cmd) in enumerate(_RARE_SPECS):
-        for j, (extra_phrase, extra_flag) in enumerate(_RARE_JITTER):
-            families.append(
-                TaskFamily(
-                    f"rare-{i:02d}-{j}",
-                    (phrasing + extra_phrase,),
-                    (cmd + extra_flag,),
-                    weight=0.05,
-                )
-            )
-    return tuple(families)
+# One-off tasks: ~200 templates that occur about once per corpus. Real
+# evaluation sets deliberately include utilities with little or no training
+# support; these families reproduce that. Their phrasings reuse everyday
+# words (show, list, file, lines), so a retrieval baseline confidently
+# returns something related and wrong — the population confidence
+# calibration exists to protect.
+_RARE_FAMILIES = tuple(
+    TaskFamily((phrasing + extra_phrase,), (cmd + extra_flag,), weight=0.05)
+    for phrasing, cmd in _RARE_SPECS
+    for extra_phrase, extra_flag in _RARE_JITTER
+)
 
 
-FAMILIES = FAMILIES + _rare_families()
+FAMILIES: tuple[TaskFamily, ...] = (
+    _FIND_THEME
+    + _GREP_THEME
+    + _LS_THEME
+    + _WC_THEME
+    + _SORT_THEME
+    + _HEADTAIL_THEME
+    + _TAR_THEME
+    + _DISK_THEME
+) + (
+    TaskFamily(
+        (
+            "delete all empty files under {dir}",
+            "find empty files in {dir} and delete them",
+            "remove every empty file in {dir}",
+            "clean up empty files below {dir}",
+        ),
+        ("find {dir} -type f -empty -delete", "find {dir} -type f -empty -exec rm {{}} \\;"),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "find files bigger than {num} megabytes in {dir}",
+            "list files larger than {num}M under {dir}",
+            "search {dir} for files over {num} megabytes",
+            "show files in {dir} larger than {num} MB",
+        ),
+        ("find {dir} -type f -size +{num}M",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "find files modified in the last {num} days under {dir}",
+            "list files changed within {num} days in {dir}",
+            "show files in {dir} modified less than {num} days ago",
+            "search {dir} for files newer than {num} days",
+        ),
+        ("find {dir} -type f -mtime -{num}",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "delete files older than {num} days in {dir}",
+            "remove files in {dir} not modified for {num} days",
+            "clean {dir} of files older than {num} days",
+        ),
+        ("find {dir} -type f -mtime +{num} -delete", "find {dir} -type f -mtime +{num} -exec rm {{}} \\;"),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "find {name} files under {dir} containing {pattern}",
+            "search every {name} file in {dir} for {pattern}",
+            "find the text {pattern} in {name} files below {dir}",
+            "list {name} files in {dir} that mention {pattern}",
+        ),
+        (
+            "find {dir} -name {name} -exec grep -l {pattern} {{}} \\;",
+            "find {dir} -name {name} | xargs grep -l {pattern}",
+        ),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "make every file under {dir} mode 644",
+            "change permissions of all files in {dir} to 644",
+            "set permissions 644 on all files below {dir}",
+        ),
+        ("find {dir} -type f -exec chmod 644 {{}} \\;",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "list all open files and the processes using them",
+            "show open files with their owning processes",
+            "list files that are currently open",
+        ),
+        ("lsof",),
+        weight=0.75,
+    ),
+    # --- disk cluster: du vs df share most of their vocabulary ---
+    TaskFamily(
+        (
+            "show only the total of the disk space report",
+            "print just the total line of disk usage",
+            "display the overall disk space total",
+        ),
+        ("df --total | tail -n 1",),
+        weight=0.75,
+    ),
+    # --- archive cluster ---
+    TaskFamily(
+        (
+            "compress the file {file} with gzip",
+            "gzip {file} to save space",
+            "make a compressed version of {file}",
+        ),
+        ("gzip {file}",),
+        weight=0.75,
+    ),
+    TaskFamily(
+        (
+            "show new lines of {file} as they arrive",
+            "keep printing {file} as it grows",
+            "follow the end of {file} live",
+        ),
+        ("tail -f {file}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "count duplicate lines in {file} most frequent first",
+            "rank the repeated lines of {file} by how often they occur",
+            "show line frequencies in {file} sorted descending",
+        ),
+        ("sort {file} | uniq -c | sort -rn",),
+        weight=1.0,
+    ),
+    # --- process cluster: show vs find vs kill a process ---
+    TaskFamily(
+        (
+            "find the {proc} process",
+            "show the running {proc} process",
+            "check whether {proc} is running",
+            "is the {proc} process alive",
+        ),
+        ("ps aux | grep {proc}",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "kill the {proc} process",
+            "stop every {proc} process",
+            "terminate all processes called {proc}",
+        ),
+        ("pkill {proc}", "killall {proc}"),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "kill all my background jobs",
+            "stop every job running in this shell",
+            "terminate the shell background jobs",
+        ),
+        ("kill $( jobs -p )",),
+        weight=0.75,
+    ),
+    TaskFamily(
+        (
+            "show the process tree",
+            "display processes as a tree",
+            "print the tree of running processes",
+        ),
+        ("pstree",),
+        weight=0.5,
+    ),
+    # --- permissions cluster ---
+    TaskFamily(
+        (
+            "make {file} executable",
+            "add execute permission to {file}",
+            "let {file} run as a program",
+        ),
+        ("chmod +x {file}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "change the owner of {file} to {user}",
+            "make {user} the owner of {file}",
+            "give {user} ownership of {file}",
+        ),
+        ("sudo chown {user} {file}",),
+        weight=1.5,
+    ),
+    # --- copy/move cluster: local copy vs remote copy collide ---
+    TaskFamily(
+        (
+            "copy the directory {dir} to {dir2}",
+            "copy {dir} and its contents to {dir2}",
+            "recursively copy the folder {dir} to {dir2}",
+        ),
+        ("cp -R {dir} {dir2}",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "copy {file} to {file2}",
+            "copy the file {file} over to {file2}",
+            "make a copy of {file} named {file2}",
+        ),
+        ("cp {file} {file2}",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "copy {file} to the host {host}",
+            "copy the file {file} to the remote machine {host}",
+            "transfer {file} to {host} over ssh",
+        ),
+        ("scp {file} {user}@{host}:{dir}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "rename {file} to {file2}",
+            "move {file} to {file2}",
+            "change the name of {file} to {file2}",
+        ),
+        ("mv {file} {file2}",),
+        weight=2.0,
+    ),
+    # --- create/delete cluster ---
+    TaskFamily(
+        (
+            "create the directory {dir} with its parents",
+            "make the folder {dir} creating missing parents",
+            "create {dir} including parent directories",
+        ),
+        ("mkdir -p {dir}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "create an empty file called {file}",
+            "make a new empty file {file}",
+            "create the file {file} if it does not exist",
+        ),
+        ("touch {file}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "delete the directory {dir} and everything in it",
+            "remove the folder {dir} recursively",
+            "delete {dir} with all of its contents",
+        ),
+        ("rm -rf {dir}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "delete the file {file}",
+            "remove {file} from disk",
+            "get rid of the file {file}",
+        ),
+        ("rm {file}",),
+        weight=1.5,
+    ),
+    # --- viewing cluster ---
+    TaskFamily(
+        (
+            "show the contents of {file}",
+            "print {file} to the terminal",
+            "display what is inside {file}",
+        ),
+        ("cat {file}",),
+        weight=2.0,
+    ),
+    TaskFamily(
+        (
+            "view {file} one page at a time",
+            "open {file} in a pager",
+            "read {file} page by page",
+        ),
+        ("less {file}",),
+        weight=0.75,
+    ),
+    TaskFamily(
+        (
+            "show what kind of file {file} is",
+            "detect the type of {file}",
+            "what format is the file {file}",
+        ),
+        ("file {file}",),
+        weight=0.5,
+    ),
+    # --- network cluster ---
+    TaskFamily(
+        (
+            "ping {host} {num} times",
+            "send {num} pings to {host}",
+            "check connectivity to {host} with {num} packets",
+        ),
+        ("ping -c {num} {host}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "connect to {host} as {user} over ssh",
+            "open an ssh session to {host} as the user {user}",
+            "log into the host {host} as {user}",
+        ),
+        ("ssh {user}@{host}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "download the file at {url}",
+            "fetch {url} from the web",
+            "download {url} and save it locally",
+        ),
+        ("wget {url}", "curl -O {url}"),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "look up the dns records for {host}",
+            "resolve the hostname {host}",
+            "find the ip address of {host}",
+        ),
+        ("nslookup {host}", "host {host}"),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "trace the network route to {host}",
+            "show the hops to reach {host}",
+            "trace the path packets take to {host}",
+        ),
+        ("traceroute {host}",),
+        weight=0.5,
+    ),
+    # --- text editing cluster ---
+    TaskFamily(
+        (
+            "replace {pattern} with {pattern2} in {file}",
+            "substitute {pattern2} for {pattern} everywhere in {file}",
+            "swap every {pattern} for {pattern2} inside {file}",
+        ),
+        ("sed -i 's/{pattern}/{pattern2}/g' {file}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "print {file} in all uppercase letters",
+            "convert the contents of {file} to uppercase",
+            "uppercase everything in {file}",
+        ),
+        ("cat {file} | tr a-z A-Z",),
+        weight=0.75,
+    ),
+    TaskFamily(
+        (
+            "append the line {pattern} to {file}",
+            "add {pattern} to the end of {file}",
+            "write {pattern} at the bottom of {file}",
+        ),
+        ("echo {pattern} >> {file}",),
+        weight=1.0,
+    ),
+    # --- comparison / checksums ---
+    TaskFamily(
+        (
+            "compare {file} with {file2}",
+            "show the differences between {file} and {file2}",
+            "diff the files {file} and {file2}",
+        ),
+        ("diff {file} {file2}",),
+        weight=1.5,
+    ),
+    TaskFamily(
+        (
+            "compute the md5 checksum of {file}",
+            "show the md5 hash of {file}",
+            "calculate the md5 digest for {file}",
+        ),
+        ("md5sum {file}",),
+        weight=1.0,
+    ),
+    # --- misc tail: small families with shared generic vocabulary ---
+    TaskFamily(
+        (
+            "search my shell history for {pattern}",
+            "find {pattern} in the command history",
+            "which past commands mention {pattern}",
+        ),
+        ("history | grep {pattern}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "show memory usage in megabytes",
+            "how much memory is free",
+            "display how much ram is used",
+        ),
+        ("free -m",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "show the kernel release version",
+            "what kernel version is running",
+            "print the version of the running kernel",
+        ),
+        ("uname -r",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "where is the {proc} binary installed",
+            "show the path of the {proc} command",
+            "which executable runs when i type {proc}",
+        ),
+        ("which {proc}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "create a symbolic link from {file} to {file2}",
+            "make {file2} a symlink pointing at {file}",
+            "link {file2} to {file} symbolically",
+        ),
+        ("ln -s {file} {file2}",),
+        weight=1.0,
+    ),
+    TaskFamily(
+        (
+            "show which user i am logged in as",
+            "print my current username",
+            "what user am i",
+        ),
+        ("whoami",),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "show who is logged into this machine",
+            "list the users currently logged in",
+            "which users have sessions open",
+        ),
+        ("who",),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "how long has the machine been up",
+            "show the system uptime",
+            "print how long the server has been running",
+        ),
+        ("uptime",),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "print the current date and time",
+            "show today's date",
+            "what time is it according to the system",
+        ),
+        ("date",),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "show all environment variables",
+            "print the current environment",
+            "list the environment variables that are set",
+        ),
+        ("printenv", "env"),
+        weight=0.5,
+    ),
+    TaskFamily(
+        (
+            "list the block devices",
+            "show the disks and partitions",
+            "display the block device tree",
+        ),
+        ("lsblk",),
+        weight=0.35,
+    ),
+    TaskFamily(
+        (
+            "show information about the cpu",
+            "display the processor details",
+            "what cpu does this machine have",
+        ),
+        ("lscpu",),
+        weight=0.35,
+    ),
+    TaskFamily(
+        (
+            "watch the disk space refresh every few seconds",
+            "monitor free disk space continuously",
+            "keep an eye on disk usage as it changes",
+        ),
+        ("watch df -h",),
+        weight=0.35,
+    ),
+    TaskFamily(
+        (
+            "print the numbers from 1 to {num}",
+            "generate a sequence up to {num}",
+            "count from 1 to {num}",
+        ),
+        ("seq {num}",),
+        weight=0.35,
+    ),
+    TaskFamily(
+        (
+            "pause for {num} seconds",
+            "wait {num} seconds before continuing",
+            "do nothing for {num} seconds",
+        ),
+        ("sleep {num}",),
+        weight=0.35,
+    ),
+) + _RARE_FAMILIES
 
 
 _SLOT_POOLS = {
@@ -1023,10 +932,6 @@ _SLOT_POOLS = {
     "url": _URLS,
     "num": _NUMS,
 }
-
-
-def _fill(template: str, slots: dict) -> str:
-    return template.format(**slots)
 
 
 def _draw_slots(rng: random.Random, family: TaskFamily) -> dict:
@@ -1084,10 +989,10 @@ def toy_corpus(n: int, seed: int = 0, noise: bool = True) -> list[Example]:
     for i in range(n):
         family = rng.choices(FAMILIES, weights=weights, k=1)[0]
         slots = _draw_slots(rng, family)
-        invocation = _fill(_pick_phrasing(rng, family), slots)
+        invocation = _pick_phrasing(rng, family).format(**slots)
         if noise:
             invocation = _perturb(invocation, rng)
-        refs = tuple(_fill(cmd, slots) for cmd in family.commands)
+        refs = tuple(cmd.format(**slots) for cmd in family.commands)
         examples.append(
             Example(
                 id=f"syn-{seed}-{i:06d}",
@@ -1107,7 +1012,7 @@ def command_corpus(n: int, seed: int = 0) -> list[str]:
     for _ in range(n):
         family = rng.choices(FAMILIES, weights=weights, k=1)[0]
         slots = _draw_slots(rng, family)
-        cmd = _fill(rng.choice(family.commands), slots)
+        cmd = rng.choice(family.commands).format(**slots)
         if rng.random() < 0.25:
             cmd = cmd.replace(" | ", "  |  ")
         if rng.random() < 0.15:

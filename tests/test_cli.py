@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -55,6 +56,29 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
     # a negative fraction
     assert cli(["split", "--data", str(data_file), "--fractions=-1,1,1", "--out-prefix", prefix]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="the interpreter has no int str digit limit",
+)
+@pytest.mark.parametrize("route", ["filter", "score"])
+def test_json_int_past_the_digit_limit_is_a_data_error(route, data_file, tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    huge = "1" * 5000
+    bad = tmp_path / "bad.jsonl"
+    if route == "filter":
+        bad.write_text('{"invocation": "x", "cmd": "ls", "id": ' + huge + "}\n", encoding="utf-8")
+        args = ["filter", "--data", str(bad), "--out", str(tmp_path / "kept.jsonl")]
+    else:
+        bad.write_text(
+            '{"id": "a", "predictions": [{"cmd": "ls", "confidence": ' + huge + "}]}\n",
+            encoding="utf-8",
+        )
+        args = ["score", "--pred", str(bad), "--refs", str(data_file)]
+    capsys.readouterr()
+    assert cli(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_help_exits_zero():

@@ -112,6 +112,8 @@ def test_filter_keeps_parseable(tmp_path):
         "find . -exec frobnicate {} \\;",
         "/usr/local/bin/frobnicate",
         "sudo ls | frobnicate",
+        "echo x=$(frobnicate)",
+        "echo a`frobnicate`b",
     ],
 )
 def test_filter_rejects_non_whitelist_utility(cmd):
@@ -211,7 +213,14 @@ def test_splits_append_only_test_growth():
 
 @pytest.mark.parametrize(
     "fractions",
-    [(0.5, 0.5, 0.5), (0.9, 0.2, -0.1), (1.0, 0.0), (float("nan"), 0, 0), (float("inf"), 0, 0)],
+    [
+        (0.5, 0.5, 0.5),
+        (0.9, 0.2, -0.1),
+        (1.0, 0.0),
+        (float("nan"), 0, 0),
+        (float("inf"), 0, 0),
+        ("a", 0, 0),
+    ],
 )
 def test_invalid_fractions_rejected(fractions):
     with pytest.raises(InvalidFractionsError):

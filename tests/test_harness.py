@@ -5,6 +5,9 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import shell_text
 
 from nlbash.corpus import Example, Source, filter_examples
 from nlbash.errors import EmptyDatasetError, EmptySampleError
@@ -102,8 +105,9 @@ def test_predictor_failure_recorded_and_scored_minus_one():
         Prediction("ls", float("inf")),
         Prediction("ls", "0.5"),
         Prediction(None, 1.0),
+        Prediction("ls", 10**400),
     ],
-    ids=["nan", "nan-unparseable", "bare-str", "inf", "str-confidence", "none-cmd"],
+    ids=["nan", "nan-unparseable", "bare-str", "inf", "str-confidence", "none-cmd", "huge-int"],
 )
 def test_malformed_prediction_is_a_predictor_failure(item):
     class Malformed:
@@ -126,8 +130,9 @@ def test_malformed_prediction_is_a_predictor_failure(item):
         {"cmd": 5, "confidence": 1.0},
         {"cmd": "ls", "confidence": float("nan")},
         {"cmd": "ls", "confidence": None},
+        {"cmd": "ls", "confidence": 10**400},
     ],
-    ids=["null-cmd", "str-confidence", "int-cmd", "nan", "null-confidence"],
+    ids=["null-cmd", "str-confidence", "int-cmd", "nan", "null-confidence", "huge-int"],
 )
 def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
     data = dataset(3, seed=3)
@@ -140,6 +145,57 @@ def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
     assert report.predictor_failure_count == len(data)
     assert report.unparseable_prediction_count == 0
     assert report.mean_score == -1.0
+
+
+# Confidences of every kind: NaN, infinities, ints past float range, and
+# values that are not numbers at all.
+_CONFIDENCES = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.just(10**400),
+    st.fractions(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+_CMDS = st.one_of(st.sampled_from(["ls -la", "ls", "ls -l | wc -l"]), shell_text, st.none())
+_ITEMS = st.one_of(
+    st.builds(Prediction, _CMDS, _CONFIDENCES),
+    st.none(),
+    st.integers(),
+    st.builds(lambda: 10**5000),  # its repr exceeds the int str digit limit
+    shell_text,
+)
+# What one predict call does: return a list of items or a non-iterable,
+# or raise (also an exception whose repr fails).
+_OUTPUTS = st.one_of(
+    st.lists(_ITEMS, max_size=6),
+    st.none(),
+    st.integers(),
+    st.builds(RuntimeError, st.text(max_size=4)),
+    st.builds(lambda: ValueError(10**5000)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OUTPUTS, min_size=1, max_size=3), st.integers(1, 5))
+def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
+    replies = iter(outputs)
+
+    class Arbitrary:
+        def predict(self, nlc, k):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+    data = [Example(str(i), "list the files", ("ls -la",)) for i in range(len(outputs))]
+    report = evaluate(Arbitrary(), data, k=k, vocab=VOCAB)
+    assert len(report.per_example) == len(data)
+    for r in report.per_example:
+        assert -1.0 <= r.score.value <= 1.0
+        assert all(-1.0 <= v <= 1.0 for v in r.score.per_prediction)
+    assert -1.0 <= report.mean_score <= 1.0
 
 
 def test_empty_prediction_set_abstains_at_zero():

@@ -101,6 +101,12 @@ def test_utility_path_resolves_to_basename():
         "ls &>(sort)",
         "ls 2<<EOF",
         "ls &>&1",
+        "ls$(date)",
+        "ls`date`",
+        "sudo wc$(x) f",
+        "find . -exec rm$(x) {} \\;",
+        "echo x$((1 + 2))",
+        "echo -exec ls {} \\;",
     ],
 )
 def test_unsupported_or_malformed_rejected(cmd):
@@ -195,10 +201,16 @@ def test_substitution_with_pipeline_inside():
     assert names == ["echo", "ls", "wc"]
 
 
-def test_midword_substitution_absorbed_into_word():
+def test_midword_substitution_splits_the_word():
     tokens = tokenize("echo prefix$(date)suffix")
-    assert [t.kind for t in tokens] == [TokenKind.WORD, TokenKind.WORD]
-    assert tokens[1].text == "prefix$(date)suffix"
+    assert [t.text for t in tokens] == ["echo", "prefix", "$(", "date", ")", "suffix"]
+    assert [t.kind for t in tokens[1:]] == [
+        TokenKind.WORD,
+        TokenKind.SUBST_OPEN,
+        TokenKind.WORD,
+        TokenKind.SUBST_CLOSE,
+        TokenKind.WORD,
+    ]
 
 
 def test_self_contained_redirects_take_no_target():

@@ -67,6 +67,21 @@ def test_exec_target_is_own_unit_and_exec_stays_a_flag():
     assert t.units[1].flags == frozenset({"f"})
 
 
+@pytest.mark.parametrize("cmd", ["echo x=$(ls)", "echo a`ls`b"])
+def test_midword_substitution_is_its_own_unit(cmd):
+    assert [u.utility for u in template_of(cmd).units] == ["echo", "ls"]
+
+
+def test_exec_flags_open_a_payload_only_where_the_vocabulary_lists_them():
+    assert template_of("grep -ok x f").units == (TemplateUnit("grep", frozenset({"k", "o"})),)
+
+
+def test_double_quoted_substitution_stays_argument_text():
+    t = template_of('ls "$(frobnicate)"')
+    assert t.units == (TemplateUnit("ls", frozenset()),)
+    assert t.erased_args == (1,)
+
+
 def test_equality_ignores_erased_arg_counts():
     a = template_of("ls -la /tmp")
     b = template_of("ls -la /tmp /var")
