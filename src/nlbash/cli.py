@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -199,6 +200,26 @@ def _cmd_eval(args):
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _open_unit_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlbash",
@@ -206,71 +227,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    vocab_arg = argparse.ArgumentParser(add_help=False)
+    vocab_arg.add_argument("--vocab")
+    k_arg = argparse.ArgumentParser(add_help=False)
+    k_arg.add_argument("--k", type=_positive_int, default=DEFAULT_TOP_K)
 
-    p = sub.add_parser("parse", help="print the pipeline and template of one command")
+    p = sub.add_parser(
+        "parse", parents=[vocab_arg], help="print the pipeline and template of one command"
+    )
     p.add_argument("command")
-    p.add_argument("--vocab")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("filter", help="apply parse/round-trip/whitelist filtering to a dataset")
+    p = sub.add_parser(
+        "filter",
+        parents=[vocab_arg],
+        help="apply parse/round-trip/whitelist filtering to a dataset",
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rejected")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("split", help="build deterministic train/val/test splits")
+    p = sub.add_parser(
+        "split", parents=[vocab_arg], help="build deterministic train/val/test splits"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--filter", action="store_true", help="filter before splitting")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("stats", help="utility frequency histogram of a dataset")
+    p = sub.add_parser(
+        "stats", parents=[vocab_arg], help="utility frequency histogram of a dataset"
+    )
     p.add_argument("--data", required=True)
-    p.add_argument("--top", type=int, default=15)
-    p.add_argument("--vocab")
+    p.add_argument("--top", type=_positive_int, default=15)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("score", help="score a prediction file against references offline")
+    p = sub.add_parser(
+        "score",
+        parents=[vocab_arg, k_arg],
+        help="score a prediction file against references offline",
+    )
     p.add_argument("--pred", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--out")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("index", help="build and persist a TF-IDF index")
+    p = sub.add_parser("index", parents=[vocab_arg], help="build and persist a TF-IDF index")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("calibrate", help="train a confidence calibration model")
+    p = sub.add_parser(
+        "calibrate", parents=[vocab_arg, k_arg], help="train a confidence calibration model"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--holdout", type=float, default=0.2)
+    p.add_argument("--holdout", type=_open_unit_fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("eval", help="evaluate a baseline or external predictor")
+    p = sub.add_parser(
+        "eval", parents=[vocab_arg, k_arg], help="evaluate a baseline or external predictor"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--baseline", choices=["tfidf"])
     p.add_argument("--variant", choices=["raw", "dedup", "normalize", "full"], default="full")
     p.add_argument("--train", help="training data for --baseline tfidf")
     p.add_argument("--predictor-cmd", help="external predictor command (line-delimited JSON)")
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out")
-    p.add_argument("--vocab")
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -35,7 +35,7 @@ class InvalidFractionsError(NlbashError):
 
 
 class EmptyCorpusError(NlbashError):
-    """An index was built over, or queried with, zero documents."""
+    """An index was built over zero documents."""
 
 
 class EmptyPredictionSetError(NlbashError):
@@ -51,7 +51,11 @@ class EmptySampleError(NlbashError):
 
 
 class DegenerateLabelsError(NlbashError):
-    """Calibration training data contains a single class only."""
+    """Calibration data is too small or single-class to fit a model.
+
+    Raised when the pairs leave one side of the holdout split empty, when
+    fewer than two rows reach the fit, or when every label is the same.
+    """
 
 
 class PredictorProtocolError(NlbashError):

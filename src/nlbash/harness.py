@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import select
 import shlex
 import statistics
 import subprocess
@@ -355,32 +357,54 @@ def score_prediction_file(
     return evaluate(replay, dataset, k=k, vocab=vocab)
 
 
+# Longest wait, in seconds, for one whole reply line from a subprocess predictor.
+REPLY_TIMEOUT_S = 60.0
+
+
 class SubprocessPredictor:
     """Bridge to an external predictor over a line-delimited JSON protocol.
 
     One request object ``{"nlc": ..., "k": ...}`` goes to the child's
     stdin per query; the child answers with one line holding a JSON array
-    of ``{"cmd": ..., "confidence": ...}`` objects.
+    of ``{"cmd": ..., "confidence": ...}`` objects. A child that sends no
+    whole line within REPLY_TIMEOUT_S is killed, and that call and every
+    later one raise PredictorProtocolError.
     """
 
     def __init__(self, command: str | Sequence[str]):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.name = f"subprocess:{argv[0]}"
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._unread = b""  # reply bytes read past the last newline
+
+    def _read_line(self) -> bytes:
+        """The next reply line, read straight from the pipe so select sees every byte."""
+        assert self._proc.stdout is not None
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        while b"\n" not in self._unread:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                self._proc.kill()
+                self._proc.wait()
+                raise PredictorProtocolError(
+                    f"predictor sent no whole reply line within {REPLY_TIMEOUT_S} s"
+                )
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            self._unread += chunk
+        end = self._unread.find(b"\n") + 1 or len(self._unread)
+        line, self._unread = self._unread[:end], self._unread[end:]
+        return line
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
         if self._proc.poll() is not None:
             raise PredictorProtocolError("predictor process has exited")
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(json.dumps({"nlc": nlc, "k": k}) + "\n")
+        assert self._proc.stdin is not None
+        self._proc.stdin.write(json.dumps({"nlc": nlc, "k": k}).encode("utf-8") + b"\n")
         self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
+        line = self._read_line()
         if not line:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
@@ -397,6 +421,8 @@ class SubprocessPredictor:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+        with self._proc:  # Popen's exit closes the pipes and reaps the child
+            pass
 
     def __enter__(self) -> "SubprocessPredictor":
         return self

@@ -89,9 +89,6 @@ class SimpleCommand:
     elements: tuple[Element, ...]
     nested: tuple["SimpleCommand", ...] = ()
 
-    def flag_elements(self) -> list[Element]:
-        return [e for e in self.elements if e.kind is ElementKind.FLAG]
-
     def erased_count(self) -> int:
         return sum(1 for e in self.elements if e.kind is not ElementKind.FLAG)
 
@@ -259,12 +256,7 @@ class _Cursor:
         return tok
 
 
-def _parse_simple(
-    cur: _Cursor,
-    vocab: UtilityVocabulary,
-    in_subst: bool,
-    in_exec: bool,
-) -> SimpleCommand:
+def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
     cur.depth += 1
     if cur.depth > MAX_NESTING_DEPTH:
         raise BashSyntaxError(
@@ -290,19 +282,16 @@ def _parse_simple(
 
     while True:
         tok = cur.peek()
-        if tok is None or tok.kind is TokenKind.PIPE:
+        # tokenize pairs every SUBST_CLOSE with an open substitution
+        if tok is None or tok.kind is TokenKind.PIPE or tok.kind is TokenKind.SUBST_CLOSE:
             break
-        if tok.kind is TokenKind.SUBST_CLOSE:
-            if in_subst:
-                break
-            raise BashSyntaxError(f"unbalanced {tok.text!r}")
         if tok.kind is TokenKind.SEMI:
             if in_exec:
                 break
             raise BashSyntaxError("';' command sequences are not supported")
         if tok.kind is TokenKind.SUBST_OPEN:
             cur.take()
-            nested.extend(_parse_pipeline(cur, vocab, in_subst=True, in_exec=in_exec))
+            nested.extend(_parse_pipeline(cur, vocab, in_exec))
             closing = cur.peek()
             if closing is None or closing.kind is not TokenKind.SUBST_CLOSE:
                 raise BashSyntaxError("unterminated command substitution")
@@ -330,7 +319,7 @@ def _parse_simple(
                 elements.append(Element(ElementKind.FLAG, tok.text))
             name = tok.text[1:]
             if name in EXEC_FLAGS and name in vocab.unsplittable_flags(utility):
-                payload = _parse_exec_payload(cur, vocab, in_subst)
+                payload = _parse_exec_payload(cur, vocab)
                 if payload is not None:
                     nested.append(payload)
             continue
@@ -338,7 +327,7 @@ def _parse_simple(
             # '+' terminates the surrounding -exec clause; leave it to the caller.
             break
         if may_wrap and vocab.lookup(tok.text) is not None:
-            nested.append(_parse_simple(cur, vocab, in_subst=in_subst, in_exec=in_exec))
+            nested.append(_parse_simple(cur, vocab, in_exec))
             break
         cur.take()
         elements.append(Element(ElementKind.ARG, tok.text))
@@ -347,13 +336,11 @@ def _parse_simple(
     return SimpleCommand(utility=utility, elements=tuple(elements), nested=tuple(nested))
 
 
-def _parse_exec_payload(
-    cur: _Cursor, vocab: UtilityVocabulary, in_subst: bool
-) -> SimpleCommand | None:
+def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
     tok = cur.peek()
     if tok is None or tok.kind is not TokenKind.WORD or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
-    payload = _parse_simple(cur, vocab, in_subst=in_subst, in_exec=True)
+    payload = _parse_simple(cur, vocab, in_exec=True)
     terminator = cur.peek()
     if terminator is not None:
         if terminator.kind is TokenKind.SEMI:
@@ -363,15 +350,13 @@ def _parse_exec_payload(
     return payload
 
 
-def _parse_pipeline(
-    cur: _Cursor, vocab: UtilityVocabulary, in_subst: bool, in_exec: bool
-) -> list[SimpleCommand]:
-    stages = [_parse_simple(cur, vocab, in_subst, in_exec)]
+def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> list[SimpleCommand]:
+    stages = [_parse_simple(cur, vocab, in_exec)]
     while True:
         tok = cur.peek()
         if tok is not None and tok.kind is TokenKind.PIPE:
             cur.take()
-            stages.append(_parse_simple(cur, vocab, in_subst, in_exec))
+            stages.append(_parse_simple(cur, vocab, in_exec))
         else:
             return stages
 
@@ -388,10 +373,8 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     if vocab is None:
         vocab = default_vocabulary()
     tokens = tokenize(command_text)
-    if not tokens:
-        raise BashSyntaxError("empty command")
     cur = _Cursor(tokens)
-    stages = _parse_pipeline(cur, vocab, in_subst=False, in_exec=False)
+    stages = _parse_pipeline(cur, vocab, in_exec=False)
     leftover = cur.peek()
     if leftover is not None:
         raise BashSyntaxError(f"unexpected {leftover.text!r} at offset {leftover.start}")

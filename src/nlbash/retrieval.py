@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Example
-from .errors import DegenerateLabelsError, EmptyCorpusError
+from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
 from .metric import Prediction, ScoredPrediction, prediction_score
 from .parser import parse
 from .template import TemplateCommand, normalize_template
@@ -99,7 +99,6 @@ def plain_tokens(utterance: str) -> list[str]:
 @dataclass(frozen=True)
 class IndexedDocument:
     invocation: str
-    tokens: tuple[str, ...]
     command: str
     template: TemplateCommand
 
@@ -125,23 +124,22 @@ class TfIdfIndex:
             raise EmptyCorpusError("cannot index an empty corpus")
         self.normalize = normalize
         self.documents: list[IndexedDocument] = []
+        doc_tokens: list[list[str]] = []
+        df: dict[str, int] = {}
         for nl, cmd in pairs:
             nl, cmd = str(nl), str(cmd)
-            tokens = tuple(self._tokenize(nl))
+            tokens = self._tokenize(nl)
+            for term in set(tokens):
+                df[term] = df.get(term, 0) + 1
             template = normalize_template(parse(cmd, vocab), vocab)
-            self.documents.append(IndexedDocument(nl, tokens, cmd, template))
+            self.documents.append(IndexedDocument(nl, cmd, template))
+            doc_tokens.append(tokens)
 
         d = len(self.documents)
-        self.vocabulary: dict[str, int] = {}
-        for doc in self.documents:
-            for term in set(doc.tokens):
-                self.vocabulary[term] = self.vocabulary.get(term, 0) + 1
-        self._idf = {
-            term: math.log((1.0 + d) / (1.0 + df)) + 1.0 for term, df in self.vocabulary.items()
-        }
+        self._idf = {term: math.log((1.0 + d) / (1.0 + n)) + 1.0 for term, n in df.items()}
         self._inverted: dict[str, list[tuple[int, float]]] = {}
-        for doc_idx, doc in enumerate(self.documents):
-            for term, weight in self._vectorize(doc.tokens).items():
+        for doc_idx, tokens in enumerate(doc_tokens):
+            for term, weight in self._vectorize(tokens).items():
                 self._inverted.setdefault(term, []).append((doc_idx, weight))
 
     def _tokenize(self, utterance: str) -> list[str]:
@@ -174,14 +172,30 @@ class TfIdfIndex:
 
     @classmethod
     def load(cls, path: str | Path, vocab: UtilityVocabulary | None = None) -> "TfIdfIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != INDEX_FORMAT_VERSION:
-            raise EmptyCorpusError(f"unsupported index version: {payload.get('version')!r}")
-        return cls(
-            [(nl, cmd) for nl, cmd in payload["pairs"]],
-            vocab=vocab,
-            normalize=bool(payload["normalize"]),
-        )
+        """Rebuild a saved index.
+
+        Raises SchemaError unless the file holds ``{"version": 1, "normalize":
+        bool, "pairs": [[str, str], ...]}``; the pairs then raise what the
+        constructor raises.
+        """
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{path}: expected a JSON object")
+        version = payload.get("version")
+        if type(version) is not int or version != INDEX_FORMAT_VERSION:
+            raise SchemaError(f"{path}: unsupported index version: {version!r}")
+        normalize, pairs = payload.get("normalize"), payload.get("pairs")
+        if type(normalize) is not bool:
+            raise SchemaError(f"{path}: 'normalize' must be true or false")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p)
+            for p in pairs
+        ):
+            raise SchemaError(f"{path}: 'pairs' must be a list of [invocation, command] strings")
+        return cls([(nl, cmd) for nl, cmd in pairs], vocab=vocab, normalize=normalize)
 
 
 def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
@@ -192,8 +206,6 @@ def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(index) == 0:
-        raise EmptyCorpusError("cannot query an empty index")
     qvec = index._vectorize(index._tokenize(nlc))
     scores: dict[int, float] = {}
     for term, qw in qvec.items():
@@ -297,13 +309,15 @@ def train_calibrator(
     """Fit a logistic regression by full-batch gradient descent on log-loss.
 
     Features are standardized with training statistics that are stored in
-    the model. Raises DegenerateLabelsError when only one class is
-    present.
+    the model. Raises DegenerateLabelsError for fewer than two rows or a
+    single class, and ValueError when features and labels do not pair up.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or len(x) != len(y) or len(x) < 2:
-        raise ValueError("need at least two (features, label) rows")
+    if len(x) != len(y) or (len(x) and x.ndim != 2):
+        raise ValueError("need one row of features per label")
+    if len(x) < 2:
+        raise DegenerateLabelsError("need at least two (features, label) rows")
     if len(set(int(v) for v in y)) < 2:
         raise DegenerateLabelsError("calibration labels contain a single class")
 
@@ -359,7 +373,8 @@ def make_calibration_data(
 
     The held-out invocations are queried against an index over the rest;
     each hit becomes one row labeled 1 when it scores positively against
-    the held-out reference.
+    the held-out reference. Raises DegenerateLabelsError when the pairs are
+    too few to leave both sides of the split non-empty.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
@@ -370,7 +385,7 @@ def make_calibration_data(
     train = [p for i, p in enumerate(pairs) if i not in holdout_idx]
     holdout = [p for i, p in enumerate(pairs) if i in holdout_idx]
     if not train or not holdout:
-        raise ValueError("holdout split left one side empty")
+        raise DegenerateLabelsError("holdout split left one side empty")
 
     index = TfIdfIndex(train, vocab=vocab, normalize=normalize)
     features: list[list[float]] = []

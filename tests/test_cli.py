@@ -56,6 +56,21 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
     # a negative fraction
     assert cli(["split", "--data", str(data_file), "--fractions=-1,1,1", "--out-prefix", prefix]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+    # argument values outside their declared range
+    model = str(tmp_path / "model.json")
+    for argv in (
+        ["eval", "--data", str(data_file), "--baseline", "tfidf", "--train", str(data_file),
+         "--k", "0"],
+        ["score", "--pred", str(data_file), "--refs", str(data_file), "--k", "0"],
+        ["calibrate", "--data", str(data_file), "--out", model, "--k", "0"],
+        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "1.5"],
+        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "nan"],
+        ["stats", "--data", str(data_file), "--top", "-3"],
+        ["stats", "--data", str(data_file), "--top", "x"],
+    ):
+        assert cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "Traceback" not in err, argv
 
 
 @pytest.mark.skipif(
@@ -76,6 +91,21 @@ def test_json_int_past_the_digit_limit_is_a_data_error(route, data_file, tmp_pat
             encoding="utf-8",
         )
         args = ["score", "--pred", str(bad), "--refs", str(data_file)]
+    capsys.readouterr()
+    assert cli(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_training_data_too_small_to_calibrate_is_a_data_error(size, command, tmp_path, capsys):
+    small = tmp_path / "small.jsonl"
+    save_examples(filter_examples(toy_corpus(120, seed=17), VOCAB).kept[:size], small)
+    if command == "calibrate":
+        args = ["calibrate", "--data", str(small), "--out", str(tmp_path / "model.json")]
+    else:
+        args = ["eval", "--baseline", "tfidf", "--variant", "full", "--train", str(small),
+                "--data", str(small)]
     capsys.readouterr()
     assert cli(args) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -382,3 +382,25 @@ def test_subprocess_predictor_protocol_error(tmp_path):
     # protocol violations surface as predictor failures, scored -1
     assert report.predictor_failure_count == 1
     assert report.mean_score == -1.0
+
+
+@pytest.mark.parametrize(
+    "reply",
+    ["", "sys.stdout.write('[{\"cmd\": \"ls\"'); sys.stdout.flush(); "],
+    ids=["never-answers", "half-a-line"],
+)
+def test_subprocess_reply_times_out(tmp_path, monkeypatch, reply):
+    monkeypatch.setattr("nlbash.harness.REPLY_TIMEOUT_S", 0.5)
+    script = tmp_path / "stall.py"
+    script.write_text(f"import sys, time; sys.stdin.readline(); {reply}time.sleep(60)",
+                      encoding="utf-8")
+    data = dataset(2, seed=5)
+    start = time.monotonic()
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    # the stalled child is killed, and the next call fails at once
+    assert time.monotonic() - start < 10
+    assert report.predictor_failure_count == 2
+    assert [r.score.value for r in report.per_example] == [-1.0, -1.0]
+    assert "within 0.5 s" in report.per_example[0].error
+    assert "exited" in report.per_example[1].error

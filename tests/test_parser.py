@@ -181,7 +181,7 @@ def test_exec_payload_nested_and_terminated():
     ast = parse("find . -name x -exec cat {} \\; -delete", VOCAB)
     stage = ast.stages[0]
     assert [c.utility for c in stage.nested] == ["cat"]
-    flag_texts = [e.text for e in stage.flag_elements()]
+    flag_texts = [e.text for e in stage.elements if e.kind is ElementKind.FLAG]
     assert "-exec" in flag_texts and "-delete" in flag_texts
 
 

@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from nlbash.errors import DegenerateLabelsError, EmptyCorpusError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlbash.errors import DegenerateLabelsError, EmptyCorpusError, NlbashError, SchemaError
 from nlbash.retrieval import (
     INDEX_FORMAT_VERSION,
     CalibrationModel,
@@ -121,7 +124,8 @@ def test_vectors_are_l2_normalized():
 
 def test_document_frequencies_counted_once_per_document():
     index = TfIdfIndex([("files files files", "ls"), ("files here", "df")], VOCAB)
-    assert index.vocabulary["files"] == 2
+    # df 2 of 2 documents: ln(3 / 3) + 1; counting occurrences would give df 4
+    assert index._idf["files"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_k_larger_than_corpus_returns_everything_relevant():
@@ -192,6 +196,54 @@ def hit(cmd, sim):
     return RetrievalHit(cmd, template_of(cmd), sim)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"version": 2, "normalize": false, "pairs": [["list files", "ls"]]}',
+        '{"version": true, "normalize": false, "pairs": [["list files", "ls"]]}',
+        '{"version": 1, "normalize": 1, "pairs": [["list files", "ls"]]}',
+        '{"version": 1, "normalize": false}',
+        '{"version": 1, "normalize": false, "pairs": [[1, 2]]}',
+        '{"version": 1, "normalize": false, "pairs": [["list files"]]}',
+        "[]",
+        "not json",
+    ],
+)
+def test_index_load_rejects_a_file_that_is_not_a_saved_index(tmp_path, text):
+    path = tmp_path / "index.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError):
+        TfIdfIndex.load(path, VOCAB)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_NEAR_INDEX = st.fixed_dictionaries(
+    {
+        "version": st.just(1) | _JSON,
+        "normalize": st.booleans() | _JSON,
+        "pairs": st.lists(st.lists(st.sampled_from(["ls -l", "list files", "frobnicate"]) | _JSON,
+                                   max_size=3), max_size=3) | _JSON,
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON | _NEAR_INDEX)
+def test_index_load_raises_only_nlbash_errors(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("index") / "index.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        TfIdfIndex.load(path, VOCAB)
+    except NlbashError:
+        pass
+
+
 def test_dedupe_drops_duplicate_templates():
     hits = [hit("ls -la /a", 0.9), hit("ls -la /b", 0.8), hit("find . -name x", 0.7)]
     got = dedupe_hits(hits, k=2)
@@ -232,6 +284,24 @@ def test_trainer_fits_separable_data():
 def test_trainer_rejects_single_class():
     with pytest.raises(DegenerateLabelsError):
         train_calibrator([[0.1, 1, 1], [0.9, 2, 1]], [1, 1])
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_trainer_rejects_fewer_than_two_rows(rows):
+    with pytest.raises(DegenerateLabelsError):
+        train_calibrator([[0.5, 1, 1]] * rows, [1] * rows)
+
+
+def test_trainer_rejects_features_and_labels_of_different_lengths():
+    with pytest.raises(ValueError):
+        train_calibrator([[0.1, 1, 1], [0.9, 2, 1]], [1, 0, 1])
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_calibration_data_from_too_few_pairs_is_degenerate(size):
+    with pytest.raises(DegenerateLabelsError):
+        features, labels = make_calibration_data(PAIRS[:size], VOCAB)
+        train_calibrator(features, labels)
 
 
 def test_training_loss_non_increasing():
