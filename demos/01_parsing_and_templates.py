@@ -3,8 +3,14 @@
 Run:  python3 demos/01_parsing_and_templates.py
 """
 
-from nlbash import flatten_utilities, normalize_template, parse, reconstruct
-from nlbash.errors import BashSyntaxError, UnknownUtilityError
+from nlbash import (
+    BashSyntaxError,
+    UnknownUtilityError,
+    flatten_utilities,
+    normalize_template,
+    parse,
+    reconstruct,
+)
 
 # A command is parsed into a pipeline of simple commands. Every token
 # keeps its exact source text, so the AST reconstructs the input byte for

@@ -3,8 +3,7 @@
 Run:  python3 demos/03_corpus_pipeline.py
 """
 
-from nlbash import build_splits, filter_examples, utility_histogram
-from nlbash.corpus import Example, Source
+from nlbash import Example, Source, build_splits, filter_examples, utility_histogram
 from nlbash.synth import toy_corpus
 
 # Filtering keeps a reference only when it parses, reconstructs

@@ -3,9 +3,17 @@
 Run:  python3 demos/04_retrieval_baseline.py   (takes a few seconds)
 """
 
-from nlbash import TfIdfIndex, build_splits, dedupe_hits, filter_examples, normalize_nl, retrieve
-from nlbash.harness import evaluate
-from nlbash.retrieval import TfIdfPredictor, pairs_from_examples
+from nlbash import (
+    TfIdfIndex,
+    TfIdfPredictor,
+    build_splits,
+    dedupe_hits,
+    evaluate,
+    filter_examples,
+    normalize_nl,
+    pairs_from_examples,
+    retrieve,
+)
 from nlbash.synth import toy_corpus
 
 # Constant-aware NL normalization: names, numbers, addresses, and paths

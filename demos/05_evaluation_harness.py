@@ -10,8 +10,16 @@ import textwrap
 import time
 from pathlib import Path
 
-from nlbash import Prediction, SubprocessPredictor, emit_report, evaluate, filter_examples, measure_latency
-from nlbash.retrieval import TfIdfPredictor, pairs_from_examples
+from nlbash import (
+    Prediction,
+    SubprocessPredictor,
+    TfIdfPredictor,
+    emit_report,
+    evaluate,
+    filter_examples,
+    measure_latency,
+    pairs_from_examples,
+)
 from nlbash.synth import toy_corpus
 
 data = filter_examples(toy_corpus(300, seed=8)).kept

@@ -7,15 +7,16 @@ filters, and splits datasets; ``retrieval`` is a TF-IDF baseline with
 confidence calibration; ``harness`` runs any predictor over a dataset and
 reports accuracy plus latency; ``synth`` generates seeded toy corpora for
 demos and benchmarks.
+
+The package root exports what the demos and the README use, the types of
+the documented file formats and protocols, and the errors a caller is
+likely to catch. Every other name is imported from its submodule.
 """
 
 from .corpus import (
     Example,
-    FilterReport,
-    RejectReason,
     Source,
     build_splits,
-    dataset_fingerprint,
     filter_examples,
     load_examples,
     save_examples,
@@ -25,18 +26,11 @@ from .errors import (
     BashSyntaxError,
     DegenerateLabelsError,
     EmptyCorpusError,
-    EmptyDatasetError,
-    EmptyPredictionSetError,
-    EmptySampleError,
-    InvalidFractionsError,
     NlbashError,
     SchemaError,
     UnknownUtilityError,
-    VocabularyFormatError,
 )
 from .harness import (
-    EvaluationReport,
-    LatencyStats,
     Predictor,
     SubprocessPredictor,
     emit_report,
@@ -44,93 +38,56 @@ from .harness import (
     measure_latency,
     score_prediction_file,
 )
-from .metric import (
-    Aggregation,
-    ExampleScore,
-    Prediction,
-    ScoredPrediction,
-    dataset_score,
-    example_score,
-    flag_score,
-    full_command_accuracy,
-    prediction_score,
-)
-from .parser import CommandAST, SimpleCommand, Token, TokenKind, parse, reconstruct
+from .metric import Prediction, ScoredPrediction, example_score, prediction_score
+from .parser import parse, reconstruct
 from .retrieval import (
     CalibrationModel,
-    RetrievalHit,
     TfIdfIndex,
     TfIdfPredictor,
-    calibrate,
     dedupe_hits,
     normalize_nl,
+    pairs_from_examples,
     retrieve,
-    train_calibrator,
 )
-from .template import TemplateCommand, TemplateUnit, flatten_utilities, normalize_template
-from .vocab import UtilityVocabulary, default_vocabulary, load_vocabulary
+from .template import flatten_utilities, normalize_template
+from .vocab import load_vocabulary
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregation",
     "BashSyntaxError",
     "CalibrationModel",
-    "CommandAST",
     "DegenerateLabelsError",
     "EmptyCorpusError",
-    "EmptyDatasetError",
-    "EmptyPredictionSetError",
-    "EmptySampleError",
-    "EvaluationReport",
     "Example",
-    "ExampleScore",
-    "FilterReport",
-    "InvalidFractionsError",
-    "LatencyStats",
     "NlbashError",
     "Prediction",
     "Predictor",
-    "RejectReason",
-    "RetrievalHit",
     "SchemaError",
     "ScoredPrediction",
-    "SimpleCommand",
     "Source",
     "SubprocessPredictor",
-    "TemplateCommand",
-    "TemplateUnit",
     "TfIdfIndex",
     "TfIdfPredictor",
-    "Token",
-    "TokenKind",
     "UnknownUtilityError",
-    "UtilityVocabulary",
-    "VocabularyFormatError",
     "build_splits",
-    "calibrate",
-    "dataset_fingerprint",
-    "dataset_score",
     "dedupe_hits",
-    "default_vocabulary",
     "emit_report",
     "evaluate",
     "example_score",
     "filter_examples",
-    "flag_score",
     "flatten_utilities",
-    "full_command_accuracy",
     "load_examples",
     "load_vocabulary",
     "measure_latency",
     "normalize_nl",
     "normalize_template",
+    "pairs_from_examples",
     "parse",
     "prediction_score",
     "reconstruct",
     "retrieve",
     "save_examples",
     "score_prediction_file",
-    "train_calibrator",
     "utility_histogram",
 ]

@@ -45,12 +45,6 @@ class UsageError(Exception):
     pass
 
 
-def _vocab_from_args(args):
-    if args.vocab:
-        return load_vocabulary(args.vocab)
-    return default_vocabulary()
-
-
 def _load_filtered(path, vocab):
     examples = load_examples(path)
     report = filter_examples(examples, vocab)
@@ -59,8 +53,7 @@ def _load_filtered(path, vocab):
     return report.kept
 
 
-def _cmd_parse(args):
-    vocab = _vocab_from_args(args)
+def _cmd_parse(args, vocab):
     ast = parse(args.command, vocab)
     template = normalize_template(ast, vocab)
     if args.json:
@@ -82,8 +75,7 @@ def _cmd_parse(args):
     return 0
 
 
-def _cmd_filter(args):
-    vocab = _vocab_from_args(args)
+def _cmd_filter(args, vocab):
     examples = load_examples(args.data)
     report = filter_examples(examples, vocab)
     save_filter_report(report, args.out, args.rejected)
@@ -91,8 +83,7 @@ def _cmd_filter(args):
     return 0
 
 
-def _cmd_split(args):
-    vocab = _vocab_from_args(args)
+def _cmd_split(args, vocab):
     examples = _load_filtered(args.data, vocab) if args.filter else load_examples(args.data)
     fractions = args.fractions.split(",")
     try:
@@ -106,8 +97,7 @@ def _cmd_split(args):
     return 0
 
 
-def _cmd_stats(args):
-    vocab = _vocab_from_args(args)
+def _cmd_stats(args, vocab):
     examples = _load_filtered(args.data, vocab)
     histogram = utility_histogram(examples, vocab)
     for utility, count in histogram[: args.top]:
@@ -115,8 +105,7 @@ def _cmd_stats(args):
     return 0
 
 
-def _cmd_score(args):
-    vocab = _vocab_from_args(args)
+def _cmd_score(args, vocab):
     dataset = _load_filtered(args.refs, vocab)
     report = score_prediction_file(args.pred, dataset, k=args.k, vocab=vocab)
     print(f"mean score: {report.mean_score:.4f}")
@@ -128,8 +117,7 @@ def _cmd_score(args):
     return 0
 
 
-def _cmd_index(args):
-    vocab = _vocab_from_args(args)
+def _cmd_index(args, vocab):
     examples = _load_filtered(args.data, vocab)
     index = TfIdfIndex(pairs_from_examples(examples), vocab=vocab, normalize=args.normalize)
     index.save(args.out)
@@ -137,8 +125,7 @@ def _cmd_index(args):
     return 0
 
 
-def _cmd_calibrate(args):
-    vocab = _vocab_from_args(args)
+def _cmd_calibrate(args, vocab):
     examples = _load_filtered(args.data, vocab)
     features, labels = make_calibration_data(
         pairs_from_examples(examples),
@@ -168,8 +155,7 @@ def _make_baseline(args, pairs, vocab):
     )
 
 
-def _cmd_eval(args):
-    vocab = _vocab_from_args(args)
+def _cmd_eval(args, vocab):
     dataset = _load_filtered(args.data, vocab)
     predictor = None
     closer = None
@@ -315,11 +301,12 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        vocab = load_vocabulary(args.vocab) if args.vocab else default_vocabulary()
+        return args.func(args, vocab)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NlbashError, OSError, json.JSONDecodeError) as exc:
+    except (NlbashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BashSyntaxError,
@@ -117,19 +117,33 @@ def _example_from_record(record: dict, lineno: int, default_id: str) -> Example:
     )
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for each non-blank line of a UTF-8 file.
+
+    Lines end where text mode ends them (``\\n``, ``\\r\\n`` or ``\\r``), but
+    each is decoded alone, so the SchemaError for a bad byte names its line.
+    """
+    with open(path, "rb") as fh:
+        lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
+            if line.strip():
+                yield lineno, line
+
+
 def load_examples(path: str | Path) -> list[Example]:
     """Load a JSON-lines dataset. Raises SchemaError with the line number."""
     examples: list[Example] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int past the str digit limit
-                reason = getattr(exc, "msg", exc)
-                raise SchemaError(f"line {lineno}: invalid JSON ({reason})") from exc
-            examples.append(_example_from_record(record, lineno, default_id=f"ex-{lineno:06d}"))
+    for lineno, line in text_lines(path):
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
+            reason = getattr(exc, "msg", exc)
+            raise SchemaError(f"line {lineno}: invalid JSON ({reason})") from exc
+        examples.append(_example_from_record(record, lineno, default_id=f"ex-{lineno:06d}"))
     return examples
 
 

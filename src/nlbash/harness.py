@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .corpus import Example, dataset_fingerprint
+from .corpus import Example, dataset_fingerprint, text_lines
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -237,7 +237,7 @@ def evaluate(
                 unparseable += 1
                 per_prediction.append(-delta)
                 continue
-            scored = ScoredPrediction(template=template, delta=delta, raw=p.cmd)
+            scored = ScoredPrediction(template=template, delta=delta)
             per_prediction.append(prediction_score(scored, ref_templates))
         results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
 
@@ -255,20 +255,19 @@ def evaluate(
 
 def measure_latency(
     predictor: Predictor,
-    sample: Sequence[Example] | Sequence[str],
+    sample: Sequence[str],
     warmup: int = 3,
     k: int = DEFAULT_TOP_K,
 ) -> LatencyStats:
-    """Wall-clock per-invocation latency over a sample, after warmup calls."""
+    """Wall-clock per-query latency over a sample of queries, after warmup calls."""
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
     if not sample:
         raise EmptySampleError("latency sample is empty")
-    queries = [s.invocation if isinstance(s, Example) else str(s) for s in sample]
     for i in range(warmup):
-        predictor.predict(queries[i % len(queries)], k)
+        predictor.predict(sample[i % len(sample)], k)
     times = []
-    for q in queries:
+    for q in sample:
         start = time.perf_counter()
         predictor.predict(q, k)
         times.append(time.perf_counter() - start)
@@ -333,15 +332,12 @@ def _decode_predictions(items) -> list[Prediction]:
 def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
     """Read JSON-lines predictions: {"id", "predictions": [{"cmd", "confidence"}]}."""
     by_id: dict[str, list[Prediction]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                by_id[str(obj["id"])] = _decode_predictions(obj["predictions"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise NlbashError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
+    for lineno, line in text_lines(path):
+        try:
+            obj = json.loads(line)
+            by_id[str(obj["id"])] = _decode_predictions(obj["predictions"])
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise NlbashError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
     return by_id
 
 
@@ -409,7 +405,7 @@ class SubprocessPredictor:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
             return _decode_predictions(json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise PredictorProtocolError(f"bad predictor reply: {exc}") from exc
 
     def close(self) -> None:

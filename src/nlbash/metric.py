@@ -41,7 +41,6 @@ class ScoredPrediction:
 
     template: TemplateCommand
     delta: float = 1.0
-    raw: str = ""
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -51,7 +50,7 @@ class ScoredPrediction:
     def from_command(
         cls, cmd: str, delta: float = 1.0, vocab: UtilityVocabulary | None = None
     ) -> "ScoredPrediction":
-        return cls(template=normalize_template(parse(cmd, vocab), vocab), delta=delta, raw=cmd)
+        return cls(template=normalize_template(parse(cmd, vocab), vocab), delta=delta)
 
 
 class Aggregation(Enum):
@@ -150,7 +149,7 @@ def _normalize_ws(text: str) -> str:
 
 
 def full_command_accuracy(
-    predictions: Sequence[ScoredPrediction | Prediction],
+    predictions: Sequence[Prediction],
     refs: Sequence[str],
     k: int = DEFAULT_TOP_K,
 ) -> bool:
@@ -162,8 +161,4 @@ def full_command_accuracy(
     if k < 1:
         raise ValueError("k must be >= 1")
     wanted = {_normalize_ws(r) for r in refs}
-    for p in list(predictions)[:k]:
-        raw = p.raw if isinstance(p, ScoredPrediction) else p.cmd
-        if _normalize_ws(raw) in wanted:
-            return True
-    return False
+    return any(_normalize_ws(p.cmd) in wanted for p in list(predictions)[:k])

@@ -393,7 +393,7 @@ def make_calibration_data(
     for nl, cmd in holdout:
         ref = normalize_template(parse(cmd, vocab), vocab)
         for hit in _top_hits(index, nl, k, dedupe):
-            scored = ScoredPrediction(template=hit.template, delta=1.0, raw=hit.command)
+            scored = ScoredPrediction(template=hit.template, delta=1.0)
             label = 1 if prediction_score(scored, [ref]) > 0.0 else 0
             features.append(hit_features(hit))
             labels.append(label)

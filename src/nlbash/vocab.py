@@ -95,7 +95,10 @@ def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
 def load_vocabulary(path: str | Path) -> UtilityVocabulary:
     """Load a vocabulary file from disk."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise VocabularyFormatError(f"{path}: invalid UTF-8 ({exc.reason})") from exc
     return parse_vocabulary(text, origin=str(path))
 
 

@@ -17,3 +17,20 @@ _COMMANDS = st.tuples(
     st.lists(st.one_of(_FRAGMENTS, _WORDS, _WORDS), max_size=12).map("".join),
 )
 shell_text = st.one_of(_CHARS.map("".join), _COMMANDS.map("".join))
+
+# Lines for the JSON-lines readers: arbitrary bytes, records close to the
+# dataset and prediction schemas, bad UTF-8, and nesting past the JSON
+# decoder's depth, each ended by any line break or none.
+_LINES = st.one_of(
+    st.binary(max_size=30),
+    st.sampled_from(
+        [b'{"id": "a", "invocation": "list files", "cmd": "ls"}',
+         b'{"invocation": "x", "cmd": [1], "source": 2}',
+         b'{"id": "a", "predictions": [{"cmd": "ls", "confidence": 0.5}]}',
+         b'{"id": ["a"], "predictions": [{"cmd": 1}, 3]}', b'{"id": "a", "predictions": 3}',
+         b'{"id": "\xff"}', b"\xc3", b"[" * 100_000, b'{"a":' * 2000, b"1" * 5000, b"\xef\xbb\xbf{}"]
+    ),
+)
+byte_lines = st.lists(
+    st.tuples(_LINES, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=6
+).map(lambda parts: b"".join(line + end for line, end in parts))

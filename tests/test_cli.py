@@ -96,6 +96,42 @@ def test_json_int_past_the_digit_limit_is_a_data_error(route, data_file, tmp_pat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_UNDECODABLE = {
+    "deep-json": b"[" * 100_000 + b"\n",
+    "bad-utf8": b'{"invocation": "list \xff", "cmd": "ls"}\n',
+}
+# Each command that reads a dataset, prediction or vocabulary file; BAD marks
+# the argument that gets the undecodable file. A vocabulary is not JSON.
+_READERS = {
+    "parse-vocab": ["parse", "ls", "--vocab", "BAD"],
+    "filter": ["filter", "--data", "BAD", "--out", "OUT"],
+    "split": ["split", "--data", "BAD", "--out-prefix", "OUT"],
+    "stats": ["stats", "--data", "BAD"],
+    "stats-vocab": ["stats", "--data", "GOOD", "--vocab", "BAD"],
+    "score-pred": ["score", "--pred", "BAD", "--refs", "GOOD"],
+    "score-refs": ["score", "--pred", "GOOD", "--refs", "BAD"],
+    "index": ["index", "--data", "BAD", "--out", "OUT"],
+    "calibrate": ["calibrate", "--data", "BAD", "--out", "OUT"],
+    "eval-data": ["eval", "--data", "BAD", "--baseline", "tfidf", "--train", "GOOD"],
+    "eval-train": ["eval", "--data", "GOOD", "--baseline", "tfidf", "--train", "BAD"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, reader",
+    [(k, r) for k in _UNDECODABLE for r in _READERS if k == "bad-utf8" or "vocab" not in r],
+)
+def test_undecodable_input_file_is_a_data_error(kind, reader, data_file, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(_UNDECODABLE[kind])
+    paths = {"BAD": str(bad), "GOOD": str(data_file), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in _READERS[reader]]
+    capsys.readouterr()
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("size", [1, 3])
 @pytest.mark.parametrize("command", ["calibrate", "eval"])
 def test_training_data_too_small_to_calibrate_is_a_data_error(size, command, tmp_path, capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from strategies import shell_text
+from strategies import byte_lines, shell_text
 
 from nlbash.corpus import (
     Example,
@@ -16,7 +16,7 @@ from nlbash.corpus import (
     save_filter_report,
     utility_histogram,
 )
-from nlbash.errors import InvalidFractionsError, SchemaError
+from nlbash.errors import InvalidFractionsError, NlbashError, SchemaError
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
 
@@ -55,6 +55,29 @@ def test_load_examples_malformed_line_reports_position(tmp_path):
     path.write_text('{"invocation": "ok", "cmd": "ls"}\nnot json\n', encoding="utf-8")
     with pytest.raises(SchemaError, match="line 2"):
         load_examples(path)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(b"\xff\n", "invalid UTF-8"), (b"[" * 100_000 + b"\n", "invalid JSON")],
+    ids=["bad-utf8", "deep-json"],
+)
+def test_load_examples_undecodable_line_reports_position(tmp_path, bad, reason):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"invocation": "ok", "cmd": "ls"}\r\n\n' + bad)
+    with pytest.raises(SchemaError, match=rf"\b3: {reason}"):
+        load_examples(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=byte_lines)
+def test_load_examples_raises_only_nlbash_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("data") / "d.jsonl"
+    path.write_bytes(data)
+    try:
+        load_examples(path)
+    except NlbashError:
+        pass
 
 
 @pytest.mark.parametrize(

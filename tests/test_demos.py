@@ -1,16 +1,35 @@
-"""The demos import only names the package really exports.
+"""The demos and the README import only names the package really exports.
 
 The test suite does not run the demos (they take seconds each), so a removed or
-renamed export would otherwise break them unnoticed.
+renamed export would otherwise break them unnoticed. Every public name has one
+import path, the package root; only ``nlbash.synth`` is imported on its own,
+because the root leaves it out to keep the CLI's start-up short.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import nlbash
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_PYTHON = "\n".join(
+    re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+)
+SOURCES = {d.name: d.read_text(encoding="utf-8") for d in DEMOS} | {"README.md": README_PYTHON}
+
+
+def _nlbash_imports(source):
+    """(module, name) for each name imported from the package; name is None for `import`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlbash":
+            yield from ((node.module, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((a.name, None) for a in node.names if a.name.split(".")[0] == "nlbash")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,3 +40,19 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{demo.name}: {node.module} has no {missing}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=list(SOURCES))
+def test_library_names_come_from_the_package_root(source):
+    imports = list(_nlbash_imports(SOURCES[source]))
+    assert imports, f"{source} imports nothing from nlbash"
+    elsewhere = [(m, n) for m, n in imports if n is None or m not in ("nlbash", "nlbash.synth")]
+    assert not elsewhere, f"{source} imports {elsewhere} past the package root"
+    unexported = [n for m, n in imports if m == "nlbash" and n not in nlbash.__all__]
+    assert not unexported, f"{source} imports {unexported}, which nlbash.__all__ does not list"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(nlbash.__all__)) == len(nlbash.__all__)
+    missing = [name for name in nlbash.__all__ if not hasattr(nlbash, name)]
+    assert not missing, f"nlbash.__all__ lists {missing}, which the package does not define"

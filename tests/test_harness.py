@@ -7,10 +7,10 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import shell_text
+from strategies import byte_lines, shell_text
 
 from nlbash.corpus import Example, Source, filter_examples
-from nlbash.errors import EmptyDatasetError, EmptySampleError
+from nlbash.errors import EmptyDatasetError, EmptySampleError, NlbashError
 from nlbash.harness import (
     EvaluationReport,
     LatencyStats,
@@ -18,6 +18,7 @@ from nlbash.harness import (
     SubprocessPredictor,
     emit_report,
     evaluate,
+    load_prediction_file,
     measure_latency,
     score_prediction_file,
 )
@@ -145,6 +146,27 @@ def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
     assert report.predictor_failure_count == len(data)
     assert report.unparseable_prediction_count == 0
     assert report.mean_score == -1.0
+
+
+@pytest.mark.parametrize(
+    "bad", [b"\xff\n", b"[" * 100_000 + b"\n"], ids=["bad-utf8", "deep-json"]
+)
+def test_undecodable_prediction_line_reports_position(tmp_path, bad):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b'{"id": "a", "predictions": []}\n' + bad)
+    with pytest.raises(NlbashError, match=r"preds\.jsonl:2: "):
+        load_prediction_file(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=byte_lines)
+def test_load_prediction_file_raises_only_nlbash_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("preds") / "preds.jsonl"
+    path.write_bytes(data)
+    try:
+        load_prediction_file(str(path))
+    except NlbashError:
+        pass
 
 
 # Confidences of every kind: NaN, infinities, ints past float range, and

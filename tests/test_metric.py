@@ -7,6 +7,7 @@ from nlbash.errors import EmptyDatasetError, EmptyPredictionSetError
 from nlbash.metric import (
     Aggregation,
     ExampleScore,
+    Prediction,
     ScoredPrediction,
     dataset_score,
     example_score,
@@ -184,7 +185,7 @@ def test_dataset_score_empty_raises():
 # --- full command accuracy ------------------------------------------------
 
 def test_full_command_accuracy_rank_sensitivity():
-    preds = [scored("ls -l"), scored("ls -a"), scored("ls -la /tmp")]
+    preds = [Prediction("ls -l"), Prediction("ls -a"), Prediction("ls -la /tmp")]
     refs = ["ls  -la   /tmp"]
     assert not full_command_accuracy(preds, refs, k=1)
     assert full_command_accuracy(preds, refs, k=5)
@@ -192,9 +193,10 @@ def test_full_command_accuracy_rank_sensitivity():
 
 def test_full_command_accuracy_exact_match_semantics():
     # same template, different text: no credit
-    preds = [scored("ls -la /home")]
+    assert template_of("ls -la /home") == template_of("ls -la /tmp")
+    preds = [Prediction("ls -la /home")]
     assert not full_command_accuracy(preds, ["ls -la /tmp"], k=5)
-    assert full_command_accuracy([scored("ls -la /tmp")], ["ls -la /tmp"], k=1)
+    assert full_command_accuracy([Prediction("ls -la /tmp")], ["ls -la /tmp"], k=1)
 
 
 # --- random template machinery for property tests -------------------------

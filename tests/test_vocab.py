@@ -63,6 +63,13 @@ def test_load_vocabulary_roundtrip(tmp_path):
     assert vocab.unsplittable_flags("find") == frozenset({"name", "type"})
 
 
+def test_load_vocabulary_rejects_bad_utf8(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"ls\ngr\xffep\n")
+    with pytest.raises(VocabularyFormatError, match="invalid UTF-8"):
+        load_vocabulary(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_vocabulary(tmp_path / "missing.txt")
