@@ -50,7 +50,7 @@ class Source(Enum):
             return cls.OTHER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     """One natural-language invocation with its reference commands."""
 

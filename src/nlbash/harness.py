@@ -77,7 +77,7 @@ class LatencyStats:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleResult:
     example_id: str
     score: ExampleScore

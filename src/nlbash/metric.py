@@ -27,7 +27,7 @@ from .vocab import UtilityVocabulary
 DEFAULT_TOP_K = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """One raw translator output: command text plus confidence."""
 
@@ -35,7 +35,7 @@ class Prediction:
     confidence: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredPrediction:
     """A prediction normalized to a template, ready for scoring."""
 
@@ -58,7 +58,7 @@ class Aggregation(Enum):
     AVERAGE = "average"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleScore:
     """Aggregated score of one example's prediction set."""
 

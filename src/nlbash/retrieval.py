@@ -14,9 +14,11 @@ returning nothing is better than returning confident garbage.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -96,14 +98,14 @@ def plain_tokens(utterance: str) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedDocument:
     invocation: str
     command: str
     template: TemplateCommand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalHit:
     command: str
     template: TemplateCommand
@@ -112,7 +114,16 @@ class RetrievalHit:
 
 
 class TfIdfIndex:
-    """Immutable TF-IDF index over NL-command pairs; queries are thread-safe."""
+    """Immutable TF-IDF index over NL-command pairs; queries are thread-safe.
+
+    The postings are one CSR matrix with a row per term: ``_rows`` maps a
+    term to its row, and row ``r`` holds the documents
+    ``_indices[_indptr[r]:_indptr[r + 1]]`` (ascending) with their weights
+    in ``_data``. ``_idf`` holds each row's idf. ``retrieve`` scatter-adds
+    a query's rows into one score vector and breaks ties by insertion
+    order. Each distinct command is parsed once per build, and its
+    documents share one template.
+    """
 
     def __init__(
         self,
@@ -124,39 +135,68 @@ class TfIdfIndex:
             raise EmptyCorpusError("cannot index an empty corpus")
         self.normalize = normalize
         self.documents: list[IndexedDocument] = []
-        doc_tokens: list[list[str]] = []
-        df: dict[str, int] = {}
+        self._rows: dict[str, int] = {}
+        df: list[int] = []
+        templates: dict[str, TemplateCommand] = {}
+        # Each document's term counts in first-occurrence order, flattened.
+        terms, counts, ends = array("i"), array("i"), array("l")
         for nl, cmd in pairs:
             nl, cmd = str(nl), str(cmd)
-            tokens = self._tokenize(nl)
-            for term in set(tokens):
-                df[term] = df.get(term, 0) + 1
-            template = normalize_template(parse(cmd, vocab), vocab)
+            doc_counts: dict[int, int] = {}
+            for token in self._tokenize(nl):
+                row = self._rows.setdefault(token, len(df))
+                if row == len(df):
+                    df.append(0)
+                doc_counts[row] = doc_counts.get(row, 0) + 1
+            for row in doc_counts:
+                df[row] += 1
+            terms.extend(doc_counts)
+            counts.extend(doc_counts.values())
+            ends.append(len(terms))
+            template = templates.get(cmd)
+            if template is None:
+                template = templates[cmd] = normalize_template(parse(cmd, vocab), vocab)
             self.documents.append(IndexedDocument(nl, cmd, template))
-            doc_tokens.append(tokens)
 
         d = len(self.documents)
-        self._idf = {term: math.log((1.0 + d) / (1.0 + n)) + 1.0 for term, n in df.items()}
-        self._inverted: dict[str, list[tuple[int, float]]] = {}
-        for doc_idx, tokens in enumerate(doc_tokens):
-            for term, weight in self._vectorize(tokens).items():
-                self._inverted.setdefault(term, []).append((doc_idx, weight))
+        self._idf = [math.log((1.0 + d) / (1.0 + n)) + 1.0 for n in df]
+        # Each posting goes to its row's next free slot (a counting sort, so
+        # the build leaves no argsort-sized temporaries on the heap); rows
+        # fill in document order, so a row's documents come out ascending.
+        self._indptr = [0, *itertools.accumulate(df)]
+        free = self._indptr[:-1]
+        indices, data = array("l", [0]) * len(terms), array("d", [0.0]) * len(terms)
+        start = 0
+        for doc, end in enumerate(ends):
+            for row, weight in self._weigh(dict(zip(terms[start:end], counts[start:end]))).items():
+                pos = free[row]
+                free[row] = pos + 1
+                indices[pos] = doc
+                data[pos] = weight
+            start = end
+        self._indices, self._data = np.asarray(indices), np.asarray(data)
 
     def _tokenize(self, utterance: str) -> list[str]:
         if self.normalize:
             return normalize_nl(utterance)[0]
         return plain_tokens(utterance)
 
-    def _vectorize(self, tokens: Sequence[str]) -> dict[str, float]:
-        counts: dict[str, int] = {}
-        for t in tokens:
-            if t in self._idf:
-                counts[t] = counts.get(t, 0) + 1
-        vec = {t: c * self._idf[t] for t, c in counts.items()}
+    def _weigh(self, counts: dict[int, int]) -> dict[int, float]:
+        """Row -> L2-normalized weight, in the order of ``counts``."""
+        vec = {row: c * self._idf[row] for row, c in counts.items()}
         norm = math.sqrt(sum(w * w for w in vec.values()))
         if norm > 0:
-            vec = {t: w / norm for t, w in vec.items()}
+            vec = {row: w / norm for row, w in vec.items()}
         return vec
+
+    def _vectorize(self, tokens: Sequence[str]) -> dict[int, float]:
+        """A query's weights by row; terms the index lacks are dropped."""
+        counts: dict[int, int] = {}
+        for t in tokens:
+            row = self._rows.get(t)
+            if row is not None:
+                counts[row] = counts.get(row, 0) + 1
+        return self._weigh(counts)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -201,23 +241,31 @@ class TfIdfIndex:
 def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
     """Top-k cosine matches, best first, zero-similarity hits dropped.
 
-    Ties break by document insertion order. Every hit carries the default
-    confidence of 1.0; calibration adjusts it separately.
+    Each query term, in first-occurrence order, scatter-adds its weight
+    times its CSR row into one float64 score vector, so a similarity is
+    the same sum in the same order however the index is laid out.
+    ``np.partition`` finds the k-th best score; the documents at or above
+    it (and above zero) are sorted by (-score, document index), so ties
+    break by document insertion order, also at the k-th place. Every hit
+    carries the default confidence of 1.0; calibration adjusts it
+    separately.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    qvec = index._vectorize(index._tokenize(nlc))
-    scores: dict[int, float] = {}
-    for term, qw in qvec.items():
-        for doc_idx, dw in index._inverted.get(term, ()):
-            scores[doc_idx] = scores.get(doc_idx, 0.0) + qw * dw
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    scores = np.zeros(len(index.documents))
+    indptr, indices, data = index._indptr, index._indices, index._data
+    for row, qw in index._vectorize(index._tokenize(nlc)).items():
+        a, b = indptr[row], indptr[row + 1]
+        scores[indices[a:b]] += qw * data[a:b]  # a row holds each document once
+
+    d = len(scores)
+    kth = np.partition(scores, d - k)[d - k] if d > k else 0.0
+    candidates = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
     hits = []
-    for doc_idx, sim in ranked[:k]:
-        if sim <= 0.0:
-            break
+    for doc_idx, sim in zip(ranked.tolist(), np.minimum(scores[ranked], 1.0).tolist()):
         doc = index.documents[doc_idx]
-        hits.append(RetrievalHit(doc.command, doc.template, min(sim, 1.0)))
+        hits.append(RetrievalHit(doc.command, doc.template, sim))
     return hits
 
 
@@ -275,20 +323,53 @@ class CalibrationModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationModel":
-        obj = json.loads(text)
-        return cls(
-            weights=tuple(obj["weights"]),
-            bias=float(obj["bias"]),
-            feature_means=tuple(obj["feature_means"]),
-            feature_stds=tuple(obj["feature_stds"]),
-        )
+        """Read a model written by ``to_json``.
+
+        Raises SchemaError unless ``text`` holds an object whose
+        ``weights``, ``feature_means`` and ``feature_stds`` are lists of
+        one length, whose ``bias`` is a number, every number finite and
+        every std positive.
+        """
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
+            raise SchemaError(f"invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError("expected a JSON object")
+        lists = {}
+        for key in ("weights", "feature_means", "feature_stds"):
+            values = obj.get(key)
+            if not isinstance(values, list):
+                raise SchemaError(f"{key!r} must be a list of numbers")
+            lists[key] = tuple(_finite(v, key) for v in values)
+        if len({len(v) for v in lists.values()}) != 1:
+            raise SchemaError("'weights', 'feature_means' and 'feature_stds' differ in length")
+        if not all(s > 0.0 for s in lists["feature_stds"]):
+            raise SchemaError("'feature_stds' must be positive")
+        return cls(bias=_finite(obj.get("bias"), "bias"), **lists)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibrationModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a saved model; raises SchemaError as ``from_json`` does."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: invalid UTF-8 ({exc})") from exc
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _finite(value: object, key: str) -> float:
+    """``value`` as a float; SchemaError unless it is a finite JSON number."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise SchemaError(f"{key!r}: expected finite numbers, got {type(value).__name__}")
 
 
 def _sigmoid(z: float) -> float:
@@ -429,6 +510,9 @@ class TfIdfPredictor:
         calibration: CalibrationModel | None = None,
     ):
         self.index = TfIdfIndex(pairs, vocab=vocab, normalize=normalize)
+        # One immutable default-confidence answer per distinct command,
+        # shared by every hit set that calibration leaves at 1.0.
+        self._predictions = {doc.command: Prediction(doc.command) for doc in self.index.documents}
         self.dedupe = dedupe
         self.calibration = calibration
         self.name = "tfidf"
@@ -468,8 +552,8 @@ class TfIdfPredictor:
             for hit in hits:
                 all_negative *= 1.0 - self.calibration.probability(hit_features(hit))
             if all_negative >= LOWER_THRESHOLD:
-                hits = calibrate(hits, self.calibration)
-        return [Prediction(cmd=h.command, confidence=h.confidence) for h in hits]
+                return [Prediction(h.command, h.confidence) for h in calibrate(hits, self.calibration)]
+        return [self._predictions[h.command] for h in hits]
 
 
 def pairs_from_examples(examples: Sequence[Example]) -> list[tuple[str, str]]:

@@ -18,7 +18,7 @@ from .parser import CommandAST, ElementKind
 from .vocab import UtilityVocabulary, default_vocabulary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemplateUnit:
     utility: str
     flags: frozenset[str]
@@ -28,7 +28,7 @@ class TemplateUnit:
         return f"{self.utility}[{inner}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemplateCommand:
     """Sequence of (utility, flag set) units in pipeline/nesting order.
 

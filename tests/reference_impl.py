@@ -4,8 +4,11 @@ Deliberately independent of the package: operates on plain tuples and
 sets, shares no helpers with the implementation under test, and trades
 every cleverness for being obviously a literal reading of the three
 scoring equations (flag score, per-prediction score, example
-aggregation). Used by the oracle-equivalence tests.
+aggregation) and of TF-IDF retrieval (dict postings, dict accumulation,
+one full sort). Used by the oracle-equivalence tests.
 """
+
+import math
 
 
 def flag_score_ref(pred_flags, ref_flags):
@@ -68,3 +71,47 @@ def dataset_score_ref(values):
     for v in values:
         total += v
     return total / len(values)
+
+
+def _vectorize_ref(idf, tokens):
+    counts = {}
+    for t in tokens:
+        if t in idf:
+            counts[t] = counts.get(t, 0) + 1
+    vec = {t: c * idf[t] for t, c in counts.items()}
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    if norm > 0:
+        vec = {t: w / norm for t, w in vec.items()}
+    return vec
+
+
+def index_ref(doc_tokens):
+    """(idf, inverted) over tokenized documents: idf is ln((1 + D) / (1 + df)) + 1,
+    and inverted maps a term to its [(doc index, weight), ...] postings."""
+    df = {}
+    for tokens in doc_tokens:
+        for term in set(tokens):
+            df[term] = df.get(term, 0) + 1
+    d = len(doc_tokens)
+    idf = {term: math.log((1.0 + d) / (1.0 + n)) + 1.0 for term, n in df.items()}
+    inverted = {}
+    for doc_idx, tokens in enumerate(doc_tokens):
+        for term, weight in _vectorize_ref(idf, tokens).items():
+            inverted.setdefault(term, []).append((doc_idx, weight))
+    return idf, inverted
+
+
+def retrieve_ref(idf, inverted, query_tokens, k):
+    """Top-k [(doc index, similarity clamped to 1.0), ...]: best first, ties
+    by doc index, zero similarities dropped."""
+    scores = {}
+    for term, qw in _vectorize_ref(idf, query_tokens).items():
+        for doc_idx, dw in inverted.get(term, ()):
+            scores[doc_idx] = scores.get(doc_idx, 0.0) + qw * dw
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    hits = []
+    for doc_idx, sim in ranked[:k]:
+        if sim <= 0.0:
+            break
+        hits.append((doc_idx, min(sim, 1.0)))
+    return hits

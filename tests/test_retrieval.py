@@ -20,19 +20,27 @@ from nlbash.retrieval import (
     hit_features,
     make_calibration_data,
     normalize_nl,
+    pairs_from_examples,
     plain_tokens,
     retrieve,
     train_calibrator,
 )
+from nlbash.corpus import filter_examples
 from nlbash.parser import parse
+from nlbash.synth import toy_corpus
 from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
+from reference_impl import index_ref, retrieve_ref
 
 VOCAB = default_vocabulary()
 
 
 def template_of(cmd):
     return normalize_template(parse(cmd, VOCAB), VOCAB)
+
+
+def idf(index, term):
+    return index._idf[index._rows[term]]
 
 
 # --- NL normalization -------------------------------------------------------
@@ -107,25 +115,22 @@ def test_idf_rare_terms_weigh_more():
     docs = [("shared alpha", "ls"), ("shared beta", "df"), ("shared gamma", "du -s .")]
     index = TfIdfIndex(docs, VOCAB)
     # a term present in all docs gets a lower idf than a singleton term
-    assert index._idf["shared"] < index._idf["alpha"]
+    assert idf(index, "shared") < idf(index, "alpha")
     d = len(docs)
-    assert index._idf["shared"] == pytest.approx(math.log((1 + d) / (1 + 3)) + 1, abs=1e-12)
-    assert index._idf["alpha"] == pytest.approx(math.log((1 + d) / (1 + 1)) + 1, abs=1e-12)
+    assert idf(index, "shared") == pytest.approx(math.log((1 + d) / (1 + 3)) + 1, abs=1e-12)
+    assert idf(index, "alpha") == pytest.approx(math.log((1 + d) / (1 + 1)) + 1, abs=1e-12)
 
 
 def test_vectors_are_l2_normalized():
     index = TfIdfIndex(PAIRS, VOCAB)
-    squared = [0.0] * len(index)
-    for postings in index._inverted.values():
-        for doc_idx, weight in postings:
-            squared[doc_idx] += weight * weight
-    assert squared == pytest.approx([1.0] * len(index), abs=1e-9)
+    squared = np.bincount(index._indices, weights=index._data**2, minlength=len(index))
+    assert squared.tolist() == pytest.approx([1.0] * len(index), abs=1e-9)
 
 
 def test_document_frequencies_counted_once_per_document():
     index = TfIdfIndex([("files files files", "ls"), ("files here", "df")], VOCAB)
     # df 2 of 2 documents: ln(3 / 3) + 1; counting occurrences would give df 4
-    assert index._idf["files"] == pytest.approx(1.0, abs=1e-12)
+    assert idf(index, "files") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_k_larger_than_corpus_returns_everything_relevant():
@@ -157,6 +162,63 @@ def test_ties_break_by_insertion_order():
     index = TfIdfIndex([("same words", "ls"), ("same words", "df")], VOCAB)
     hits = retrieve(index, "same words", k=2)
     assert [h.command for h in hits] == ["ls", "df"]
+
+
+def test_ties_at_the_kth_score_keep_the_earliest_documents():
+    pairs = [("same words", f"ls /d{i}") for i in range(5)] + [("same words here", "df")]
+    hits = retrieve(TfIdfIndex(pairs, VOCAB), "same words", k=2)
+    assert [h.command for h in hits] == ["ls /d0", "ls /d1"]
+
+
+def test_duplicate_commands_share_one_template():
+    index = TfIdfIndex([("list files", "ls -la"), ("show files", "ls -la"), ("disk", "df -h")], VOCAB)
+    assert index.documents[0].template is index.documents[1].template
+
+
+# --- retrieval oracle -------------------------------------------------------
+
+def ref_hits(index, ref, query, k):
+    idf_ref, inverted = ref
+    hits = []
+    for doc_idx, sim in retrieve_ref(idf_ref, inverted, index._tokenize(query), k):
+        doc = index.documents[doc_idx]
+        hits.append((doc.command, doc.template, float.hex(sim), 1.0))
+    return hits
+
+
+def got_hits(index, query, k):
+    return [(h.command, h.template, float.hex(h.similarity), h.confidence)
+            for h in retrieve(index, query, k)]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_retrieve_equals_the_dict_oracle_bit_for_bit(normalize):
+    data = filter_examples(toy_corpus(800, seed=31), VOCAB).kept
+    index = TfIdfIndex(pairs_from_examples(data), VOCAB, normalize=normalize)
+    ref = index_ref([index._tokenize(doc.invocation) for doc in index.documents])
+    queries = [ex.invocation for ex in toy_corpus(2000, seed=32)]
+    tied = 0
+    for query in queries:
+        want = ref_hits(index, ref, query, 25)
+        assert got_hits(index, query, 25) == want, query
+        tied += len(want) == 25 and want[-1][2] == want[-2][2]
+    assert tied > 0  # some queries tie at the 25th score
+
+
+_WORDS = st.sampled_from(["list", "files", "disk", "space", "show", "the", "all"])
+_PHRASES = st.lists(_WORDS, min_size=0, max_size=4).map(" ".join)
+_CORPORA = st.lists(
+    st.tuples(_PHRASES, st.sampled_from(["ls -la", "df -h", "du -s .", "ls"]), st.integers(1, 3)),
+    min_size=1, max_size=8,
+).map(lambda docs: [(nl, cmd) for nl, cmd, copies in docs for _ in range(copies)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_CORPORA, query=_PHRASES, k=st.integers(1, 6), normalize=st.booleans())
+def test_retrieve_equals_the_dict_oracle_with_duplicate_documents(pairs, query, k, normalize):
+    index = TfIdfIndex(pairs, VOCAB, normalize=normalize)
+    ref = index_ref([index._tokenize(nl) for nl, _ in pairs])
+    assert got_hits(index, query, k) == ref_hits(index, ref, query, k)
 
 
 def test_empty_corpus_rejected():
@@ -362,6 +424,70 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.probability([0.5, 2, 1]) == pytest.approx(model.probability([0.5, 2, 1]))
 
 
+_MODEL = {"weights": [1.0, 0.0, 0.5], "bias": 0.1, "feature_means": [0.5, 1, 1],
+          "feature_stds": [0.2, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("not json", id="not-json"),
+        pytest.param("[1]", id="list"),
+        pytest.param('"model"', id="string"),
+        pytest.param(json.dumps({k: v for k, v in _MODEL.items() if k != "bias"}), id="no-bias"),
+        pytest.param(json.dumps({k: v for k, v in _MODEL.items() if k != "feature_stds"}), id="no-stds"),
+        pytest.param(json.dumps({**_MODEL, "weights": "ab"}), id="string-weights"),
+        pytest.param(json.dumps({**_MODEL, "weights": [1.0, "x", 0.5]}), id="string-weight"),
+        pytest.param(json.dumps({**_MODEL, "weights": [1.0, True, 0.5]}), id="bool-weight"),
+        pytest.param(json.dumps({**_MODEL, "bias": "0.1"}), id="string-bias"),
+        pytest.param(json.dumps({**_MODEL, "bias": None}), id="null-bias"),
+        pytest.param(json.dumps({**_MODEL, "feature_means": [0.5, 1, float("inf")]}), id="inf-mean"),
+        pytest.param(json.dumps({**_MODEL, "bias": float("nan")}), id="nan-bias"),
+        pytest.param(json.dumps({**_MODEL, "bias": 10**400}), id="huge-int-bias"),
+        pytest.param(json.dumps({**_MODEL, "weights": [1.0, 0.0]}), id="short-weights"),
+        pytest.param(json.dumps({**_MODEL, "feature_stds": [0.2, 0, 1]}), id="zero-std"),
+    ],
+)
+def test_calibration_load_rejects_a_file_that_is_not_a_saved_model(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match="model.json"):
+        CalibrationModel.load(path)
+    with pytest.raises(SchemaError):
+        CalibrationModel.from_json(text)
+
+
+def test_calibration_load_rejects_bad_utf8(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"bias": "\xff"}')
+    with pytest.raises(SchemaError, match="invalid UTF-8"):
+        CalibrationModel.load(path)
+
+
+def test_calibration_load_reads_ints_as_floats():
+    model = CalibrationModel.from_json(json.dumps(_MODEL))
+    assert model.feature_means == (0.5, 1.0, 1.0) and model.bias == 0.1
+    assert all(type(v) is float for v in model.feature_stds)
+
+
+_NEAR_MODEL = st.fixed_dictionaries(
+    {key: st.lists(st.floats() | st.integers() | _JSON, max_size=3) | _JSON
+     for key in ("weights", "feature_means", "feature_stds")}
+    | {"bias": st.floats() | st.integers() | _JSON}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON | _NEAR_MODEL)
+def test_calibration_load_raises_only_nlbash_errors(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        CalibrationModel.load(path)
+    except NlbashError:
+        pass
+
+
 def test_hit_features_are_similarity_flags_utilities():
     h = hit("find . -name x -type f | wc -l", 0.77)
     sim, flags, utils = hit_features(h)
@@ -371,10 +497,6 @@ def test_hit_features_are_similarity_flags_utilities():
 
 
 def test_make_calibration_data_produces_both_classes():
-    from nlbash.corpus import filter_examples
-    from nlbash.retrieval import pairs_from_examples
-    from nlbash.synth import toy_corpus
-
     corpus = filter_examples(toy_corpus(400, seed=21), VOCAB).kept
     features, labels = make_calibration_data(
         pairs_from_examples(corpus), VOCAB, holdout_fraction=0.2, seed=3
@@ -425,3 +547,25 @@ def test_predictor_lowers_confidence_only_when_set_looks_hopeless():
     # near-verbatim query: the top hit looks right, confidences stay at 1.0
     confident = predictor.predict("list every file with all details", k=5)
     assert confident[0].confidence == 1.0
+
+
+def test_predictor_returns_the_calibrated_confidences_of_a_lowered_set():
+    model = CalibrationModel(
+        weights=(2.0, 0.0, 0.0),
+        bias=0.0,
+        feature_means=(0.6, 0.0, 0.0),
+        feature_stds=(0.2, 1.0, 1.0),
+    )
+    pairs = [
+        ("list every file with all details", "ls -la"),
+        ("show free disk space on filesystems", "df -h"),
+        ("count the lines inside a file", "wc -l notes.txt"),
+    ]
+    predictor = TfIdfPredictor(pairs, VOCAB, calibration=model)
+    query = "list every file with all details"
+    default = predictor.predict(query, k=5)  # looks right: the shared answers
+    lowered = predictor.predict("file", k=5)
+    want = calibrate(retrieve(predictor.index, "file", k=5), model)
+    assert [(p.cmd, p.confidence) for p in lowered] == [(h.command, h.confidence) for h in want]
+    assert all(p.confidence < 1.0 for p in lowered)
+    assert all(p.confidence == 1.0 for p in default + predictor.predict(query, k=5))
