@@ -14,14 +14,15 @@ returning nothing is better than returning confident garbage.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
 import re
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +45,14 @@ CALIBRATION_EPOCHS = 500
 
 _STRIP_CHARS = ".,!?;:()[]{}<>\"'`"
 _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
-_IP = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?")
-_NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?")
-_PATH = re.compile(r"~?/[^\s]*|\.{1,2}/[^\s]*|[\w.*-]+\.[A-Za-z0-9]{1,4}|[^\s]*\*[^\s]*")
+# The constant classes in priority order, one alternation: a word's class is
+# the first alternative that spans all of it (``fullmatch`` backtracks into
+# the next alternative), read off as ``lastgroup``.
+_CONSTANT = re.compile(
+    r"(?P<IP>\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?)"
+    r"|(?P<NUMBER>[+-]?\d+(?:\.\d+)?)"
+    r"|(?P<PATH>~?/[^\s]*|\.{1,2}/[^\s]*|[\w.*-]+\.[A-Za-z0-9]{1,4}|[^\s]*\*[^\s]*)"
+)
 
 
 def normalize_nl(utterance: str) -> tuple[list[str], list[str]]:
@@ -58,34 +64,31 @@ def normalize_nl(utterance: str) -> tuple[list[str], list[str]]:
     """
     tokens: list[str] = []
     constants: list[str] = []
-    pieces: list[tuple[bool, str]] = []
     pos = 0
     for m in _QUOTED.finditer(utterance):
-        pieces.extend((False, w) for w in utterance[pos : m.start()].split())
-        pieces.append((True, m.group(0)))
+        _classify_words(utterance[pos : m.start()], tokens, constants)
+        tokens.append("STRING")
+        constants.append(m.group(0)[1:-1])
         pos = m.end()
-    pieces.extend((False, w) for w in utterance[pos:].split())
-
-    for quoted, raw in pieces:
-        if quoted:
-            tokens.append("STRING")
-            constants.append(raw[1:-1])
-            continue
-        word = raw.strip(_STRIP_CHARS)
-        if not word:
-            continue
-        if _IP.fullmatch(word):
-            tokens.append("IP")
-            constants.append(word)
-        elif _NUMBER.fullmatch(word):
-            tokens.append("NUMBER")
-            constants.append(word)
-        elif _PATH.fullmatch(word):
-            tokens.append("PATH")
-            constants.append(word)
-        else:
-            tokens.append(word.lower())
+    _classify_words(utterance[pos:], tokens, constants)
     return tokens, constants
+
+
+def _classify_words(text: str, tokens: list[str], constants: list[str]) -> None:
+    """Append the tokens of unquoted ``text``, and its constants, in order."""
+    for raw in text.split():
+        word = raw.strip(_STRIP_CHARS)
+        # Every constant class needs a digit, '.', '/' or '*', so a word of
+        # letters alone is never one.
+        if word.isalpha():
+            tokens.append(word.lower())
+        elif word:
+            m = _CONSTANT.fullmatch(word)
+            if m is None:
+                tokens.append(word.lower())
+            else:
+                tokens.append(m.lastgroup)
+                constants.append(word)
 
 
 def plain_tokens(utterance: str) -> list[str]:
@@ -113,6 +116,70 @@ class RetrievalHit:
     confidence: float = 1.0
 
 
+def _tokens(utterance: str, normalize: bool) -> list[str]:
+    """The index tokenizer: ``normalize_nl`` tokens or ``plain_tokens``."""
+    return normalize_nl(utterance)[0] if normalize else plain_tokens(utterance)
+
+
+class _AnalysedPairs(Sequence):
+    """NL-command pairs tokenized and templated once, for every index built on them.
+
+    A sequence of (invocation, command) pairs. Each pair's distinct term
+    ids, in first-occurrence order, are ``terms[offsets[i]:offsets[i + 1]]``
+    with their counts at the same places in ``counts``; term id ``t`` is the
+    term ``names[t]``, numbered by first occurrence over all pairs. Each
+    distinct command is parsed once, and equal templates are one interned
+    object. ``take`` selects pairs and shares the analysis.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool):
+        self.vocab, self.normalize = vocab, normalize
+        self.documents: list[IndexedDocument] = []
+        ids: dict[str, int] = {}
+        by_command: dict[str, TemplateCommand] = {}
+        interned: dict[TemplateCommand, TemplateCommand] = {}
+        self.terms, self.counts, self.offsets = array("i"), array("i"), array("l", [0])
+        for nl, cmd in pairs:
+            nl, cmd = str(nl), str(cmd)
+            doc_counts: dict[int, int] = {}
+            for token in _tokens(nl, normalize):
+                term = ids.setdefault(token, len(ids))
+                doc_counts[term] = doc_counts.get(term, 0) + 1
+            self.terms.extend(doc_counts)
+            self.counts.extend(doc_counts.values())
+            self.offsets.append(len(self.terms))
+            template = by_command.get(cmd)
+            if template is None:
+                template = normalize_template(parse(cmd, vocab), vocab)
+                template = by_command[cmd] = interned.setdefault(template, template)
+            self.documents.append(IndexedDocument(nl, cmd, template))
+        self.names = list(ids)
+        self.selected: Sequence[int] = range(len(self.documents))  # positions in the analysis
+
+    @classmethod
+    def of(
+        cls, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool
+    ) -> "_AnalysedPairs":
+        """``pairs`` if already analysed with these settings, else their analysis."""
+        if isinstance(pairs, cls) and pairs.vocab is vocab and pairs.normalize == normalize:
+            return pairs
+        return cls(pairs, vocab, normalize)
+
+    def take(self, positions: Sequence[int]) -> "_AnalysedPairs":
+        """The pairs at ``positions``, in that order, on the same analysis."""
+        view = copy.copy(self)
+        view.documents = [self.documents[i] for i in positions]
+        view.selected = [self.selected[i] for i in positions]
+        return view
+
+    def __len__(self) -> int:
+        return len(self.documents)
+
+    def __getitem__(self, i: int) -> tuple[str, str]:
+        doc = self.documents[i]
+        return doc.invocation, doc.command
+
+
 class TfIdfIndex:
     """Immutable TF-IDF index over NL-command pairs; queries are thread-safe.
 
@@ -121,8 +188,16 @@ class TfIdfIndex:
     ``_indices[_indptr[r]:_indptr[r + 1]]`` (ascending) with their weights
     in ``_data``. ``_idf`` holds each row's idf. ``retrieve`` scatter-adds
     a query's rows into one score vector and breaks ties by insertion
-    order. Each distinct command is parsed once per build, and its
-    documents share one template.
+    order.
+
+    The build reads one analysis of the pairs: each invocation tokenized
+    once into term ids, each distinct command parsed once. Plain pairs are
+    analysed on entry; ``TfIdfPredictor.with_calibration`` analyses once
+    and builds both of its indexes from that. Equal templates are one
+    interned object, shared by every document that has them, so a
+    document's template may carry another command's ``erased_args``.
+    Rows number only the terms of the index's own documents, in first
+    occurrence order.
     """
 
     def __init__(
@@ -134,29 +209,27 @@ class TfIdfIndex:
         if not pairs:
             raise EmptyCorpusError("cannot index an empty corpus")
         self.normalize = normalize
-        self.documents: list[IndexedDocument] = []
-        self._rows: dict[str, int] = {}
+        analysed = _AnalysedPairs.of(pairs, vocab, normalize)
+        self.documents: list[IndexedDocument] = analysed.documents
+        # Analysis term ids -> rows, numbered by first occurrence in these
+        # documents; each document's rows and counts, flattened.
+        row_of: dict[int, int] = {}
         df: list[int] = []
-        templates: dict[str, TemplateCommand] = {}
-        # Each document's term counts in first-occurrence order, flattened.
-        terms, counts, ends = array("i"), array("i"), array("l")
-        for nl, cmd in pairs:
-            nl, cmd = str(nl), str(cmd)
-            doc_counts: dict[int, int] = {}
-            for token in self._tokenize(nl):
-                row = self._rows.setdefault(token, len(df))
-                if row == len(df):
+        rows, counts, ends = array("i"), array("i"), array("l")
+        offsets, all_terms, all_counts = analysed.offsets, analysed.terms, analysed.counts
+        for i in analysed.selected:
+            a, b = offsets[i], offsets[i + 1]
+            for term in all_terms[a:b]:
+                row = row_of.get(term)
+                if row is None:
+                    row = row_of[term] = len(df)
                     df.append(0)
-                doc_counts[row] = doc_counts.get(row, 0) + 1
-            for row in doc_counts:
                 df[row] += 1
-            terms.extend(doc_counts)
-            counts.extend(doc_counts.values())
-            ends.append(len(terms))
-            template = templates.get(cmd)
-            if template is None:
-                template = templates[cmd] = normalize_template(parse(cmd, vocab), vocab)
-            self.documents.append(IndexedDocument(nl, cmd, template))
+                rows.append(row)
+            counts.extend(all_counts[a:b])
+            ends.append(len(rows))
+        names = analysed.names
+        self._rows: dict[str, int] = {names[term]: row for term, row in row_of.items()}
 
         d = len(self.documents)
         self._idf = [math.log((1.0 + d) / (1.0 + n)) + 1.0 for n in df]
@@ -165,10 +238,11 @@ class TfIdfIndex:
         # fill in document order, so a row's documents come out ascending.
         self._indptr = [0, *itertools.accumulate(df)]
         free = self._indptr[:-1]
-        indices, data = array("l", [0]) * len(terms), array("d", [0.0]) * len(terms)
+        indices, data = array("l", [0]) * len(rows), array("d", [0.0]) * len(rows)
         start = 0
         for doc, end in enumerate(ends):
-            for row, weight in self._weigh(dict(zip(terms[start:end], counts[start:end]))).items():
+            doc_rows = rows[start:end]
+            for row, weight in zip(doc_rows, self._weigh(doc_rows, counts[start:end])):
                 pos = free[row]
                 free[row] = pos + 1
                 indices[pos] = doc
@@ -177,26 +251,24 @@ class TfIdfIndex:
         self._indices, self._data = np.asarray(indices), np.asarray(data)
 
     def _tokenize(self, utterance: str) -> list[str]:
-        if self.normalize:
-            return normalize_nl(utterance)[0]
-        return plain_tokens(utterance)
+        return _tokens(utterance, self.normalize)
 
-    def _weigh(self, counts: dict[int, int]) -> dict[int, float]:
-        """Row -> L2-normalized weight, in the order of ``counts``."""
-        vec = {row: c * self._idf[row] for row, c in counts.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm > 0:
-            vec = {row: w / norm for row, w in vec.items()}
-        return vec
+    def _weigh(self, rows: Sequence[int], counts: Sequence[int]) -> list[float]:
+        """L2-normalized weights of ``rows`` with term ``counts``, in their order."""
+        idf = self._idf
+        vec = [c * idf[row] for row, c in zip(rows, counts)]
+        norm = math.sqrt(sum([w * w for w in vec]))
+        return [w / norm for w in vec] if norm > 0 else vec
 
-    def _vectorize(self, tokens: Sequence[str]) -> dict[int, float]:
-        """A query's weights by row; terms the index lacks are dropped."""
+    def _vectorize(self, tokens: Sequence[str]) -> tuple[list[int], list[float]]:
+        """A query's rows and weights; terms the index lacks are dropped."""
         counts: dict[int, int] = {}
         for t in tokens:
             row = self._rows.get(t)
             if row is not None:
                 counts[row] = counts.get(row, 0) + 1
-        return self._weigh(counts)
+        rows = list(counts)
+        return rows, self._weigh(rows, counts.values())
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -254,7 +326,7 @@ def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
         raise ValueError("k must be >= 1")
     scores = np.zeros(len(index.documents))
     indptr, indices, data = index._indptr, index._indices, index._data
-    for row, qw in index._vectorize(index._tokenize(nlc)).items():
+    for row, qw in zip(*index._vectorize(index._tokenize(nlc))):
         a, b = indptr[row], indptr[row + 1]
         scores[indices[a:b]] += qw * data[a:b]  # a row holds each document once
 
@@ -454,8 +526,11 @@ def make_calibration_data(
 
     The held-out invocations are queried against an index over the rest;
     each hit becomes one row labeled 1 when it scores positively against
-    the held-out reference. Raises DegenerateLabelsError when the pairs are
-    too few to leave both sides of the split non-empty.
+    the held-out reference. The pairs are analysed once (see
+    ``TfIdfIndex``): the index is built over the rest of that analysis,
+    and each held-out reference takes its template from it. Raises
+    DegenerateLabelsError when the pairs are too few to leave both sides
+    of the split non-empty.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
@@ -463,19 +538,20 @@ def make_calibration_data(
     order = rng.permutation(len(pairs))
     n_holdout = max(1, int(round(len(pairs) * holdout_fraction)))
     holdout_idx = set(int(i) for i in order[:n_holdout])
-    train = [p for i, p in enumerate(pairs) if i not in holdout_idx]
-    holdout = [p for i, p in enumerate(pairs) if i in holdout_idx]
+    train = [i for i in range(len(pairs)) if i not in holdout_idx]
+    holdout = [i for i in range(len(pairs)) if i in holdout_idx]
     if not train or not holdout:
         raise DegenerateLabelsError("holdout split left one side empty")
 
-    index = TfIdfIndex(train, vocab=vocab, normalize=normalize)
+    analysed = _AnalysedPairs.of(pairs, vocab, normalize)
+    index = TfIdfIndex(analysed.take(train), vocab=vocab, normalize=normalize)
     features: list[list[float]] = []
     labels: list[int] = []
-    for nl, cmd in holdout:
-        ref = normalize_template(parse(cmd, vocab), vocab)
-        for hit in _top_hits(index, nl, k, dedupe):
+    for i in holdout:
+        ref = analysed.documents[i]
+        for hit in _top_hits(index, ref.invocation, k, dedupe):
             scored = ScoredPrediction(template=hit.template, delta=1.0)
-            label = 1 if prediction_score(scored, [ref]) > 0.0 else 0
+            label = 1 if prediction_score(scored, [ref.template]) > 0.0 else 0
             features.append(hit_features(hit))
             labels.append(label)
     return features, labels
@@ -533,9 +609,16 @@ class TfIdfPredictor:
         seed: int = 0,
         k: int = 5,
     ) -> "TfIdfPredictor":
-        """Fit a calibrator on a held-out slice, then index all pairs."""
+        """Fit a calibrator on a held-out slice, then index all pairs.
+
+        The pairs are analysed once: each invocation tokenized, each
+        distinct command parsed and templated. The calibration index (the
+        pairs outside the held-out slice), the held-out references and the
+        final index all read that one analysis.
+        """
+        analysed = _AnalysedPairs(pairs, vocab, normalize)
         features, labels = make_calibration_data(
-            pairs,
+            analysed,
             vocab=vocab,
             seed=seed,
             k=k,
@@ -543,7 +626,7 @@ class TfIdfPredictor:
             dedupe=dedupe,
         )
         model = train_calibrator(features, labels)
-        return cls(pairs, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
+        return cls(analysed, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
         hits = _top_hits(self.index, nlc, k, self.dedupe)

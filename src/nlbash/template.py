@@ -34,11 +34,25 @@ class TemplateCommand:
 
     ``erased_args`` counts the erased argument-like tokens per unit; it is
     excluded from equality and hashing so that two commands differing only
-    in their arguments are the same template.
+    in their arguments are the same template. The hash is computed once,
+    on first use, and kept.
     """
 
     units: tuple[TemplateUnit, ...]
     erased_args: tuple[int, ...] = field(default=(), compare=False)
+    # Set by the first ``__hash__`` call, so building a template costs nothing extra.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.units,))  # the hash dataclass would generate
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):  # rebuilt from the fields: a cached hash holds only in its process
+        return TemplateCommand, (self.units, self.erased_args)
 
     def flag_count(self) -> int:
         return sum(len(u.flags) for u in self.units)

@@ -4,11 +4,21 @@ Deliberately independent of the package: operates on plain tuples and
 sets, shares no helpers with the implementation under test, and trades
 every cleverness for being obviously a literal reading of the three
 scoring equations (flag score, per-prediction score, example
-aggregation) and of TF-IDF retrieval (dict postings, dict accumulation,
-one full sort). Used by the oracle-equivalence tests.
+aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
+one full sort) and of constant-aware tokenization (one regex per class,
+tried in turn). Used by the oracle-equivalence tests.
+
+The one exception is the calibrated set-up (``calibration_data_ref``,
+``with_calibration_ref``): it wires the package's own index, parser and
+scorer the straightforward way, a fresh index over the train side and
+every held-out reference parsed again, so that the shared single-analysis
+set-up can be compared with it.
 """
 
 import math
+import re
+
+import numpy as np
 
 
 def flag_score_ref(pred_flags, ref_flags):
@@ -115,3 +125,75 @@ def retrieve_ref(idf, inverted, query_tokens, k):
             break
         hits.append((doc_idx, min(sim, 1.0)))
     return hits
+
+
+_STRIP = ".,!?;:()[]{}<>\"'`"
+_QUOTED_REF = re.compile(r"\"[^\"]*\"|'[^']*'")
+_IP_REF = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?")
+_NUMBER_REF = re.compile(r"[+-]?\d+(?:\.\d+)?")
+_PATH_REF = re.compile(r"~?/[^\s]*|\.{1,2}/[^\s]*|[\w.*-]+\.[A-Za-z0-9]{1,4}|[^\s]*\*[^\s]*")
+
+
+def normalize_nl_ref(utterance):
+    """(tokens, constants): quoted strings, then IP, NUMBER and PATH words,
+    each class tried by its own fullmatch in that order."""
+    pieces = []
+    pos = 0
+    for m in _QUOTED_REF.finditer(utterance):
+        pieces.extend((False, w) for w in utterance[pos : m.start()].split())
+        pieces.append((True, m.group(0)))
+        pos = m.end()
+    pieces.extend((False, w) for w in utterance[pos:].split())
+    tokens, constants = [], []
+    for quoted, raw in pieces:
+        if quoted:
+            tokens.append("STRING")
+            constants.append(raw[1:-1])
+            continue
+        word = raw.strip(_STRIP)
+        if not word:
+            continue
+        if _IP_REF.fullmatch(word):
+            tokens.append("IP")
+            constants.append(word)
+        elif _NUMBER_REF.fullmatch(word):
+            tokens.append("NUMBER")
+            constants.append(word)
+        elif _PATH_REF.fullmatch(word):
+            tokens.append("PATH")
+            constants.append(word)
+        else:
+            tokens.append(word.lower())
+    return tokens, constants
+
+
+def calibration_data_ref(pairs, vocab, holdout_fraction=0.2, seed=0, k=5, normalize=False, dedupe=True):
+    """Calibration rows the two-index way: the same split, a fresh index
+    over the train side's plain pairs, each held-out reference parsed."""
+    from nlbash.metric import ScoredPrediction, prediction_score
+    from nlbash.parser import parse
+    from nlbash.retrieval import TfIdfIndex, _top_hits, hit_features
+    from nlbash.template import normalize_template
+
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    held = set(int(i) for i in order[: max(1, int(round(len(pairs) * holdout_fraction)))])
+    train = [p for i, p in enumerate(pairs) if i not in held]
+    holdout = [p for i, p in enumerate(pairs) if i in held]
+    index = TfIdfIndex(train, vocab=vocab, normalize=normalize)
+    features, labels = [], []
+    for nl, cmd in holdout:
+        ref = normalize_template(parse(cmd, vocab), vocab)
+        for hit in _top_hits(index, nl, k, dedupe):
+            score = prediction_score(ScoredPrediction(template=hit.template, delta=1.0), [ref])
+            features.append(hit_features(hit))
+            labels.append(1 if score > 0.0 else 0)
+    return features, labels
+
+
+def with_calibration_ref(pairs, vocab, normalize=True, dedupe=True, seed=0, k=5):
+    """The calibrated predictor from ``calibration_data_ref`` and a fresh full index."""
+    from nlbash.retrieval import TfIdfPredictor, train_calibrator
+
+    features, labels = calibration_data_ref(pairs, vocab, seed=seed, k=k, normalize=normalize, dedupe=dedupe)
+    model = train_calibrator(features, labels)
+    return TfIdfPredictor(pairs, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)

@@ -30,7 +30,7 @@ from nlbash.parser import parse
 from nlbash.synth import toy_corpus
 from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
-from reference_impl import index_ref, retrieve_ref
+from reference_impl import index_ref, normalize_nl_ref, retrieve_ref
 
 VOCAB = default_vocabulary()
 
@@ -84,6 +84,25 @@ def test_tokens_lowercased_punctuation_stripped():
     tokens, _ = normalize_nl("List, the FILES!")
     assert tokens == ["list", "the", "files"]
     assert plain_tokens("List, the FILES!") == ["list", "the", "files"]
+
+
+def test_normalize_nl_equals_the_one_regex_per_class_chain_on_the_toy_corpus():
+    for ex in toy_corpus(3000, seed=33):
+        assert normalize_nl(ex.invocation) == normalize_nl_ref(ex.invocation), ex.invocation
+
+
+_NL_TEXT = st.lists(
+    st.sampled_from(["1", "22", "255", ".", ":", "/", "~", "*", "-", "+", "'", '"', " ", "a", "Z",
+                     "x.txt", "..", "8080", "é", "٣", "\t", ",", "!", "(", "_"])
+    | st.characters(),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_NL_TEXT)
+def test_normalize_nl_equals_the_one_regex_per_class_chain(text):
+    assert normalize_nl(text) == normalize_nl_ref(text)
 
 
 # --- index / retrieve --------------------------------------------------------
@@ -327,6 +346,35 @@ def test_dedupe_preserves_order_and_never_grows():
     got = dedupe_hits(hits, k=3)
     assert [h.command for h in got] == ["ls -la /a", "df -h", "du -s ."]
     assert len(got) <= len(hits)
+
+
+def test_equal_templates_of_different_commands_hash_alike_and_dedupe_together():
+    index = TfIdfIndex([("list files here", "ls -la /a"), ("list files there", "ls -al /b"),
+                        ("list disk", "df -h")], VOCAB)
+    first, second, other = (doc.template for doc in index.documents)
+    assert first is second and hash(first) == hash(template_of("ls -a -l"))
+    hits = retrieve(index, "list files", k=3)
+    assert [h.command for h in hits] == ["ls -la /a", "ls -al /b", "df -h"]
+    assert [h.command for h in dedupe_hits(hits, k=3)] == ["ls -la /a", "df -h"]
+
+
+_HIT_LISTS = st.lists(
+    st.tuples(st.sampled_from(["ls -la /a", "ls -al /b", "ls -l", "df -h", "du -s .", "find . -name x",
+                               "find /tmp -name y", "sort -r f | uniq -c"]),
+              st.floats(0.01, 1.0)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_HIT_LISTS, k=st.integers(1, 6))
+def test_dedupe_keeps_the_same_hits_for_interned_and_fresh_templates(raw, k):
+    fresh = [RetrievalHit(cmd, template_of(cmd), sim) for cmd, sim in raw]
+    interned = {}
+    shared = [RetrievalHit(h.command, interned.setdefault(h.template, h.template), h.similarity)
+              for h in fresh]
+    assert dedupe_hits(shared, k) == dedupe_hits(fresh, k)
+    assert [h.command for h in dedupe_hits(shared, k)] == [h.command for h in dedupe_hits(fresh, k)]
 
 
 # --- calibration ----------------------------------------------------------------

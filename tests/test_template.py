@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -88,6 +90,15 @@ def test_equality_ignores_erased_arg_counts():
     assert a == b
     assert hash(a) == hash(b)
     assert a.erased_args != b.erased_args
+
+
+def test_hash_is_kept_and_copies_hash_again():
+    a = template_of("ls -la /tmp")
+    assert hash(a) == hash((a.units,)) == hash(a)  # the value dataclass would generate
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied == a and hash(copied) == hash(a) and copied.erased_args == a.erased_args
+    assert repr(a) == "TemplateCommand(units=(TemplateUnit(utility='ls', flags=frozenset({" + (
+        ", ".join(repr(f) for f in a.units[0].flags)) + "})),), erased_args=(1,))"
 
 
 def test_templates_usable_as_dict_keys():
