@@ -3,13 +3,17 @@
 A predictor is anything with ``predict(nlc, k) -> predictions`` returning
 at most k (command, confidence) pairs. The harness times the predict call
 alone (monotonic clock), parses each predicted command, and scores its
-template against all reference templates. A prediction the parser rejects
-scores -delta — a command outside the grammar can never match a reference,
-and silently dropping it would game the averaging branch. A predictor
-exception scores the whole example -1, and so does a prediction set whose
-first k items are not all a ``str`` cmd with a real confidence that
-converts to a finite float; both count as predictor failures. A predictor
-that returns nothing abstains and scores 0.
+template against all reference templates. Each distinct command text,
+reference or prediction, is parsed and templated once per ``evaluate``
+call. A prediction the parser rejects scores -delta, each time a
+prediction names it — a command outside the grammar can never match a
+reference, and silently dropping it would game the averaging branch. A
+predictor exception scores the whole example -1, and so does a prediction
+set whose first k items are not all a ``str`` cmd with a real confidence
+that converts to a finite float; both count as predictor failures. A cmd
+of a ``str`` subclass is scored as its plain text, so no method of the
+predictor's object runs in the harness. A predictor that returns nothing
+abstains and scores 0.
 
 Evaluation is sequential by design so latency numbers stay honest.
 """
@@ -48,7 +52,7 @@ from .metric import (
     prediction_score,
 )
 from .parser import parse
-from .template import normalize_template
+from .template import TemplateCommand, normalize_template
 from .vocab import UtilityVocabulary
 
 
@@ -181,7 +185,8 @@ def _contract_violation(predictions: Sequence[Prediction]) -> str | None:
             finite = isinstance(confidence, numbers.Real) and math.isfinite(confidence)
         except OverflowError:
             finite = False
-        if not isinstance(cmd, str) or not finite:
+        # By type(): isinstance would believe an object whose __class__ claims str.
+        if not issubclass(type(cmd), str) or not finite:
             return f"prediction {i} needs a str cmd and a finite confidence, got {_describe(p)}"
     return None
 
@@ -194,19 +199,41 @@ def evaluate(
 ) -> EvaluationReport:
     """Score a predictor over a filtered dataset.
 
-    References must already parse (run the corpus filter first). Latency
-    covers the predict call only.
+    References must already parse (run the corpus filter first); one that
+    does not raises its BashSyntaxError or UnknownUtilityError. Latency
+    covers the predict call only. Each distinct command text is parsed and
+    templated once per call; an unparseable text costs each prediction
+    that names it -delta and counts once per such prediction. A cmd of a
+    ``str`` subclass is scored as its plain text.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not dataset:
         raise EmptyDatasetError("cannot evaluate over an empty dataset")
 
+    # Command text -> its template, or None when it does not parse. None,
+    # not the exception: its traceback would hold this frame, and so the
+    # memo, in a reference cycle.
+    memo: dict[str, TemplateCommand | None] = {}
+
+    def template_of(cmd: str) -> TemplateCommand | None:
+        if cmd not in memo:
+            try:
+                memo[cmd] = normalize_template(parse(cmd, vocab), vocab)
+            except (BashSyntaxError, UnknownUtilityError):
+                memo[cmd] = None
+        return memo[cmd]
+
     results: list[ExampleResult] = []
     unparseable = 0
     failures = 0
     for ex in dataset:
-        ref_templates = [normalize_template(parse(r, vocab), vocab) for r in ex.references]
+        ref_templates = []
+        for r in ex.references:
+            template = template_of(r)
+            if template is None:  # parse again, to raise its own error
+                template = normalize_template(parse(r, vocab), vocab)
+            ref_templates.append(template)
         error = None
         start = time.perf_counter()
         try:
@@ -231,9 +258,8 @@ def evaluate(
         per_prediction: list[float] = []
         for p in raw_predictions:
             delta = _clamp(p.confidence, 0.0, 1.0)
-            try:
-                template = normalize_template(parse(p.cmd, vocab), vocab)
-            except (BashSyntaxError, UnknownUtilityError):
+            template = template_of(str.__str__(p.cmd))  # exact str: no subclass method runs
+            if template is None:
                 unparseable += 1
                 per_prediction.append(-delta)
                 continue

@@ -8,11 +8,16 @@ aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
 one full sort) and of constant-aware tokenization (one regex per class,
 tried in turn). Used by the oracle-equivalence tests.
 
-The one exception is the calibrated set-up (``calibration_data_ref``,
-``with_calibration_ref``): it wires the package's own index, parser and
-scorer the straightforward way, a fresh index over the train side and
-every held-out reference parsed again, so that the shared single-analysis
-set-up can be compared with it.
+Two exceptions wire the package's own pieces the straightforward way:
+
+- the calibrated set-up (``calibration_data_ref``, ``with_calibration_ref``)
+  uses the package's index, parser and scorer, with a fresh index over the
+  train side and every held-out reference parsed again, so that the shared
+  single-analysis set-up can be compared with it;
+- the harness loop (``evaluate_ref``) uses the package's parser, template,
+  metric and report types, and parses and templates every reference and
+  every prediction each time it meets one, so that the memoized
+  ``evaluate`` can be compared with it.
 """
 
 import math
@@ -197,3 +202,76 @@ def with_calibration_ref(pairs, vocab, normalize=True, dedupe=True, seed=0, k=5)
     features, labels = calibration_data_ref(pairs, vocab, seed=seed, k=k, normalize=normalize, dedupe=dedupe)
     model = train_calibrator(features, labels)
     return TfIdfPredictor(pairs, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
+
+
+def evaluate_ref(predictor, dataset, k=5, vocab=None):
+    """The harness loop with no memo: every reference and prediction parsed where met."""
+    import time
+
+    from nlbash.corpus import dataset_fingerprint
+    from nlbash.errors import BashSyntaxError, UnknownUtilityError
+    from nlbash.harness import (
+        EvaluationReport,
+        ExampleResult,
+        LatencyStats,
+        _clamp,
+        _contract_violation,
+        _describe,
+    )
+    from nlbash.metric import (
+        Aggregation,
+        ExampleScore,
+        ScoredPrediction,
+        aggregate_scores,
+        dataset_score,
+        prediction_score,
+    )
+    from nlbash.parser import parse
+    from nlbash.template import normalize_template
+
+    results = []
+    unparseable = 0
+    failures = 0
+    for ex in dataset:
+        ref_templates = [normalize_template(parse(r, vocab), vocab) for r in ex.references]
+        error = None
+        start = time.perf_counter()
+        try:
+            raw_predictions = list(predictor.predict(ex.invocation, k))
+        except Exception as exc:
+            error = _describe(exc)
+        elapsed = time.perf_counter() - start
+        if error is None:
+            raw_predictions = raw_predictions[:k]
+            error = _contract_violation(raw_predictions)
+        if error is not None:
+            failures += 1
+            score = ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE)
+            results.append(ExampleResult(ex.id, score, elapsed, error=error))
+            continue
+        if not raw_predictions:
+            results.append(ExampleResult(ex.id, ExampleScore(0.0, (), Aggregation.AVERAGE), elapsed))
+            continue
+        per_prediction = []
+        for p in raw_predictions:
+            delta = _clamp(p.confidence, 0.0, 1.0)
+            try:
+                template = normalize_template(parse(p.cmd, vocab), vocab)
+            except (BashSyntaxError, UnknownUtilityError):
+                unparseable += 1
+                per_prediction.append(-delta)
+                continue
+            scored = ScoredPrediction(template=template, delta=delta)
+            per_prediction.append(prediction_score(scored, ref_templates))
+        results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
+
+    return EvaluationReport(
+        predictor=getattr(predictor, "name", type(predictor).__name__),
+        k=k,
+        per_example=results,
+        mean_score=dataset_score([r.score for r in results]),
+        latency=LatencyStats.from_samples([r.latency_s for r in results]),
+        dataset_fingerprint=dataset_fingerprint(dataset),
+        unparseable_prediction_count=unparseable,
+        predictor_failure_count=failures,
+    )

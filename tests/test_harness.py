@@ -7,10 +7,18 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impl import evaluate_ref
 from strategies import byte_lines, shell_text
 
+from nlbash import harness
 from nlbash.corpus import Example, Source, filter_examples
-from nlbash.errors import EmptyDatasetError, EmptySampleError, NlbashError
+from nlbash.errors import (
+    BashSyntaxError,
+    EmptyDatasetError,
+    EmptySampleError,
+    NlbashError,
+    UnknownUtilityError,
+)
 from nlbash.harness import (
     EvaluationReport,
     LatencyStats,
@@ -180,7 +188,30 @@ _CONFIDENCES = st.one_of(
     st.text(max_size=4),
     st.none(),
 )
-_CMDS = st.one_of(st.sampled_from(["ls -la", "ls", "ls -l | wc -l"]), shell_text, st.none())
+
+
+class HostileStr(str):
+    """A str whose own methods raise: the harness must score it as its plain text."""
+
+    def _refuse(self, *args, **kwargs):
+        raise RuntimeError("hostile str method called")
+
+    strip = __hash__ = __eq__ = __str__ = _refuse
+
+
+class ClaimsStr:
+    """Not a str, though isinstance(obj, str) believes its __class__."""
+
+    __class__ = property(lambda self: str)
+
+
+_CMDS = st.one_of(
+    st.sampled_from(["ls -la", "ls", "ls -l | wc -l"]),
+    shell_text,
+    st.none(),
+    st.builds(HostileStr, st.sampled_from(["ls -la", "frobnicate -x", "ls |"])),
+    st.builds(ClaimsStr),
+)
 _ITEMS = st.one_of(
     st.builds(Prediction, _CMDS, _CONFIDENCES),
     st.none(),
@@ -202,11 +233,12 @@ _OUTPUTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_OUTPUTS, min_size=1, max_size=3), st.integers(1, 5))
 def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
-    replies = iter(outputs)
-
     class Arbitrary:
+        def __init__(self):
+            self.replies = iter(outputs)
+
         def predict(self, nlc, k):
-            reply = next(replies)
+            reply = next(self.replies)
             if isinstance(reply, Exception):
                 raise reply
             return reply
@@ -218,6 +250,148 @@ def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
         assert -1.0 <= r.score.value <= 1.0
         assert all(-1.0 <= v <= 1.0 for v in r.score.per_prediction)
     assert -1.0 <= report.mean_score <= 1.0
+    try:
+        want = evaluate_ref(Arbitrary(), data, k=k, vocab=VOCAB)
+    except Exception:  # the unmemoized loop still crashes on a hostile str
+        return
+    assert scores_of(report) == scores_of(want)
+
+
+def scores_of(report):
+    """Everything a report scores, floats by float.hex; latency left out."""
+    return (
+        [
+            (
+                r.example_id,
+                float.hex(r.score.value),
+                [float.hex(v) for v in r.score.per_prediction],
+                r.score.aggregation,
+                r.error,
+            )
+            for r in report.per_example
+        ],
+        report.unparseable_prediction_count,
+        report.predictor_failure_count,
+        float.hex(report.mean_score),
+    )
+
+
+_POOL = ["ls -la", "frobnicate -x", "find . -name x", "ls |", "df -h", "du -sh ."]
+
+
+class RepeatingPredictor:
+    """Echoes a reference, repeats an unparseable text, and cycles a small pool.
+
+    The answer depends on the query alone, so two runs see the same outputs.
+    """
+
+    def __init__(self, examples):
+        self._by_invocation = {e.invocation: (i, e) for i, e in enumerate(examples)}
+
+    def predict(self, nlc, k):
+        i, ex = self._by_invocation[nlc]
+        if i % 11 == 5:
+            raise RuntimeError("boom")
+        if i % 13 == 7:  # breaks the contract: none of it may be parsed
+            return [Prediction("cut -d: -f1 only_here", 1.0), Prediction("ls", float("nan"))]
+        return [
+            Prediction(ex.references[-1], 0.9),
+            Prediction("echo 'unbalanced", 0.4),
+            Prediction(_POOL[i % len(_POOL)], 0.7),
+            Prediction(_POOL[(3 * i) % len(_POOL)], 0.2),
+            Prediction(ex.references[0], 0.1),
+        ]
+
+
+def repeating_dataset():
+    """Repeated references, and references that are earlier examples' predictions."""
+    base = dataset(60, seed=11)
+    data = list(base)
+    for i, ex in enumerate(base[:20]):
+        refs = (ex.references[0], base[i + 1].references[0], _POOL[2 if i % 3 == 0 else 4])
+        data.append(Example(f"r{i}", ex.invocation + " again", refs))
+    return data
+
+
+def test_memoized_evaluate_scores_like_the_unmemoized_loop():
+    data = repeating_dataset()
+    got = evaluate(RepeatingPredictor(data), data, k=5, vocab=VOCAB)
+    want = evaluate_ref(RepeatingPredictor(data), data, k=5, vocab=VOCAB)
+    assert got.unparseable_prediction_count > len(data)  # the same two texts, counted per prediction
+    assert got.predictor_failure_count > 0
+    assert scores_of(got) == scores_of(want)
+
+
+def test_evaluate_parses_and_templates_each_distinct_text_once(monkeypatch):
+    data = repeating_dataset()
+    predictor = RepeatingPredictor(data)
+    texts = set()
+    for ex in data:
+        texts.update(ex.references)
+        try:
+            predictions = predictor.predict(ex.invocation, 5)[:5]
+        except RuntimeError:
+            continue
+        if harness._contract_violation(predictions) is None:
+            texts.update(p.cmd for p in predictions)
+    parsing = set()
+    for text in texts:
+        try:
+            harness.parse(text, VOCAB)
+            parsing.add(text)
+        except (BashSyntaxError, UnknownUtilityError):
+            pass
+    assert "cut -d: -f1 only_here" not in texts and len(parsing) < len(texts)
+
+    calls = {"parse": 0, "template": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "parse", counted("parse", harness.parse))
+    monkeypatch.setattr(harness, "normalize_template", counted("template", harness.normalize_template))
+    evaluate(predictor, data, k=5, vocab=VOCAB)
+    assert calls == {"parse": len(texts), "template": len(parsing)}
+    evaluate(predictor, data, k=5, vocab=VOCAB)  # the memo lives for one call
+    assert calls == {"parse": 2 * len(texts), "template": 2 * len(parsing)}
+
+
+@pytest.mark.parametrize("seen_before", [False, True], ids=["fresh", "seen-as-prediction"])
+@pytest.mark.parametrize(
+    "text, error",
+    [("echo 'x", BashSyntaxError), ("frobnicate -x", UnknownUtilityError)],
+    ids=["syntax", "utility"],
+)
+def test_an_unparseable_reference_raises_its_error(text, error, seen_before):
+    data = [
+        Example("1", "list the files", ("ls -la",)),
+        Example("2", "broken", ("ls", text)),
+    ]
+    predictor = ConstantPredictor(text if seen_before else "ls")
+    with pytest.raises(error):
+        evaluate(predictor, data, vocab=VOCAB)
+
+
+def test_a_str_subclass_cmd_scores_as_its_plain_text():
+    data = [
+        Example("1", "list the files", ("ls -la",)),
+        Example("2", "show disk use", ("df -h",)),
+        Example("3", "odd", ("ls -l",)),
+    ]
+    for text in ["ls -la", "ls -al /tmp", "frobnicate -x", "ls |"]:
+        plain = evaluate(ConstantPredictor(text, 0.6), data, vocab=VOCAB)
+        hostile = evaluate(ConstantPredictor(HostileStr(text), 0.6), data, vocab=VOCAB)
+        assert scores_of(hostile) == scores_of(plain)
+
+
+def test_an_object_that_claims_str_is_a_predictor_failure():
+    data = [Example("1", "list the files", ("ls -la",))]
+    report = evaluate(ConstantPredictor(ClaimsStr()), data, vocab=VOCAB)
+    assert report.predictor_failure_count == 1
+    assert report.per_example[0].score.per_prediction == (-1.0,)
 
 
 def test_empty_prediction_set_abstains_at_zero():
