@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 
 from . import __version__
@@ -55,20 +56,21 @@ def _load_filtered(path, vocab):
 
 def _cmd_parse(args, vocab):
     ast = parse(args.command, vocab)
-    template = normalize_template(ast, vocab)
+    template = normalize_template(ast, vocab)  # one unit per command of ast.walk(), in order
+    units = [(u, cmd.erased_count()) for u, cmd in zip(template.units, ast.walk())]
     if args.json:
         payload = {
             "utilities": flatten_utilities(ast),
             "template": [
                 {"utility": u.utility, "flags": sorted(u.flags), "erased_args": n}
-                for u, n in zip(template.units, template.erased_args)
+                for u, n in units
             ],
         }
         print(json.dumps(payload, indent=2))
     else:
         print("pipeline:", " | ".join(s.utility for s in ast.stages))
         print("template:")
-        for unit, erased in zip(template.units, template.erased_args):
+        for unit, erased in units:
             flags = " ".join(sorted(unit.flags)) or "-"
             suffix = f"  ({erased} arg{'s' if erased != 1 else ''} erased)" if erased else ""
             print(f"  {unit.utility:<12} flags: {flags}{suffix}")
@@ -206,6 +208,16 @@ def _open_unit_fraction(text: str) -> float:
     return value
 
 
+def _command_line(text: str) -> list[str]:
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise argparse.ArgumentTypeError(f"cannot split {text!r}: {exc}") from exc
+    if not argv:
+        raise argparse.ArgumentTypeError(f"names no program: {text!r}")
+    return argv
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlbash",
@@ -285,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["tfidf"])
     p.add_argument("--variant", choices=["raw", "dedup", "normalize", "full"], default="full")
     p.add_argument("--train", help="training data for --baseline tfidf")
-    p.add_argument("--predictor-cmd", help="external predictor command (line-delimited JSON)")
+    p.add_argument(
+        "--predictor-cmd",
+        type=_command_line,
+        help="external predictor command (line-delimited JSON)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out")

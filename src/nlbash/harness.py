@@ -10,7 +10,8 @@ prediction names it — a command outside the grammar can never match a
 reference, and silently dropping it would game the averaging branch. A
 predictor exception scores the whole example -1, and so does a prediction
 set whose first k items are not all a ``str`` cmd with a real confidence
-that converts to a finite float; both count as predictor failures. A cmd
+that converts, without raising, to a finite float; both count as
+predictor failures. A cmd
 of a ``str`` subclass is scored as its plain text, so no method of the
 predictor's object runs in the harness. A predictor that returns nothing
 abstains and scores 0.
@@ -162,10 +163,6 @@ class EvaluationReport:
         )
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(float(value), lo), hi)
-
-
 def _describe(value) -> str:
     """repr(value), or its type when repr fails (an int past the str digit limit)."""
     try:
@@ -174,21 +171,27 @@ def _describe(value) -> str:
         return f"<unprintable {type(value).__name__}>"
 
 
-def _contract_violation(predictions: Sequence[Prediction]) -> str | None:
-    """Describe the first prediction lacking a str cmd or a finite real confidence.
+def _checked(predictions: Sequence[Prediction]) -> list[tuple[str, float]] | str:
+    """Each prediction's exact-``str`` text and its delta, the confidence clamped to [0, 1].
 
-    A real too large for a float (a 400-digit int) counts as not finite.
+    Describes the first prediction instead when its cmd is not a ``str``
+    (by type: isinstance would believe an object whose __class__ claims
+    str) or its confidence is not a real that converts to a finite float.
+    Each attribute is read and the confidence converted once; anything
+    that raises there, a missing attribute or an int too large for a float
+    included, breaks the contract.
     """
+    checked = []
     for i, p in enumerate(predictions):
-        cmd, confidence = getattr(p, "cmd", None), getattr(p, "confidence", None)
         try:
-            finite = isinstance(confidence, numbers.Real) and math.isfinite(confidence)
-        except OverflowError:
-            finite = False
-        # By type(): isinstance would believe an object whose __class__ claims str.
-        if not issubclass(type(cmd), str) or not finite:
+            cmd, confidence = p.cmd, p.confidence
+            value = float(confidence) if isinstance(confidence, numbers.Real) else math.nan
+        except Exception:
+            cmd, value = None, math.nan
+        if not issubclass(type(cmd), str) or not math.isfinite(value):
             return f"prediction {i} needs a str cmd and a finite confidence, got {_describe(p)}"
-    return None
+        checked.append((str.__str__(cmd), min(max(value, 0.0), 1.0)))  # no subclass method runs
+    return checked
 
 
 def evaluate(
@@ -242,23 +245,23 @@ def evaluate(
             error = _describe(exc)
         elapsed = time.perf_counter() - start
         if error is None:
-            raw_predictions = raw_predictions[:k]
-            error = _contract_violation(raw_predictions)
+            checked = _checked(raw_predictions[:k])
+            if isinstance(checked, str):
+                error = checked
         if error is not None:
             failures += 1
             score = ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE)
             results.append(ExampleResult(ex.id, score, elapsed, error=error))
             continue
 
-        if not raw_predictions:
+        if not checked:
             score = ExampleScore(0.0, (), Aggregation.AVERAGE)
             results.append(ExampleResult(ex.id, score, elapsed))
             continue
 
         per_prediction: list[float] = []
-        for p in raw_predictions:
-            delta = _clamp(p.confidence, 0.0, 1.0)
-            template = template_of(str.__str__(p.cmd))  # exact str: no subclass method runs
+        for text, delta in checked:
+            template = template_of(text)
             if template is None:
                 unparseable += 1
                 per_prediction.append(-delta)

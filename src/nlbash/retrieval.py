@@ -183,21 +183,19 @@ class _AnalysedPairs(Sequence):
 class TfIdfIndex:
     """Immutable TF-IDF index over NL-command pairs; queries are thread-safe.
 
-    The postings are one CSR matrix with a row per term: ``_rows`` maps a
-    term to its row, and row ``r`` holds the documents
-    ``_indices[_indptr[r]:_indptr[r + 1]]`` (ascending) with their weights
-    in ``_data``. ``_idf`` holds each row's idf. ``retrieve`` scatter-adds
-    a query's rows into one score vector and breaks ties by insertion
-    order.
-
     The build reads one analysis of the pairs: each invocation tokenized
-    once into term ids, each distinct command parsed once. Plain pairs are
-    analysed on entry; ``TfIdfPredictor.with_calibration`` analyses once
-    and builds both of its indexes from that. Equal templates are one
-    interned object, shared by every document that has them, so a
-    document's template may carry another command's ``erased_args``.
-    Rows number only the terms of the index's own documents, in first
-    occurrence order.
+    once into term ids, each distinct command parsed once, equal templates
+    one interned object. Plain pairs are analysed on entry;
+    ``TfIdfPredictor.with_calibration`` analyses once and builds both of
+    its indexes from that.
+
+    The postings are one CSR matrix whose rows are the analysis's term
+    ids: row ``t`` holds the documents ``_indices[_indptr[t]:_indptr[t + 1]]``
+    (ascending) with their weights in ``_data``, and ``_idf[t]`` is its
+    idf. ``_rows`` maps each term of the index's own documents to its row,
+    so a query drops the terms that only other pairs of the analysis
+    have. ``retrieve`` scatter-adds a query's rows into one score vector
+    and breaks ties by insertion order.
     """
 
     def __init__(
@@ -211,25 +209,13 @@ class TfIdfIndex:
         self.normalize = normalize
         analysed = _AnalysedPairs.of(pairs, vocab, normalize)
         self.documents: list[IndexedDocument] = analysed.documents
-        # Analysis term ids -> rows, numbered by first occurrence in these
-        # documents; each document's rows and counts, flattened.
-        row_of: dict[int, int] = {}
-        df: list[int] = []
-        rows, counts, ends = array("i"), array("i"), array("l")
-        offsets, all_terms, all_counts = analysed.offsets, analysed.terms, analysed.counts
+        offsets, terms, counts = analysed.offsets, analysed.terms, analysed.counts
+        df = [0] * len(analysed.names)
         for i in analysed.selected:
-            a, b = offsets[i], offsets[i + 1]
-            for term in all_terms[a:b]:
-                row = row_of.get(term)
-                if row is None:
-                    row = row_of[term] = len(df)
-                    df.append(0)
-                df[row] += 1
-                rows.append(row)
-            counts.extend(all_counts[a:b])
-            ends.append(len(rows))
+            for term in terms[offsets[i] : offsets[i + 1]]:
+                df[term] += 1
         names = analysed.names
-        self._rows: dict[str, int] = {names[term]: row for term, row in row_of.items()}
+        self._rows: dict[str, int] = {names[term]: term for term, n in enumerate(df) if n}
 
         d = len(self.documents)
         self._idf = [math.log((1.0 + d) / (1.0 + n)) + 1.0 for n in df]
@@ -238,16 +224,15 @@ class TfIdfIndex:
         # fill in document order, so a row's documents come out ascending.
         self._indptr = [0, *itertools.accumulate(df)]
         free = self._indptr[:-1]
-        indices, data = array("l", [0]) * len(rows), array("d", [0.0]) * len(rows)
-        start = 0
-        for doc, end in enumerate(ends):
-            doc_rows = rows[start:end]
-            for row, weight in zip(doc_rows, self._weigh(doc_rows, counts[start:end])):
-                pos = free[row]
-                free[row] = pos + 1
+        indices, data = array("l", [0]) * self._indptr[-1], array("d", [0.0]) * self._indptr[-1]
+        for doc, i in enumerate(analysed.selected):
+            a, b = offsets[i], offsets[i + 1]
+            doc_terms = terms[a:b]
+            for term, weight in zip(doc_terms, self._weigh(doc_terms, counts[a:b])):
+                pos = free[term]
+                free[term] = pos + 1
                 indices[pos] = doc
                 data[pos] = weight
-            start = end
         self._indices, self._data = np.asarray(indices), np.asarray(data)
 
     def _tokenize(self, utterance: str) -> list[str]:

@@ -1,9 +1,9 @@
 """Argument-erased command templates: the unit the accuracy metric compares.
 
 A template reduces a command to an ordered sequence of (utility, flag set)
-pairs. Arguments, flag values, and redirect targets are erased; only how
-many were erased per utility is kept, as metadata that never participates
-in equality. Flag sets are order-free and stored without dashes.
+pairs. Arguments, flag values, and redirect targets are erased; how many
+a utility had is ``SimpleCommand.erased_count()`` on the parsed command.
+Flag sets are order-free and stored without dashes.
 
 Single-dash multi-character tokens split into one flag per character
 unless the vocabulary lists them as real long flags for that utility, so
@@ -32,14 +32,11 @@ class TemplateUnit:
 class TemplateCommand:
     """Sequence of (utility, flag set) units in pipeline/nesting order.
 
-    ``erased_args`` counts the erased argument-like tokens per unit; it is
-    excluded from equality and hashing so that two commands differing only
-    in their arguments are the same template. The hash is computed once,
-    on first use, and kept.
+    Two commands differing only in their arguments are the same template.
+    The hash is computed once, on first use, and kept.
     """
 
     units: tuple[TemplateUnit, ...]
-    erased_args: tuple[int, ...] = field(default=(), compare=False)
     # Set by the first ``__hash__`` call, so building a template costs nothing extra.
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -52,7 +49,7 @@ class TemplateCommand:
             return h
 
     def __reduce__(self):  # rebuilt from the fields: a cached hash holds only in its process
-        return TemplateCommand, (self.units, self.erased_args)
+        return TemplateCommand, (self.units,)
 
     def flag_count(self) -> int:
         return sum(len(u.flags) for u in self.units)
@@ -76,15 +73,13 @@ def normalize_template(ast: CommandAST, vocab: UtilityVocabulary | None = None) 
     if vocab is None:
         vocab = default_vocabulary()
     units: list[TemplateUnit] = []
-    erased: list[int] = []
     for cmd in ast.walk():
         flags: set[str] = set()
         for element in cmd.elements:
             if element.kind is ElementKind.FLAG:
                 flags.update(_flag_names(element.text, cmd.utility, vocab))
         units.append(TemplateUnit(utility=cmd.utility, flags=frozenset(flags)))
-        erased.append(cmd.erased_count())
-    return TemplateCommand(units=tuple(units), erased_args=tuple(erased))
+    return TemplateCommand(units=tuple(units))
 
 
 def flatten_utilities(ast: CommandAST) -> list[str]:

@@ -17,7 +17,9 @@ Two exceptions wire the package's own pieces the straightforward way:
 - the harness loop (``evaluate_ref``) uses the package's parser, template,
   metric and report types, and parses and templates every reference and
   every prediction each time it meets one, so that the memoized
-  ``evaluate`` can be compared with it.
+  ``evaluate`` can be compared with it. It checks the prediction contract
+  and clamps each confidence with two helpers of its own, the checks
+  ``evaluate`` made before it converted each confidence once.
 """
 
 import math
@@ -204,20 +206,35 @@ def with_calibration_ref(pairs, vocab, normalize=True, dedupe=True, seed=0, k=5)
     return TfIdfPredictor(pairs, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
 
 
+def _clamp(value, lo, hi):
+    return min(max(float(value), lo), hi)
+
+
+def _contract_violation(predictions):
+    """The first prediction lacking a str cmd or a finite real confidence, described."""
+    import numbers
+
+    from nlbash.harness import _describe
+
+    for i, p in enumerate(predictions):
+        cmd, confidence = getattr(p, "cmd", None), getattr(p, "confidence", None)
+        try:
+            finite = isinstance(confidence, numbers.Real) and math.isfinite(confidence)
+        except OverflowError:
+            finite = False
+        if not issubclass(type(cmd), str) or not finite:
+            return f"prediction {i} needs a str cmd and a finite confidence, got {_describe(p)}"
+    return None
+
+
 def evaluate_ref(predictor, dataset, k=5, vocab=None):
-    """The harness loop with no memo: every reference and prediction parsed where met."""
+    """The harness loop with no memo: every reference and prediction parsed where met,
+    each confidence checked and then converted by its own helper."""
     import time
 
     from nlbash.corpus import dataset_fingerprint
     from nlbash.errors import BashSyntaxError, UnknownUtilityError
-    from nlbash.harness import (
-        EvaluationReport,
-        ExampleResult,
-        LatencyStats,
-        _clamp,
-        _contract_violation,
-        _describe,
-    )
+    from nlbash.harness import EvaluationReport, ExampleResult, LatencyStats, _describe
     from nlbash.metric import (
         Aggregation,
         ExampleScore,

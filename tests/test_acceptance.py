@@ -81,7 +81,7 @@ def test_criterion_3_oracle_equivalence():
         ]
 
     def as_template(u):
-        return TemplateCommand(tuple(TemplateUnit(a, b) for a, b in u), tuple(0 for _ in u))
+        return TemplateCommand(tuple(TemplateUnit(a, b) for a, b in u))
 
     worst = 0.0
     for _ in range(1000):
@@ -113,7 +113,7 @@ def test_criterion_4_property_suite():
         ]
 
     def as_template(u):
-        return TemplateCommand(tuple(TemplateUnit(a, b) for a, b in u), tuple(0 for _ in u))
+        return TemplateCommand(tuple(TemplateUnit(a, b) for a, b in u))
 
     cases = 500
     ok = True

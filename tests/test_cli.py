@@ -33,6 +33,28 @@ def test_parse_json_output(capsys):
     assert sorted(payload["template"][0]["flags"]) == ["E", "X", "d", "name", "s", "x"]
 
 
+ERASED = {
+    "echo done >> log.txt": [("echo", 2)],  # 'done' and the redirect target
+    "sudo chown root process": [("sudo", 0), ("chown", 2)],
+    "find . -name x -exec rm -f {} \\;": [("find", 2), ("rm", 1)],
+    'ls "$(frobnicate)"': [("ls", 1)],  # a double-quoted substitution is argument text
+}
+
+
+@pytest.mark.parametrize("command", ERASED)
+def test_parse_prints_each_units_erased_count(command, capsys):
+    assert cli(["parse", command, "--json"]) == 0
+    template = json.loads(capsys.readouterr().out)["template"]
+    assert [(u["utility"], u["erased_args"]) for u in template] == ERASED[command]
+    assert cli(["parse", command]) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == len(ERASED[command])
+    for line, (utility, n) in zip(lines, ERASED[command]):
+        assert line.split()[0] == utility
+        suffix = {0: "", 1: "  (1 arg erased)"}.get(n, f"  ({n} args erased)")
+        assert line.endswith(suffix) and ("erased" in line) == (n > 0), line
+
+
 def test_parse_bad_command_is_data_error(capsys):
     assert cli(["parse", "grep 'unterminated"]) == 2
 
@@ -67,6 +89,8 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "nan"],
         ["stats", "--data", str(data_file), "--top", "-3"],
         ["stats", "--data", str(data_file), "--top", "x"],
+        ["eval", "--data", str(data_file), "--predictor-cmd", "'x"],
+        ["eval", "--data", str(data_file), "--predictor-cmd", " "],
     ):
         assert cli(argv) == 1, argv
         err = capsys.readouterr().err

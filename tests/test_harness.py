@@ -5,9 +5,9 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_impl import evaluate_ref
+from reference_impl import _contract_violation, evaluate_ref
 from strategies import byte_lines, shell_text
 
 from nlbash import harness
@@ -177,8 +177,24 @@ def test_load_prediction_file_raises_only_nlbash_errors(tmp_path_factory, data):
         pass
 
 
-# Confidences of every kind: NaN, infinities, ints past float range, and
-# values that are not numbers at all.
+class FloatRefusingFloat(float):
+    """A float whose own conversion raises."""
+
+    def __float__(self):
+        raise RuntimeError("hostile __float__ called")
+
+
+class ClaimsFloat:
+    """Not a number, though isinstance(obj, numbers.Real) believes its __class__."""
+
+    __class__ = property(lambda self: float)
+
+    def _repr_pretty_(self, printer, cycle):  # hypothesis's float printer would believe it too
+        printer.text("ClaimsFloat()")
+
+
+# Confidences of every kind: NaN, infinities, ints past float range,
+# values that are not numbers at all, and ones whose conversion raises.
 _CONFIDENCES = st.one_of(
     st.floats(),
     st.integers(),
@@ -187,6 +203,8 @@ _CONFIDENCES = st.one_of(
     st.booleans(),
     st.text(max_size=4),
     st.none(),
+    st.builds(FloatRefusingFloat, st.floats()),
+    st.builds(ClaimsFloat),
 )
 
 
@@ -205,6 +223,15 @@ class ClaimsStr:
     __class__ = property(lambda self: str)
 
 
+class RaisingAttributes:
+    """A prediction whose cmd and confidence raise when read."""
+
+    def _refuse(self):
+        raise RuntimeError("hostile attribute read")
+
+    cmd = confidence = property(_refuse)
+
+
 _CMDS = st.one_of(
     st.sampled_from(["ls -la", "ls", "ls -l | wc -l"]),
     shell_text,
@@ -217,6 +244,7 @@ _ITEMS = st.one_of(
     st.none(),
     st.integers(),
     st.builds(lambda: 10**5000),  # its repr exceeds the int str digit limit
+    st.builds(RaisingAttributes),
     shell_text,
 )
 # What one predict call does: return a list of items or a non-iterable,
@@ -232,6 +260,9 @@ _OUTPUTS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_OUTPUTS, min_size=1, max_size=3), st.integers(1, 5))
+@example([[Prediction("ls -la", FloatRefusingFloat(0.5))]], 5)
+@example([[Prediction("ls -la", ClaimsFloat())]], 5)
+@example([[RaisingAttributes()]], 5)
 def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
     class Arbitrary:
         def __init__(self):
@@ -252,7 +283,7 @@ def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
     assert -1.0 <= report.mean_score <= 1.0
     try:
         want = evaluate_ref(Arbitrary(), data, k=k, vocab=VOCAB)
-    except Exception:  # the unmemoized loop still crashes on a hostile str
+    except Exception:  # the unmemoized loop crashes on a hostile str, float or attribute
         return
     assert scores_of(report) == scores_of(want)
 
@@ -332,7 +363,7 @@ def test_evaluate_parses_and_templates_each_distinct_text_once(monkeypatch):
             predictions = predictor.predict(ex.invocation, 5)[:5]
         except RuntimeError:
             continue
-        if harness._contract_violation(predictions) is None:
+        if _contract_violation(predictions) is None:
             texts.update(p.cmd for p in predictions)
     parsing = set()
     for text in texts:
@@ -392,6 +423,23 @@ def test_an_object_that_claims_str_is_a_predictor_failure():
     report = evaluate(ConstantPredictor(ClaimsStr()), data, vocab=VOCAB)
     assert report.predictor_failure_count == 1
     assert report.per_example[0].score.per_prediction == (-1.0,)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [Prediction("ls -la", FloatRefusingFloat(0.5)), Prediction("ls -la", ClaimsFloat()), RaisingAttributes()],
+    ids=["float-refusing-float", "claims-float", "raising-attributes"],
+)
+def test_a_confidence_or_attribute_that_raises_is_a_predictor_failure(item):
+    class Returns:
+        def predict(self, nlc, k):
+            return [Prediction("ls -la", 1.0), item]
+
+    data = [Example("1", "list the files", ("ls -la",))]
+    report = evaluate(Returns(), data, vocab=VOCAB)
+    assert report.predictor_failure_count == 1
+    assert report.per_example[0].score.per_prediction == (-1.0,)
+    assert report.per_example[0].error.startswith("prediction 1 needs a str cmd")
 
 
 def test_empty_prediction_set_abstains_at_zero():

@@ -215,10 +215,7 @@ def random_units(rng, max_len=3):
 
 
 def as_template(units):
-    return TemplateCommand(
-        units=tuple(TemplateUnit(u, f) for u, f in units),
-        erased_args=tuple(0 for _ in units),
-    )
+    return TemplateCommand(units=tuple(TemplateUnit(u, f) for u, f in units))
 
 
 def test_oracle_equivalence_on_random_pairs():

@@ -11,6 +11,7 @@ import pytest
 
 from nlbash import retrieval
 from nlbash.corpus import filter_examples
+from nlbash.parser import parse
 from nlbash.retrieval import (
     TfIdfIndex,
     TfIdfPredictor,
@@ -20,6 +21,7 @@ from nlbash.retrieval import (
     retrieve,
 )
 from nlbash.synth import toy_corpus
+from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
 from reference_impl import calibration_data_ref, with_calibration_ref
 
@@ -55,6 +57,20 @@ def index_state(index):
     )
 
 
+def term_view(index):
+    """Each term's idf and postings (documents, weights), floats by float.hex,
+    and the documents: the index, whatever numbers its rows."""
+    terms = {}
+    for term, row in index._rows.items():
+        a, b = index._indptr[row], index._indptr[row + 1]
+        terms[term] = (
+            float.hex(index._idf[row]),
+            index._indices[a:b].tolist(),
+            [float.hex(x) for x in index._data[a:b].tolist()],
+        )
+    return terms, len(index._indices), [(d.invocation, d.command, d.template) for d in index.documents]
+
+
 def model_fields(model):
     return [
         [float.hex(x) for x in values]
@@ -80,7 +96,7 @@ def test_a_selection_of_the_analysis_indexes_like_a_fresh_build(corpus, normaliz
     train = [i for i in range(len(pairs)) if i % 5]
     shared = TfIdfIndex(_AnalysedPairs(pairs, VOCAB, normalize).take(train), VOCAB, normalize)
     fresh = TfIdfIndex([pairs[i] for i in train], VOCAB, normalize)
-    assert index_state(shared) == index_state(fresh)
+    assert term_view(shared) == term_view(fresh)
     held_out = {term for i in range(0, len(pairs), 5) for term in shared._tokenize(pairs[i][0])}
     assert len(shared._rows) == len(fresh._rows) and not held_out <= set(shared._rows)
     for nl, _ in pairs[::5]:  # held-out queries, terms the index lacks included
@@ -131,3 +147,11 @@ def test_the_analysis_interns_equal_templates_across_commands():
     view = analysed.take([3, 1])
     assert [doc.template for doc in view.documents] == [d, a]
     assert list(view) == [("disk", "df -h"), ("list them", "ls -al /b")]
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_each_document_template_reads_like_a_fresh_template_of_its_command(corpus):
+    pairs = CORPORA[corpus]()
+    predictor = TfIdfPredictor.with_calibration(pairs, VOCAB, seed=SEED)
+    for doc in predictor.index.documents:
+        assert repr(doc.template) == repr(normalize_template(parse(doc.command, VOCAB), VOCAB)), doc.command
