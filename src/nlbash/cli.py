@@ -56,7 +56,7 @@ def _load_filtered(path, vocab):
 
 def _cmd_parse(args, vocab):
     ast = parse(args.command, vocab)
-    template = normalize_template(ast, vocab)  # one unit per command of ast.walk(), in order
+    template = normalize_template(ast)  # one unit per command of ast.walk(), in order
     units = [(u, cmd.erased_count()) for u, cmd in zip(template.units, ast.walk())]
     if args.json:
         payload = {
@@ -188,14 +188,19 @@ def _cmd_eval(args, vocab):
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than ``lowest``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text!r}")
+        return value
+
+    return convert
 
 
 def _open_unit_fraction(text: str) -> float:
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     vocab_arg = argparse.ArgumentParser(add_help=False)
     vocab_arg.add_argument("--vocab")
     k_arg = argparse.ArgumentParser(add_help=False)
-    k_arg.add_argument("--k", type=_positive_int, default=DEFAULT_TOP_K)
+    k_arg.add_argument("--k", type=_int_at_least(1), default=DEFAULT_TOP_K)
 
     p = sub.add_parser(
         "parse", parents=[vocab_arg], help="print the pipeline and template of one command"
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[vocab_arg], help="utility frequency histogram of a dataset"
     )
     p.add_argument("--data", required=True)
-    p.add_argument("--top", type=_positive_int, default=15)
+    p.add_argument("--top", type=_int_at_least(1), default=15)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", type=_open_unit_fraction, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_command_line,
         help="external predictor command (line-delimited JSON)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)

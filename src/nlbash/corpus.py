@@ -88,27 +88,27 @@ class FilterReport:
     rejected: list[Rejection] = field(default_factory=list)
 
 
-def _example_from_record(record: dict, lineno: int, default_id: str) -> Example:
+def _example_from_record(record: dict, where: str, default_id: str) -> Example:
     if not isinstance(record, dict):
-        raise SchemaError(f"line {lineno}: expected a JSON object")
+        raise SchemaError(f"{where}: expected a JSON object")
     invocation = record.get("invocation")
     if not isinstance(invocation, str) or not invocation.strip():
-        raise SchemaError(f"line {lineno}: 'invocation' must be a non-empty string")
+        raise SchemaError(f"{where}: 'invocation' must be a non-empty string")
     cmd = record.get("cmd")
     if isinstance(cmd, str):
         references = [cmd]
     elif isinstance(cmd, list) and cmd and all(isinstance(c, str) for c in cmd):
         references = list(cmd)
     else:
-        raise SchemaError(f"line {lineno}: 'cmd' must be a string or non-empty list of strings")
+        raise SchemaError(f"{where}: 'cmd' must be a string or non-empty list of strings")
     if any(not c.strip() for c in references):
-        raise SchemaError(f"line {lineno}: empty command text in 'cmd'")
+        raise SchemaError(f"{where}: empty command text in 'cmd'")
     ex_id = record.get("id", default_id)
     if not isinstance(ex_id, str) or not ex_id:
-        raise SchemaError(f"line {lineno}: 'id' must be a non-empty string")
+        raise SchemaError(f"{where}: 'id' must be a non-empty string")
     source_raw = record.get("source")
     if source_raw is not None and not isinstance(source_raw, str):
-        raise SchemaError(f"line {lineno}: 'source' must be a string")
+        raise SchemaError(f"{where}: 'source' must be a string")
     return Example(
         id=ex_id,
         invocation=invocation,
@@ -135,15 +135,15 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def load_examples(path: str | Path) -> list[Example]:
-    """Load a JSON-lines dataset. Raises SchemaError with the line number."""
+    """Load a JSON-lines dataset. Raises SchemaError naming ``path`` and the line number."""
     examples: list[Example] = []
     for lineno, line in text_lines(path):
         try:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
             reason = getattr(exc, "msg", exc)
-            raise SchemaError(f"line {lineno}: invalid JSON ({reason})") from exc
-        examples.append(_example_from_record(record, lineno, default_id=f"ex-{lineno:06d}"))
+            raise SchemaError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
+        examples.append(_example_from_record(record, f"{path}:{lineno}", f"ex-{lineno:06d}"))
     return examples
 
 

@@ -40,6 +40,7 @@ from .errors import (
     EmptySampleError,
     NlbashError,
     PredictorProtocolError,
+    SchemaError,
     UnknownUtilityError,
 )
 from .metric import (
@@ -132,35 +133,54 @@ class EvaluationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":
-        obj = json.loads(text)
-        per_example = [
-            ExampleResult(
-                example_id=r["id"],
-                score=ExampleScore(
-                    value=r["score"],
-                    per_prediction=tuple(r["per_prediction"]),
-                    aggregation=Aggregation(r["aggregation"]),
-                ),
-                latency_s=r["latency_s"],
-                error=r.get("error"),
-            )
-            for r in obj["per_example"]
-        ]
+        """Read a report written by ``to_json``; SchemaError unless ``text`` holds
+        every key that writes, each of its type, and known aggregations."""
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
+            raise SchemaError(f"invalid JSON ({exc})") from exc
+        per_example = []
+        for r in _field(obj, "per_example", list):
+            example_id = _field(r, "id", str)
+            try:
+                aggregation = Aggregation(_field(r, "aggregation", str))
+            except ValueError as exc:
+                raise SchemaError(f"report example {example_id!r}: {exc}") from exc
+            values = _field(r, "per_prediction", list)
+            per_prediction = tuple(_typed(v, _NUMBER, "'per_prediction' item") for v in values)
+            score = ExampleScore(_field(r, "score", _NUMBER), per_prediction, aggregation)
+            latency_s = _field(r, "latency_s", _NUMBER)
+            error = _typed(r.get("error"), (str, type(None)), "'error'")
+            per_example.append(ExampleResult(example_id, score, latency_s, error))
+        latency = _field(obj, "latency", dict)
         return cls(
-            predictor=obj["predictor"],
-            k=obj["k"],
+            predictor=_field(obj, "predictor", str),
+            k=_field(obj, "k", int),
             per_example=per_example,
-            mean_score=obj["mean_score"],
-            latency=LatencyStats(
-                mean=obj["latency"]["mean"],
-                median=obj["latency"]["median"],
-                p95=obj["latency"]["p95"],
-            ),
-            dataset_fingerprint=obj["dataset_fingerprint"],
-            unparseable_prediction_count=obj["unparseable_prediction_count"],
-            predictor_failure_count=obj["predictor_failure_count"],
-            metadata=obj.get("metadata", {}),
+            mean_score=_field(obj, "mean_score", _NUMBER),
+            latency=LatencyStats(*(_field(latency, q, _NUMBER) for q in ("mean", "median", "p95"))),
+            dataset_fingerprint=_field(obj, "dataset_fingerprint", str),
+            unparseable_prediction_count=_field(obj, "unparseable_prediction_count", int),
+            predictor_failure_count=_field(obj, "predictor_failure_count", int),
+            metadata=_typed(obj.get("metadata", {}), dict, "'metadata'"),
         )
+
+
+_NUMBER = (int, float)
+
+
+def _typed(value, kind, what: str):
+    """``value`` itself; SchemaError unless it is a ``kind``. A bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(f"report {what}: unexpected {type(value).__name__}")
+    return value
+
+
+def _field(obj, key: str, kind):
+    """``obj[key]``; SchemaError unless ``obj`` is an object whose ``key`` holds a ``kind``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"report lacks {key!r}")
+    return _typed(obj[key], kind, repr(key))
 
 
 def _describe(value) -> str:
@@ -222,7 +242,7 @@ def evaluate(
     def template_of(cmd: str) -> TemplateCommand | None:
         if cmd not in memo:
             try:
-                memo[cmd] = normalize_template(parse(cmd, vocab), vocab)
+                memo[cmd] = normalize_template(parse(cmd, vocab))
             except (BashSyntaxError, UnknownUtilityError):
                 memo[cmd] = None
         return memo[cmd]
@@ -231,12 +251,8 @@ def evaluate(
     unparseable = 0
     failures = 0
     for ex in dataset:
-        ref_templates = []
-        for r in ex.references:
-            template = template_of(r)
-            if template is None:  # parse again, to raise its own error
-                template = normalize_template(parse(r, vocab), vocab)
-            ref_templates.append(template)
+        # A reference that does not parse is parsed again, to raise its own error.
+        refs = [template_of(r) or normalize_template(parse(r, vocab)) for r in ex.references]
         error = None
         start = time.perf_counter()
         try:
@@ -267,7 +283,7 @@ def evaluate(
                 per_prediction.append(-delta)
                 continue
             scored = ScoredPrediction(template=template, delta=delta)
-            per_prediction.append(prediction_score(scored, ref_templates))
+            per_prediction.append(prediction_score(scored, refs))
         results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
 
     return EvaluationReport(

@@ -50,7 +50,7 @@ class ScoredPrediction:
     def from_command(
         cls, cmd: str, delta: float = 1.0, vocab: UtilityVocabulary | None = None
     ) -> "ScoredPrediction":
-        return cls(template=normalize_template(parse(cmd, vocab), vocab), delta=delta)
+        return cls(template=normalize_template(parse(cmd, vocab)), delta=delta)
 
 
 class Aggregation(Enum):

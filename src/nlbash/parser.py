@@ -11,7 +11,13 @@ BashSyntaxError, which is exactly how corpus filtering rejects it.
 
 Every unquoted substitution is a nested command, also one inside a word
 (``x=$(cmd)``); only one inside double quotes (``"$(cmd)"``) stays opaque
-argument text, its utility neither checked nor templated.
+argument text, its utility neither checked nor templated. A substitution is
+its own scope: a ';' or '+' inside it never ends an enclosing ``-exec``.
+
+Each simple command records its flag names in ``SimpleCommand.flags``, read
+with the vocabulary at parse time: ``--name=value`` gives ``name``, a
+single-dash word listed for the utility stays whole (``find -name``), and
+any other splits per character (``ls -la`` gives l and a).
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -80,13 +86,15 @@ class Element:
 class SimpleCommand:
     """One pipeline stage: a utility plus its flags/arguments.
 
-    ``nested`` holds commands this stage runs itself — the target of a
-    wrapper like sudo/xargs, an ``-exec`` payload, or the stages of a
-    ``$( )`` / backtick substitution outside double quotes — in source order.
+    ``flags`` holds its flag names, without dashes. ``nested`` holds the
+    commands this stage runs itself — the target of a wrapper like
+    sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
+    backtick substitution outside double quotes — in source order.
     """
 
     utility: str
     elements: tuple[Element, ...]
+    flags: frozenset[str]
     nested: tuple["SimpleCommand", ...] = ()
 
     def erased_count(self) -> int:
@@ -221,9 +229,7 @@ def tokenize(text: str) -> list[Token]:
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
         else:
-            j = _scan_word(text, i)
-            if j == i:
-                raise BashSyntaxError(f"cannot tokenize at offset {i}: {text[i]!r}")
+            j = _scan_word(text, i)  # every character it stops at has a branch above
             tokens.append(Token(TokenKind.WORD, text[i:j], i, j))
             i = j
     if stack:
@@ -257,6 +263,7 @@ class _Cursor:
 
 
 def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
+    """One simple command; ``in_exec`` (an -exec payload) lets ';' or '+' end it."""
     cur.depth += 1
     if cur.depth > MAX_NESTING_DEPTH:
         raise BashSyntaxError(
@@ -276,7 +283,9 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     if glued is not None and glued.kind is TokenKind.SUBST_OPEN and glued.start == tok.end:
         raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
 
+    unsplittable = vocab.unsplittable_flags(utility)
     elements: list[Element] = []
+    flags: set[str] = set()
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
 
@@ -285,17 +294,14 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         # tokenize pairs every SUBST_CLOSE with an open substitution
         if tok is None or tok.kind is TokenKind.PIPE or tok.kind is TokenKind.SUBST_CLOSE:
             break
+        if in_exec and (tok.kind is TokenKind.SEMI or tok.text == "+"):
+            break  # the end of the surrounding -exec clause, left to the caller
         if tok.kind is TokenKind.SEMI:
-            if in_exec:
-                break
             raise BashSyntaxError("';' command sequences are not supported")
         if tok.kind is TokenKind.SUBST_OPEN:
             cur.take()
-            nested.extend(_parse_pipeline(cur, vocab, in_exec))
-            closing = cur.peek()
-            if closing is None or closing.kind is not TokenKind.SUBST_CLOSE:
-                raise BashSyntaxError("unterminated command substitution")
-            cur.take()
+            nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
+            cur.take()  # only at the close that tokenize paired with this open
             continue
         if tok.kind is TokenKind.REDIRECT:
             cur.take()
@@ -311,21 +317,21 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         # WORD
         if _is_flag_word(tok.text):
             cur.take()
-            if tok.text.startswith("--") and "=" in tok.text:
-                head, value = tok.text.split("=", 1)
-                elements.append(Element(ElementKind.FLAG, head))
+            head, eq, value = tok.text.partition("=") if tok.text[1] == "-" else (tok.text, "", "")
+            elements.append(Element(ElementKind.FLAG, head))
+            if eq:
                 elements.append(Element(ElementKind.ARG, value))
-            else:
-                elements.append(Element(ElementKind.FLAG, tok.text))
-            name = tok.text[1:]
-            if name in EXEC_FLAGS and name in vocab.unsplittable_flags(utility):
-                payload = _parse_exec_payload(cur, vocab)
-                if payload is not None:
+            name = head[1:]
+            if name[0] == "-":  # --name; its value is erased, and a bare '--=v' names no flag
+                if len(name) > 1:
+                    flags.add(name[1:])
+            elif name in unsplittable:
+                flags.add(name)
+                if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab)):
                     nested.append(payload)
+            else:  # a bundle, -la: one flag per character
+                flags.update(name)
             continue
-        if in_exec and tok.text == "+":
-            # '+' terminates the surrounding -exec clause; leave it to the caller.
-            break
         if may_wrap and vocab.lookup(tok.text) is not None:
             nested.append(_parse_simple(cur, vocab, in_exec))
             break
@@ -333,7 +339,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         elements.append(Element(ElementKind.ARG, tok.text))
 
     cur.depth -= 1
-    return SimpleCommand(utility=utility, elements=tuple(elements), nested=tuple(nested))
+    return SimpleCommand(utility, tuple(elements), frozenset(flags), tuple(nested))
 
 
 def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
@@ -341,24 +347,18 @@ def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand
     if tok is None or tok.kind is not TokenKind.WORD or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
     payload = _parse_simple(cur, vocab, in_exec=True)
-    terminator = cur.peek()
-    if terminator is not None:
-        if terminator.kind is TokenKind.SEMI:
-            cur.take()
-        elif terminator.kind is TokenKind.WORD and terminator.text == "+":
-            cur.take()
+    end = cur.peek()  # the payload stopped at the end, '|', a close, ';' or '+'
+    if end is not None and (end.kind is TokenKind.SEMI or end.text == "+"):
+        cur.take()
     return payload
 
 
-def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> list[SimpleCommand]:
-    stages = [_parse_simple(cur, vocab, in_exec)]
-    while True:
-        tok = cur.peek()
-        if tok is not None and tok.kind is TokenKind.PIPE:
-            cur.take()
-            stages.append(_parse_simple(cur, vocab, in_exec))
-        else:
-            return stages
+def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary) -> list[SimpleCommand]:
+    stages = [_parse_simple(cur, vocab, in_exec=False)]
+    while (tok := cur.peek()) is not None and tok.kind is TokenKind.PIPE:
+        cur.take()
+        stages.append(_parse_simple(cur, vocab, in_exec=False))
+    return stages
 
 
 def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandAST:
@@ -374,7 +374,7 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
         vocab = default_vocabulary()
     tokens = tokenize(command_text)
     cur = _Cursor(tokens)
-    stages = _parse_pipeline(cur, vocab, in_exec=False)
+    stages = _parse_pipeline(cur, vocab)
     leftover = cur.peek()
     if leftover is not None:
         raise BashSyntaxError(f"unexpected {leftover.text!r} at offset {leftover.start}")

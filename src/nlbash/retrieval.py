@@ -150,7 +150,7 @@ class _AnalysedPairs(Sequence):
             self.offsets.append(len(self.terms))
             template = by_command.get(cmd)
             if template is None:
-                template = normalize_template(parse(cmd, vocab), vocab)
+                template = normalize_template(parse(cmd, vocab))
                 template = by_command[cmd] = interned.setdefault(template, template)
             self.documents.append(IndexedDocument(nl, cmd, template))
         self.names = list(ids)

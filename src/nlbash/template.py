@@ -1,21 +1,18 @@
 """Argument-erased command templates: the unit the accuracy metric compares.
 
 A template reduces a command to an ordered sequence of (utility, flag set)
-pairs. Arguments, flag values, and redirect targets are erased; how many
-a utility had is ``SimpleCommand.erased_count()`` on the parsed command.
-Flag sets are order-free and stored without dashes.
-
-Single-dash multi-character tokens split into one flag per character
-unless the vocabulary lists them as real long flags for that utility, so
-``ls -la`` yields flags {l, a} while ``find -name`` keeps ``name`` whole.
+pairs: one per command of ``CommandAST.walk()``, with the flag names the
+parser recorded in ``SimpleCommand.flags``. Arguments, flag values, and
+redirect targets are erased; how many a utility had is
+``SimpleCommand.erased_count()`` on the parsed command. The AST is all a
+template needs: the vocabulary was read when the command was parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .parser import CommandAST, ElementKind
-from .vocab import UtilityVocabulary, default_vocabulary
+from .parser import CommandAST
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,28 +55,9 @@ class TemplateCommand:
         return " | ".join(str(u) for u in self.units)
 
 
-def _flag_names(text: str, utility: str, vocab: UtilityVocabulary) -> list[str]:
-    if text.startswith("--"):
-        name = text[2:]
-        return [name] if name else []
-    body = text[1:]
-    if len(body) == 1 or body in vocab.unsplittable_flags(utility):
-        return [body]
-    return list(body)
-
-
-def normalize_template(ast: CommandAST, vocab: UtilityVocabulary | None = None) -> TemplateCommand:
+def normalize_template(ast: CommandAST) -> TemplateCommand:
     """Normalize a parsed command into its scoring template."""
-    if vocab is None:
-        vocab = default_vocabulary()
-    units: list[TemplateUnit] = []
-    for cmd in ast.walk():
-        flags: set[str] = set()
-        for element in cmd.elements:
-            if element.kind is ElementKind.FLAG:
-                flags.update(_flag_names(element.text, cmd.utility, vocab))
-        units.append(TemplateUnit(utility=cmd.utility, flags=frozenset(flags)))
-    return TemplateCommand(units=tuple(units))
+    return TemplateCommand(tuple(TemplateUnit(cmd.utility, cmd.flags) for cmd in ast.walk()))
 
 
 def flatten_utilities(ast: CommandAST) -> list[str]:

@@ -1,9 +1,9 @@
 """Utility vocabulary: the whitelist of utilities and their unsplittable flags.
 
-The vocabulary drives two decisions elsewhere in the toolkit: whether a
-command's utilities are acceptable at all, and which single-dash
-multi-character tokens (``find -name``, ``find -type``, ...) are real long
-flags rather than bundles of one-letter options.
+The vocabulary drives two decisions, both made by the parser, its only
+reader: whether a command's utilities are acceptable at all, and which
+single-dash multi-character tokens (``find -name``, ``find -type``, ...)
+are real long flags rather than bundles of one-letter options.
 
 File format (UTF-8, one record per line)::
 

@@ -8,8 +8,12 @@ aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
 one full sort) and of constant-aware tokenization (one regex per class,
 tried in turn). Used by the oracle-equivalence tests.
 
-Two exceptions wire the package's own pieces the straightforward way:
+Three exceptions wire the package's own pieces the straightforward way:
 
+- the template (``normalize_template_ref``) walks the package's parsed
+  command and splits each flag element's text with the vocabulary, the
+  way templates were built before the parser recorded flag names, so that
+  ``SimpleCommand.flags`` can be compared with it;
 - the calibrated set-up (``calibration_data_ref``, ``with_calibration_ref``)
   uses the package's index, parser and scorer, with a fresh index over the
   train side and every held-out reference parsed again, so that the shared
@@ -174,6 +178,33 @@ def normalize_nl_ref(utterance):
     return tokens, constants
 
 
+def _flag_names_ref(text, utility, vocab):
+    if text.startswith("--"):
+        name = text[2:]
+        return [name] if name else []
+    body = text[1:]
+    if len(body) == 1 or body in vocab.unsplittable_flags(utility):
+        return [body]
+    return list(body)
+
+
+def normalize_template_ref(ast, vocab):
+    """(template text, erased count per unit): each command of ``ast.walk()``
+    gives utility[sorted flags], its flags split from its FLAG elements and
+    its erased count the number of its other elements."""
+    from nlbash.parser import ElementKind
+
+    units, erased = [], []
+    for cmd in ast.walk():
+        flags = set()
+        for element in cmd.elements:
+            if element.kind is ElementKind.FLAG:
+                flags.update(_flag_names_ref(element.text, cmd.utility, vocab))
+        units.append(cmd.utility + "[" + ",".join(sorted(flags)) + "]")
+        erased.append(sum(1 for e in cmd.elements if e.kind is not ElementKind.FLAG))
+    return " | ".join(units), erased
+
+
 def calibration_data_ref(pairs, vocab, holdout_fraction=0.2, seed=0, k=5, normalize=False, dedupe=True):
     """Calibration rows the two-index way: the same split, a fresh index
     over the train side's plain pairs, each held-out reference parsed."""
@@ -189,7 +220,7 @@ def calibration_data_ref(pairs, vocab, holdout_fraction=0.2, seed=0, k=5, normal
     index = TfIdfIndex(train, vocab=vocab, normalize=normalize)
     features, labels = [], []
     for nl, cmd in holdout:
-        ref = normalize_template(parse(cmd, vocab), vocab)
+        ref = normalize_template(parse(cmd, vocab))
         for hit in _top_hits(index, nl, k, dedupe):
             score = prediction_score(ScoredPrediction(template=hit.template, delta=1.0), [ref])
             features.append(hit_features(hit))
@@ -250,7 +281,7 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
     unparseable = 0
     failures = 0
     for ex in dataset:
-        ref_templates = [normalize_template(parse(r, vocab), vocab) for r in ex.references]
+        ref_templates = [normalize_template(parse(r, vocab)) for r in ex.references]
         error = None
         start = time.perf_counter()
         try:
@@ -273,7 +304,7 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
         for p in raw_predictions:
             delta = _clamp(p.confidence, 0.0, 1.0)
             try:
-                template = normalize_template(parse(p.cmd, vocab), vocab)
+                template = normalize_template(parse(p.cmd, vocab))
             except (BashSyntaxError, UnknownUtilityError):
                 unparseable += 1
                 per_prediction.append(-delta)

@@ -34,3 +34,13 @@ _LINES = st.one_of(
 byte_lines = st.lists(
     st.tuples(_LINES, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=6
 ).map(lambda parts: b"".join(line + end for line, end in parts))
+
+# Any JSON value, small: for readers of JSON documents that must refuse
+# every shape but their own with an NlbashError.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)

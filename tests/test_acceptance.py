@@ -34,7 +34,7 @@ def _report(number, ok, description):
 
 
 def template_of(cmd):
-    return normalize_template(parse(cmd, VOCAB), VOCAB)
+    return normalize_template(parse(cmd, VOCAB))
 
 
 def scored(cmd, delta=1.0):

@@ -91,10 +91,15 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         ["stats", "--data", str(data_file), "--top", "x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", "'x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", " "],
+        ["calibrate", "--data", str(data_file), "--out", model, "--seed", "-1"],
+        ["eval", "--data", str(data_file), "--baseline", "tfidf", "--variant", "full",
+         "--train", str(data_file), "--seed", "-1"],
     ):
         assert cli(argv) == 1, argv
         err = capsys.readouterr().err
         assert "error: argument --" in err and "Traceback" not in err, argv
+    # a split seed only orders the shuffle, so a negative one is fine
+    assert cli(["split", "--data", str(data_file), "--seed", "-1", "--out-prefix", prefix]) == 0
 
 
 @pytest.mark.skipif(
@@ -118,6 +123,17 @@ def test_json_int_past_the_digit_limit_is_a_data_error(route, data_file, tmp_pat
     capsys.readouterr()
     assert cli(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dataset_errors_name_their_file(data_file, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"invocation": "x", "cmd": "ls"}\nnot json\n', encoding="utf-8")
+    capsys.readouterr()
+    assert cli(["eval", "--data", str(data_file), "--baseline", "tfidf", "--train", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: invalid JSON")
+    bad.write_text('{"invocation": "x", "cmd": 5}\n', encoding="utf-8")
+    assert cli(["eval", "--data", str(bad), "--baseline", "tfidf", "--train", str(data_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:1: 'cmd' must be")
 
 
 _UNDECODABLE = {

@@ -53,7 +53,7 @@ def test_load_examples_scalar_cmd_normalized(tmp_path):
 def test_load_examples_malformed_line_reports_position(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"invocation": "ok", "cmd": "ls"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(SchemaError, match="line 2"):
+    with pytest.raises(SchemaError, match=r"d\.jsonl:2: invalid JSON"):
         load_examples(path)
 
 
@@ -94,7 +94,7 @@ def test_load_examples_raises_only_nlbash_errors(tmp_path_factory, data):
 def test_load_examples_schema_violations(tmp_path, record):
     path = tmp_path / "d.jsonl"
     write_jsonl(path, [record])
-    with pytest.raises(SchemaError, match="line 1"):
+    with pytest.raises(SchemaError, match=r"d\.jsonl:1: "):
         load_examples(path)
 
 

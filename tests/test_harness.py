@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_impl import _contract_violation, evaluate_ref
-from strategies import byte_lines, shell_text
+from strategies import byte_lines, json_values, shell_text
 
 from nlbash import harness
 from nlbash.corpus import Example, Source, filter_examples
@@ -17,6 +17,7 @@ from nlbash.errors import (
     EmptyDatasetError,
     EmptySampleError,
     NlbashError,
+    SchemaError,
     UnknownUtilityError,
 )
 from nlbash.harness import (
@@ -522,6 +523,80 @@ def test_report_json_round_trip():
     assert loaded.dataset_fingerprint == report.dataset_fingerprint
     assert loaded.per_example == report.per_example
     assert loaded.latency == report.latency
+
+
+def _report_record(**changes):
+    data = dataset(3)
+    record = json.loads(emit_report(evaluate(OraclePredictor(data), data, vocab=VOCAB)))
+    record.update(changes)
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("not json", id="not-json"),
+        pytest.param("[" * 100_000, id="deep-json"),
+        pytest.param("[]", id="array"),
+        pytest.param(json.dumps({"k": 5}), id="missing-keys"),
+        pytest.param(_report_record(k="5"), id="string-k"),
+        pytest.param(_report_record(k=True), id="bool-k"),
+        pytest.param(_report_record(mean_score=None), id="null-mean"),
+        pytest.param(_report_record(latency=[0.1, 0.1, 0.1]), id="list-latency"),
+        pytest.param(_report_record(latency={"mean": 0.1}), id="short-latency"),
+        pytest.param(_report_record(metadata=[]), id="list-metadata"),
+        pytest.param(_report_record(per_example=[3]), id="scalar-example"),
+        pytest.param(_report_record(per_example=[{"id": "a"}]), id="short-example"),
+        pytest.param(_report_record(per_example=[{"id": "a", "aggregation": "best", "score": 1.0,
+                                                  "per_prediction": [1.0], "latency_s": 0.1}]),
+                     id="unknown-aggregation"),
+        pytest.param(_report_record(per_example=[{"id": "a", "aggregation": "average", "score": 1.0,
+                                                  "per_prediction": ["1"], "latency_s": 0.1}]),
+                     id="string-per-prediction"),
+        pytest.param(_report_record(per_example=[{"id": "a", "aggregation": "average", "score": 1.0,
+                                                  "per_prediction": [], "latency_s": 0.1,
+                                                  "error": 7}]),
+                     id="int-error"),
+    ],
+)
+def test_report_from_json_rejects_a_malformed_report(text):
+    with pytest.raises(SchemaError):
+        EvaluationReport.from_json(text)
+
+
+_NEAR_EXAMPLE = st.fixed_dictionaries(
+    {
+        "id": st.just("a") | json_values,
+        "score": st.floats() | json_values,
+        "aggregation": st.sampled_from(["average", "max_positive", "best"]) | json_values,
+        "per_prediction": st.lists(st.floats() | json_values, max_size=3) | json_values,
+        "latency_s": st.floats() | json_values,
+    },
+    optional={"error": st.text(max_size=4) | json_values},
+)
+_NEAR_REPORT = st.fixed_dictionaries(
+    {
+        "predictor": st.just("p") | json_values,
+        "k": st.integers() | json_values,
+        "mean_score": st.floats() | json_values,
+        "latency": st.fixed_dictionaries({q: st.floats() | json_values for q in ("mean", "median", "p95")})
+        | json_values,
+        "dataset_fingerprint": st.just("f") | json_values,
+        "unparseable_prediction_count": st.integers() | json_values,
+        "predictor_failure_count": st.integers() | json_values,
+        "per_example": st.lists(_NEAR_EXAMPLE, max_size=3) | json_values,
+    },
+    optional={"metadata": st.dictionaries(st.text(max_size=4), json_values, max_size=2) | json_values},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=30) | (json_values | _NEAR_REPORT).map(json.dumps))
+def test_report_from_json_raises_only_schema_errors(text):
+    try:
+        EvaluationReport.from_json(text)
+    except SchemaError:
+        pass
 
 
 def test_report_table_contains_leaderboard_columns():

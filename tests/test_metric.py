@@ -30,7 +30,7 @@ VOCAB = default_vocabulary()
 
 
 def template_of(cmd):
-    return normalize_template(parse(cmd, VOCAB), VOCAB)
+    return normalize_template(parse(cmd, VOCAB))
 
 
 def scored(cmd, delta=1.0):

@@ -195,6 +195,18 @@ def test_exec_unknown_target_rejected():
         parse("find . -exec frobnicate {} \\;", VOCAB)
 
 
+def test_substitution_is_its_own_scope_inside_an_exec_payload():
+    ast = parse("find . -exec echo $(ls +) \\;", VOCAB)
+    assert [(c.utility, c.flags) for c in ast.walk()] == [
+        ("find", frozenset({"exec"})), ("echo", frozenset()), ("ls", frozenset())
+    ]
+    assert [c.erased_count() for c in ast.walk()] == [1, 0, 1]  # '.' and the '+' inside
+    backticks = parse("find . -exec echo `ls +` +", VOCAB)
+    assert [c.utility for c in backticks.walk()] == ["find", "echo", "ls"]
+    with pytest.raises(BashSyntaxError, match="';' command sequences are not supported"):
+        parse("find . -exec echo $(ls ;) \\;", VOCAB)
+
+
 def test_substitution_with_pipeline_inside():
     ast = parse("echo $(ls /tmp | wc -l)", VOCAB)
     names = [c.utility for c in ast.walk()]

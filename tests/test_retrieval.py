@@ -31,12 +31,13 @@ from nlbash.synth import toy_corpus
 from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
 from reference_impl import index_ref, normalize_nl_ref, retrieve_ref
+from strategies import json_values
 
 VOCAB = default_vocabulary()
 
 
 def template_of(cmd):
-    return normalize_template(parse(cmd, VOCAB), VOCAB)
+    return normalize_template(parse(cmd, VOCAB))
 
 
 def idf(index, term):
@@ -297,25 +298,18 @@ def test_index_load_rejects_a_file_that_is_not_a_saved_index(tmp_path, text):
         TfIdfIndex.load(path, VOCAB)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
-    lambda inner: (
-        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
-    ),
-    max_leaves=12,
-)
 _NEAR_INDEX = st.fixed_dictionaries(
     {
-        "version": st.just(1) | _JSON,
-        "normalize": st.booleans() | _JSON,
-        "pairs": st.lists(st.lists(st.sampled_from(["ls -l", "list files", "frobnicate"]) | _JSON,
-                                   max_size=3), max_size=3) | _JSON,
+        "version": st.just(1) | json_values,
+        "normalize": st.booleans() | json_values,
+        "pairs": st.lists(st.lists(st.sampled_from(["ls -l", "list files", "frobnicate"]) | json_values,
+                                   max_size=3), max_size=3) | json_values,
     }
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(payload=_JSON | _NEAR_INDEX)
+@given(payload=json_values | _NEAR_INDEX)
 def test_index_load_raises_only_nlbash_errors(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("index") / "index.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -519,14 +513,14 @@ def test_calibration_load_reads_ints_as_floats():
 
 
 _NEAR_MODEL = st.fixed_dictionaries(
-    {key: st.lists(st.floats() | st.integers() | _JSON, max_size=3) | _JSON
+    {key: st.lists(st.floats() | st.integers() | json_values, max_size=3) | json_values
      for key in ("weights", "feature_means", "feature_stds")}
-    | {"bias": st.floats() | st.integers() | _JSON}
+    | {"bias": st.floats() | st.integers() | json_values}
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(payload=_JSON | _NEAR_MODEL)
+@given(payload=json_values | _NEAR_MODEL)
 def test_calibration_load_raises_only_nlbash_errors(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

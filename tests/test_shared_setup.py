@@ -154,4 +154,4 @@ def test_each_document_template_reads_like_a_fresh_template_of_its_command(corpu
     pairs = CORPORA[corpus]()
     predictor = TfIdfPredictor.with_calibration(pairs, VOCAB, seed=SEED)
     for doc in predictor.index.documents:
-        assert repr(doc.template) == repr(normalize_template(parse(doc.command, VOCAB), VOCAB)), doc.command
+        assert repr(doc.template) == repr(normalize_template(parse(doc.command, VOCAB))), doc.command

@@ -3,16 +3,21 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from reference_impl import normalize_template_ref
+from strategies import shell_text
 
+from nlbash.errors import NlbashError
 from nlbash.parser import parse
+from nlbash.synth import command_corpus, toy_corpus
 from nlbash.template import TemplateCommand, TemplateUnit, flatten_utilities, normalize_template
-from nlbash.vocab import default_vocabulary
+from nlbash.vocab import default_vocabulary, parse_vocabulary
 
 VOCAB = default_vocabulary()
 
 
 def template_of(cmd):
-    return normalize_template(parse(cmd, VOCAB), VOCAB)
+    return normalize_template(parse(cmd, VOCAB))
 
 
 def erased_counts(cmd):
@@ -44,6 +49,11 @@ def test_known_long_flags_not_split():
 def test_double_dash_flag_with_value():
     t = template_of("find . --max-depth=2 -name x")
     assert "max-depth" in t.units[0].flags
+
+
+def test_bare_double_dash_with_value_names_no_flag():
+    assert template_of("ls --=v").units == (TemplateUnit("ls", frozenset()),)
+    assert erased_counts("ls --=v") == (1,)
 
 
 def test_double_dash_flag_plain():
@@ -150,3 +160,39 @@ def test_flatten_substitution_contributes_after_host():
 
 def test_redirect_target_counts_as_erased_argument():
     assert erased_counts("echo done >> log.txt") == (2,)  # 'done' and 'log.txt'
+
+
+def test_custom_vocabulary_is_read_at_parse_time_only():
+    vocab = parse_vocabulary("frob\t-xyz,exec\nls\n")
+    assert str(normalize_template(parse("frob -xyz -ab --long=1", vocab))) == "frob[a,b,long,xyz]"
+    # -exec listed for frob opens a payload, as it does for find
+    assert str(normalize_template(parse("frob -exec ls -la {} +", vocab))) == "frob[exec] | ls[a,l]"
+    # not listed for frob in this vocabulary, so it splits
+    assert str(normalize_template(parse("frob -name x", vocab))) == "frob[a,e,m,n]"
+
+
+def _assert_matches_ref(text):
+    try:
+        ast = parse(text, VOCAB)
+    except NlbashError:
+        return False
+    expected, erased = normalize_template_ref(ast, VOCAB)
+    assert str(normalize_template(ast)) == expected, text
+    assert [c.erased_count() for c in ast.walk()] == erased, text
+    return True
+
+
+def test_template_matches_reference_over_generated_commands():
+    for cmd in command_corpus(5000):
+        assert _assert_matches_ref(cmd)
+
+
+def test_template_matches_reference_over_toy_corpus_references():
+    checked = sum(_assert_matches_ref(r) for ex in toy_corpus(2000, seed=5) for r in ex.references)
+    assert checked > 1000
+
+
+@settings(max_examples=400, deadline=None)
+@given(shell_text)
+def test_template_matches_reference_on_any_parsed_text(text):
+    _assert_matches_ref(text)
