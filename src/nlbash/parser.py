@@ -21,7 +21,10 @@ any other splits per character (``ls -la`` gives l and a).
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
-expansion is performed; quoted strings stay single tokens.
+expansion is performed; quoted strings stay single tokens. Tokens and
+elements are immutable named tuples: they also unpack, index and compare
+equal to a plain tuple of the same values, and ``dataclasses.replace``
+does not apply to them.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BashSyntaxError, UnknownUtilityError
 from .vocab import UtilityVocabulary, default_vocabulary
@@ -63,8 +67,7 @@ class TokenKind(Enum):
     SUBST_CLOSE = "subst_close"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     start: int
@@ -76,10 +79,15 @@ class ElementKind(Enum):
     ARG = "arg"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     kind: ElementKind
     text: str
+
+
+# Aliases of the kinds, read on every token and element the parser builds.
+_WORD, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
+_SUBST_OPEN, _SUBST_CLOSE = TokenKind.SUBST_OPEN, TokenKind.SUBST_CLOSE
+_FLAG, _ARG = ElementKind.FLAG, ElementKind.ARG
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ class SimpleCommand:
     nested: tuple["SimpleCommand", ...] = ()
 
     def erased_count(self) -> int:
-        return sum(1 for e in self.elements if e.kind is not ElementKind.FLAG)
+        return sum(1 for e in self.elements if e.kind is not _FLAG)
 
 
 @dataclass(frozen=True)
@@ -181,13 +189,13 @@ def tokenize(text: str) -> list[Token]:
         if c == "|":
             if text[i + 1 : i + 2] == "|":
                 raise BashSyntaxError("'||' lists are not supported")
-            tokens.append(Token(TokenKind.PIPE, "|", i, i + 1))
+            tokens.append(Token(_PIPE, "|", i, i + 1))
             i += 1
         elif c == ";":
-            tokens.append(Token(TokenKind.SEMI, ";", i, i + 1))
+            tokens.append(Token(_SEMI, ";", i, i + 1))
             i += 1
         elif c == "\\" and text[i + 1 : i + 2] == ";":
-            tokens.append(Token(TokenKind.SEMI, "\\;", i, i + 2))
+            tokens.append(Token(_SEMI, "\\;", i, i + 2))
             i += 2
         elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
             op, j = m.group(), m.end()
@@ -208,20 +216,20 @@ def tokenize(text: str) -> list[Token]:
         elif c == "$" and text[i + 1 : i + 2] == "(":
             if text[i + 2 : i + 3] == "(":
                 raise BashSyntaxError("arithmetic expansion is not supported")
-            tokens.append(Token(TokenKind.SUBST_OPEN, "$(", i, i + 2))
+            tokens.append(Token(_SUBST_OPEN, "$(", i, i + 2))
             stack.append("(")
             i += 2
         elif c == "`":
             if stack and stack[-1] == "`":
-                tokens.append(Token(TokenKind.SUBST_CLOSE, "`", i, i + 1))
+                tokens.append(Token(_SUBST_CLOSE, "`", i, i + 1))
                 stack.pop()
             else:
-                tokens.append(Token(TokenKind.SUBST_OPEN, "`", i, i + 1))
+                tokens.append(Token(_SUBST_OPEN, "`", i, i + 1))
                 stack.append("`")
             i += 1
         elif c == ")":
             if stack and stack[-1] == "(":
-                tokens.append(Token(TokenKind.SUBST_CLOSE, ")", i, i + 1))
+                tokens.append(Token(_SUBST_CLOSE, ")", i, i + 1))
                 stack.pop()
                 i += 1
             else:
@@ -230,7 +238,7 @@ def tokenize(text: str) -> list[Token]:
             raise BashSyntaxError("subshells are not supported")
         else:
             j = _scan_word(text, i)  # every character it stops at has a branch above
-            tokens.append(Token(TokenKind.WORD, text[i:j], i, j))
+            tokens.append(Token(_WORD, text[i:j], i, j))
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
@@ -246,20 +254,10 @@ def _is_flag_word(text: str) -> bool:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+    def __init__(self, tokens: list[Token | None]):
+        self.tokens = tokens  # ended by a None sentinel, read at tokens[pos]
+        self.pos = 0
         self.depth = 0  # simple commands open on the current nesting path
-
-    def peek(self) -> Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def take(self) -> Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
 
 
 def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
@@ -269,18 +267,19 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         raise BashSyntaxError(
             f"commands nested deeper than {MAX_NESTING_DEPTH} levels are not supported"
         )
-    tok = cur.peek()
-    if tok is None or tok.kind is not TokenKind.WORD:
+    tokens = cur.tokens
+    tok = tokens[cur.pos]
+    if tok is None or tok.kind is not _WORD:
         raise BashSyntaxError("empty pipeline stage")
-    cur.take()
+    cur.pos += 1
     word = tok.text
     if word in _RESERVED_WORDS:
         raise BashSyntaxError(f"shell control flow ({word!r}) is not supported")
     utility = vocab.lookup(word)
     if utility is None:
         raise UnknownUtilityError(word)
-    glued = cur.peek()
-    if glued is not None and glued.kind is TokenKind.SUBST_OPEN and glued.start == tok.end:
+    glued = tokens[cur.pos]
+    if glued is not None and glued.kind is _SUBST_OPEN and glued.start == tok.end:
         raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
 
     unsplittable = vocab.unsplittable_flags(utility)
@@ -289,74 +288,74 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
 
-    while True:
-        tok = cur.peek()
+    while (tok := tokens[cur.pos]) is not None:
+        kind, text = tok.kind, tok.text
+        if kind is _WORD:
+            if in_exec and text == "+":
+                break  # the end of the surrounding -exec clause, left to the caller
+            if _is_flag_word(text):
+                cur.pos += 1
+                head, eq, value = text.partition("=") if text[1] == "-" else (text, "", "")
+                elements.append(Element(_FLAG, head))
+                if eq:
+                    elements.append(Element(_ARG, value))
+                name = head[1:]
+                if name[0] == "-":  # --name; its value is erased, and a bare '--=v' names no flag
+                    if len(name) > 1:
+                        flags.add(name[1:])
+                elif name in unsplittable:
+                    flags.add(name)
+                    if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab)):
+                        nested.append(payload)
+                else:  # a bundle, -la: one flag per character
+                    flags.update(name)
+                continue
+            if may_wrap and vocab.lookup(text) is not None:
+                nested.append(_parse_simple(cur, vocab, in_exec))
+                break
+            cur.pos += 1
+            elements.append(Element(_ARG, text))
+            continue
         # tokenize pairs every SUBST_CLOSE with an open substitution
-        if tok is None or tok.kind is TokenKind.PIPE or tok.kind is TokenKind.SUBST_CLOSE:
+        if kind is _PIPE or kind is _SUBST_CLOSE:
             break
-        if in_exec and (tok.kind is TokenKind.SEMI or tok.text == "+"):
-            break  # the end of the surrounding -exec clause, left to the caller
-        if tok.kind is TokenKind.SEMI:
+        if kind is _SEMI:
+            if in_exec:
+                break
             raise BashSyntaxError("';' command sequences are not supported")
-        if tok.kind is TokenKind.SUBST_OPEN:
-            cur.take()
+        cur.pos += 1
+        if kind is _SUBST_OPEN:
             nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
-            cur.take()  # only at the close that tokenize paired with this open
+            cur.pos += 1  # only at the close that tokenize paired with this open
             continue
-        if tok.kind is TokenKind.REDIRECT:
-            cur.take()
-            # fd duplications like 2>&1 are self-contained; everything else,
-            # &> included, consumes the following word as its target.
-            if "&" not in tok.text[1:]:
-                target = cur.peek()
-                if target is None or target.kind is not TokenKind.WORD:
-                    raise BashSyntaxError(f"redirect {tok.text!r} is missing its target")
-                cur.take()
-                elements.append(Element(ElementKind.ARG, target.text))
-            continue
-        # WORD
-        if _is_flag_word(tok.text):
-            cur.take()
-            head, eq, value = tok.text.partition("=") if tok.text[1] == "-" else (tok.text, "", "")
-            elements.append(Element(ElementKind.FLAG, head))
-            if eq:
-                elements.append(Element(ElementKind.ARG, value))
-            name = head[1:]
-            if name[0] == "-":  # --name; its value is erased, and a bare '--=v' names no flag
-                if len(name) > 1:
-                    flags.add(name[1:])
-            elif name in unsplittable:
-                flags.add(name)
-                if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab)):
-                    nested.append(payload)
-            else:  # a bundle, -la: one flag per character
-                flags.update(name)
-            continue
-        if may_wrap and vocab.lookup(tok.text) is not None:
-            nested.append(_parse_simple(cur, vocab, in_exec))
-            break
-        cur.take()
-        elements.append(Element(ElementKind.ARG, tok.text))
+        # REDIRECT: fd duplications like 2>&1 are self-contained; everything
+        # else, &> included, consumes the following word as its target.
+        if "&" not in text[1:]:
+            target = tokens[cur.pos]
+            if target is None or target.kind is not _WORD:
+                raise BashSyntaxError(f"redirect {text!r} is missing its target")
+            cur.pos += 1
+            elements.append(Element(_ARG, target.text))
 
     cur.depth -= 1
     return SimpleCommand(utility, tuple(elements), frozenset(flags), tuple(nested))
 
 
 def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
-    tok = cur.peek()
-    if tok is None or tok.kind is not TokenKind.WORD or _is_flag_word(tok.text):
+    tok = cur.tokens[cur.pos]
+    if tok is None or tok.kind is not _WORD or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
     payload = _parse_simple(cur, vocab, in_exec=True)
-    end = cur.peek()  # the payload stopped at the end, '|', a close, ';' or '+'
-    if end is not None and (end.kind is TokenKind.SEMI or end.text == "+"):
-        cur.take()
+    end = cur.tokens[cur.pos]  # the payload stopped at the end, '|', a close, ';' or '+'
+    if end is not None and (end.kind is _SEMI or end.text == "+"):
+        cur.pos += 1
     return payload
 
 
 def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary) -> list[SimpleCommand]:
     stages = [_parse_simple(cur, vocab, in_exec=False)]
-    while (tok := cur.peek()) is not None and tok.kind is TokenKind.PIPE:
-        cur.take()
+    while (tok := cur.tokens[cur.pos]) is not None and tok.kind is _PIPE:
+        cur.pos += 1
         stages.append(_parse_simple(cur, vocab, in_exec=False))
     return stages
 
@@ -373,9 +372,9 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     if vocab is None:
         vocab = default_vocabulary()
     tokens = tokenize(command_text)
-    cur = _Cursor(tokens)
+    cur = _Cursor([*tokens, None])
     stages = _parse_pipeline(cur, vocab)
-    leftover = cur.peek()
+    leftover = cur.tokens[cur.pos]
     if leftover is not None:
         raise BashSyntaxError(f"unexpected {leftover.text!r} at offset {leftover.start}")
     return CommandAST(stages=tuple(stages), raw=command_text, tokens=tuple(tokens))

@@ -8,7 +8,7 @@ aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
 one full sort) and of constant-aware tokenization (one regex per class,
 tried in turn). Used by the oracle-equivalence tests.
 
-Three exceptions wire the package's own pieces the straightforward way:
+Four exceptions wire the package's own pieces the straightforward way:
 
 - the template (``normalize_template_ref``) walks the package's parsed
   command and splits each flag element's text with the vocabulary, the
@@ -23,13 +23,22 @@ Three exceptions wire the package's own pieces the straightforward way:
   every prediction each time it meets one, so that the memoized
   ``evaluate`` can be compared with it. It checks the prediction contract
   and clamps each confidence with two helpers of its own, the checks
-  ``evaluate`` made before it converted each confidence once.
+  ``evaluate`` made before it converted each confidence once;
+- the parser (``tokenize_ref``, ``parse_ref``) is the package's parser as it
+  stood with frozen-dataclass nodes and a ``peek``/``take`` cursor, copied
+  unchanged but for the two names and raising the package's errors, so that
+  the named-tuple nodes and the sentinel cursor can be compared with it.
 """
 
 import math
 import re
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
+
+from nlbash.errors import BashSyntaxError, UnknownUtilityError
+from nlbash.vocab import UtilityVocabulary, default_vocabulary
 
 
 def flag_score_ref(pred_flags, ref_flags):
@@ -323,3 +332,352 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
         unparseable_prediction_count=unparseable,
         predictor_failure_count=failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# The parser with frozen-dataclass nodes and a peek/take cursor
+
+# Utilities that run another command given as their trailing words.
+WRAPPER_UTILITIES = frozenset({"sudo", "xargs", "time", "nice"})
+
+# Flags whose payload is a nested command terminated by ';' or '+', for a
+# utility whose vocabulary entry lists them as unsplittable (find).
+EXEC_FLAGS = frozenset({"exec", "execdir", "ok", "okdir"})
+
+_RESERVED_WORDS = frozenset(
+    "if then elif else fi for while until do done case esac function select coproc in".split()
+)
+
+_WORD_BREAK = set(" \t\n\r|;&<>()`")
+
+# Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
+# backtick substitutions) that parse accepts; deeper text is refused
+# rather than exhausting the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 64
+
+
+class TokenKind(Enum):
+    WORD = "word"
+    PIPE = "pipe"
+    REDIRECT = "redirect"
+    SEMI = "semi"
+    SUBST_OPEN = "subst_open"
+    SUBST_CLOSE = "subst_close"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: TokenKind
+    text: str
+    start: int
+    end: int
+
+
+class ElementKind(Enum):
+    FLAG = "flag"
+    ARG = "arg"
+
+
+@dataclass(frozen=True)
+class Element:
+    kind: ElementKind
+    text: str
+
+
+@dataclass(frozen=True)
+class SimpleCommand:
+    """One pipeline stage: a utility plus its flags/arguments.
+
+    ``flags`` holds its flag names, without dashes. ``nested`` holds the
+    commands this stage runs itself — the target of a wrapper like
+    sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
+    backtick substitution outside double quotes — in source order.
+    """
+
+    utility: str
+    elements: tuple[Element, ...]
+    flags: frozenset[str]
+    nested: tuple["SimpleCommand", ...] = ()
+
+    def erased_count(self) -> int:
+        return sum(1 for e in self.elements if e.kind is not ElementKind.FLAG)
+
+
+@dataclass(frozen=True)
+class CommandAST:
+    """Parsed pipeline plus everything needed to reproduce its text."""
+
+    stages: tuple[SimpleCommand, ...]
+    raw: str
+    tokens: tuple[Token, ...]
+
+    def walk(self):
+        """All simple commands, pipeline order, nested after their host."""
+        for stage in self.stages:
+            yield from _walk(stage)
+
+
+def _walk(cmd: SimpleCommand):
+    yield cmd
+    for sub in cmd.nested:
+        yield from _walk(sub)
+
+
+# ---------------------------------------------------------------------------
+# Lexer
+
+
+def _skip_quoted(s: str, j: int) -> int:
+    """Return the index just past the quoted string that opens at s[j]."""
+    if s[j] == "'":
+        k = s.find("'", j + 1)
+        if k == -1:
+            raise BashSyntaxError("unbalanced single quote")
+        return k + 1
+    n = len(s)
+    k = j + 1
+    while k < n and s[k] != '"':
+        k += 2 if s[k] == "\\" else 1
+    if k >= n:
+        raise BashSyntaxError("unbalanced double quote")
+    return k + 1
+
+
+def _scan_word(s: str, i: int) -> int:
+    """Return the end index of the word starting at i; an unquoted ``$(`` ends it."""
+    n = len(s)
+    j = i
+    while j < n:
+        c = s[j]
+        if c == "'" or c == '"':
+            j = _skip_quoted(s, j)
+        elif c == "\\":
+            if j + 1 >= n:
+                raise BashSyntaxError("trailing backslash")
+            j += 2
+        elif c in _WORD_BREAK or (c == "$" and s[j + 1 : j + 2] == "("):
+            break
+        else:
+            j += 1
+    return j
+
+
+# A redirect operator: [fd]>, [fd]>>, [fd]<, &>, &>>, or an fd duplication
+# such as 2>&1, <&0 or >&-. As in Bash, only ASCII digits name an fd.
+# _REDIRECT_START gates the match so that ordinary words skip the regex.
+_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>?|<)(?:&(?:[0-9]+|-))?")
+_REDIRECT_START = frozenset("<>&0123456789")
+
+
+def tokenize_ref(text: str) -> list[Token]:
+    """Lex command text into tokens. Raises BashSyntaxError."""
+    tokens: list[Token] = []
+    stack: list[str] = []  # open substitution delimiters: '(' or '`'
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\n\r":
+            i += 1
+            continue
+        if c == "|":
+            if text[i + 1 : i + 2] == "|":
+                raise BashSyntaxError("'||' lists are not supported")
+            tokens.append(Token(TokenKind.PIPE, "|", i, i + 1))
+            i += 1
+        elif c == ";":
+            tokens.append(Token(TokenKind.SEMI, ";", i, i + 1))
+            i += 1
+        elif c == "\\" and text[i + 1 : i + 2] == ";":
+            tokens.append(Token(TokenKind.SEMI, "\\;", i, i + 2))
+            i += 2
+        elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
+            op, j = m.group(), m.end()
+            nxt = text[j : j + 1]
+            if op[-1] in "<>":  # a plain operator: refuse <<, <( / >( and a bare >&
+                if op[-1] == "<" and nxt == "<":
+                    raise BashSyntaxError("here-documents are not supported")
+                if nxt == "(":
+                    raise BashSyntaxError("process substitution is not supported")
+                if nxt == "&" and op[0] != "&":
+                    raise BashSyntaxError(f"bad redirect at offset {i}")
+            tokens.append(Token(TokenKind.REDIRECT, op, i, j))
+            i = j
+        elif c == "&":
+            if text[i + 1 : i + 2] == "&":
+                raise BashSyntaxError("'&&' lists are not supported")
+            raise BashSyntaxError("background '&' is not supported")
+        elif c == "$" and text[i + 1 : i + 2] == "(":
+            if text[i + 2 : i + 3] == "(":
+                raise BashSyntaxError("arithmetic expansion is not supported")
+            tokens.append(Token(TokenKind.SUBST_OPEN, "$(", i, i + 2))
+            stack.append("(")
+            i += 2
+        elif c == "`":
+            if stack and stack[-1] == "`":
+                tokens.append(Token(TokenKind.SUBST_CLOSE, "`", i, i + 1))
+                stack.pop()
+            else:
+                tokens.append(Token(TokenKind.SUBST_OPEN, "`", i, i + 1))
+                stack.append("`")
+            i += 1
+        elif c == ")":
+            if stack and stack[-1] == "(":
+                tokens.append(Token(TokenKind.SUBST_CLOSE, ")", i, i + 1))
+                stack.pop()
+                i += 1
+            else:
+                raise BashSyntaxError("unbalanced ')'")
+        elif c == "(":
+            raise BashSyntaxError("subshells are not supported")
+        else:
+            j = _scan_word(text, i)  # every character it stops at has a branch above
+            tokens.append(Token(TokenKind.WORD, text[i:j], i, j))
+            i = j
+    if stack:
+        raise BashSyntaxError("unterminated command substitution")
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Parser
+
+
+def _is_flag_word(text: str) -> bool:
+    return text.startswith("-") and len(text) > 1 and text != "--"
+
+
+class _Cursor:
+    def __init__(self, tokens: list[Token]):
+        self._tokens = tokens
+        self._pos = 0
+        self.depth = 0  # simple commands open on the current nesting path
+
+    def peek(self) -> Token | None:
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos]
+        return None
+
+    def take(self) -> Token:
+        tok = self._tokens[self._pos]
+        self._pos += 1
+        return tok
+
+
+def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
+    """One simple command; ``in_exec`` (an -exec payload) lets ';' or '+' end it."""
+    cur.depth += 1
+    if cur.depth > MAX_NESTING_DEPTH:
+        raise BashSyntaxError(
+            f"commands nested deeper than {MAX_NESTING_DEPTH} levels are not supported"
+        )
+    tok = cur.peek()
+    if tok is None or tok.kind is not TokenKind.WORD:
+        raise BashSyntaxError("empty pipeline stage")
+    cur.take()
+    word = tok.text
+    if word in _RESERVED_WORDS:
+        raise BashSyntaxError(f"shell control flow ({word!r}) is not supported")
+    utility = vocab.lookup(word)
+    if utility is None:
+        raise UnknownUtilityError(word)
+    glued = cur.peek()
+    if glued is not None and glued.kind is TokenKind.SUBST_OPEN and glued.start == tok.end:
+        raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
+
+    unsplittable = vocab.unsplittable_flags(utility)
+    elements: list[Element] = []
+    flags: set[str] = set()
+    nested: list[SimpleCommand] = []
+    may_wrap = utility in WRAPPER_UTILITIES
+
+    while True:
+        tok = cur.peek()
+        # tokenize pairs every SUBST_CLOSE with an open substitution
+        if tok is None or tok.kind is TokenKind.PIPE or tok.kind is TokenKind.SUBST_CLOSE:
+            break
+        if in_exec and (tok.kind is TokenKind.SEMI or tok.text == "+"):
+            break  # the end of the surrounding -exec clause, left to the caller
+        if tok.kind is TokenKind.SEMI:
+            raise BashSyntaxError("';' command sequences are not supported")
+        if tok.kind is TokenKind.SUBST_OPEN:
+            cur.take()
+            nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
+            cur.take()  # only at the close that tokenize paired with this open
+            continue
+        if tok.kind is TokenKind.REDIRECT:
+            cur.take()
+            # fd duplications like 2>&1 are self-contained; everything else,
+            # &> included, consumes the following word as its target.
+            if "&" not in tok.text[1:]:
+                target = cur.peek()
+                if target is None or target.kind is not TokenKind.WORD:
+                    raise BashSyntaxError(f"redirect {tok.text!r} is missing its target")
+                cur.take()
+                elements.append(Element(ElementKind.ARG, target.text))
+            continue
+        # WORD
+        if _is_flag_word(tok.text):
+            cur.take()
+            head, eq, value = tok.text.partition("=") if tok.text[1] == "-" else (tok.text, "", "")
+            elements.append(Element(ElementKind.FLAG, head))
+            if eq:
+                elements.append(Element(ElementKind.ARG, value))
+            name = head[1:]
+            if name[0] == "-":  # --name; its value is erased, and a bare '--=v' names no flag
+                if len(name) > 1:
+                    flags.add(name[1:])
+            elif name in unsplittable:
+                flags.add(name)
+                if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab)):
+                    nested.append(payload)
+            else:  # a bundle, -la: one flag per character
+                flags.update(name)
+            continue
+        if may_wrap and vocab.lookup(tok.text) is not None:
+            nested.append(_parse_simple(cur, vocab, in_exec))
+            break
+        cur.take()
+        elements.append(Element(ElementKind.ARG, tok.text))
+
+    cur.depth -= 1
+    return SimpleCommand(utility, tuple(elements), frozenset(flags), tuple(nested))
+
+
+def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
+    tok = cur.peek()
+    if tok is None or tok.kind is not TokenKind.WORD or _is_flag_word(tok.text):
+        return None  # bare -exec with no payload; leave the stream alone
+    payload = _parse_simple(cur, vocab, in_exec=True)
+    end = cur.peek()  # the payload stopped at the end, '|', a close, ';' or '+'
+    if end is not None and (end.kind is TokenKind.SEMI or end.text == "+"):
+        cur.take()
+    return payload
+
+
+def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary) -> list[SimpleCommand]:
+    stages = [_parse_simple(cur, vocab, in_exec=False)]
+    while (tok := cur.peek()) is not None and tok.kind is TokenKind.PIPE:
+        cur.take()
+        stages.append(_parse_simple(cur, vocab, in_exec=False))
+    return stages
+
+
+def parse_ref(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandAST:
+    """Parse command text into a pipeline AST.
+
+    Raises BashSyntaxError for text outside the supported grammar and
+    UnknownUtilityError when a stage names a utility missing from the
+    vocabulary (the default vocabulary is used when none is given).
+    """
+    if not command_text or not command_text.strip():
+        raise BashSyntaxError("empty command")
+    if vocab is None:
+        vocab = default_vocabulary()
+    tokens = tokenize_ref(command_text)
+    cur = _Cursor(tokens)
+    stages = _parse_pipeline(cur, vocab)
+    leftover = cur.peek()
+    if leftover is not None:
+        raise BashSyntaxError(f"unexpected {leftover.text!r} at offset {leftover.start}")
+    return CommandAST(stages=tuple(stages), raw=command_text, tokens=tuple(tokens))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from reference_impl import parse_ref, tokenize_ref
 from strategies import shell_text
 
 from nlbash.errors import BashSyntaxError, NlbashError, UnknownUtilityError
@@ -7,11 +8,14 @@ from nlbash.parser import (
     MAX_NESTING_DEPTH,
     Element,
     ElementKind,
+    Token,
     TokenKind,
     parse,
     reconstruct,
     tokenize,
 )
+from nlbash.synth import command_corpus, toy_corpus
+from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
 
 VOCAB = default_vocabulary()
@@ -275,6 +279,34 @@ def test_nesting_at_the_limit_parses():
         parse("sudo " + cmd, VOCAB)
 
 
+@pytest.mark.parametrize(
+    "cmd, walk",
+    [
+        ("find . -exec rm {}", [("find", 1), ("rm", 1)]),  # the payload runs to the end
+        ("find . -exec", [("find", 1)]),
+        ("ls $(pwd)", [("ls", 0), ("pwd", 0)]),  # the close is the last token
+        ("echo `date`", [("echo", 0), ("date", 0)]),
+        ("sudo", [("sudo", 0)]),
+    ],
+)
+def test_the_token_stream_may_end_at_any_stop(cmd, walk):
+    assert [(c.utility, c.erased_count()) for c in parse(cmd, VOCAB).walk()] == walk
+
+
+@pytest.mark.parametrize(
+    "cmd, message",
+    [
+        ("ls >", "redirect '>' is missing its target"),
+        ("ls 2>>", "redirect '2>>' is missing its target"),
+        ("ls |", "empty pipeline stage"),
+        ("echo $()", "empty pipeline stage"),
+    ],
+)
+def test_the_token_stream_may_end_where_a_token_is_needed(cmd, message):
+    with pytest.raises(BashSyntaxError, match=message):
+        parse(cmd, VOCAB)
+
+
 def test_attached_flag_value_is_an_argument():
     assert parse("ls --color=auto", VOCAB).stages[0].elements == (
         Element(ElementKind.FLAG, "--color"),
@@ -294,8 +326,6 @@ def test_parse_is_deterministic():
 
 
 def test_round_trip_over_generated_corpus():
-    from nlbash.synth import command_corpus
-
     commands = command_corpus(500, seed=3)
     for cmd in commands:
         assert reconstruct(parse(cmd, VOCAB)) == cmd
@@ -309,3 +339,55 @@ def test_parse_raises_only_nlbash_error_and_round_trips(text):
     except NlbashError:
         return
     assert reconstruct(ast) == text
+
+
+def test_tokens_and_elements_are_immutable_named_tuples():
+    assert Token._fields == ("kind", "text", "start", "end")
+    assert Element._fields == ("kind", "text")
+    tokens = tokenize("ls -l | wc")
+    assert all(type(t) is Token for t in tokens)
+    element = Element(ElementKind.ARG, "x")
+    assert repr(element) == "Element(kind=<ElementKind.ARG: 'arg'>, text='x')"
+    for node in (tokens[0], element):
+        for name in node._fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+    # the one change from frozen dataclasses: they are tuples
+    assert element == (ElementKind.ARG, "x") and tuple(tokens[0]) == (TokenKind.WORD, "ls", 0, 2)
+
+
+def _stage_tree(cmd):
+    elements = tuple((e.kind.value, e.text) for e in cmd.elements)
+    return cmd.utility, elements, cmd.flags, tuple(_stage_tree(n) for n in cmd.nested)
+
+
+def _outcome(tokenize_fn, parse_fn, text):
+    """Tokens, then the stage tree, template and erased counts, or each step's error."""
+    try:
+        tokens = [(t.kind.value, t.text, t.start, t.end) for t in tokenize_fn(text)]
+    except NlbashError as exc:
+        tokens = (type(exc), str(exc))
+    try:
+        ast = parse_fn(text, VOCAB)
+    except NlbashError as exc:
+        return tokens, (type(exc), str(exc))
+    ast_tokens = [(t.kind.value, t.text, t.start, t.end) for t in ast.tokens]
+    trees = [_stage_tree(s) for s in ast.stages]
+    erased = [c.erased_count() for c in ast.walk()]
+    return tokens, ast_tokens, ast.raw, trees, str(normalize_template(ast)), erased
+
+
+def _assert_matches_reference(text):
+    assert _outcome(tokenize, parse, text) == _outcome(tokenize_ref, parse_ref, text), text
+
+
+def test_parser_matches_reference_on_generated_commands():
+    references = [r for ex in toy_corpus(2000, seed=0) for r in ex.references]
+    for text in command_corpus(5000, seed=0) + references + ROUND_TRIP_COMMANDS:
+        _assert_matches_reference(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(shell_text)
+def test_parser_matches_reference_on_shell_text(text):
+    _assert_matches_reference(text)
