@@ -1,10 +1,11 @@
 """TF-IDF retrieval baseline with logistic-regression confidence calibration.
 
 The baseline indexes NL-command training pairs, answers a query with the
-top-k cosine matches, optionally prunes hits that share a template, and
-optionally replaces the default confidence of 1.0 with the fitted
-probability that the hit scores positively. Each stage is independently
-switchable so ablations can be compared.
+top-k cosine matches, optionally prunes hits that share a template (inside
+``retrieve``, on ranked document positions, so only returned hits are
+built), and optionally replaces the default confidence of 1.0 with the
+fitted probability that the hit scores positively. Each stage is
+independently switchable so ablations can be compared.
 
 Weights use raw term counts times a smoothed inverse document frequency,
 ln((1 + D) / (1 + df)) + 1, and vectors are L2-normalized, so cosine
@@ -194,8 +195,8 @@ class TfIdfIndex:
     (ascending) with their weights in ``_data``, and ``_idf[t]`` is its
     idf. ``_rows`` maps each term of the index's own documents to its row,
     so a query drops the terms that only other pairs of the analysis
-    have. ``retrieve`` scatter-adds a query's rows into one score vector
-    and breaks ties by insertion order.
+    have. ``_scores`` scatter-adds a query's rows into one score vector,
+    which ``retrieve`` ranks, breaking ties by insertion order.
     """
 
     def __init__(
@@ -255,6 +256,15 @@ class TfIdfIndex:
         rows = list(counts)
         return rows, self._weigh(rows, counts.values())
 
+    def _scores(self, nlc: str) -> np.ndarray:
+        """Each document's cosine similarity to ``nlc``, unclamped."""
+        scores = np.zeros(len(self.documents))
+        indptr, indices, data = self._indptr, self._indices, self._data
+        for row, qw in zip(*self._vectorize(self._tokenize(nlc))):
+            a, b = indptr[row], indptr[row + 1]
+            np.add.at(scores, indices[a:b], qw * data[a:b])
+        return scores
+
     def __len__(self) -> int:
         return len(self.documents)
 
@@ -295,33 +305,45 @@ class TfIdfIndex:
         return cls([(nl, cmd) for nl, cmd in pairs], vocab=vocab, normalize=normalize)
 
 
-def retrieve(index: TfIdfIndex, nlc: str, k: int) -> list[RetrievalHit]:
+def retrieve(index: TfIdfIndex, nlc: str, k: int, dedupe: bool = False) -> list[RetrievalHit]:
     """Top-k cosine matches, best first, zero-similarity hits dropped.
 
     Each query term, in first-occurrence order, scatter-adds its weight
-    times its CSR row into one float64 score vector, so a similarity is
-    the same sum in the same order however the index is laid out.
-    ``np.partition`` finds the k-th best score; the documents at or above
-    it (and above zero) are sorted by (-score, document index), so ties
-    break by document insertion order, also at the k-th place. Every hit
-    carries the default confidence of 1.0; calibration adjusts it
-    separately.
+    times its CSR row into one float64 score vector (``np.add.at``), so a
+    similarity is the same sum in the same order however the index is laid
+    out. ``np.partition`` finds the n-th best score; the documents at or
+    above it (and above zero) are sorted by (-score, document index), so
+    ties break by document insertion order, also at the n-th place. n is
+    k, or with ``dedupe`` k * ``DEDUPE_POOL_FACTOR``: the ranked documents
+    are then walked in order, a document whose template an earlier one
+    already has is skipped, and the walk stops at k kept documents, which
+    gives what ``dedupe_hits`` gives on the pool's hits. Hits are built
+    for the returned documents only. Every hit carries the default
+    confidence of 1.0; calibration adjusts it separately.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = np.zeros(len(index.documents))
-    indptr, indices, data = index._indptr, index._indices, index._data
-    for row, qw in zip(*index._vectorize(index._tokenize(nlc))):
-        a, b = indptr[row], indptr[row + 1]
-        scores[indices[a:b]] += qw * data[a:b]  # a row holds each document once
-
+    n = k * DEDUPE_POOL_FACTOR if dedupe else k
+    scores = index._scores(nlc)
     d = len(scores)
-    kth = np.partition(scores, d - k)[d - k] if d > k else 0.0
+    kth = np.partition(scores, d - n)[d - n] if d > n else 0.0
     candidates = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
-    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:n]].tolist()
+    documents = index.documents
+    if dedupe:
+        seen: set[TemplateCommand] = set()
+        kept = []
+        for doc_idx in ranked:
+            template = documents[doc_idx].template
+            if template not in seen:
+                seen.add(template)
+                kept.append(doc_idx)
+                if len(kept) == k:
+                    break
+        ranked = kept
     hits = []
-    for doc_idx, sim in zip(ranked.tolist(), np.minimum(scores[ranked], 1.0).tolist()):
-        doc = index.documents[doc_idx]
+    for doc_idx, sim in zip(ranked, np.minimum(scores[ranked], 1.0).tolist()):
+        doc = documents[doc_idx]
         hits.append(RetrievalHit(doc.command, doc.template, sim))
     return hits
 
@@ -338,14 +360,6 @@ def dedupe_hits(hits: Sequence[RetrievalHit], k: int) -> list[RetrievalHit]:
         if len(out) == k:
             break
     return out
-
-
-def _top_hits(index: TfIdfIndex, nlc: str, k: int, dedupe: bool) -> list[RetrievalHit]:
-    """Up to k hits; with ``dedupe``, one per template from a deeper pool."""
-    if not dedupe:
-        return retrieve(index, nlc, k)
-    hits = retrieve(index, nlc, k * DEDUPE_POOL_FACTOR)
-    return dedupe_hits(hits, k)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +548,7 @@ def make_calibration_data(
     labels: list[int] = []
     for i in holdout:
         ref = analysed.documents[i]
-        for hit in _top_hits(index, ref.invocation, k, dedupe):
+        for hit in retrieve(index, ref.invocation, k, dedupe):
             scored = ScoredPrediction(template=hit.template, delta=1.0)
             label = 1 if prediction_score(scored, [ref.template]) > 0.0 else 0
             features.append(hit_features(hit))
@@ -549,9 +563,10 @@ def make_calibration_data(
 class TfIdfPredictor:
     """Retrieval baseline exposing the harness predictor contract.
 
-    Stages are switchable: ``dedupe`` prunes template duplicates (drawing
-    from a deeper candidate pool), ``normalize`` applies constant-aware NL
-    tokenization, and ``calibration`` adjusts confidences.
+    Stages are switchable: ``dedupe`` prunes template duplicates
+    (``retrieve(index, nlc, k, dedupe)`` draws them from a pool
+    ``DEDUPE_POOL_FACTOR`` times deeper), ``normalize`` applies
+    constant-aware NL tokenization, and ``calibration`` adjusts confidences.
 
     Calibration is applied the way it pays off under the metric: per-hit
     positive-probabilities are combined into the chance that every hit
@@ -614,7 +629,7 @@ class TfIdfPredictor:
         return cls(analysed, vocab=vocab, normalize=normalize, dedupe=dedupe, calibration=model)
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
-        hits = _top_hits(self.index, nlc, k, self.dedupe)
+        hits = retrieve(self.index, nlc, k, self.dedupe)
         if self.calibration is not None and hits:
             all_negative = 1.0
             for hit in hits:

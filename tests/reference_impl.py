@@ -8,7 +8,7 @@ aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
 one full sort) and of constant-aware tokenization (one regex per class,
 tried in turn). Used by the oracle-equivalence tests.
 
-Four exceptions wire the package's own pieces the straightforward way:
+Five exceptions wire the package's own pieces the straightforward way:
 
 - the template (``normalize_template_ref``) walks the package's parsed
   command and splits each flag element's text with the vocabulary, the
@@ -27,7 +27,11 @@ Four exceptions wire the package's own pieces the straightforward way:
 - the parser (``tokenize_ref``, ``parse_ref``) is the package's parser as it
   stood with frozen-dataclass nodes and a ``peek``/``take`` cursor, copied
   unchanged but for the two names and raising the package's errors, so that
-  the named-tuple nodes and the sentinel cursor can be compared with it.
+  the named-tuple nodes and the sentinel cursor can be compared with it;
+- the score vector (``scores_ref``) reads the package's index and query
+  weights and adds each query row with the fancy-index ``+=`` that
+  ``retrieve`` used before ``np.add.at``, so that the two can be compared
+  bit for bit.
 """
 
 import math
@@ -147,6 +151,16 @@ def retrieve_ref(idf, inverted, query_tokens, k):
     return hits
 
 
+def scores_ref(index, nlc):
+    """The index's score vector for ``nlc``: one fancy-index ``+=`` per query row."""
+    scores = np.zeros(len(index.documents))
+    indptr, indices, data = index._indptr, index._indices, index._data
+    for row, qw in zip(*index._vectorize(index._tokenize(nlc))):
+        a, b = indptr[row], indptr[row + 1]
+        scores[indices[a:b]] += qw * data[a:b]  # a row holds each document once
+    return scores
+
+
 _STRIP = ".,!?;:()[]{}<>\"'`"
 _QUOTED_REF = re.compile(r"\"[^\"]*\"|'[^']*'")
 _IP_REF = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}(?::\d+)?")
@@ -219,7 +233,7 @@ def calibration_data_ref(pairs, vocab, holdout_fraction=0.2, seed=0, k=5, normal
     over the train side's plain pairs, each held-out reference parsed."""
     from nlbash.metric import ScoredPrediction, prediction_score
     from nlbash.parser import parse
-    from nlbash.retrieval import TfIdfIndex, _top_hits, hit_features
+    from nlbash.retrieval import DEDUPE_POOL_FACTOR, TfIdfIndex, dedupe_hits, hit_features, retrieve
     from nlbash.template import normalize_template
 
     order = np.random.default_rng(seed).permutation(len(pairs))
@@ -230,7 +244,8 @@ def calibration_data_ref(pairs, vocab, holdout_fraction=0.2, seed=0, k=5, normal
     features, labels = [], []
     for nl, cmd in holdout:
         ref = normalize_template(parse(cmd, vocab))
-        for hit in _top_hits(index, nl, k, dedupe):
+        hits = dedupe_hits(retrieve(index, nl, k * DEDUPE_POOL_FACTOR), k) if dedupe else retrieve(index, nl, k)
+        for hit in hits:
             score = prediction_score(ScoredPrediction(template=hit.template, delta=1.0), [ref])
             features.append(hit_features(hit))
             labels.append(1 if score > 0.0 else 0)
@@ -251,7 +266,8 @@ def _clamp(value, lo, hi):
 
 
 def _contract_violation(predictions):
-    """The first prediction lacking a str cmd or a finite real confidence, described."""
+    """The first prediction lacking a str cmd or a real confidence that ``float()``
+    converts to a finite value, described."""
     import numbers
 
     from nlbash.harness import _describe
@@ -259,8 +275,10 @@ def _contract_violation(predictions):
     for i, p in enumerate(predictions):
         cmd, confidence = getattr(p, "cmd", None), getattr(p, "confidence", None)
         try:
-            finite = isinstance(confidence, numbers.Real) and math.isfinite(confidence)
-        except OverflowError:
+            # float() runs a subclass's __float__; math.isfinite alone would
+            # read a float subclass's value without calling it.
+            finite = isinstance(confidence, numbers.Real) and math.isfinite(float(confidence))
+        except Exception:  # a raising __float__, an int past the float range
             finite = False
         if not issubclass(type(cmd), str) or not finite:
             return f"prediction {i} needs a str cmd and a finite confidence, got {_describe(p)}"

@@ -16,7 +16,17 @@ _COMMANDS = st.tuples(
     st.sampled_from(["ls ", "echo ", "sudo ", "find . "]),
     st.lists(st.one_of(_FRAGMENTS, _WORDS, _WORDS), max_size=12).map("".join),
 )
-shell_text = st.one_of(_CHARS.map("".join), _COMMANDS.map("".join))
+# find with an -exec payload ended by '+', a shape the text above seldom
+# builds: the parser must consume that '+', or it becomes find's argument.
+_EXEC_PLUS = st.tuples(
+    st.sampled_from(["find . ", "find /tmp -name x ", "sudo find . "]),
+    st.sampled_from(["-exec ", "-execdir ", "-ok ", "-okdir "]),
+    st.sampled_from(["ls ", "echo ", "rm ", "grep -l x ", "sudo ls ", "find . -exec ls "]),
+    st.lists(st.one_of(_WORDS, _FRAGMENTS), max_size=3).map("".join),
+    st.sampled_from(["{} +", " {} + ", "+", "{} \\;"]),
+    st.sampled_from(["", " -print", " | wc -l", " -exec ls {} +", " +"]),
+)
+shell_text = st.one_of(_CHARS.map("".join), _COMMANDS.map("".join), _EXEC_PLUS.map("".join))
 
 # Lines for the JSON-lines readers: arbitrary bytes, records close to the
 # dataset and prediction schemas, bad UTF-8, and nesting past the JSON

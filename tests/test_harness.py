@@ -264,6 +264,7 @@ _OUTPUTS = st.one_of(
 @example([[Prediction("ls -la", FloatRefusingFloat(0.5))]], 5)
 @example([[Prediction("ls -la", ClaimsFloat())]], 5)
 @example([[RaisingAttributes()]], 5)
+@example([[Prediction("ls -la", 0.0), Prediction("ls -la", FloatRefusingFloat(0.0)), None]], 3)
 def test_evaluate_never_raises_on_any_predictor_output(outputs, k):
     class Arbitrary:
         def __init__(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nlbash.errors import DegenerateLabelsError, EmptyCorpusError, NlbashError, SchemaError
 from nlbash.retrieval import (
+    DEDUPE_POOL_FACTOR,
     INDEX_FORMAT_VERSION,
     CalibrationModel,
     RetrievalHit,
@@ -30,7 +31,7 @@ from nlbash.parser import parse
 from nlbash.synth import toy_corpus
 from nlbash.template import normalize_template
 from nlbash.vocab import default_vocabulary
-from reference_impl import index_ref, normalize_nl_ref, retrieve_ref
+from reference_impl import index_ref, normalize_nl_ref, retrieve_ref, scores_ref
 from strategies import json_values
 
 VOCAB = default_vocabulary()
@@ -206,9 +207,12 @@ def ref_hits(index, ref, query, k):
     return hits
 
 
+def rows_of(hits):
+    return [(h.command, h.template, float.hex(h.similarity), h.confidence) for h in hits]
+
+
 def got_hits(index, query, k):
-    return [(h.command, h.template, float.hex(h.similarity), h.confidence)
-            for h in retrieve(index, query, k)]
+    return rows_of(retrieve(index, query, k))
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -239,6 +243,59 @@ def test_retrieve_equals_the_dict_oracle_with_duplicate_documents(pairs, query, 
     index = TfIdfIndex(pairs, VOCAB, normalize=normalize)
     ref = index_ref([index._tokenize(nl) for nl, _ in pairs])
     assert got_hits(index, query, k) == ref_hits(index, ref, query, k)
+
+
+# --- deduped retrieval ----------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[False, True], ids=["plain", "normalize"])
+def large_index(request):
+    data = filter_examples(toy_corpus(5000, seed=41), VOCAB).kept
+    index = TfIdfIndex(pairs_from_examples(data), VOCAB, normalize=request.param)
+    assert len(index) >= 5000
+    return index
+
+
+_LARGE_QUERIES = [ex.invocation for ex in toy_corpus(2000, seed=42)]
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_deduped_retrieve_equals_dedupe_hits_of_the_pool(large_index, k):
+    pruned = 0
+    for query in _LARGE_QUERIES:
+        want = rows_of(dedupe_hits(retrieve(large_index, query, k * DEDUPE_POOL_FACTOR), k))
+        assert rows_of(retrieve(large_index, query, k, dedupe=True)) == want, query
+        pruned += want != got_hits(large_index, query, k)
+    assert pruned > 0 or k == 1  # dedupe changes some answers; the best hit always stays
+
+
+def test_score_vector_equals_the_fancy_index_loop_bit_for_bit(large_index):
+    for query in _LARGE_QUERIES:
+        assert large_index._scores(query).tobytes() == scores_ref(large_index, query).tobytes(), query
+
+
+_COMMANDS = st.sampled_from(["ls -la /a", "ls -al /b", "ls", "df -h", "du -s .", "du -s /tmp", "find . -name x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), normalize=st.booleans())
+def test_deduped_retrieve_keeps_tie_order_at_the_pool_edge_and_the_kth_template(data, k, normalize):
+    pool = k * DEDUPE_POOL_FACTOR
+    query = data.draw(_PHRASES.filter(bool), label="query")
+    # Copies of the query tie at the top score. Their number straddles the
+    # pool's size, and their few templates put the k-th distinct template
+    # among tied documents.
+    tied = data.draw(st.lists(_COMMANDS, min_size=max(1, pool - 3), max_size=pool + 3), label="tied")
+    others = data.draw(_CORPORA, label="others")
+    pairs = data.draw(st.permutations(others + [(query, cmd) for cmd in tied]), label="pairs")
+    index = TfIdfIndex(pairs, VOCAB, normalize=normalize)
+    got = rows_of(retrieve(index, query, k, dedupe=True))
+    assert got == rows_of(dedupe_hits(retrieve(index, query, pool), k))
+    seen, want = set(), []
+    for row in ref_hits(index, index_ref([index._tokenize(nl) for nl, _ in pairs]), query, pool):
+        if row[1] not in seen and len(want) < k:
+            seen.add(row[1])
+            want.append(row)
+    assert got == want
 
 
 def test_empty_corpus_rejected():
