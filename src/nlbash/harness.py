@@ -38,7 +38,6 @@ from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
     EmptySampleError,
-    NlbashError,
     PredictorProtocolError,
     SchemaError,
     UnknownUtilityError,
@@ -227,7 +226,10 @@ def evaluate(
     covers the predict call only. Each distinct command text is parsed and
     templated once per call; an unparseable text costs each prediction
     that names it -delta and counts once per such prediction. A cmd of a
-    ``str`` subclass is scored as its plain text.
+    ``str`` subclass is scored as its plain text. The report names the
+    predictor by its ``name`` attribute, read once, when that is a ``str``
+    (kept as its plain text), and by its class name otherwise, also when
+    reading it raises.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -286,8 +288,12 @@ def evaluate(
             per_prediction.append(prediction_score(scored, refs))
         results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
 
+    try:
+        name = predictor.name
+    except Exception:  # no name, or one that cannot be read
+        name = None
     return EvaluationReport(
-        predictor=getattr(predictor, "name", type(predictor).__name__),
+        predictor=str.__str__(name) if issubclass(type(name), str) else type(predictor).__name__,
         k=k,
         per_example=results,
         mean_score=dataset_score([r.score for r in results]),
@@ -375,14 +381,21 @@ def _decode_predictions(items) -> list[Prediction]:
 
 
 def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
-    """Read JSON-lines predictions: {"id", "predictions": [{"cmd", "confidence"}]}."""
+    """Read JSON-lines predictions: {"id", "predictions": [{"cmd", "confidence"}]}.
+
+    The id must be a JSON string. Raises SchemaError naming ``path`` and the
+    line number for a line that is not such a record.
+    """
     by_id: dict[str, list[Prediction]] = {}
     for lineno, line in text_lines(path):
         try:
             obj = json.loads(line)
-            by_id[str(obj["id"])] = _decode_predictions(obj["predictions"])
+            ex_id = obj["id"]
+            if not isinstance(ex_id, str):
+                raise TypeError(f"id must be a string, got {type(ex_id).__name__}")
+            by_id[ex_id] = _decode_predictions(obj["predictions"])
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise NlbashError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
+            raise SchemaError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
     return by_id
 
 

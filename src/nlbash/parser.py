@@ -19,12 +19,17 @@ with the vocabulary at parse time: ``--name=value`` gives ``name``, a
 single-dash word listed for the utility stays whole (``find -name``), and
 any other splits per character (``ls -la`` gives l and a).
 
+The lexer reads a word with one compiled pattern, ``_WORD``: quoted
+strings and backslash escapes stay inside the word, and an unquoted space,
+tab, CR, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it. Other
+whitespace (``\\x0b``, ``\\xa0``) is word text, and a quote never closed or a
+backslash that ends the text is a BashSyntaxError.
+
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
-expansion is performed; quoted strings stay single tokens. Tokens and
-elements are immutable named tuples: they also unpack, index and compare
-equal to a plain tuple of the same values, and ``dataclasses.replace``
-does not apply to them.
+expansion is performed. Tokens and elements are immutable named tuples:
+they also unpack, index and compare equal to a plain tuple of the same
+values, and ``dataclasses.replace`` does not apply to them.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -49,8 +54,6 @@ EXEC_FLAGS = frozenset({"exec", "execdir", "ok", "okdir"})
 _RESERVED_WORDS = frozenset(
     "if then elif else fi for while until do done case esac function select coproc in".split()
 )
-
-_WORD_BREAK = set(" \t\n\r|;&<>()`")
 
 # Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
 # backtick substitutions) that parse accepts; deeper text is refused
@@ -85,7 +88,7 @@ class Element(NamedTuple):
 
 
 # Aliases of the kinds, read on every token and element the parser builds.
-_WORD, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
+_WORD_KIND, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
 _SUBST_OPEN, _SUBST_CLOSE = TokenKind.SUBST_OPEN, TokenKind.SUBST_CLOSE
 _FLAG, _ARG = ElementKind.FLAG, ElementKind.ARG
 
@@ -133,46 +136,19 @@ def _walk(cmd: SimpleCommand):
 # Lexer
 
 
-def _skip_quoted(s: str, j: int) -> int:
-    """Return the index just past the quoted string that opens at s[j]."""
-    if s[j] == "'":
-        k = s.find("'", j + 1)
-        if k == -1:
-            raise BashSyntaxError("unbalanced single quote")
-        return k + 1
-    n = len(s)
-    k = j + 1
-    while k < n and s[k] != '"':
-        k += 2 if s[k] == "\\" else 1
-    if k >= n:
-        raise BashSyntaxError("unbalanced double quote")
-    return k + 1
-
-
-def _scan_word(s: str, i: int) -> int:
-    """Return the end index of the word starting at i; an unquoted ``$(`` ends it."""
-    n = len(s)
-    j = i
-    while j < n:
-        c = s[j]
-        if c == "'" or c == '"':
-            j = _skip_quoted(s, j)
-        elif c == "\\":
-            if j + 1 >= n:
-                raise BashSyntaxError("trailing backslash")
-            j += 2
-        elif c in _WORD_BREAK or (c == "$" and s[j + 1 : j + 2] == "("):
-            break
-        else:
-            j += 1
-    return j
-
-
 # A redirect operator: [fd]>, [fd]>>, [fd]<, &>, &>>, or an fd duplication
 # such as 2>&1, <&0 or >&-. As in Bash, only ASCII digits name an fd.
 # _REDIRECT_START gates the match so that ordinary words skip the regex.
 _REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>?|<)(?:&(?:[0-9]+|-))?")
 _REDIRECT_START = frozenset("<>&0123456789")
+
+# A word: any mix of unquoted characters other than space, tab, CR, LF and
+# |;&<>()` , a '$' not opening '$(', whole '...' strings, whole "..." strings
+# with their backslash escapes, and \x escapes. A match that stops at a quote
+# or a backslash stopped at one that is never closed or that ends the text;
+# _WORD_ERRORS names which.
+_WORD = re.compile(r"""(?:[^ \t\n\r|;&<>()`'"\\$]+|\$(?!\()|'[^']*'|"(?:[^"\\]|\\.)*"|\\.)*""", re.S)
+_WORD_ERRORS = {"'": "unbalanced single quote", '"': "unbalanced double quote", "\\": "trailing backslash"}
 
 
 def tokenize(text: str) -> list[Token]:
@@ -237,8 +213,10 @@ def tokenize(text: str) -> list[Token]:
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
         else:
-            j = _scan_word(text, i)  # every character it stops at has a branch above
-            tokens.append(Token(_WORD, text[i:j], i, j))
+            j = _WORD.match(text, i).end()
+            if (error := _WORD_ERRORS.get(text[j : j + 1])) is not None:
+                raise BashSyntaxError(error)
+            tokens.append(Token(_WORD_KIND, text[i:j], i, j))  # any other stop has a branch above
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
@@ -269,7 +247,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         )
     tokens = cur.tokens
     tok = tokens[cur.pos]
-    if tok is None or tok.kind is not _WORD:
+    if tok is None or tok.kind is not _WORD_KIND:
         raise BashSyntaxError("empty pipeline stage")
     cur.pos += 1
     word = tok.text
@@ -290,7 +268,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
 
     while (tok := tokens[cur.pos]) is not None:
         kind, text = tok.kind, tok.text
-        if kind is _WORD:
+        if kind is _WORD_KIND:
             if in_exec and text == "+":
                 break  # the end of the surrounding -exec clause, left to the caller
             if _is_flag_word(text):
@@ -332,7 +310,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         # else, &> included, consumes the following word as its target.
         if "&" not in text[1:]:
             target = tokens[cur.pos]
-            if target is None or target.kind is not _WORD:
+            if target is None or target.kind is not _WORD_KIND:
                 raise BashSyntaxError(f"redirect {text!r} is missing its target")
             cur.pos += 1
             elements.append(Element(_ARG, target.text))
@@ -343,7 +321,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
 
 def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
     tok = cur.tokens[cur.pos]
-    if tok is None or tok.kind is not _WORD or _is_flag_word(tok.text):
+    if tok is None or tok.kind is not _WORD_KIND or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
     payload = _parse_simple(cur, vocab, in_exec=True)
     end = cur.tokens[cur.pos]  # the payload stopped at the end, '|', a close, ';' or '+'

@@ -3,11 +3,14 @@
 from hypothesis import strategies as st
 
 # Shell metacharacters and digits, fragments that reach the parser's
-# nesting and redirect paths, and any other character.
+# nesting and redirect paths and the lexer's word edges (\x0b, \x0c and
+# \xa0 are word text, not breaks; a quoted string may span a line; a text
+# may end in one backslash), and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
-     "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²"]
+     "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²",
+     "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)

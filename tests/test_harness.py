@@ -158,12 +158,15 @@ def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
 
 
 @pytest.mark.parametrize(
-    "bad", [b"\xff\n", b"[" * 100_000 + b"\n"], ids=["bad-utf8", "deep-json"]
+    "bad",
+    [b"\xff\n", b"[" * 100_000 + b"\n", b'{"id": 5, "predictions": []}\n',
+     b'{"id": null, "predictions": []}\n'],
+    ids=["bad-utf8", "deep-json", "numeric-id", "null-id"],
 )
 def test_undecodable_prediction_line_reports_position(tmp_path, bad):
     path = tmp_path / "preds.jsonl"
     path.write_bytes(b'{"id": "a", "predictions": []}\n' + bad)
-    with pytest.raises(NlbashError, match=r"preds\.jsonl:2: "):
+    with pytest.raises(SchemaError, match=r"preds\.jsonl:2: "):
         load_prediction_file(str(path))
 
 
@@ -174,7 +177,7 @@ def test_load_prediction_file_raises_only_nlbash_errors(tmp_path_factory, data):
     path.write_bytes(data)
     try:
         load_prediction_file(str(path))
-    except NlbashError:
+    except SchemaError:
         pass
 
 
@@ -606,6 +609,44 @@ def test_report_table_contains_leaderboard_columns():
     table = emit_report(report, "table").decode("utf-8")
     assert "Accuracy Score" in table
     assert "Latency (sec)" in table
+
+
+class _RaisingName(ConstantPredictor):
+    @property
+    def name(self):
+        raise RuntimeError("hostile name")
+
+
+class _IntName(ConstantPredictor):
+    name = 5
+
+
+class _ListName(ConstantPredictor):
+    name = ["x"]
+
+
+class _Text(str):
+    def __str__(self):
+        raise RuntimeError("hostile __str__ called")
+
+
+class _StrSubclassName(ConstantPredictor):
+    name = _Text("custom")
+
+
+@pytest.mark.parametrize(
+    "predictor_cls, expected",
+    [(_RaisingName, "_RaisingName"), (_IntName, "_IntName"), (_ListName, "_ListName"),
+     (_StrSubclassName, "custom")],
+    ids=["raising", "int", "list", "str-subclass"],
+)
+def test_predictor_name_is_plain_text_or_the_class_name(predictor_cls, expected):
+    data = dataset(3, seed=9)
+    report = evaluate(predictor_cls("ls"), data, vocab=VOCAB)
+    assert report.predictor == expected and type(report.predictor) is str
+    loaded = EvaluationReport.from_json(report.to_json())
+    assert loaded.predictor == expected
+    assert expected in emit_report(report, "table").decode("utf-8")
 
 
 def test_emit_report_empty_rejected():

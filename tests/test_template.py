@@ -111,7 +111,8 @@ def test_hash_is_kept_and_copies_hash_again():
     a = template_of("ls -la /tmp")
     assert hash(a) == hash((a.units,)) == hash(a)  # the value dataclass would generate
     for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-        assert copied == a and hash(copied) == hash(a) and repr(copied) == repr(a)
+        # str sorts the flags; a frozenset rebuilt by a copy may iterate, so repr, differently
+        assert copied == a and hash(copied) == hash(a) and str(copied) == str(a)
     assert repr(a) == "TemplateCommand(units=(TemplateUnit(utility='ls', flags=frozenset({" + (
         ", ".join(repr(f) for f in a.units[0].flags)) + "})),))"
 
