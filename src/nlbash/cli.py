@@ -57,7 +57,7 @@ def _load_filtered(path, vocab):
 def _cmd_parse(args, vocab):
     ast = parse(args.command, vocab)
     template = normalize_template(ast)  # one unit per command of ast.walk(), in order
-    units = [(u, cmd.erased_count()) for u, cmd in zip(template.units, ast.walk())]
+    units = [(u, cmd.erased_args) for u, cmd in zip(template.units, ast.walk())]
     if args.json:
         payload = {
             "utilities": flatten_utilities(ast),

@@ -143,7 +143,15 @@ def load_examples(path: str | Path) -> list[Example]:
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
             reason = getattr(exc, "msg", exc)
             raise SchemaError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
-        examples.append(_example_from_record(record, f"{path}:{lineno}", f"ex-{lineno:06d}"))
+        example = _example_from_record(record, f"{path}:{lineno}", f"ex-{lineno:06d}")
+        if "\\u" in line:  # only a \u escape can bring a lone surrogate, which is not UTF-8
+            try:
+                for text in (example.id, example.invocation, *example.references):
+                    text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = exc.object[exc.start]
+                raise SchemaError(f"{path}:{lineno}: lone surrogate {bad!r} in text") from exc
+        examples.append(example)
     return examples
 
 

@@ -422,11 +422,14 @@ class SubprocessPredictor:
     stdin per query; the child answers with one line holding a JSON array
     of ``{"cmd": ..., "confidence": ...}`` objects. A child that sends no
     whole line within REPLY_TIMEOUT_S is killed, and that call and every
-    later one raise PredictorProtocolError.
+    later one raise PredictorProtocolError. A command with no words raises
+    ValueError before any process starts.
     """
 
     def __init__(self, command: str | Sequence[str]):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not argv:
+            raise ValueError(f"predictor command {command!r} is empty")
         self.name = f"subprocess:{argv[0]}"
         self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._unread = b""  # reply bytes read past the last newline

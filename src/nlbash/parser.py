@@ -27,9 +27,9 @@ backslash that ends the text is a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
-expansion is performed. Tokens and elements are immutable named tuples:
-they also unpack, index and compare equal to a plain tuple of the same
-values, and ``dataclasses.replace`` does not apply to them.
+expansion is performed. Tokens are immutable named tuples: they also
+unpack, index and compare equal to a plain tuple of the same values, and
+``dataclasses.replace`` does not apply to them.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -77,39 +77,27 @@ class Token(NamedTuple):
     end: int
 
 
-class ElementKind(Enum):
-    FLAG = "flag"
-    ARG = "arg"
-
-
-class Element(NamedTuple):
-    kind: ElementKind
-    text: str
-
-
-# Aliases of the kinds, read on every token and element the parser builds.
+# Aliases of the kinds, read on every token the parser builds or reads.
 _WORD_KIND, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
 _SUBST_OPEN, _SUBST_CLOSE = TokenKind.SUBST_OPEN, TokenKind.SUBST_CLOSE
-_FLAG, _ARG = ElementKind.FLAG, ElementKind.ARG
 
 
 @dataclass(frozen=True)
 class SimpleCommand:
     """One pipeline stage: a utility plus its flags/arguments.
 
-    ``flags`` holds its flag names, without dashes. ``nested`` holds the
-    commands this stage runs itself — the target of a wrapper like
-    sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
+    ``flags`` holds its flag names, without dashes. ``erased_args`` counts
+    the words a template erases: plain arguments, the value of
+    ``--name=value`` (also of ``--=v``) and redirect targets. ``nested``
+    holds the commands this stage runs itself — the target of a wrapper
+    like sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
     backtick substitution outside double quotes — in source order.
     """
 
     utility: str
-    elements: tuple[Element, ...]
     flags: frozenset[str]
+    erased_args: int
     nested: tuple["SimpleCommand", ...] = ()
-
-    def erased_count(self) -> int:
-        return sum(1 for e in self.elements if e.kind is not _FLAG)
 
 
 @dataclass(frozen=True)
@@ -261,7 +249,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
 
     unsplittable = vocab.unsplittable_flags(utility)
-    elements: list[Element] = []
+    erased_args = 0
     flags: set[str] = set()
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
@@ -273,10 +261,9 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
                 break  # the end of the surrounding -exec clause, left to the caller
             if _is_flag_word(text):
                 cur.pos += 1
-                head, eq, value = text.partition("=") if text[1] == "-" else (text, "", "")
-                elements.append(Element(_FLAG, head))
+                head, eq, _ = text.partition("=") if text[1] == "-" else (text, "", "")
                 if eq:
-                    elements.append(Element(_ARG, value))
+                    erased_args += 1
                 name = head[1:]
                 if name[0] == "-":  # --name; its value is erased, and a bare '--=v' names no flag
                     if len(name) > 1:
@@ -292,7 +279,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
                 nested.append(_parse_simple(cur, vocab, in_exec))
                 break
             cur.pos += 1
-            elements.append(Element(_ARG, text))
+            erased_args += 1
             continue
         # tokenize pairs every SUBST_CLOSE with an open substitution
         if kind is _PIPE or kind is _SUBST_CLOSE:
@@ -313,10 +300,10 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             if target is None or target.kind is not _WORD_KIND:
                 raise BashSyntaxError(f"redirect {text!r} is missing its target")
             cur.pos += 1
-            elements.append(Element(_ARG, target.text))
+            erased_args += 1
 
     cur.depth -= 1
-    return SimpleCommand(utility, tuple(elements), frozenset(flags), tuple(nested))
+    return SimpleCommand(utility, frozenset(flags), erased_args, tuple(nested))
 
 
 def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:

@@ -4,7 +4,7 @@ A template reduces a command to an ordered sequence of (utility, flag set)
 pairs: one per command of ``CommandAST.walk()``, with the flag names the
 parser recorded in ``SimpleCommand.flags``. Arguments, flag values, and
 redirect targets are erased; how many a utility had is
-``SimpleCommand.erased_count()`` on the parsed command. The AST is all a
+``SimpleCommand.erased_args`` on the parsed command. The AST is all a
 template needs: the vocabulary was read when the command was parsed.
 """
 

@@ -8,12 +8,13 @@ aggregation), of TF-IDF retrieval (dict postings, dict accumulation,
 one full sort) and of constant-aware tokenization (one regex per class,
 tried in turn). Used by the oracle-equivalence tests.
 
-Five exceptions wire the package's own pieces the straightforward way:
+The template (``normalize_template_ref``) walks the reference parser's own
+tree and splits each FLAG element's text with the vocabulary, the way
+templates were built before the parser recorded flag names, so that
+``SimpleCommand.flags`` and ``erased_args`` can be compared with it.
 
-- the template (``normalize_template_ref``) walks the package's parsed
-  command and splits each flag element's text with the vocabulary, the
-  way templates were built before the parser recorded flag names, so that
-  ``SimpleCommand.flags`` can be compared with it;
+Four exceptions wire the package's own pieces the straightforward way:
+
 - the calibrated set-up (``calibration_data_ref``, ``with_calibration_ref``)
   uses the package's index, parser and scorer, with a fresh index over the
   train side and every held-out reference parsed again, so that the shared
@@ -25,9 +26,10 @@ Five exceptions wire the package's own pieces the straightforward way:
   and clamps each confidence with two helpers of its own, the checks
   ``evaluate`` made before it converted each confidence once;
 - the parser (``tokenize_ref``, ``parse_ref``) is the package's parser as it
-  stood with frozen-dataclass nodes and a ``peek``/``take`` cursor, copied
-  unchanged but for the two names and raising the package's errors, so that
-  the named-tuple nodes and the sentinel cursor can be compared with it;
+  stood with frozen-dataclass nodes, per-word ``Element`` nodes and a
+  ``peek``/``take`` cursor, copied unchanged but for the two names and
+  raising the package's errors, so that the named-tuple tokens, the
+  counted ``erased_args`` and the sentinel cursor can be compared with it;
 - the score vector (``scores_ref``) reads the package's index and query
   weights and adds each query row with the fancy-index ``+=`` that
   ``retrieve`` used before ``np.add.at``, so that the two can be compared
@@ -212,11 +214,10 @@ def _flag_names_ref(text, utility, vocab):
 
 
 def normalize_template_ref(ast, vocab):
-    """(template text, erased count per unit): each command of ``ast.walk()``
-    gives utility[sorted flags], its flags split from its FLAG elements and
-    its erased count the number of its other elements."""
-    from nlbash.parser import ElementKind
-
+    """(template text, erased count per unit) of a ``parse_ref`` tree: each
+    command of ``ast.walk()`` gives utility[sorted flags], its flags split
+    from its FLAG elements and its erased count the number of its other
+    elements."""
     units, erased = [], []
     for cmd in ast.walk():
         flags = set()

@@ -172,6 +172,26 @@ def test_undecodable_input_file_is_a_data_error(kind, reader, data_file, tmp_pat
     assert "error: " in err and "Traceback" not in err
 
 
+_SURROGATE_RECORDS = {
+    "id": '{"id": "a\\udcff", "invocation": "x", "cmd": "ls"}',
+    "invocation": '{"invocation": "list \\udcff", "cmd": "ls"}',
+    "cmd": '{"invocation": "x", "cmd": ["ls", "ls \\ud800"]}',
+}
+
+
+@pytest.mark.parametrize("field", _SURROGATE_RECORDS)
+@pytest.mark.parametrize("reader", ["filter", "split", "index", "eval-data"])
+def test_lone_surrogate_in_a_dataset_is_a_data_error(field, reader, data_file, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"invocation": "x", "cmd": "ls"}\n' + _SURROGATE_RECORDS[field] + "\n",
+                   encoding="utf-8")
+    paths = {"BAD": str(bad), "GOOD": str(data_file), "OUT": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert cli([paths.get(a, a) for a in _READERS[reader]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: lone surrogate") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("size", [1, 3])
 @pytest.mark.parametrize("command", ["calibrate", "eval"])
 def test_training_data_too_small_to_calibrate_is_a_data_error(size, command, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from strategies import byte_lines, shell_text
 
 from nlbash.corpus import (
@@ -71,13 +71,16 @@ def test_load_examples_undecodable_line_reports_position(tmp_path, bad, reason):
 
 @settings(max_examples=200, deadline=None)
 @given(data=byte_lines)
+@example(data=b'{"id": "a\\udcff", "invocation": "x", "cmd": "ls"}\n')
 def test_load_examples_raises_only_nlbash_errors(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("data") / "d.jsonl"
+    tmp = tmp_path_factory.mktemp("data")
+    path = tmp / "d.jsonl"
     path.write_bytes(data)
     try:
-        load_examples(path)
+        examples = load_examples(path)
     except NlbashError:
-        pass
+        return
+    save_examples(examples, tmp / "saved.jsonl")  # what loads can be written back
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 The test suite does not run the demos (they take seconds each), so a removed or
 renamed export would otherwise break them unnoticed. Every public name has one
 import path, the package root; only ``nlbash.synth`` is imported on its own,
-because the root leaves it out to keep the CLI's start-up short.
+because the root leaves it out to keep the CLI's start-up short. The README's
+module table is held to render: no row splits into more cells than its header.
 """
 
 import ast
@@ -56,3 +57,17 @@ def test_every_exported_name_resolves():
     assert len(set(nlbash.__all__)) == len(nlbash.__all__)
     missing = [name for name in nlbash.__all__ if not hasattr(nlbash, name)]
     assert not missing, f"nlbash.__all__ lists {missing}, which the package does not define"
+
+
+def test_readme_module_table_rows_have_the_header_cell_count():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| module "))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    # an unescaped '|' splits a cell, also inside a code span
+    pipes = [len(re.findall(r"(?<!\\)\|", row)) for row in rows]
+    wrong = [row[:40] for row, n in zip(rows, pipes) if n != pipes[0]]
+    assert len(rows) > 2 and not wrong, f"rows split into extra cells: {wrong}"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import textwrap
 import time
@@ -721,6 +722,16 @@ def test_subprocess_predictor_round_trip(tmp_path):
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     assert report.mean_score == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("command", ["", "   ", []], ids=["empty", "blank", "no-argv"])
+def test_subprocess_predictor_refuses_an_empty_command(command, monkeypatch):
+    def no_popen(*args, **kwargs):
+        raise AssertionError("Popen ran")
+
+    monkeypatch.setattr("nlbash.harness.subprocess.Popen", no_popen)
+    with pytest.raises(ValueError, match=re.escape(f"predictor command {command!r} is empty")):
+        SubprocessPredictor(command)
 
 
 def test_subprocess_reply_is_not_coerced(tmp_path):

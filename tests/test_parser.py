@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from reference_impl import SimpleCommand as SimpleCommandRef
 from reference_impl import parse_ref, tokenize_ref
 from strategies import shell_text
 
 from nlbash.errors import BashSyntaxError, NlbashError, UnknownUtilityError
 from nlbash.parser import (
     MAX_NESTING_DEPTH,
-    Element,
-    ElementKind,
     Token,
     TokenKind,
     parse,
@@ -185,8 +184,7 @@ def test_exec_payload_nested_and_terminated():
     ast = parse("find . -name x -exec cat {} \\; -delete", VOCAB)
     stage = ast.stages[0]
     assert [c.utility for c in stage.nested] == ["cat"]
-    flag_texts = [e.text for e in stage.elements if e.kind is ElementKind.FLAG]
-    assert "-exec" in flag_texts and "-delete" in flag_texts
+    assert stage.flags == {"name", "exec", "delete"}
 
 
 def test_exec_payload_without_terminator_is_lenient():
@@ -204,7 +202,7 @@ def test_substitution_is_its_own_scope_inside_an_exec_payload():
     assert [(c.utility, c.flags) for c in ast.walk()] == [
         ("find", frozenset({"exec"})), ("echo", frozenset()), ("ls", frozenset())
     ]
-    assert [c.erased_count() for c in ast.walk()] == [1, 0, 1]  # '.' and the '+' inside
+    assert [c.erased_args for c in ast.walk()] == [1, 0, 1]  # '.' and the '+' inside
     backticks = parse("find . -exec echo `ls +` +", VOCAB)
     assert [c.utility for c in backticks.walk()] == ["find", "echo", "ls"]
     with pytest.raises(BashSyntaxError, match="';' command sequences are not supported"):
@@ -230,10 +228,16 @@ def test_midword_substitution_splits_the_word():
 
 
 def test_self_contained_redirects_take_no_target():
-    ast = parse("grep foo f.txt > out.txt 2>&1", VOCAB)
-    args = [e.text for e in ast.stages[0].elements]
-    assert "out.txt" in args
-    assert "&1" not in args
+    # the word after 2>&1 is not its target, so a wrapper still runs it
+    assert [(c.utility, c.erased_args) for c in parse("sudo 2>&1 ls", VOCAB).walk()] == [
+        ("sudo", 0), ("ls", 0)
+    ]
+    assert [(c.utility, c.erased_args) for c in parse("sudo > out ls", VOCAB).walk()] == [
+        ("sudo", 1), ("ls", 0)
+    ]
+    assert parse("ls 2>&1", VOCAB).stages[0].erased_args == 0
+    with pytest.raises(BashSyntaxError, match="missing its target"):
+        parse("ls >", VOCAB)
 
 
 @pytest.mark.parametrize(
@@ -247,7 +251,9 @@ def test_self_contained_redirects_take_no_target():
     ],
 )
 def test_redirect_takes_a_target_unless_it_duplicates_an_fd(cmd, args):
-    assert [e.text for e in parse(cmd, VOCAB).stages[0].elements] == args
+    ast = parse(cmd, VOCAB)
+    assert [t.text for t in ast.tokens if t.kind is TokenKind.WORD][1:] == args
+    assert ast.stages[0].erased_args == len(args)
 
 
 def test_only_ascii_digits_name_a_file_descriptor():
@@ -290,7 +296,7 @@ def test_nesting_at_the_limit_parses():
     ],
 )
 def test_the_token_stream_may_end_at_any_stop(cmd, walk):
-    assert [(c.utility, c.erased_count()) for c in parse(cmd, VOCAB).walk()] == walk
+    assert [(c.utility, c.erased_args) for c in parse(cmd, VOCAB).walk()] == walk
 
 
 @pytest.mark.parametrize(
@@ -308,16 +314,14 @@ def test_the_token_stream_may_end_where_a_token_is_needed(cmd, message):
 
 
 def test_attached_flag_value_is_an_argument():
-    assert parse("ls --color=auto", VOCAB).stages[0].elements == (
-        Element(ElementKind.FLAG, "--color"),
-        Element(ElementKind.ARG, "auto"),
-    )
+    stage = parse("ls --color=auto", VOCAB).stages[0]
+    assert stage.flags == {"color"} and stage.erased_args == 1
 
 
 def test_quoted_strings_are_single_arguments():
     ast = parse("grep -i 'foo bar' f.txt", VOCAB)
-    args = [e.text for e in ast.stages[0].elements if not e.text.startswith("-")]
-    assert "'foo bar'" in args
+    assert ast.stages[0].erased_args == 2
+    assert "'foo bar'" in [t.text for t in ast.tokens]
 
 
 def test_parse_is_deterministic():
@@ -341,28 +345,28 @@ def test_parse_raises_only_nlbash_error_and_round_trips(text):
     assert reconstruct(ast) == text
 
 
-def test_tokens_and_elements_are_immutable_named_tuples():
+def test_tokens_are_immutable_named_tuples():
     assert Token._fields == ("kind", "text", "start", "end")
-    assert Element._fields == ("kind", "text")
     tokens = tokenize("ls -l | wc")
     assert all(type(t) is Token for t in tokens)
-    element = Element(ElementKind.ARG, "x")
-    assert repr(element) == "Element(kind=<ElementKind.ARG: 'arg'>, text='x')"
-    for node in (tokens[0], element):
-        for name in node._fields:
-            with pytest.raises(AttributeError):
-                setattr(node, name, None)
+    for name in Token._fields:
+        with pytest.raises(AttributeError):
+            setattr(tokens[0], name, None)
     # the one change from frozen dataclasses: they are tuples
-    assert element == (ElementKind.ARG, "x") and tuple(tokens[0]) == (TokenKind.WORD, "ls", 0, 2)
+    assert tokens[0] == tuple(tokens[0]) == (TokenKind.WORD, "ls", 0, 2)
+
+
+def _erased(cmd):
+    """The package counts erased words; the reference counts its ARG elements."""
+    return cmd.erased_count() if isinstance(cmd, SimpleCommandRef) else cmd.erased_args
 
 
 def _stage_tree(cmd):
-    elements = tuple((e.kind.value, e.text) for e in cmd.elements)
-    return cmd.utility, elements, cmd.flags, tuple(_stage_tree(n) for n in cmd.nested)
+    return cmd.utility, cmd.flags, _erased(cmd), tuple(_stage_tree(n) for n in cmd.nested)
 
 
 def _outcome(tokenize_fn, parse_fn, text):
-    """Tokens, then the stage tree, template and erased counts, or each step's error."""
+    """Tokens, then the stage trees (erased counts included) and template, or each step's error."""
     try:
         tokens = [(t.kind.value, t.text, t.start, t.end) for t in tokenize_fn(text)]
     except NlbashError as exc:
@@ -373,8 +377,7 @@ def _outcome(tokenize_fn, parse_fn, text):
         return tokens, (type(exc), str(exc))
     ast_tokens = [(t.kind.value, t.text, t.start, t.end) for t in ast.tokens]
     trees = [_stage_tree(s) for s in ast.stages]
-    erased = [c.erased_count() for c in ast.walk()]
-    return tokens, ast_tokens, ast.raw, trees, str(normalize_template(ast)), erased
+    return tokens, ast_tokens, ast.raw, trees, str(normalize_template(ast))
 
 
 def _assert_matches_reference(text):

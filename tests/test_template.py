@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from reference_impl import normalize_template_ref
+from reference_impl import normalize_template_ref, parse_ref
 from strategies import shell_text
 
 from nlbash.errors import NlbashError
@@ -22,7 +22,7 @@ def template_of(cmd):
 
 def erased_counts(cmd):
     """Erased argument-like tokens per template unit, read off the parsed command."""
-    return tuple(c.erased_count() for c in parse(cmd, VOCAB).walk())
+    return tuple(c.erased_args for c in parse(cmd, VOCAB).walk())
 
 
 def test_arguments_are_erased():
@@ -177,9 +177,9 @@ def _assert_matches_ref(text):
         ast = parse(text, VOCAB)
     except NlbashError:
         return False
-    expected, erased = normalize_template_ref(ast, VOCAB)
+    expected, erased = normalize_template_ref(parse_ref(text, VOCAB), VOCAB)
     assert str(normalize_template(ast)) == expected, text
-    assert [c.erased_count() for c in ast.walk()] == erased, text
+    assert [c.erased_args for c in ast.walk()] == erased, text
     return True
 
 
