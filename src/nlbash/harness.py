@@ -31,7 +31,7 @@ import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import NoReturn, Protocol, Sequence
 
 from .corpus import Example, dataset_fingerprint, text_lines
 from .errors import (
@@ -333,9 +333,10 @@ def emit_report(report: EvaluationReport, format: str = "json") -> bytes:
     if fmt == "json":
         return report.to_json().encode("utf-8")
     if fmt == "table":
-        header = f"{'Predictor':<28} {'Accuracy Score':>14} {'Latency (sec)':>14}"
+        width = max(28, len(report.predictor))
+        header = f"{'Predictor':<{width}} {'Accuracy Score':>14} {'Latency (sec)':>14}"
         rule = "-" * len(header)
-        row = f"{report.predictor:<28} {report.mean_score:>14.4f} {report.latency.mean:>14.4f}"
+        row = f"{report.predictor:<{width}} {report.mean_score:>14.4f} {report.latency.mean:>14.4f}"
         details = (
             f"examples: {len(report.per_example)}  k: {report.k}  "
             f"latency median: {report.latency.median:.4f}s  p95: {report.latency.p95:.4f}s\n"
@@ -413,6 +414,8 @@ def score_prediction_file(
 
 # Longest wait, in seconds, for one whole reply line from a subprocess predictor.
 REPLY_TIMEOUT_S = 60.0
+# Most bytes a subprocess predictor may send without ending its reply line.
+MAX_REPLY_BYTES = 4 << 20
 
 
 class SubprocessPredictor:
@@ -421,8 +424,9 @@ class SubprocessPredictor:
     One request object ``{"nlc": ..., "k": ...}`` goes to the child's
     stdin per query; the child answers with one line holding a JSON array
     of ``{"cmd": ..., "confidence": ...}`` objects. A child that sends no
-    whole line within REPLY_TIMEOUT_S is killed, and that call and every
-    later one raise PredictorProtocolError. A command with no words raises
+    whole line within REPLY_TIMEOUT_S, or sends more than MAX_REPLY_BYTES
+    without a newline, is killed, and that call and every later one raise
+    PredictorProtocolError. A command with no words raises
     ValueError before any process starts.
     """
 
@@ -440,13 +444,11 @@ class SubprocessPredictor:
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         while b"\n" not in self._unread:
+            if len(self._unread) > MAX_REPLY_BYTES:
+                self._kill(f"predictor reply line exceeds {MAX_REPLY_BYTES} bytes")
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                self._proc.kill()
-                self._proc.wait()
-                raise PredictorProtocolError(
-                    f"predictor sent no whole reply line within {REPLY_TIMEOUT_S} s"
-                )
+                self._kill(f"predictor sent no whole reply line within {REPLY_TIMEOUT_S} s")
             chunk = os.read(fd, 65536)
             if not chunk:
                 break
@@ -454,6 +456,11 @@ class SubprocessPredictor:
         end = self._unread.find(b"\n") + 1 or len(self._unread)
         line, self._unread = self._unread[:end], self._unread[end:]
         return line
+
+    def _kill(self, reason: str) -> NoReturn:
+        self._proc.kill()
+        self._proc.wait()
+        raise PredictorProtocolError(reason)
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
         if self._proc.poll() is not None:

@@ -27,9 +27,10 @@ backslash that ends the text is a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
-expansion is performed. Tokens are immutable named tuples: they also
-unpack, index and compare equal to a plain tuple of the same values, and
-``dataclasses.replace`` does not apply to them.
+expansion is performed. Every parse record (``Token``, ``SimpleCommand``,
+``CommandAST``) is an immutable named tuple: besides its named fields it
+unpacks, indexes and compares equal to a plain tuple of the same values,
+and ``_replace`` gives a changed copy.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -37,7 +38,6 @@ All functions here are pure and safe for concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -82,8 +82,7 @@ _WORD_KIND, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
 _SUBST_OPEN, _SUBST_CLOSE = TokenKind.SUBST_OPEN, TokenKind.SUBST_CLOSE
 
 
-@dataclass(frozen=True)
-class SimpleCommand:
+class SimpleCommand(NamedTuple):
     """One pipeline stage: a utility plus its flags/arguments.
 
     ``flags`` holds its flag names, without dashes. ``erased_args`` counts
@@ -91,7 +90,8 @@ class SimpleCommand:
     ``--name=value`` (also of ``--=v``) and redirect targets. ``nested``
     holds the commands this stage runs itself — the target of a wrapper
     like sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
-    backtick substitution outside double quotes — in source order.
+    backtick substitution outside double quotes — in source order. Like
+    every parse record, it is a named tuple.
     """
 
     utility: str
@@ -100,8 +100,7 @@ class SimpleCommand:
     nested: tuple["SimpleCommand", ...] = ()
 
 
-@dataclass(frozen=True)
-class CommandAST:
+class CommandAST(NamedTuple):
     """Parsed pipeline plus everything needed to reproduce its text."""
 
     stages: tuple[SimpleCommand, ...]

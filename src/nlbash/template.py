@@ -6,17 +6,21 @@ parser recorded in ``SimpleCommand.flags``. Arguments, flag values, and
 redirect targets are erased; how many a utility had is
 ``SimpleCommand.erased_args`` on the parsed command. The AST is all a
 template needs: the vocabulary was read when the command was parsed.
+
+Units and templates are immutable named tuples, like the parse records:
+equality, hash, pickling and copying are those of the tuple of their
+fields (a template hashes as ``hash((units,))``), and they also unpack,
+index and compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .parser import CommandAST
 
 
-@dataclass(frozen=True, slots=True)
-class TemplateUnit:
+class TemplateUnit(NamedTuple):
     utility: str
     flags: frozenset[str]
 
@@ -25,28 +29,14 @@ class TemplateUnit:
         return f"{self.utility}[{inner}]"
 
 
-@dataclass(frozen=True, slots=True)
-class TemplateCommand:
+class TemplateCommand(NamedTuple):
     """Sequence of (utility, flag set) units in pipeline/nesting order.
 
-    Two commands differing only in their arguments are the same template.
-    The hash is computed once, on first use, and kept.
+    Two commands differing only in their arguments are the same template:
+    equal units, so equal templates with equal hashes, usable as dict keys.
     """
 
     units: tuple[TemplateUnit, ...]
-    # Set by the first ``__hash__`` call, so building a template costs nothing extra.
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.units,))  # the hash dataclass would generate
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):  # rebuilt from the fields: a cached hash holds only in its process
-        return TemplateCommand, (self.units,)
 
     def flag_count(self) -> int:
         return sum(len(u.flags) for u in self.units)

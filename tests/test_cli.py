@@ -87,6 +87,7 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         ["calibrate", "--data", str(data_file), "--out", model, "--k", "0"],
         ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "1.5"],
         ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "nan"],
+        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "abc"],
         ["stats", "--data", str(data_file), "--top", "-3"],
         ["stats", "--data", str(data_file), "--top", "x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", "'x"],
@@ -131,9 +132,14 @@ def test_dataset_errors_name_their_file(data_file, tmp_path, capsys):
     capsys.readouterr()
     assert cli(["eval", "--data", str(data_file), "--baseline", "tfidf", "--train", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}:2: invalid JSON")
-    bad.write_text('{"invocation": "x", "cmd": 5}\n', encoding="utf-8")
-    assert cli(["eval", "--data", str(bad), "--baseline", "tfidf", "--train", str(data_file)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}:1: 'cmd' must be")
+    for line, reason in (
+        ('{"invocation": "x", "cmd": 5}', "'cmd' must be"),
+        ('["x", "ls"]', "expected a JSON object"),
+        ('{"invocation": "x", "cmd": "ls", "source": 5}', "'source' must be"),
+    ):
+        bad.write_text(line + "\n", encoding="utf-8")
+        assert cli(["eval", "--data", str(bad), "--baseline", "tfidf", "--train", str(data_file)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: {reason}")
 
 
 _UNDECODABLE = {
@@ -258,6 +264,16 @@ def test_stats_prints_histogram(data_file, capsys):
     assert len(out.strip().splitlines()) <= 5
 
 
+def test_stats_notes_the_examples_it_filters_out(data_file, tmp_path, capsys):
+    lines = data_file.read_text(encoding="utf-8").splitlines()
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join([*lines, '{"invocation": "x", "cmd": "ls && rm x"}']) + "\n",
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert cli(["stats", "--data", str(mixed)]) == 0
+    assert capsys.readouterr().err == f"filtered out 1 of {len(lines) + 1} examples\n"
+
+
 def test_index_and_eval_baseline(data_file, tmp_path, capsys):
     index_path = tmp_path / "index.json"
     assert cli(["index", "--data", str(data_file), "--out", str(index_path)]) == 0
@@ -274,15 +290,16 @@ def test_index_and_eval_baseline(data_file, tmp_path, capsys):
 
 def test_eval_json_report(data_file, tmp_path):
     out_path = tmp_path / "report.json"
-    code = cli(
-        ["eval", "--baseline", "tfidf", "--variant", "raw", "--train", str(data_file),
-         "--data", str(data_file), "--format", "json", "--out", str(out_path)]
-    )
-    assert code == 0
-    report = json.loads(out_path.read_text(encoding="utf-8"))
-    assert "mean_score" in report and "latency" in report
-    # training data equals eval data, so self-retrieval should be strong
-    assert report["mean_score"] > 0.9
+    for variant in ("raw", "normalize"):
+        code = cli(
+            ["eval", "--baseline", "tfidf", "--variant", variant, "--train", str(data_file),
+             "--data", str(data_file), "--format", "json", "--out", str(out_path)]
+        )
+        assert code == 0
+        report = json.loads(out_path.read_text(encoding="utf-8"))
+        assert "mean_score" in report and "latency" in report
+        # training data equals eval data, so self-retrieval should be strong
+        assert report["mean_score"] > 0.9, variant
 
 
 def test_calibrate_writes_model(data_file, tmp_path, capsys):

@@ -92,6 +92,8 @@ def test_load_examples_raises_only_nlbash_errors(tmp_path_factory, data):
         {"invocation": "x", "cmd": 5},
         {"invocation": "x", "cmd": ["ls", ""]},
         {"invocation": "x", "cmd": "ls", "id": 7},
+        ["x", "ls"],
+        {"invocation": "x", "cmd": "ls", "source": 5},
     ],
 )
 def test_load_examples_schema_violations(tmp_path, record):

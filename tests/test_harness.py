@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -610,6 +611,13 @@ def test_report_table_contains_leaderboard_columns():
     table = emit_report(report, "table").decode("utf-8")
     assert "Accuracy Score" in table
     assert "Latency (sec)" in table
+    # the predictor column fits the name; up to 28 characters it keeps its old width
+    for name in ("OraclePredictor", "tfidf+dedupe+normalize+calibrated"):
+        named = dataclasses.replace(report, predictor=name)
+        header, rule, row = emit_report(named, "table").decode("utf-8").splitlines()[:3]
+        assert len(header) == len(rule) == len(row) == max(28, len(name)) + 30
+        end = header.index("Accuracy Score") + len("Accuracy Score")
+        assert row.startswith(name + " ") and row[:end].endswith(f" {report.mean_score:.4f}")
 
 
 class _RaisingName(ConstantPredictor):
@@ -754,6 +762,51 @@ def test_subprocess_predictor_protocol_error(tmp_path):
     # protocol violations surface as predictor failures, scored -1
     assert report.predictor_failure_count == 1
     assert report.mean_score == -1.0
+
+
+def test_subprocess_reply_without_a_final_newline_is_read_at_exit(tmp_path):
+    script = tmp_path / "last_word.py"
+    script.write_text(
+        "import sys; sys.stdin.readline(); "
+        "sys.stdout.write('[{\"cmd\": \"ls -la\", \"confidence\": 0.9}]')",
+        encoding="utf-8",
+    )
+    data = [Example("1", "list files", ("ls -la",), Source.OTHER)]
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    assert report.predictor_failure_count == 0
+    assert report.mean_score == pytest.approx(0.9)
+
+
+def test_subprocess_predictor_that_exits_without_a_reply_fails(tmp_path):
+    script = tmp_path / "mute.py"
+    script.write_text("import sys; sys.stdin.readline()", encoding="utf-8")
+    data = [Example("1", "list files", ("ls",), Source.OTHER)]
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    assert report.mean_score == -1.0
+    assert report.per_example[0].error == (
+        "PredictorProtocolError('predictor closed its output stream')"
+    )
+
+
+def test_subprocess_reply_line_is_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr("nlbash.harness.MAX_REPLY_BYTES", 1000)
+    script = tmp_path / "stream.py"
+    script.write_text(
+        "import sys, time; sys.stdin.readline(); "
+        "sys.stdout.write('x' * 65536); sys.stdout.flush(); time.sleep(60)",
+        encoding="utf-8",
+    )
+    data = dataset(2, seed=5)
+    start = time.monotonic()
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    # the child is killed at the cap, not at the reply timeout
+    assert time.monotonic() - start < 10
+    assert [r.score.value for r in report.per_example] == [-1.0, -1.0]
+    assert "exceeds 1000 bytes" in report.per_example[0].error
+    assert "exited" in report.per_example[1].error
 
 
 @pytest.mark.parametrize(
