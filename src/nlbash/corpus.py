@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -88,32 +89,22 @@ class FilterReport:
     rejected: list[Rejection] = field(default_factory=list)
 
 
-def _example_from_record(record: dict, where: str, default_id: str) -> Example:
-    if not isinstance(record, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    invocation = record.get("invocation")
-    if not isinstance(invocation, str) or not invocation.strip():
+def _example_from_record(record: object, where: str, default_id: str) -> Example:
+    invocation = json_field(record, "invocation", str, where)
+    if not invocation.strip():
         raise SchemaError(f"{where}: 'invocation' must be a non-empty string")
-    cmd = record.get("cmd")
-    if isinstance(cmd, str):
-        references = [cmd]
-    elif isinstance(cmd, list) and cmd and all(isinstance(c, str) for c in cmd):
-        references = list(cmd)
-    else:
-        raise SchemaError(f"{where}: 'cmd' must be a string or non-empty list of strings")
-    if any(not c.strip() for c in references):
-        raise SchemaError(f"{where}: empty command text in 'cmd'")
-    ex_id = record.get("id", default_id)
-    if not isinstance(ex_id, str) or not ex_id:
+    cmd = json_field(record, "cmd", (str, list), where)
+    references = [cmd] if type(cmd) is str else cmd
+    if not references or any(type(c) is not str or not c.strip() for c in references):
+        raise SchemaError(f"{where}: 'cmd' must be a command or a non-empty list of commands")
+    ex_id = json_field(record, "id", str, where, default_id)
+    if not ex_id:
         raise SchemaError(f"{where}: 'id' must be a non-empty string")
-    source_raw = record.get("source")
-    if source_raw is not None and not isinstance(source_raw, str):
-        raise SchemaError(f"{where}: 'source' must be a string")
     return Example(
         id=ex_id,
         invocation=invocation,
         references=tuple(references),
-        source=Source.coerce(source_raw),
+        source=Source.coerce(json_field(record, "source", (str, type(None)), where, None)),
     )
 
 
@@ -134,24 +125,64 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# A JSON number: an exact int or float, so never a bool.
+NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def decode_json(data: str | bytes, where: str) -> object:
+    """The JSON value in ``data``, UTF-8 bytes or text; SchemaError naming ``where``
+    (``path`` or ``path:line``) for bad UTF-8, text that is not JSON (a huge int and
+    deep nesting included), and a lone surrogate, raw or escaped, in any string,
+    which could not be written back as UTF-8. Every JSON input of the package,
+    file, line or reply, is decoded here."""
+    try:
+        text = data if type(data) is str else data.decode("utf-8")
+        value = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{where}: invalid UTF-8 ({exc.reason})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+    bad = None if text.isascii() else _SURROGATE.search(text)  # raw, in a str from a caller
+    # Only a \u escape brings one into decoded UTF-8. The one-character search
+    # runs first: it is a memchr, and the two-character one is not.
+    pending = [value] if "\\" in text and "\\u" in text else []
+    while pending and not bad:  # a loop, not recursion: the value may nest as deep as json allows
+        item = pending.pop()
+        if type(item) is list:
+            pending += item
+        elif type(item) is dict:
+            pending += (*item, *item.values())
+        elif type(item) is str:
+            bad = _SURROGATE.search(item)
+    if bad:
+        raise SchemaError(f"{where}: lone surrogate {bad.group()!r} in text")
+    return value
+
+
+def json_field(obj: object, key: str, kind: type | tuple[type, ...], where: str,
+               default: object = _REQUIRED):
+    """``obj[key]``, or ``default`` for an absent key when one is given; SchemaError
+    naming ``where`` unless ``obj`` is a JSON object whose ``key`` holds a value of
+    exactly a ``kind`` type, so a bool is no int."""
+    if type(obj) is not dict:
+        raise SchemaError(f"{where}: expected a JSON object")
+    value = obj.get(key, default)
+    if type(value) is kind or type(kind) is tuple and type(value) in kind:
+        return value
+    if value is _REQUIRED:
+        raise SchemaError(f"{where}: missing {key!r}")
+    names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
+    raise SchemaError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
+
+
 def load_examples(path: str | Path) -> list[Example]:
     """Load a JSON-lines dataset. Raises SchemaError naming ``path`` and the line number."""
     examples: list[Example] = []
     for lineno, line in text_lines(path):
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            reason = getattr(exc, "msg", exc)
-            raise SchemaError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
-        example = _example_from_record(record, f"{path}:{lineno}", f"ex-{lineno:06d}")
-        if "\\u" in line:  # only a \u escape can bring a lone surrogate, which is not UTF-8
-            try:
-                for text in (example.id, example.invocation, *example.references):
-                    text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                bad = exc.object[exc.start]
-                raise SchemaError(f"{path}:{lineno}: lone surrogate {bad!r} in text") from exc
-        examples.append(example)
+        where = f"{path}:{lineno}"
+        examples.append(_example_from_record(decode_json(line, where), where, f"ex-{lineno:06d}"))
     return examples
 
 

@@ -9,9 +9,9 @@ call. A prediction the parser rejects scores -delta, each time a
 prediction names it — a command outside the grammar can never match a
 reference, and silently dropping it would game the averaging branch. A
 predictor exception scores the whole example -1, and so does a prediction
-set whose first k items are not all a ``str`` cmd with a real confidence
-that converts, without raising, to a finite float; both count as
-predictor failures. A cmd
+set whose first k items are not all a ``str`` cmd with a real confidence,
+not a bool, that converts, without raising, to a finite float; both count
+as predictor failures. A cmd
 of a ``str`` subclass is scored as its plain text, so no method of the
 predictor's object runs in the harness. A predictor that returns nothing
 abstains and scores 0.
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NoReturn, Protocol, Sequence
 
-from .corpus import Example, dataset_fingerprint, text_lines
+from .corpus import NUMBER, Example, dataset_fingerprint, decode_json, json_field, text_lines
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -131,55 +131,35 @@ class EvaluationReport:
         return json.dumps(payload, ensure_ascii=False, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        """Read a report written by ``to_json``; SchemaError unless ``text`` holds
-        every key that writes, each of its type, and known aggregations."""
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            raise SchemaError(f"invalid JSON ({exc})") from exc
+    def from_json(cls, text: str | bytes) -> "EvaluationReport":
+        """Read a report written by ``to_json``, as text or UTF-8 bytes; SchemaError
+        unless it holds every key that writes, each of its type, and known aggregations."""
+        obj = decode_json(text, "report")
         per_example = []
-        for r in _field(obj, "per_example", list):
-            example_id = _field(r, "id", str)
+        for r in json_field(obj, "per_example", list, "report"):
+            example_id = json_field(r, "id", str, "report example")
+            where = f"report example {example_id!r}"
             try:
-                aggregation = Aggregation(_field(r, "aggregation", str))
+                aggregation = Aggregation(json_field(r, "aggregation", str, where))
             except ValueError as exc:
-                raise SchemaError(f"report example {example_id!r}: {exc}") from exc
-            values = _field(r, "per_prediction", list)
-            per_prediction = tuple(_typed(v, _NUMBER, "'per_prediction' item") for v in values)
-            score = ExampleScore(_field(r, "score", _NUMBER), per_prediction, aggregation)
-            latency_s = _field(r, "latency_s", _NUMBER)
-            error = _typed(r.get("error"), (str, type(None)), "'error'")
+                raise SchemaError(f"{where}: {exc}") from exc
+            per_prediction = tuple(json_field(r, "per_prediction", list, where))
+            if any(type(v) not in NUMBER for v in per_prediction):
+                raise SchemaError(f"{where}: 'per_prediction' must hold numbers only")
+            score = ExampleScore(json_field(r, "score", NUMBER, where), per_prediction, aggregation)
+            latency_s = json_field(r, "latency_s", NUMBER, where)
+            error = json_field(r, "error", (str, type(None)), where, None)
             per_example.append(ExampleResult(example_id, score, latency_s, error))
-        latency = _field(obj, "latency", dict)
+        latency = json_field(obj, "latency", dict, "report")
+        quantiles = [json_field(latency, q, NUMBER, "report") for q in ("mean", "median", "p95")]
+        scalars = {"predictor": str, "k": int, "mean_score": NUMBER, "dataset_fingerprint": str,
+                   "unparseable_prediction_count": int, "predictor_failure_count": int}
         return cls(
-            predictor=_field(obj, "predictor", str),
-            k=_field(obj, "k", int),
             per_example=per_example,
-            mean_score=_field(obj, "mean_score", _NUMBER),
-            latency=LatencyStats(*(_field(latency, q, _NUMBER) for q in ("mean", "median", "p95"))),
-            dataset_fingerprint=_field(obj, "dataset_fingerprint", str),
-            unparseable_prediction_count=_field(obj, "unparseable_prediction_count", int),
-            predictor_failure_count=_field(obj, "predictor_failure_count", int),
-            metadata=_typed(obj.get("metadata", {}), dict, "'metadata'"),
+            latency=LatencyStats(*quantiles),
+            metadata=json_field(obj, "metadata", dict, "report", {}),
+            **{key: json_field(obj, key, kind, "report") for key, kind in scalars.items()},
         )
-
-
-_NUMBER = (int, float)
-
-
-def _typed(value, kind, what: str):
-    """``value`` itself; SchemaError unless it is a ``kind``. A bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise SchemaError(f"report {what}: unexpected {type(value).__name__}")
-    return value
-
-
-def _field(obj, key: str, kind):
-    """``obj[key]``; SchemaError unless ``obj`` is an object whose ``key`` holds a ``kind``."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"report lacks {key!r}")
-    return _typed(obj[key], kind, repr(key))
 
 
 def _describe(value) -> str:
@@ -195,7 +175,8 @@ def _checked(predictions: Sequence[Prediction]) -> list[tuple[str, float]] | str
 
     Describes the first prediction instead when its cmd is not a ``str``
     (by type: isinstance would believe an object whose __class__ claims
-    str) or its confidence is not a real that converts to a finite float.
+    str) or its confidence is not a real, other than a bool, that converts
+    to a finite float.
     Each attribute is read and the confidence converted once; anything
     that raises there, a missing attribute or an int too large for a float
     included, breaks the contract.
@@ -204,7 +185,8 @@ def _checked(predictions: Sequence[Prediction]) -> list[tuple[str, float]] | str
     for i, p in enumerate(predictions):
         try:
             cmd, confidence = p.cmd, p.confidence
-            value = float(confidence) if isinstance(confidence, numbers.Real) else math.nan
+            real = isinstance(confidence, numbers.Real) and not isinstance(confidence, bool)
+            value = float(confidence) if real else math.nan
         except Exception:
             cmd, value = None, math.nan
         if not issubclass(type(cmd), str) or not math.isfinite(value):
@@ -371,14 +353,17 @@ class ReplayPredictor:
         return list(self._by_id.get(ex_id, ()))[:k]
 
 
-def _decode_predictions(items) -> list[Prediction]:
+def _decode_predictions(items: object, where: str) -> list[Prediction]:
     """Predictions from a decoded JSON array of ``{"cmd", "confidence"}`` objects.
 
-    Values are kept as sent, so ``evaluate`` applies one type rule to every
-    route into the harness. Raises KeyError or TypeError for an item that is
-    not an object with a "cmd".
+    Values are kept as sent, so ``evaluate`` applies one type rule to every route into
+    the harness. Raises SchemaError naming ``where`` for an item that is not an object
+    with a "cmd"; items are indexed directly, since ``json_field`` per item slows loads.
     """
-    return [Prediction(cmd=p["cmd"], confidence=p.get("confidence", 1.0)) for p in items]
+    try:
+        return [Prediction(cmd=p["cmd"], confidence=p.get("confidence", 1.0)) for p in items]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{where}: bad predictions ({exc!r})") from exc
 
 
 def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
@@ -389,14 +374,10 @@ def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
     """
     by_id: dict[str, list[Prediction]] = {}
     for lineno, line in text_lines(path):
-        try:
-            obj = json.loads(line)
-            ex_id = obj["id"]
-            if not isinstance(ex_id, str):
-                raise TypeError(f"id must be a string, got {type(ex_id).__name__}")
-            by_id[ex_id] = _decode_predictions(obj["predictions"])
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise SchemaError(f"{path}:{lineno}: bad prediction record ({exc})") from exc
+        where = f"{path}:{lineno}"
+        record = decode_json(line, where)
+        ex_id = json_field(record, "id", str, where)
+        by_id[ex_id] = _decode_predictions(record.get("predictions"), where)
     return by_id
 
 
@@ -439,12 +420,17 @@ class SubprocessPredictor:
         self._unread = b""  # reply bytes read past the last newline
 
     def _read_line(self) -> bytes:
-        """The next reply line, read straight from the pipe so select sees every byte."""
+        """The next reply line, read straight from the pipe so select sees every byte.
+
+        Each search for the newline starts at the bytes read since the last
+        one, so a long line costs time linear in its length.
+        """
         assert self._proc.stdout is not None
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + REPLY_TIMEOUT_S
-        while b"\n" not in self._unread:
-            if len(self._unread) > MAX_REPLY_BYTES:
+        buf, searched = bytearray(self._unread), 0
+        while not (end := buf.find(b"\n", searched) + 1):
+            if len(buf) > MAX_REPLY_BYTES:
                 self._kill(f"predictor reply line exceeds {MAX_REPLY_BYTES} bytes")
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
@@ -452,9 +438,10 @@ class SubprocessPredictor:
             chunk = os.read(fd, 65536)
             if not chunk:
                 break
-            self._unread += chunk
-        end = self._unread.find(b"\n") + 1 or len(self._unread)
-        line, self._unread = self._unread[:end], self._unread[end:]
+            searched = len(buf)
+            buf += chunk
+        end = end or len(buf)
+        line, self._unread = bytes(buf[:end]), bytes(buf[end:])
         return line
 
     def _kill(self, reason: str) -> NoReturn:
@@ -472,9 +459,9 @@ class SubprocessPredictor:
         if not line:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
-            return _decode_predictions(json.loads(line))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise PredictorProtocolError(f"bad predictor reply: {exc}") from exc
+            return _decode_predictions(decode_json(line, "predictor reply"), "predictor reply")
+        except SchemaError as exc:
+            raise PredictorProtocolError(str(exc)) from exc
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Example
+from .corpus import NUMBER, Example, decode_json, json_field
 from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
 from .metric import Prediction, ScoredPrediction, prediction_score
 from .parser import parse
@@ -285,23 +285,15 @@ class TfIdfIndex:
         bool, "pairs": [[str, str], ...]}``; the pairs then raise what the
         constructor raises.
         """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise SchemaError(f"{path}: expected a JSON object")
-        version = payload.get("version")
-        if type(version) is not int or version != INDEX_FORMAT_VERSION:
-            raise SchemaError(f"{path}: unsupported index version: {version!r}")
-        normalize, pairs = payload.get("normalize"), payload.get("pairs")
-        if type(normalize) is not bool:
-            raise SchemaError(f"{path}: 'normalize' must be true or false")
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(t, str) for t in p)
-            for p in pairs
-        ):
-            raise SchemaError(f"{path}: 'pairs' must be a list of [invocation, command] strings")
+        where = str(path)
+        payload = decode_json(Path(path).read_bytes(), where)
+        version = json_field(payload, "version", int, where)
+        if version != INDEX_FORMAT_VERSION:
+            raise SchemaError(f"{where}: unsupported index version: {version!r}")
+        normalize = json_field(payload, "normalize", bool, where)
+        pairs = json_field(payload, "pairs", list, where)
+        if not all(type(p) is list and list(map(type, p)) == [str, str] for p in pairs):
+            raise SchemaError(f"{where}: 'pairs' must be a list of [invocation, command] strings")
         return cls([(nl, cmd) for nl, cmd in pairs], vocab=vocab, normalize=normalize)
 
 
@@ -378,7 +370,8 @@ class CalibrationModel:
 
     def probability(self, features: Sequence[float]) -> float:
         z = self.bias
-        for w, x, m, s in zip(self.weights, features, self.feature_means, self.feature_stds):
+        columns = (self.weights, features, self.feature_means, self.feature_stds)
+        for w, x, m, s in zip(*columns, strict=True):
             z += w * (x - m) / s
         return _sigmoid(z)
 
@@ -401,46 +394,40 @@ class CalibrationModel:
         one length, whose ``bias`` is a number, every number finite and
         every std positive.
         """
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            raise SchemaError(f"invalid JSON ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError("expected a JSON object")
-        lists = {}
-        for key in ("weights", "feature_means", "feature_stds"):
-            values = obj.get(key)
-            if not isinstance(values, list):
-                raise SchemaError(f"{key!r} must be a list of numbers")
-            lists[key] = tuple(_finite(v, key) for v in values)
-        if len({len(v) for v in lists.values()}) != 1:
-            raise SchemaError("'weights', 'feature_means' and 'feature_stds' differ in length")
-        if not all(s > 0.0 for s in lists["feature_stds"]):
-            raise SchemaError("'feature_stds' must be positive")
-        return cls(bias=_finite(obj.get("bias"), "bias"), **lists)
+        return _model_from(decode_json(text, "model"), "model")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibrationModel":
-        """Read a saved model; raises SchemaError as ``from_json`` does."""
-        try:
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: invalid UTF-8 ({exc})") from exc
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        """Read a saved model; raises SchemaError naming ``path`` as ``from_json`` does."""
+        return _model_from(decode_json(Path(path).read_bytes(), str(path)), str(path))
 
 
-def _finite(value: object, key: str) -> float:
-    """``value`` as a float; SchemaError unless it is a finite JSON number."""
+def _model_from(obj: object, where: str) -> CalibrationModel:
+    lists = {}
+    for key in ("weights", "feature_means", "feature_stds"):
+        values = json_field(obj, key, list, where)
+        if any(type(v) not in NUMBER for v in values):
+            raise SchemaError(f"{where}: {key!r} must hold numbers only")
+        lists[key] = tuple(_finite(v, key, where) for v in values)
+    if len({len(v) for v in lists.values()}) != 1:
+        raise SchemaError(f"{where}: weights, means and stds differ in length")
+    if not all(s > 0.0 for s in lists["feature_stds"]):
+        raise SchemaError(f"{where}: 'feature_stds' must be positive")
+    bias = _finite(json_field(obj, "bias", NUMBER, where), "bias", where)
+    return CalibrationModel(bias=bias, **lists)
+
+
+def _finite(value: int | float, key: str, where: str) -> float:
+    """``value`` as a float; SchemaError unless it is finite."""
     try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        if math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise SchemaError(f"{key!r}: expected finite numbers, got {type(value).__name__}")
+    raise SchemaError(f"{where}: {key!r} must hold finite numbers, got {value!r}")
 
 
 def _sigmoid(z: float) -> float:

@@ -267,8 +267,8 @@ def _clamp(value, lo, hi):
 
 
 def _contract_violation(predictions):
-    """The first prediction lacking a str cmd or a real confidence that ``float()``
-    converts to a finite value, described."""
+    """The first prediction lacking a str cmd or a real confidence, not a bool,
+    that ``float()`` converts to a finite value, described."""
     import numbers
 
     from nlbash.harness import _describe
@@ -278,7 +278,8 @@ def _contract_violation(predictions):
         try:
             # float() runs a subclass's __float__; math.isfinite alone would
             # read a float subclass's value without calling it.
-            finite = isinstance(confidence, numbers.Real) and math.isfinite(float(confidence))
+            real = isinstance(confidence, numbers.Real) and not isinstance(confidence, bool)
+            finite = real and math.isfinite(float(confidence))
         except Exception:  # a raising __float__, an int past the float range
             finite = False
         if not issubclass(type(cmd), str) or not finite:

@@ -1,9 +1,13 @@
+import ast
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from strategies import byte_lines, shell_text
 
+import nlbash
 from nlbash.corpus import (
     Example,
     RejectReason,
@@ -16,7 +20,9 @@ from nlbash.corpus import (
     save_filter_report,
     utility_histogram,
 )
-from nlbash.errors import InvalidFractionsError, NlbashError, SchemaError
+from nlbash.errors import InvalidFractionsError, NlbashError, PredictorProtocolError, SchemaError
+from nlbash.harness import EvaluationReport, SubprocessPredictor, load_prediction_file
+from nlbash.retrieval import CalibrationModel, TfIdfIndex
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
 
@@ -81,6 +87,64 @@ def test_load_examples_raises_only_nlbash_errors(tmp_path_factory, data):
     except NlbashError:
         return
     save_examples(examples, tmp / "saved.jsonl")  # what loads can be written back
+
+
+def _predictor_reply(path):
+    script = path.with_suffix(".py")
+    script.write_text(
+        "import sys; sys.stdin.readline(); "
+        f"sys.stdout.buffer.write(open({str(path)!r}, 'rb').read())",
+        encoding="utf-8",
+    )
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        predictor.predict("list files", 5)
+
+
+# Each JSON reader: how it reads a file, the error it raises, and where that says it was.
+_JSON_READERS = {
+    "dataset": (load_examples, SchemaError, "{path}:1: "),
+    "predictions": (lambda path: load_prediction_file(str(path)), SchemaError, "{path}:1: "),
+    "predictor-reply": (_predictor_reply, PredictorProtocolError, "predictor reply: "),
+    "index": (TfIdfIndex.load, SchemaError, "{path}: "),
+    "calibration-model": (CalibrationModel.load, SchemaError, "{path}: "),
+    "report": (lambda path: EvaluationReport.from_json(path.read_bytes()), SchemaError, "report: "),
+}
+_BAD_JSON = {
+    "bad-utf8": (b'{"id": "\xff"}', "invalid UTF-8"),
+    "deep-json": (b"[" * 100_000, "invalid JSON"),
+    "lone-surrogate": (b'{"id": "a\\ud800"}', "lone surrogate '\\ud800'"),
+    "non-object": (b"[1]", ""),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_JSON))
+@pytest.mark.parametrize("reader", list(_JSON_READERS))
+def test_every_json_reader_refuses_the_same_bad_input_alike(tmp_path, reader, bad):
+    read, error, where = _JSON_READERS[reader]
+    data, reason = _BAD_JSON[bad]
+    path = tmp_path / "input.json"
+    path.write_bytes(data + b"\n")
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value).startswith(where.format(path=path) + reason)
+
+
+def test_only_the_shared_decoder_calls_json_loads():
+    def decodes(node):  # json.load(s)(...), or load(s)(...) imported from json
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute):
+            return func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json"
+        return isinstance(func, ast.Name) and func.id in ("load", "loads")
+
+    callers = []
+    for source in sorted(Path(nlbash.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        calls = sum(map(decodes, ast.walk(tree)))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        inside = [(source.name, f.name) for f in functions for n in ast.walk(f) if decodes(n)]
+        assert len(inside) == calls, f"{source.name} decodes JSON outside a function"
+        callers += inside
+    assert callers == [("corpus.py", "decode_json")]
 
 
 @pytest.mark.parametrize(

@@ -118,8 +118,10 @@ def test_predictor_failure_recorded_and_scored_minus_one():
         Prediction("ls", "0.5"),
         Prediction(None, 1.0),
         Prediction("ls", 10**400),
+        Prediction("ls", True),
     ],
-    ids=["nan", "nan-unparseable", "bare-str", "inf", "str-confidence", "none-cmd", "huge-int"],
+    ids=["nan", "nan-unparseable", "bare-str", "inf", "str-confidence", "none-cmd", "huge-int",
+         "bool-confidence"],
 )
 def test_malformed_prediction_is_a_predictor_failure(item):
     class Malformed:
@@ -143,8 +145,10 @@ def test_malformed_prediction_is_a_predictor_failure(item):
         {"cmd": "ls", "confidence": float("nan")},
         {"cmd": "ls", "confidence": None},
         {"cmd": "ls", "confidence": 10**400},
+        {"cmd": "ls", "confidence": True},
     ],
-    ids=["null-cmd", "str-confidence", "int-cmd", "nan", "null-confidence", "huge-int"],
+    ids=["null-cmd", "str-confidence", "int-cmd", "nan", "null-confidence", "huge-int",
+         "true-confidence"],
 )
 def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
     data = dataset(3, seed=3)
@@ -563,6 +567,9 @@ def _report_record(**changes):
                                                   "per_prediction": [], "latency_s": 0.1,
                                                   "error": 7}]),
                      id="int-error"),
+        pytest.param(_report_record(predictor="\ud800"), id="escaped-surrogate"),
+        pytest.param(_report_record(predictor="\ud800").replace("\\ud800", "\ud800"),
+                     id="raw-surrogate"),
     ],
 )
 def test_report_from_json_rejects_a_malformed_report(text):
@@ -598,10 +605,15 @@ _NEAR_REPORT = st.fixed_dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(max_size=30) | (json_values | _NEAR_REPORT).map(json.dumps))
+@example(text=_report_record(predictor="\ud800"))
 def test_report_from_json_raises_only_schema_errors(text):
     try:
-        EvaluationReport.from_json(text)
+        report = EvaluationReport.from_json(text)
     except SchemaError:
+        return
+    try:
+        emit_report(report, "json")  # what loads can be written back
+    except EmptyDatasetError:
         pass
 
 
@@ -807,6 +819,30 @@ def test_subprocess_reply_line_is_capped(tmp_path, monkeypatch):
     assert [r.score.value for r in report.per_example] == [-1.0, -1.0]
     assert "exceeds 1000 bytes" in report.per_example[0].error
     assert "exited" in report.per_example[1].error
+
+
+def test_subprocess_reply_line_of_a_mebibyte_in_small_writes_decodes_exactly(tmp_path):
+    script = tmp_path / "long.py"
+    script.write_text(
+        textwrap.dedent(
+            """
+            import json, sys
+            sys.stdin.readline()
+            long = json.dumps([{"cmd": "ls " + "a" * (1 << 20), "confidence": 0.25}]) + "\\n"
+            for i in range(0, len(long), 1000):
+                sys.stdout.write(long[i:i + 1000])
+                sys.stdout.flush()
+            sys.stdout.write('[{"cmd": "ls -la"}]\\n[{"cmd": "df -h"}]\\n')  # two at once
+            sys.stdout.flush()
+            sys.stdin.read()
+            """
+        ),
+        encoding="utf-8",
+    )
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        assert predictor.predict("list files", 5) == [Prediction("ls " + "a" * (1 << 20), 0.25)]
+        assert predictor.predict("list files", 5) == [Prediction("ls -la")]
+        assert predictor.predict("list files", 5) == [Prediction("df -h")]
 
 
 @pytest.mark.parametrize(

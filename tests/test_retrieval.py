@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlbash.errors import DegenerateLabelsError, EmptyCorpusError, NlbashError, SchemaError
@@ -367,13 +367,16 @@ _NEAR_INDEX = st.fixed_dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(payload=json_values | _NEAR_INDEX)
+@example(payload={"version": 1, "normalize": False, "pairs": [["list \ud800", "ls -l"]]})
 def test_index_load_raises_only_nlbash_errors(tmp_path_factory, payload):
-    path = tmp_path_factory.mktemp("index") / "index.json"
+    tmp = tmp_path_factory.mktemp("index")
+    path = tmp / "index.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     try:
-        TfIdfIndex.load(path, VOCAB)
+        index = TfIdfIndex.load(path, VOCAB)
     except NlbashError:
-        pass
+        return
+    index.save(tmp / "saved.json")  # what loads can be written back
 
 
 def test_dedupe_drops_duplicate_templates():
@@ -585,6 +588,17 @@ def test_calibration_load_raises_only_nlbash_errors(tmp_path_factory, payload):
         CalibrationModel.load(path)
     except NlbashError:
         pass
+
+
+def test_a_calibration_model_of_another_width_is_not_applied():
+    narrow = CalibrationModel.from_json(
+        json.dumps({"weights": [1.0], "bias": 0.0, "feature_means": [0.5], "feature_stds": [0.2]})
+    )
+    with pytest.raises(ValueError):
+        narrow.probability((0.9, 2.0, 1.0))
+    predictor = TfIdfPredictor(PAIRS, VOCAB, calibration=narrow)
+    with pytest.raises(ValueError):
+        predictor.predict("list all files", 3)
 
 
 def test_hit_features_are_similarity_flags_utilities():
