@@ -3,16 +3,16 @@
 Run:  python3 demos/03_corpus_pipeline.py
 """
 
-from nlbash import Example, Source, build_splits, filter_examples, utility_histogram
+from nlbash import Example, build_splits, filter_examples, utility_histogram
 from nlbash.synth import toy_corpus
 
 # Filtering keeps a reference only when it parses, reconstructs
 # byte-identically, and stays inside the utility whitelist.
 mixed = [
-    Example("good", "list files", ("ls -la",), Source.OTHER),
-    Example("unknown", "do something odd", ("frobnicate -x",), Source.OTHER),
-    Example("broken", "search text", ("grep 'oops",), Source.OTHER),
-    Example("partial", "delete stuff", ("frobnicate it", "rm -rf /tmp/stale"), Source.OTHER),
+    Example("good", "list files", ("ls -la",)),
+    Example("unknown", "do something odd", ("frobnicate -x",)),
+    Example("broken", "search text", ("grep 'oops",)),
+    Example("partial", "delete stuff", ("frobnicate it", "rm -rf /tmp/stale")),
 ]
 report = filter_examples(mixed)
 print("kept:    ", [(e.id, e.references) for e in report.kept])

@@ -15,7 +15,6 @@ likely to catch. Every other name is imported from its submodule.
 
 from .corpus import (
     Example,
-    Source,
     build_splits,
     filter_examples,
     load_examples,
@@ -65,7 +64,6 @@ __all__ = [
     "Predictor",
     "SchemaError",
     "ScoredPrediction",
-    "Source",
     "SubprocessPredictor",
     "TfIdfIndex",
     "TfIdfPredictor",

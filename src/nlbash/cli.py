@@ -159,23 +159,15 @@ def _make_baseline(args, pairs, vocab):
 
 def _cmd_eval(args, vocab):
     dataset = _load_filtered(args.data, vocab)
-    predictor = None
-    closer = None
     if args.baseline:
         if not args.train:
             raise UsageError("--baseline tfidf requires --train")
         train_examples = _load_filtered(args.train, vocab)
         predictor = _make_baseline(args, pairs_from_examples(train_examples), vocab)
-    elif args.predictor_cmd:
-        predictor = SubprocessPredictor(args.predictor_cmd)
-        closer = predictor
-    else:
-        raise UsageError("eval needs --baseline or --predictor-cmd")
-    try:
         report = evaluate(predictor, dataset, k=args.k, vocab=vocab)
-    finally:
-        if closer is not None:
-            closer.close()
+    else:
+        with SubprocessPredictor(args.predictor_cmd) as predictor:
+            report = evaluate(predictor, dataset, k=args.k, vocab=vocab)
     payload = emit_report(report, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -299,14 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
         "eval", parents=[vocab_arg, k_arg], help="evaluate a baseline or external predictor"
     )
     p.add_argument("--data", required=True)
-    p.add_argument("--baseline", choices=["tfidf"])
-    p.add_argument("--variant", choices=["raw", "dedup", "normalize", "full"], default="full")
-    p.add_argument("--train", help="training data for --baseline tfidf")
-    p.add_argument(
+    one_predictor = p.add_mutually_exclusive_group(required=True)
+    one_predictor.add_argument("--baseline", choices=["tfidf"])
+    one_predictor.add_argument(
         "--predictor-cmd",
         type=_command_line,
         help="external predictor command (line-delimited JSON)",
     )
+    p.add_argument("--variant", choices=["raw", "dedup", "normalize", "full"], default="full")
+    p.add_argument("--train", help="training data for --baseline tfidf")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out")

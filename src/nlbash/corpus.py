@@ -4,13 +4,15 @@ Datasets are UTF-8 JSON lines, one object per line::
 
     {"id": "...", "invocation": "...", "cmd": "..." or ["...", ...], "source": "..."}
 
-``id`` and ``source`` are optional. Filtering keeps a reference command
-only when it parses and reconstructs byte-identically; an example survives
-when at least one reference does. ``parse`` enforces the utility whitelist
-at every nesting depth it parses, every unquoted substitution included;
-only one inside double quotes is argument text, so its command is not
-checked. Round-trip holds by construction (``reconstruct`` copies the gaps
-between tokens from the raw text), and the filter still checks it.
+``id`` and ``source`` are optional; ``source`` is kept as the dataset
+wrote it, and read as ``"other"`` when absent, ``null`` or empty.
+Filtering keeps a reference command only when it parses and reconstructs
+byte-identically; an example survives when at least one reference does.
+``parse`` enforces the utility whitelist at every nesting depth it parses,
+every unquoted substitution included; only one inside double quotes is
+argument text, so its command is not checked. Round-trip holds by
+construction (``reconstruct`` copies the gaps between tokens from the raw
+text), and the filter still checks it.
 """
 
 from __future__ import annotations
@@ -35,22 +37,6 @@ from .template import flatten_utilities
 from .vocab import UtilityVocabulary
 
 
-class Source(Enum):
-    NL2BASH = "nl2bash"
-    TELLINA = "tellina"
-    CHALLENGE = "challenge"
-    OTHER = "other"
-
-    @classmethod
-    def coerce(cls, value: str | None) -> "Source":
-        if value is None:
-            return cls.OTHER
-        try:
-            return cls(value.strip().lower())
-        except ValueError:
-            return cls.OTHER
-
-
 @dataclass(frozen=True, slots=True)
 class Example:
     """One natural-language invocation with its reference commands."""
@@ -58,14 +44,14 @@ class Example:
     id: str
     invocation: str
     references: tuple[str, ...]
-    source: Source = Source.OTHER
+    source: str = "other"
 
     def to_record(self) -> dict:
         return {
             "id": self.id,
             "invocation": self.invocation,
             "cmd": list(self.references),
-            "source": self.source.value,
+            "source": self.source,
         }
 
 
@@ -104,7 +90,7 @@ def _example_from_record(record: object, where: str, default_id: str) -> Example
         id=ex_id,
         invocation=invocation,
         references=tuple(references),
-        source=Source.coerce(json_field(record, "source", (str, type(None)), where, None)),
+        source=json_field(record, "source", (str, type(None)), where, None) or "other",
     )
 
 
@@ -175,6 +161,18 @@ def json_field(obj: object, key: str, kind: type | tuple[type, ...], where: str,
         raise SchemaError(f"{where}: missing {key!r}")
     names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
     raise SchemaError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
+
+
+def _finite(value: object, key: str, where: str) -> float:
+    """``value`` as a float; SchemaError naming ``key`` and ``where`` unless it is
+    a JSON number (so no bool) that is finite, which an int past the float range
+    is not."""
+    try:
+        if type(value) in NUMBER and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise SchemaError(f"{where}: {key!r} must hold finite numbers, got {value!r}")
 
 
 def load_examples(path: str | Path) -> list[Example]:

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NoReturn, Protocol, Sequence
 
-from .corpus import NUMBER, Example, dataset_fingerprint, decode_json, json_field, text_lines
+from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, text_lines
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -133,7 +133,12 @@ class EvaluationReport:
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvaluationReport":
         """Read a report written by ``to_json``, as text or UTF-8 bytes; SchemaError
-        unless it holds every key that writes, each of its type, and known aggregations."""
+        unless it holds every key that writes, each of its type, every score and
+        latency a finite number, and known aggregations."""
+
+        def number(record: object, key: str, where: str) -> float:
+            return _finite(json_field(record, key, NUMBER, where), key, where)
+
         obj = decode_json(text, "report")
         per_example = []
         for r in json_field(obj, "per_example", list, "report"):
@@ -143,20 +148,19 @@ class EvaluationReport:
                 aggregation = Aggregation(json_field(r, "aggregation", str, where))
             except ValueError as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
-            per_prediction = tuple(json_field(r, "per_prediction", list, where))
-            if any(type(v) not in NUMBER for v in per_prediction):
-                raise SchemaError(f"{where}: 'per_prediction' must hold numbers only")
-            score = ExampleScore(json_field(r, "score", NUMBER, where), per_prediction, aggregation)
-            latency_s = json_field(r, "latency_s", NUMBER, where)
+            per_prediction = tuple(
+                _finite(v, "per_prediction", where) for v in json_field(r, "per_prediction", list, where)
+            )
+            score = ExampleScore(number(r, "score", where), per_prediction, aggregation)
             error = json_field(r, "error", (str, type(None)), where, None)
-            per_example.append(ExampleResult(example_id, score, latency_s, error))
+            per_example.append(ExampleResult(example_id, score, number(r, "latency_s", where), error))
         latency = json_field(obj, "latency", dict, "report")
-        quantiles = [json_field(latency, q, NUMBER, "report") for q in ("mean", "median", "p95")]
-        scalars = {"predictor": str, "k": int, "mean_score": NUMBER, "dataset_fingerprint": str,
+        scalars = {"predictor": str, "k": int, "dataset_fingerprint": str,
                    "unparseable_prediction_count": int, "predictor_failure_count": int}
         return cls(
             per_example=per_example,
-            latency=LatencyStats(*quantiles),
+            mean_score=number(obj, "mean_score", "report"),
+            latency=LatencyStats(*(number(latency, q, "report") for q in ("mean", "median", "p95"))),
             metadata=json_field(obj, "metadata", dict, "report", {}),
             **{key: json_field(obj, key, kind, "report") for key, kind in scalars.items()},
         )
@@ -353,7 +357,7 @@ class ReplayPredictor:
         return list(self._by_id.get(ex_id, ()))[:k]
 
 
-def _decode_predictions(items: object, where: str) -> list[Prediction]:
+def _decode_predictions(items: list, where: str) -> list[Prediction]:
     """Predictions from a decoded JSON array of ``{"cmd", "confidence"}`` objects.
 
     Values are kept as sent, so ``evaluate`` applies one type rule to every route into
@@ -369,15 +373,18 @@ def _decode_predictions(items: object, where: str) -> list[Prediction]:
 def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
     """Read JSON-lines predictions: {"id", "predictions": [{"cmd", "confidence"}]}.
 
-    The id must be a JSON string. Raises SchemaError naming ``path`` and the
-    line number for a line that is not such a record.
+    The id must be a JSON string that no earlier line holds, and "predictions"
+    an array. Raises SchemaError naming ``path`` and the line number for a line
+    that is not such a record.
     """
     by_id: dict[str, list[Prediction]] = {}
     for lineno, line in text_lines(path):
         where = f"{path}:{lineno}"
         record = decode_json(line, where)
         ex_id = json_field(record, "id", str, where)
-        by_id[ex_id] = _decode_predictions(record.get("predictions"), where)
+        if ex_id in by_id:
+            raise SchemaError(f"{where}: id {ex_id!r} repeats an earlier line")
+        by_id[ex_id] = _decode_predictions(json_field(record, "predictions", list, where), where)
     return by_id
 
 
@@ -459,7 +466,10 @@ class SubprocessPredictor:
         if not line:
             raise PredictorProtocolError("predictor closed its output stream")
         try:
-            return _decode_predictions(decode_json(line, "predictor reply"), "predictor reply")
+            reply = decode_json(line, "predictor reply")
+            if type(reply) is not list:
+                raise SchemaError(f"predictor reply: expected a JSON array, got {type(reply).__name__}")
+            return _decode_predictions(reply, "predictor reply")
         except SchemaError as exc:
             raise PredictorProtocolError(str(exc)) from exc
 

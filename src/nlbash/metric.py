@@ -133,9 +133,9 @@ def example_score(
     return aggregate_scores([prediction_score(p, refs) for p in predictions])
 
 
-def dataset_score(per_example: Iterable[ExampleScore | float]) -> float:
+def dataset_score(per_example: Iterable[ExampleScore]) -> float:
     """Unweighted mean of example scores; the leaderboard number."""
-    values = [e.value if isinstance(e, ExampleScore) else float(e) for e in per_example]
+    values = [e.value for e in per_example]
     if not values:
         raise EmptyDatasetError("cannot average zero example scores")
     return math.fsum(values) / len(values)

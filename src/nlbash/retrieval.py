@@ -3,7 +3,7 @@
 The baseline indexes NL-command training pairs, answers a query with the
 top-k cosine matches, optionally prunes hits that share a template (inside
 ``retrieve``, on ranked document positions, so only returned hits are
-built), and optionally replaces the default confidence of 1.0 with the
+built), and answers each hit with confidence 1.0 or, calibrated, with the
 fitted probability that the hit scores positively. Each stage is
 independently switchable so ablations can be compared.
 
@@ -22,12 +22,12 @@ import math
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUMBER, Example, decode_json, json_field
+from .corpus import NUMBER, Example, _finite, decode_json, json_field
 from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
 from .metric import Prediction, ScoredPrediction, prediction_score
 from .parser import parse
@@ -114,7 +114,6 @@ class RetrievalHit:
     command: str
     template: TemplateCommand
     similarity: float
-    confidence: float = 1.0
 
 
 def _tokens(utterance: str, normalize: bool) -> list[str]:
@@ -236,9 +235,6 @@ class TfIdfIndex:
                 data[pos] = weight
         self._indices, self._data = np.asarray(indices), np.asarray(data)
 
-    def _tokenize(self, utterance: str) -> list[str]:
-        return _tokens(utterance, self.normalize)
-
     def _weigh(self, rows: Sequence[int], counts: Sequence[int]) -> list[float]:
         """L2-normalized weights of ``rows`` with term ``counts``, in their order."""
         idf = self._idf
@@ -260,7 +256,7 @@ class TfIdfIndex:
         """Each document's cosine similarity to ``nlc``, unclamped."""
         scores = np.zeros(len(self.documents))
         indptr, indices, data = self._indptr, self._indices, self._data
-        for row, qw in zip(*self._vectorize(self._tokenize(nlc))):
+        for row, qw in zip(*self._vectorize(_tokens(nlc, self.normalize))):
             a, b = indptr[row], indptr[row + 1]
             np.add.at(scores, indices[a:b], qw * data[a:b])
         return scores
@@ -310,8 +306,7 @@ def retrieve(index: TfIdfIndex, nlc: str, k: int, dedupe: bool = False) -> list[
     are then walked in order, a document whose template an earlier one
     already has is skipped, and the walk stops at k kept documents, which
     gives what ``dedupe_hits`` gives on the pool's hits. Hits are built
-    for the returned documents only. Every hit carries the default
-    confidence of 1.0; calibration adjusts it separately.
+    for the returned documents only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -408,26 +403,13 @@ class CalibrationModel:
 def _model_from(obj: object, where: str) -> CalibrationModel:
     lists = {}
     for key in ("weights", "feature_means", "feature_stds"):
-        values = json_field(obj, key, list, where)
-        if any(type(v) not in NUMBER for v in values):
-            raise SchemaError(f"{where}: {key!r} must hold numbers only")
-        lists[key] = tuple(_finite(v, key, where) for v in values)
+        lists[key] = tuple(_finite(v, key, where) for v in json_field(obj, key, list, where))
     if len({len(v) for v in lists.values()}) != 1:
         raise SchemaError(f"{where}: weights, means and stds differ in length")
     if not all(s > 0.0 for s in lists["feature_stds"]):
         raise SchemaError(f"{where}: 'feature_stds' must be positive")
     bias = _finite(json_field(obj, "bias", NUMBER, where), "bias", where)
     return CalibrationModel(bias=bias, **lists)
-
-
-def _finite(value: int | float, key: str, where: str) -> float:
-    """``value`` as a float; SchemaError unless it is finite."""
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise SchemaError(f"{where}: {key!r} must hold finite numbers, got {value!r}")
 
 
 def _sigmoid(z: float) -> float:
@@ -486,17 +468,13 @@ def train_calibrator(
     )
 
 
-def calibrate(hits: Sequence[RetrievalHit], model: CalibrationModel) -> list[RetrievalHit]:
-    """Replace each hit's confidence with its fitted positive-probability.
-
-    Confidences are clamped to [0.01, 1.0]; ranks and commands are
-    untouched.
-    """
-    out = []
-    for hit in hits:
-        p = model.probability(hit_features(hit))
-        out.append(replace(hit, confidence=min(max(p, 0.01), 1.0)))
-    return out
+def calibrate(hits: Sequence[RetrievalHit], model: CalibrationModel) -> list[Prediction]:
+    """Each hit's command, in rank order, with its fitted positive-probability
+    as the confidence, clamped to [0.01, 1.0]."""
+    return [
+        Prediction(hit.command, min(max(model.probability(hit_features(hit)), 0.01), 1.0))
+        for hit in hits
+    ]
 
 
 def make_calibration_data(
@@ -622,7 +600,7 @@ class TfIdfPredictor:
             for hit in hits:
                 all_negative *= 1.0 - self.calibration.probability(hit_features(hit))
             if all_negative >= LOWER_THRESHOLD:
-                return [Prediction(h.command, h.confidence) for h in calibrate(hits, self.calibration)]
+                return calibrate(hits, self.calibration)
         return [self._predictions[h.command] for h in hits]
 
 

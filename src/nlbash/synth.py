@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .corpus import Example, Source
+from .corpus import Example
 
 
 @dataclass(frozen=True)
@@ -981,7 +981,7 @@ def _pick_phrasing(rng: random.Random, family: TaskFamily) -> str:
     return rng.choices(family.phrasings, weights=weights, k=1)[0]
 
 
-def toy_corpus(n: int, seed: int = 0, noise: bool = True) -> list[Example]:
+def toy_corpus(n: int, seed: int = 0) -> list[Example]:
     """Generate n synthetic examples with family-weighted task sampling."""
     rng = random.Random(seed)
     weights = [f.weight for f in FAMILIES]
@@ -989,18 +989,9 @@ def toy_corpus(n: int, seed: int = 0, noise: bool = True) -> list[Example]:
     for i in range(n):
         family = rng.choices(FAMILIES, weights=weights, k=1)[0]
         slots = _draw_slots(rng, family)
-        invocation = _pick_phrasing(rng, family).format(**slots)
-        if noise:
-            invocation = _perturb(invocation, rng)
+        invocation = _perturb(_pick_phrasing(rng, family).format(**slots), rng)
         refs = tuple(cmd.format(**slots) for cmd in family.commands)
-        examples.append(
-            Example(
-                id=f"syn-{seed}-{i:06d}",
-                invocation=invocation,
-                references=refs,
-                source=Source.OTHER,
-            )
-        )
+        examples.append(Example(f"syn-{seed}-{i:06d}", invocation, refs))
     return examples
 
 

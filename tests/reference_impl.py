@@ -155,9 +155,11 @@ def retrieve_ref(idf, inverted, query_tokens, k):
 
 def scores_ref(index, nlc):
     """The index's score vector for ``nlc``: one fancy-index ``+=`` per query row."""
+    from nlbash.retrieval import _tokens
+
     scores = np.zeros(len(index.documents))
     indptr, indices, data = index._indptr, index._indices, index._data
-    for row, qw in zip(*index._vectorize(index._tokenize(nlc))):
+    for row, qw in zip(*index._vectorize(_tokens(nlc, index.normalize))):
         a, b = indptr[row], indptr[row + 1]
         scores[indices[a:b]] += qw * data[a:b]  # a row holds each document once
     return scores

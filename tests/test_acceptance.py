@@ -207,7 +207,7 @@ def test_criterion_7_baseline_ablation_ordering():
 
 def test_criterion_8_latency():
     # TF-IDF retrieval on a 10k-pair index
-    big = toy_corpus(10000, seed=3, noise=False)
+    big = toy_corpus(10000, seed=3)
     predictor = TfIdfPredictor(pairs_from_examples(big), VOCAB)
     queries = [e.invocation for e in toy_corpus(40, seed=4)]
     stats = measure_latency(predictor, queries, warmup=3, k=5)

@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 
 import pytest
@@ -92,6 +93,8 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         ["stats", "--data", str(data_file), "--top", "x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", "'x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", " "],
+        ["eval", "--data", str(data_file), "--baseline", "tfidf", "--train", str(data_file),
+         "--predictor-cmd", "ls"],
         ["calibrate", "--data", str(data_file), "--out", model, "--seed", "-1"],
         ["eval", "--data", str(data_file), "--baseline", "tfidf", "--variant", "full",
          "--train", str(data_file), "--seed", "-1"],
@@ -310,6 +313,43 @@ def test_calibrate_writes_model(data_file, tmp_path, capsys):
     assert code == 0
     model = json.loads(model_path.read_text(encoding="utf-8"))
     assert set(model) == {"weights", "bias", "feature_means", "feature_stds"}
+    capsys.readouterr()
+    args = ["calibrate", "--data", str(data_file), "--out", str(model_path), "--holdout", "0.3"]
+    assert cli(args) == 0
+    held_out = int(capsys.readouterr().out.split()[2])  # "trained on N hits ..."
+    assert cli(args[:-2]) == 0
+    assert held_out > int(capsys.readouterr().out.split()[2])  # more held out, more hits
+
+
+def test_eval_baseline_without_train_is_a_usage_error(data_file, capsys):
+    assert cli(["eval", "--data", str(data_file), "--baseline", "tfidf"]) == 1
+    assert capsys.readouterr().err == "usage error: --baseline tfidf requires --train\n"
+
+
+CHILD_PREDICTOR = """
+import json, sys
+for line in sys.stdin:
+    words = json.loads(line)["nlc"].split()
+    reply = [{"cmd": "ls -la", "confidence": 0.5}] if "list" in words else []
+    print(json.dumps(reply), flush=True)
+"""
+
+
+def test_eval_runs_an_external_predictor(data_file, tmp_path, capsys):
+    script = tmp_path / "child.py"
+    script.write_text(CHILD_PREDICTOR, encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    command = shlex.join([sys.executable, str(script)])
+    assert cli(["eval", "--data", str(data_file), "--predictor-cmd", command,
+                "--format", "json", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"report -> {out_path}\n"
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["predictor"] == f"subprocess:{sys.executable}"
+    assert report["predictor_failure_count"] == 0
+    examples = filter_examples(toy_corpus(120, seed=17), VOCAB).kept
+    asked = {ex.id for ex in examples if "list" in ex.invocation.split()}
+    answered = {r["id"] for r in report["per_example"] if r["per_prediction"]}
+    assert asked and answered == asked
 
 
 def test_score_prediction_file(data_file, tmp_path, capsys):

@@ -11,7 +11,6 @@ import nlbash
 from nlbash.corpus import (
     Example,
     RejectReason,
-    Source,
     build_splits,
     dataset_fingerprint,
     filter_examples,
@@ -35,8 +34,8 @@ def write_jsonl(path, records):
             fh.write(json.dumps(rec) + "\n")
 
 
-def ex(invocation, *refs, id=None, source=Source.OTHER):
-    return Example(id=id or invocation, invocation=invocation, references=tuple(refs), source=source)
+def ex(invocation, *refs, id=None):
+    return Example(id=id or invocation, invocation=invocation, references=tuple(refs))
 
 
 # --- loading ---------------------------------------------------------------
@@ -47,7 +46,7 @@ def test_load_examples_basic(tmp_path):
     examples = load_examples(path)
     assert len(examples) == 1
     assert examples[0].references == ("ls",)
-    assert examples[0].source is Source.OTHER
+    assert examples[0].source == "other"
 
 
 def test_load_examples_scalar_cmd_normalized(tmp_path):
@@ -158,6 +157,7 @@ def test_only_the_shared_decoder_calls_json_loads():
         {"invocation": "x", "cmd": "ls", "id": 7},
         ["x", "ls"],
         {"invocation": "x", "cmd": "ls", "source": 5},
+        {"invocation": "x", "cmd": "ls", "id": ""},
     ],
 )
 def test_load_examples_schema_violations(tmp_path, record):
@@ -167,18 +167,16 @@ def test_load_examples_schema_violations(tmp_path, record):
         load_examples(path)
 
 
-def test_source_coercion(tmp_path):
-    path = tmp_path / "d.jsonl"
-    write_jsonl(
-        path,
-        [
-            {"invocation": "a", "cmd": "ls", "source": "nl2bash"},
-            {"invocation": "b", "cmd": "ls", "source": "TELLINA"},
-            {"invocation": "c", "cmd": "ls", "source": "mystery"},
-        ],
-    )
-    sources = [e.source for e in load_examples(path)]
-    assert sources == [Source.NL2BASH, Source.TELLINA, Source.OTHER]
+def test_source_is_kept_as_written(tmp_path):
+    path, out = tmp_path / "d.jsonl", tmp_path / "kept.jsonl"
+    sources = ["nl2bash", "NL2Bash", " manpage ", None, "", "other"]
+    records = [{"invocation": "a", "cmd": "ls", "source": s} for s in sources]
+    write_jsonl(path, records + [{"invocation": "a", "cmd": "ls"}])
+    examples = load_examples(path)
+    written = ["nl2bash", "NL2Bash", " manpage ", "other", "other", "other", "other"]
+    assert [e.source for e in examples] == written
+    save_filter_report(filter_examples(examples, VOCAB), out)
+    assert [json.loads(line)["source"] for line in out.read_text().splitlines()] == written
 
 
 def test_save_and_reload_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from reference_impl import _contract_violation, evaluate_ref
 from strategies import byte_lines, json_values, shell_text
 
 from nlbash import harness
-from nlbash.corpus import Example, Source, filter_examples
+from nlbash.corpus import Example, filter_examples
 from nlbash.errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -85,15 +85,15 @@ def test_oracle_predictor_scores_exactly_one():
 
 def test_fixed_wrong_utility_scores_minus_one():
     data = [
-        Example("1", "make a directory", ("mkdir d",), Source.OTHER),
-        Example("2", "make another directory", ("mkdir e",), Source.OTHER),
+        Example("1", "make a directory", ("mkdir d",)),
+        Example("2", "make another directory", ("mkdir e",)),
     ]
     report = evaluate(ConstantPredictor("touch d"), data, k=5, vocab=VOCAB)
     assert report.mean_score == -1.0
 
 
 def test_unparseable_prediction_scores_minus_delta():
-    data = [Example("1", "list", ("ls",), Source.OTHER)]
+    data = [Example("1", "list", ("ls",))]
     report = evaluate(ConstantPredictor("frobnicate -x", confidence=0.5), data, vocab=VOCAB)
     assert report.unparseable_prediction_count == 1
     assert report.per_example[0].score.per_prediction == (-0.5,)
@@ -166,8 +166,10 @@ def test_malformed_prediction_in_a_file_is_a_predictor_failure(tmp_path, item):
 @pytest.mark.parametrize(
     "bad",
     [b"\xff\n", b"[" * 100_000 + b"\n", b'{"id": 5, "predictions": []}\n',
-     b'{"id": null, "predictions": []}\n'],
-    ids=["bad-utf8", "deep-json", "numeric-id", "null-id"],
+     b'{"id": null, "predictions": []}\n', b'{"id": "b", "predictions": {}}\n',
+     b'{"id": "b", "predictions": ""}\n', b'{"id": "b"}\n', b'{"id": "a", "predictions": []}\n'],
+    ids=["bad-utf8", "deep-json", "numeric-id", "null-id", "object-predictions", "string-predictions",
+         "no-predictions", "repeated-id"],
 )
 def test_undecodable_prediction_line_reports_position(tmp_path, bad):
     path = tmp_path / "preds.jsonl"
@@ -514,6 +516,21 @@ def test_measure_latency_empty_sample_rejected():
         measure_latency(ConstantPredictor("ls"), [], warmup=0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evaluate(ConstantPredictor("ls"), dataset(2), k=0, vocab=VOCAB), "k must be >= 1"),
+        (lambda: measure_latency(ConstantPredictor("ls"), ["a"], warmup=-1), "warmup must be >= 0"),
+        (lambda: emit_report(evaluate(ConstantPredictor("ls"), dataset(2), vocab=VOCAB), "xml"),
+         "unknown report format: 'xml'"),
+    ],
+    ids=["evaluate-k-0", "negative-warmup", "xml-report"],
+)
+def test_out_of_range_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_latency_stats_percentile():
     stats = LatencyStats.from_samples([0.01] * 99 + [1.0])
     assert stats.p95 == 0.01
@@ -567,6 +584,13 @@ def _report_record(**changes):
                                                   "per_prediction": [], "latency_s": 0.1,
                                                   "error": 7}]),
                      id="int-error"),
+        pytest.param(_report_record(mean_score=float("nan")), id="nan-mean"),
+        pytest.param(_report_record(latency={"mean": 0.1, "median": 0.1, "p95": float("inf")}),
+                     id="infinite-p95"),
+        pytest.param(_report_record(mean_score=10**400), id="huge-int-mean"),
+        pytest.param(_report_record(per_example=[{"id": "a", "aggregation": "average", "score": 1.0,
+                                                  "per_prediction": [float("-inf")], "latency_s": 0.1}]),
+                     id="infinite-per-prediction"),
         pytest.param(_report_record(predictor="\ud800"), id="escaped-surrogate"),
         pytest.param(_report_record(predictor="\ud800").replace("\\ud800", "\ud800"),
                      id="raw-surrogate"),
@@ -606,13 +630,15 @@ _NEAR_REPORT = st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(max_size=30) | (json_values | _NEAR_REPORT).map(json.dumps))
 @example(text=_report_record(predictor="\ud800"))
+@example(text=_report_record(mean_score=10**400))
 def test_report_from_json_raises_only_schema_errors(text):
     try:
         report = EvaluationReport.from_json(text)
     except SchemaError:
         return
     try:
-        emit_report(report, "json")  # what loads can be written back
+        for fmt in ("json", "table"):  # what loads can be written back
+            emit_report(report, fmt)
     except EmptyDatasetError:
         pass
 
@@ -738,7 +764,7 @@ ECHO_PREDICTOR = textwrap.dedent(
 def test_subprocess_predictor_round_trip(tmp_path):
     script = tmp_path / "predictor.py"
     script.write_text(ECHO_PREDICTOR, encoding="utf-8")
-    data = [Example("1", "list files", ("ls -la",), Source.OTHER)]
+    data = [Example("1", "list files", ("ls -la",))]
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     assert report.mean_score == pytest.approx(0.9)
@@ -757,7 +783,7 @@ def test_subprocess_predictor_refuses_an_empty_command(command, monkeypatch):
 def test_subprocess_reply_is_not_coerced(tmp_path):
     script = tmp_path / "null_cmd.py"
     script.write_text(ECHO_PREDICTOR.replace('"ls -la"', "None"), encoding="utf-8")
-    data = [Example("1", "list files", ("ls -la",), Source.OTHER)]
+    data = [Example("1", "list files", ("ls -la",))]
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     # a null cmd is a predictor failure, not the command text "None"
@@ -768,12 +794,23 @@ def test_subprocess_reply_is_not_coerced(tmp_path):
 def test_subprocess_predictor_protocol_error(tmp_path):
     script = tmp_path / "bad.py"
     script.write_text("import sys; sys.stdin.readline(); print('not json')", encoding="utf-8")
-    data = [Example("1", "list files", ("ls",), Source.OTHER)]
+    data = [Example("1", "list files", ("ls",))]
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     # protocol violations surface as predictor failures, scored -1
     assert report.predictor_failure_count == 1
     assert report.mean_score == -1.0
+
+
+@pytest.mark.parametrize("reply", ["{}", '""', "null"], ids=["object", "string", "null"])
+def test_subprocess_reply_that_is_not_an_array_is_a_predictor_failure(tmp_path, reply):
+    script = tmp_path / "not_an_array.py"
+    script.write_text(f"import sys; sys.stdin.readline(); print({reply!r})", encoding="utf-8")
+    data = [Example("1", "list files", ("ls",))]
+    with SubprocessPredictor([sys.executable, str(script)]) as predictor:
+        report = evaluate(predictor, data, k=5, vocab=VOCAB)
+    assert report.predictor_failure_count == 1
+    assert report.per_example[0].error.startswith("PredictorProtocolError('predictor reply: expected a JSON array")
 
 
 def test_subprocess_reply_without_a_final_newline_is_read_at_exit(tmp_path):
@@ -783,7 +820,7 @@ def test_subprocess_reply_without_a_final_newline_is_read_at_exit(tmp_path):
         "sys.stdout.write('[{\"cmd\": \"ls -la\", \"confidence\": 0.9}]')",
         encoding="utf-8",
     )
-    data = [Example("1", "list files", ("ls -la",), Source.OTHER)]
+    data = [Example("1", "list files", ("ls -la",))]
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     assert report.predictor_failure_count == 0
@@ -793,7 +830,7 @@ def test_subprocess_reply_without_a_final_newline_is_read_at_exit(tmp_path):
 def test_subprocess_predictor_that_exits_without_a_reply_fails(tmp_path):
     script = tmp_path / "mute.py"
     script.write_text("import sys; sys.stdin.readline()", encoding="utf-8")
-    data = [Example("1", "list files", ("ls",), Source.OTHER)]
+    data = [Example("1", "list files", ("ls",))]
     with SubprocessPredictor([sys.executable, str(script)]) as predictor:
         report = evaluate(predictor, data, k=5, vocab=VOCAB)
     assert report.mean_score == -1.0

@@ -173,7 +173,7 @@ def test_dataset_score_trivial_values():
 def test_dataset_score_matches_bruteforce_mean():
     rng = random.Random(99)
     values = [rng.uniform(-1, 1) for _ in range(1000)]
-    got = dataset_score(values)
+    got = dataset_score([ExampleScore(v, (v,), Aggregation.AVERAGE) for v in values])
     assert got == pytest.approx(dataset_score_ref(values), abs=1e-12)
 
 
@@ -189,6 +189,11 @@ def test_full_command_accuracy_rank_sensitivity():
     refs = ["ls  -la   /tmp"]
     assert not full_command_accuracy(preds, refs, k=1)
     assert full_command_accuracy(preds, refs, k=5)
+
+
+def test_full_command_accuracy_needs_a_positive_k():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        full_command_accuracy([Prediction("ls")], ["ls"], k=0)
 
 
 def test_full_command_accuracy_exact_match_semantics():

@@ -16,6 +16,7 @@ from nlbash.retrieval import (
     RetrievalHit,
     TfIdfIndex,
     TfIdfPredictor,
+    _tokens,
     calibrate,
     dedupe_hits,
     hit_features,
@@ -201,14 +202,14 @@ def test_duplicate_commands_share_one_template():
 def ref_hits(index, ref, query, k):
     idf_ref, inverted = ref
     hits = []
-    for doc_idx, sim in retrieve_ref(idf_ref, inverted, index._tokenize(query), k):
+    for doc_idx, sim in retrieve_ref(idf_ref, inverted, _tokens(query, index.normalize), k):
         doc = index.documents[doc_idx]
-        hits.append((doc.command, doc.template, float.hex(sim), 1.0))
+        hits.append((doc.command, doc.template, float.hex(sim)))
     return hits
 
 
 def rows_of(hits):
-    return [(h.command, h.template, float.hex(h.similarity), h.confidence) for h in hits]
+    return [(h.command, h.template, float.hex(h.similarity)) for h in hits]
 
 
 def got_hits(index, query, k):
@@ -219,7 +220,7 @@ def got_hits(index, query, k):
 def test_retrieve_equals_the_dict_oracle_bit_for_bit(normalize):
     data = filter_examples(toy_corpus(800, seed=31), VOCAB).kept
     index = TfIdfIndex(pairs_from_examples(data), VOCAB, normalize=normalize)
-    ref = index_ref([index._tokenize(doc.invocation) for doc in index.documents])
+    ref = index_ref([_tokens(doc.invocation, index.normalize) for doc in index.documents])
     queries = [ex.invocation for ex in toy_corpus(2000, seed=32)]
     tied = 0
     for query in queries:
@@ -241,7 +242,7 @@ _CORPORA = st.lists(
 @given(pairs=_CORPORA, query=_PHRASES, k=st.integers(1, 6), normalize=st.booleans())
 def test_retrieve_equals_the_dict_oracle_with_duplicate_documents(pairs, query, k, normalize):
     index = TfIdfIndex(pairs, VOCAB, normalize=normalize)
-    ref = index_ref([index._tokenize(nl) for nl, _ in pairs])
+    ref = index_ref([_tokens(nl, index.normalize) for nl, _ in pairs])
     assert got_hits(index, query, k) == ref_hits(index, ref, query, k)
 
 
@@ -291,7 +292,7 @@ def test_deduped_retrieve_keeps_tie_order_at_the_pool_edge_and_the_kth_template(
     got = rows_of(retrieve(index, query, k, dedupe=True))
     assert got == rows_of(dedupe_hits(retrieve(index, query, pool), k))
     seen, want = set(), []
-    for row in ref_hits(index, index_ref([index._tokenize(nl) for nl, _ in pairs]), query, pool):
+    for row in ref_hits(index, index_ref([_tokens(nl, index.normalize) for nl, _ in pairs]), query, pool):
         if row[1] not in seen and len(want) < k:
             seen.add(row[1])
             want.append(row)
@@ -495,7 +496,7 @@ def test_calibrate_zero_model_gives_half():
     )
     hits = [hit("ls -la", 0.9), hit("df -h", 0.4)]
     out = calibrate(hits, model)
-    assert all(h.confidence == 0.5 for h in out)
+    assert all(p.confidence == 0.5 for p in out)
 
 
 def test_calibrate_saturates_near_one():
@@ -512,8 +513,8 @@ def test_calibrate_confidences_clamped_and_order_kept():
     )
     hits = [hit("ls -la", 0.9), hit("df -h", 0.4)]
     out = calibrate(hits, model)
-    assert [h.command for h in out] == [h.command for h in hits]
-    assert all(h.confidence == 0.01 for h in out)
+    assert [p.cmd for p in out] == [h.command for h in hits]
+    assert all(p.confidence == 0.01 for p in out)
 
 
 def test_model_json_round_trip(tmp_path):
@@ -618,6 +619,12 @@ def test_make_calibration_data_produces_both_classes():
     assert 0 < sum(labels) < len(labels)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+def test_calibration_holdout_must_lie_strictly_inside_the_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"holdout_fraction must be in \(0, 1\)"):
+        make_calibration_data(PAIRS, VOCAB, holdout_fraction=fraction)
+
+
 # --- predictor adapter ----------------------------------------------------------
 
 def test_predictor_respects_k_and_confidence_default():
@@ -679,6 +686,6 @@ def test_predictor_returns_the_calibrated_confidences_of_a_lowered_set():
     default = predictor.predict(query, k=5)  # looks right: the shared answers
     lowered = predictor.predict("file", k=5)
     want = calibrate(retrieve(predictor.index, "file", k=5), model)
-    assert [(p.cmd, p.confidence) for p in lowered] == [(h.command, h.confidence) for h in want]
+    assert lowered == want
     assert all(p.confidence < 1.0 for p in lowered)
     assert all(p.confidence == 1.0 for p in default + predictor.predict(query, k=5))

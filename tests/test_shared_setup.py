@@ -16,6 +16,7 @@ from nlbash.retrieval import (
     TfIdfIndex,
     TfIdfPredictor,
     _AnalysedPairs,
+    _tokens,
     make_calibration_data,
     pairs_from_examples,
     retrieve,
@@ -97,7 +98,7 @@ def test_a_selection_of_the_analysis_indexes_like_a_fresh_build(corpus, normaliz
     shared = TfIdfIndex(_AnalysedPairs(pairs, VOCAB, normalize).take(train), VOCAB, normalize)
     fresh = TfIdfIndex([pairs[i] for i in train], VOCAB, normalize)
     assert term_view(shared) == term_view(fresh)
-    held_out = {term for i in range(0, len(pairs), 5) for term in shared._tokenize(pairs[i][0])}
+    held_out = {term for i in range(0, len(pairs), 5) for term in _tokens(pairs[i][0], normalize)}
     assert len(shared._rows) == len(fresh._rows) and not held_out <= set(shared._rows)
     for nl, _ in pairs[::5]:  # held-out queries, terms the index lacks included
         assert retrieve(shared, nl, 25) == retrieve(fresh, nl, 25)

@@ -48,6 +48,11 @@ def test_malformed_utility_rejected():
         parse_vocabulary("bad utility name\n")
 
 
+def test_flag_with_inner_whitespace_rejected():
+    with pytest.raises(VocabularyFormatError, match=r"<string>:2: bad flag ' na me'"):
+        parse_vocabulary("ls\nfind\ttype, na me\n")
+
+
 def test_known_flags_must_reference_known_utilities():
     with pytest.raises(VocabularyFormatError):
         UtilityVocabulary(
