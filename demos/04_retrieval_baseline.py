@@ -7,7 +7,6 @@ from nlbash import (
     TfIdfIndex,
     TfIdfPredictor,
     build_splits,
-    dedupe_hits,
     evaluate,
     filter_examples,
     normalize_nl,
@@ -16,12 +15,11 @@ from nlbash import (
 )
 from nlbash.synth import toy_corpus
 
-# Constant-aware NL normalization: names, numbers, addresses, and paths
-# become class tokens so "30 days" and "7 days" look alike to the index.
+# Constant-aware NL normalization: quoted strings, numbers, addresses, and
+# paths become class tokens so "30 days" and "7 days" look alike to the index.
 for utterance in ("delete files older than 30 days", "ping 192.168.0.1",
                   'copy "install.txt" to /home/user'):
-    tokens, constants = normalize_nl(utterance)
-    print(f"{utterance!r}\n  tokens={tokens}  constants={constants}")
+    print(f"{utterance!r}\n  tokens={normalize_nl(utterance)}")
 print()
 
 corpus = filter_examples(toy_corpus(3000, seed=42)).kept
@@ -31,16 +29,16 @@ print(f"{len(pairs)} training pairs, {len(test)} held-out examples")
 print()
 
 # Retrieval returns the top cosine matches; duplicate templates are wasted
-# slots (the metric takes a max), so pruning pulls in diverse candidates.
+# slots (the metric takes a max), so dedupe=True keeps the best hit of each
+# template and fills the freed slots from deeper in the ranking.
 index = TfIdfIndex(pairs)
-query = test[0].invocation
+query = test[1].invocation  # its top five repeat a template
 print("query:", query)
-hits = retrieve(index, query, k=10)
 print("top raw hits:")
-for hit in hits[:5]:
+for hit in retrieve(index, query, k=5):
     print(f"  {hit.similarity:.3f}  {hit.command}")
-print("after dedupe:")
-for hit in dedupe_hits(hits, 5):
+print("with dedupe:")
+for hit in retrieve(index, query, k=5, dedupe=True):
     print(f"  {hit.similarity:.3f}  {hit.command}")
 print()
 

@@ -43,7 +43,6 @@ from .retrieval import (
     CalibrationModel,
     TfIdfIndex,
     TfIdfPredictor,
-    dedupe_hits,
     normalize_nl,
     pairs_from_examples,
     retrieve,
@@ -69,7 +68,6 @@ __all__ = [
     "TfIdfPredictor",
     "UnknownUtilityError",
     "build_splits",
-    "dedupe_hits",
     "emit_report",
     "evaluate",
     "example_score",

@@ -5,7 +5,11 @@ top-k cosine matches, optionally prunes hits that share a template (inside
 ``retrieve``, on ranked document positions, so only returned hits are
 built), and answers each hit with confidence 1.0 or, calibrated, with the
 fitted probability that the hit scores positively. Each stage is
-independently switchable so ablations can be compared.
+independently switchable so ablations can be compared. Normalization
+yields class tokens only: the baseline fills no arguments, so the literals
+they replace are not kept. A fitted ``CalibrationModel`` is written and
+read with ``save`` and ``load``. ``dedupe_hits`` prunes a hit list the way
+``retrieve(..., dedupe=True)`` prunes its ranking; it is not exported.
 
 Weights use raw term counts times a smoothed inverse document frequency,
 ln((1 + D) / (1 + df)) + 1, and vectors are L2-normalized, so cosine
@@ -22,7 +26,7 @@ import math
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,27 +60,25 @@ _CONSTANT = re.compile(
 )
 
 
-def normalize_nl(utterance: str) -> tuple[list[str], list[str]]:
+def normalize_nl(utterance: str) -> list[str]:
     """Tokenize an utterance, replacing constant-like tokens with classes.
 
     Quoted strings, IPv4 addresses, numbers, and path/filename shapes
-    become the class tokens STRING, IP, NUMBER, and PATH; the original
-    literals come back in order as the second element.
+    become the class tokens STRING, IP, NUMBER, and PATH; other words are
+    lowercased with their punctuation stripped.
     """
     tokens: list[str] = []
-    constants: list[str] = []
     pos = 0
     for m in _QUOTED.finditer(utterance):
-        _classify_words(utterance[pos : m.start()], tokens, constants)
+        _classify_words(utterance[pos : m.start()], tokens)
         tokens.append("STRING")
-        constants.append(m.group(0)[1:-1])
         pos = m.end()
-    _classify_words(utterance[pos:], tokens, constants)
-    return tokens, constants
+    _classify_words(utterance[pos:], tokens)
+    return tokens
 
 
-def _classify_words(text: str, tokens: list[str], constants: list[str]) -> None:
-    """Append the tokens of unquoted ``text``, and its constants, in order."""
+def _classify_words(text: str, tokens: list[str]) -> None:
+    """Append the tokens of unquoted ``text`` in order."""
     for raw in text.split():
         word = raw.strip(_STRIP_CHARS)
         # Every constant class needs a digit, '.', '/' or '*', so a word of
@@ -85,11 +87,7 @@ def _classify_words(text: str, tokens: list[str], constants: list[str]) -> None:
             tokens.append(word.lower())
         elif word:
             m = _CONSTANT.fullmatch(word)
-            if m is None:
-                tokens.append(word.lower())
-            else:
-                tokens.append(m.lastgroup)
-                constants.append(word)
+            tokens.append(word.lower() if m is None else m.lastgroup)
 
 
 def plain_tokens(utterance: str) -> list[str]:
@@ -118,7 +116,7 @@ class RetrievalHit:
 
 def _tokens(utterance: str, normalize: bool) -> list[str]:
     """The index tokenizer: ``normalize_nl`` tokens or ``plain_tokens``."""
-    return normalize_nl(utterance)[0] if normalize else plain_tokens(utterance)
+    return normalize_nl(utterance) if normalize else plain_tokens(utterance)
 
 
 class _AnalysedPairs(Sequence):
@@ -361,7 +359,6 @@ class CalibrationModel:
     bias: float
     feature_means: tuple[float, ...]
     feature_stds: tuple[float, ...]
-    loss_history: tuple[float, ...] = ()
 
     def probability(self, features: Sequence[float]) -> float:
         z = self.bias
@@ -370,46 +367,29 @@ class CalibrationModel:
             z += w * (x - m) / s
         return _sigmoid(z)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": list(self.weights),
-                "bias": self.bias,
-                "feature_means": list(self.feature_means),
-                "feature_stds": list(self.feature_stds),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationModel":
-        """Read a model written by ``to_json``.
-
-        Raises SchemaError unless ``text`` holds an object whose
-        ``weights``, ``feature_means`` and ``feature_stds`` are lists of
-        one length, whose ``bias`` is a number, every number finite and
-        every std positive.
-        """
-        return _model_from(decode_json(text, "model"), "model")
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self)), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibrationModel":
-        """Read a saved model; raises SchemaError naming ``path`` as ``from_json`` does."""
-        return _model_from(decode_json(Path(path).read_bytes(), str(path)), str(path))
+        """Read a model written by ``save``.
 
-
-def _model_from(obj: object, where: str) -> CalibrationModel:
-    lists = {}
-    for key in ("weights", "feature_means", "feature_stds"):
-        lists[key] = tuple(_finite(v, key, where) for v in json_field(obj, key, list, where))
-    if len({len(v) for v in lists.values()}) != 1:
-        raise SchemaError(f"{where}: weights, means and stds differ in length")
-    if not all(s > 0.0 for s in lists["feature_stds"]):
-        raise SchemaError(f"{where}: 'feature_stds' must be positive")
-    bias = _finite(json_field(obj, "bias", NUMBER, where), "bias", where)
-    return CalibrationModel(bias=bias, **lists)
+        Raises SchemaError naming ``path`` unless the file holds an object
+        whose ``weights``, ``feature_means`` and ``feature_stds`` are lists
+        of one length, whose ``bias`` is a number, every number finite and
+        every std positive.
+        """
+        where = str(path)
+        obj = decode_json(Path(path).read_bytes(), where)
+        lists = {}
+        for key in ("weights", "feature_means", "feature_stds"):
+            lists[key] = tuple(_finite(v, key, where) for v in json_field(obj, key, list, where))
+        if len({len(v) for v in lists.values()}) != 1:
+            raise SchemaError(f"{where}: weights, means and stds differ in length")
+        if not all(s > 0.0 for s in lists["feature_stds"]):
+            raise SchemaError(f"{where}: 'feature_stds' must be positive")
+        bias = _finite(json_field(obj, "bias", NUMBER, where), "bias", where)
+        return cls(bias=bias, **lists)
 
 
 def _sigmoid(z: float) -> float:
@@ -450,13 +430,9 @@ def train_calibrator(
     n, d = z.shape
     w = np.zeros(d)
     b = 0.0
-    losses = []
     for _ in range(CALIBRATION_EPOCHS):
         logits = z @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
-        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-        losses.append(float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-        grad = p - y
+        grad = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) - y
         w -= CALIBRATION_LEARNING_RATE * (z.T @ grad) / n
         b -= CALIBRATION_LEARNING_RATE * float(grad.mean())
     return CalibrationModel(
@@ -464,7 +440,6 @@ def train_calibrator(
         bias=float(b),
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
-        loss_history=tuple(losses),
     )
 
 

@@ -10,7 +10,10 @@ File format (UTF-8, one record per line)::
     utility<TAB>flag1,flag2,...
 
 The flag list is optional. Blank lines and lines starting with ``#`` are
-ignored. Flags may be written with or without their leading dash.
+ignored. Flags may be written with or without their leading dash. A name
+or flag holding whitespace or a character that cannot print is refused: a
+byte-order mark or NUL left in the file would otherwise make a utility no
+typed command matches.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ class UtilityVocabulary:
         return self.known_flags.get(utility, frozenset())
 
 
+def _bad_word(word: str) -> bool:
+    """True for a name or flag holding whitespace or a character that
+    cannot print (``isprintable`` is false for all whitespace but ' ')."""
+    return " " in word or not word.isprintable()
+
+
 def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
     """Parse vocabulary file contents. Raises VocabularyFormatError."""
     utilities: set[str] = set()
@@ -74,14 +83,14 @@ def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
             continue
         name, _, flag_part = line.partition("\t")
         name = name.strip()
-        if not name or any(ch.isspace() for ch in name):
+        if not name or _bad_word(name):
             raise VocabularyFormatError(f"{origin}:{lineno}: bad utility name {name!r}")
         flags: set[str] = set()
         for raw_flag in flag_part.split(","):
             flag = raw_flag.strip().lstrip("-")
             if not flag:
                 continue
-            if any(ch.isspace() for ch in flag):
+            if _bad_word(flag):
                 raise VocabularyFormatError(f"{origin}:{lineno}: bad flag {raw_flag!r}")
             flags.add(flag)
         utilities.add(name)

@@ -60,6 +60,14 @@ def test_parse_bad_command_is_data_error(capsys):
     assert cli(["parse", "grep 'unterminated"]) == 2
 
 
+def test_vocabulary_saved_with_a_byte_order_mark_is_a_data_error(tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("ls\tl\ngrep\n", encoding="utf-8-sig")
+    assert cli(["parse", "--vocab", str(vocab), "ls -l"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vocab}:1: bad utility name '\\ufeffls'"), err
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert cli(["filter", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 2
 

@@ -1,15 +1,20 @@
-"""The demos and the README import only names the package really exports.
+"""Every demo runs cleanly, and the demos and the README import only names
+the package really exports.
 
-The test suite does not run the demos (they take seconds each), so a removed or
-renamed export would otherwise break them unnoticed. Every public name has one
-import path, the package root; only ``nlbash.synth`` is imported on its own,
-because the root leaves it out to keep the CLI's start-up short. The README's
-module table is held to render: no row splits into more cells than its header.
+Each demo runs in its own interpreter (a few seconds in all) and must exit 0
+with nothing on stderr, so a changed signature breaks the suite, not the demo.
+Every public name has one import path, the package root; only ``nlbash.synth``
+is imported on its own, because the root leaves it out to keep the CLI's
+start-up short. The README's module table is held to render: no row splits
+into more cells than its header.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,15 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{demo.name}: {node.module} has no {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0 and run.stderr == "", f"{demo.name} exit {run.returncode}:\n{run.stderr}"
+    assert run.stdout
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=list(SOURCES))

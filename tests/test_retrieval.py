@@ -49,49 +49,40 @@ def idf(index, term):
 # --- NL normalization -------------------------------------------------------
 
 def test_numbers_become_class_tokens():
-    tokens, constants = normalize_nl("delete files older than 30 days")
-    assert tokens == ["delete", "files", "older", "than", "NUMBER", "days"]
-    assert constants == ["30"]
+    assert normalize_nl("delete files older than 30 days") == [
+        "delete", "files", "older", "than", "NUMBER", "days"]
 
 
 def test_ip_addresses_classified_before_numbers():
-    tokens, constants = normalize_nl("ping 192.168.0.1")
-    assert tokens == ["ping", "IP"]
-    assert constants == ["192.168.0.1"]
+    assert normalize_nl("ping 192.168.0.1") == ["ping", "IP"]
 
 
 def test_no_constants_passes_through():
-    tokens, constants = normalize_nl("list files")
-    assert tokens == ["list", "files"]
-    assert constants == []
+    assert normalize_nl("list files") == ["list", "files"]
 
 
 def test_quoted_strings_extracted():
-    tokens, constants = normalize_nl('copy "install.txt" to the home folder')
-    assert tokens[0] == "copy" and tokens[1] == "STRING"
-    assert constants == ["install.txt"]
+    assert normalize_nl('copy "install.txt" to the home folder') == [
+        "copy", "STRING", "to", "the", "home", "folder"]
 
 
 def test_paths_classified():
-    tokens, constants = normalize_nl("show the contents of /var/log/syslog now")
-    assert "PATH" in tokens
-    assert "/var/log/syslog" in constants
+    assert normalize_nl("show the contents of /var/log/syslog now") == [
+        "show", "the", "contents", "of", "PATH", "now"]
 
 
 def test_filenames_and_globs_classified():
-    tokens, _ = normalize_nl("compress notes.txt and every *.log file")
-    assert tokens.count("PATH") == 2
+    assert normalize_nl("compress notes.txt and every *.log file").count("PATH") == 2
 
 
 def test_tokens_lowercased_punctuation_stripped():
-    tokens, _ = normalize_nl("List, the FILES!")
-    assert tokens == ["list", "the", "files"]
+    assert normalize_nl("List, the FILES!") == ["list", "the", "files"]
     assert plain_tokens("List, the FILES!") == ["list", "the", "files"]
 
 
 def test_normalize_nl_equals_the_one_regex_per_class_chain_on_the_toy_corpus():
     for ex in toy_corpus(3000, seed=33):
-        assert normalize_nl(ex.invocation) == normalize_nl_ref(ex.invocation), ex.invocation
+        assert normalize_nl(ex.invocation) == normalize_nl_ref(ex.invocation)[0], ex.invocation
 
 
 _NL_TEXT = st.lists(
@@ -105,7 +96,7 @@ _NL_TEXT = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(text=_NL_TEXT)
 def test_normalize_nl_equals_the_one_regex_per_class_chain(text):
-    assert normalize_nl(text) == normalize_nl_ref(text)
+    assert normalize_nl(text) == normalize_nl_ref(text)[0]
 
 
 # --- index / retrieve --------------------------------------------------------
@@ -469,15 +460,15 @@ def test_calibration_data_from_too_few_pairs_is_degenerate(size):
         train_calibrator(features, labels)
 
 
-def test_training_loss_non_increasing():
+def test_fit_beats_the_zero_model_on_its_own_rows():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 3))
     logits = x @ np.array([1.5, -0.7, 0.3]) + 0.2
     y = (rng.random(200) < 1 / (1 + np.exp(-logits))).astype(int)
     model = train_calibrator(x.tolist(), y.tolist())
-    losses = model.loss_history
-    assert len(losses) == 500
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+    p = np.array([model.probability(row) for row in x.tolist()])
+    loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
+    assert loss < math.log(2)  # the zero model answers 0.5 everywhere
 
 
 def test_trainer_recovers_weight_signs():
@@ -521,10 +512,7 @@ def test_model_json_round_trip(tmp_path):
     model = train_calibrator([[0.9, 1, 1], [0.1, 3, 2], [0.8, 1, 1], [0.2, 4, 2]], [1, 0, 1, 0])
     path = tmp_path / "model.json"
     model.save(path)
-    loaded = CalibrationModel.load(path)
-    assert loaded.weights == pytest.approx(model.weights)
-    assert loaded.bias == pytest.approx(model.bias)
-    assert loaded.probability([0.5, 2, 1]) == pytest.approx(model.probability([0.5, 2, 1]))
+    assert CalibrationModel.load(path) == model
 
 
 _MODEL = {"weights": [1.0, 0.0, 0.5], "bias": 0.1, "feature_means": [0.5, 1, 1],
@@ -556,8 +544,6 @@ def test_calibration_load_rejects_a_file_that_is_not_a_saved_model(tmp_path, tex
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaError, match="model.json"):
         CalibrationModel.load(path)
-    with pytest.raises(SchemaError):
-        CalibrationModel.from_json(text)
 
 
 def test_calibration_load_rejects_bad_utf8(tmp_path):
@@ -567,8 +553,10 @@ def test_calibration_load_rejects_bad_utf8(tmp_path):
         CalibrationModel.load(path)
 
 
-def test_calibration_load_reads_ints_as_floats():
-    model = CalibrationModel.from_json(json.dumps(_MODEL))
+def test_calibration_load_reads_ints_as_floats(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_MODEL), encoding="utf-8")
+    model = CalibrationModel.load(path)
     assert model.feature_means == (0.5, 1.0, 1.0) and model.bias == 0.1
     assert all(type(v) is float for v in model.feature_stds)
 
@@ -591,10 +579,11 @@ def test_calibration_load_raises_only_nlbash_errors(tmp_path_factory, payload):
         pass
 
 
-def test_a_calibration_model_of_another_width_is_not_applied():
-    narrow = CalibrationModel.from_json(
-        json.dumps({"weights": [1.0], "bias": 0.0, "feature_means": [0.5], "feature_stds": [0.2]})
-    )
+def test_a_calibration_model_of_another_width_is_not_applied(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": [1.0], "bias": 0.0, "feature_means": [0.5], "feature_stds": [0.2]}),
+                    encoding="utf-8")
+    narrow = CalibrationModel.load(path)
     with pytest.raises(ValueError):
         narrow.probability((0.9, 2.0, 1.0))
     predictor = TfIdfPredictor(PAIRS, VOCAB, calibration=narrow)

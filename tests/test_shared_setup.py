@@ -75,8 +75,7 @@ def term_view(index):
 def model_fields(model):
     return [
         [float.hex(x) for x in values]
-        for values in (model.weights, (model.bias,), model.feature_means, model.feature_stds,
-                       model.loss_history)
+        for values in (model.weights, (model.bias,), model.feature_means, model.feature_stds)
     ]
 
 

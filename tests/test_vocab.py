@@ -53,6 +53,19 @@ def test_flag_with_inner_whitespace_rejected():
         parse_vocabulary("ls\nfind\ttype, na me\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param("\ufeffls\n", r"<string>:1: bad utility name '\\ufeffls'", id="bom-name"),
+        pytest.param("find\nls\x00\n", r"<string>:2: bad utility name 'ls\\x00'", id="nul-name"),
+        pytest.param("ls\nfind\tname,ty\x00pe\n", r"<string>:2: bad flag 'ty\\x00pe'", id="nul-flag"),
+    ],
+)
+def test_name_or_flag_that_cannot_print_rejected(text, error):
+    with pytest.raises(VocabularyFormatError, match=error):
+        parse_vocabulary(text)
+
+
 def test_known_flags_must_reference_known_utilities():
     with pytest.raises(VocabularyFormatError):
         UtilityVocabulary(
