@@ -27,7 +27,8 @@ class VocabularyFormatError(NlbashError):
 
 
 class SchemaError(NlbashError):
-    """A dataset line does not match the documented JSON-lines schema."""
+    """A JSON input (a dataset or prediction line, a predictor reply, a saved
+    index, calibration model or report) does not match its documented schema."""
 
 
 class InvalidFractionsError(NlbashError):

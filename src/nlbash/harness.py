@@ -30,8 +30,8 @@ import shlex
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field
-from typing import NoReturn, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NoReturn, Protocol, Sequence
 
 from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, text_lines
 from .errors import (
@@ -71,8 +71,6 @@ class LatencyStats:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
-        if not samples:
-            raise EmptySampleError("no latency samples")
         ordered = sorted(samples)
         rank = max(0, -(-95 * len(ordered) // 100) - 1)  # nearest-rank percentile
         return cls(
@@ -100,7 +98,6 @@ class EvaluationReport:
     dataset_fingerprint: str
     unparseable_prediction_count: int = 0
     predictor_failure_count: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -115,7 +112,6 @@ class EvaluationReport:
             "dataset_fingerprint": self.dataset_fingerprint,
             "unparseable_prediction_count": self.unparseable_prediction_count,
             "predictor_failure_count": self.predictor_failure_count,
-            "metadata": self.metadata,
             "per_example": [
                 {
                     "id": r.example_id,
@@ -161,7 +157,6 @@ class EvaluationReport:
             per_example=per_example,
             mean_score=number(obj, "mean_score", "report"),
             latency=LatencyStats(*(number(latency, q, "report") for q in ("mean", "median", "p95"))),
-            metadata=json_field(obj, "metadata", dict, "report", {}),
             **{key: json_field(obj, key, kind, "report") for key, kind in scalars.items()},
         )
 
@@ -335,26 +330,20 @@ def emit_report(report: EvaluationReport, format: str = "json") -> bytes:
 
 
 class ReplayPredictor:
-    """Feeds a prediction file back through the harness.
+    """Feeds stored predictions back through the harness.
 
-    Predictions are joined to the dataset by example id; the harness calls
-    arrive in dataset order, so replaying walks the same id sequence. An
-    id with no stored predictions abstains.
+    Takes one prediction list per example, in dataset order, and answers
+    each call with the next list; ``evaluate`` keeps its first k. An empty
+    list abstains.
     """
 
     name = "replay"
 
-    def __init__(self, ids: Sequence[str], predictions_by_id: dict[str, list[Prediction]]):
-        self._ids = list(ids)
-        self._by_id = predictions_by_id
-        self._cursor = 0
+    def __init__(self, predictions: Iterable[list[Prediction]]):
+        self._predictions = iter(predictions)
 
     def predict(self, nlc: str, k: int) -> list[Prediction]:
-        if self._cursor >= len(self._ids):
-            raise PredictorProtocolError("replay predictor exhausted its id sequence")
-        ex_id = self._ids[self._cursor]
-        self._cursor += 1
-        return list(self._by_id.get(ex_id, ()))[:k]
+        return next(self._predictions)
 
 
 def _decode_predictions(items: list, where: str) -> list[Prediction]:
@@ -394,9 +383,9 @@ def score_prediction_file(
     k: int = DEFAULT_TOP_K,
     vocab: UtilityVocabulary | None = None,
 ) -> EvaluationReport:
-    """Offline scoring: identical to evaluate() with a replay predictor."""
+    """Offline scoring: evaluate() with a replay predictor; an example the file lacks abstains."""
     by_id = load_prediction_file(prediction_path)
-    replay = ReplayPredictor([ex.id for ex in dataset], by_id)
+    replay = ReplayPredictor(by_id.get(ex.id, []) for ex in dataset)
     return evaluate(replay, dataset, k=k, vocab=vocab)
 
 

@@ -128,8 +128,6 @@ def example_score(
     predictions: Sequence[ScoredPrediction], refs: Sequence[TemplateCommand]
 ) -> ExampleScore:
     """Score one example's full prediction set against its references."""
-    if not predictions:
-        raise EmptyPredictionSetError("example has no predictions")
     return aggregate_scores([prediction_score(p, refs) for p in predictions])
 
 

@@ -119,10 +119,10 @@ def _tokens(utterance: str, normalize: bool) -> list[str]:
     return normalize_nl(utterance) if normalize else plain_tokens(utterance)
 
 
-class _AnalysedPairs(Sequence):
+class _AnalysedPairs:
     """NL-command pairs tokenized and templated once, for every index built on them.
 
-    A sequence of (invocation, command) pairs. Each pair's distinct term
+    ``documents`` holds the pairs with their templates. Each pair's distinct term
     ids, in first-occurrence order, are ``terms[offsets[i]:offsets[i + 1]]``
     with their counts at the same places in ``counts``; term id ``t`` is the
     term ``names[t]``, numbered by first occurrence over all pairs. Each
@@ -131,7 +131,6 @@ class _AnalysedPairs(Sequence):
     """
 
     def __init__(self, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool):
-        self.vocab, self.normalize = vocab, normalize
         self.documents: list[IndexedDocument] = []
         ids: dict[str, int] = {}
         by_command: dict[str, TemplateCommand] = {}
@@ -155,13 +154,9 @@ class _AnalysedPairs(Sequence):
         self.selected: Sequence[int] = range(len(self.documents))  # positions in the analysis
 
     @classmethod
-    def of(
-        cls, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool
-    ) -> "_AnalysedPairs":
-        """``pairs`` if already analysed with these settings, else their analysis."""
-        if isinstance(pairs, cls) and pairs.vocab is vocab and pairs.normalize == normalize:
-            return pairs
-        return cls(pairs, vocab, normalize)
+    def of(cls, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool):
+        """``pairs`` if already analysed, else their analysis."""
+        return pairs if isinstance(pairs, cls) else cls(pairs, vocab, normalize)
 
     def take(self, positions: Sequence[int]) -> "_AnalysedPairs":
         """The pairs at ``positions``, in that order, on the same analysis."""
@@ -172,10 +167,6 @@ class _AnalysedPairs(Sequence):
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def __getitem__(self, i: int) -> tuple[str, str]:
-        doc = self.documents[i]
-        return doc.invocation, doc.command
 
 
 class TfIdfIndex:

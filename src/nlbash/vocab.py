@@ -5,7 +5,7 @@ reader: whether a command's utilities are acceptable at all, and which
 single-dash multi-character tokens (``find -name``, ``find -type``, ...)
 are real long flags rather than bundles of one-letter options.
 
-File format (UTF-8, one record per line)::
+File format (UTF-8, one record per utility, one per line)::
 
     utility<TAB>flag1,flag2,...
 
@@ -13,13 +13,14 @@ The flag list is optional. Blank lines and lines starting with ``#`` are
 ignored. Flags may be written with or without their leading dash. A name
 or flag holding whitespace or a character that cannot print is refused: a
 byte-order mark or NUL left in the file would otherwise make a utility no
-typed command matches.
+typed command matches. So is a line that repeats an earlier line's utility,
+so no utility's flags depend on the order of the lines.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,23 +31,9 @@ _DEFAULT_RESOURCE = "ubuntu_utilities.txt"
 
 @dataclass(frozen=True)
 class UtilityVocabulary:
-    """Immutable set of known utilities plus per-utility unsplittable flags."""
+    """Immutable map from each known utility to its unsplittable flags (mostly none)."""
 
-    utilities: frozenset[str]
-    known_flags: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        stray = set(self.known_flags) - set(self.utilities)
-        if stray:
-            raise VocabularyFormatError(
-                f"known_flags entries for utilities not in the vocabulary: {sorted(stray)}"
-            )
-
-    def __contains__(self, utility: str) -> bool:
-        return utility in self.utilities
-
-    def __len__(self) -> int:
-        return len(self.utilities)
+    flags: dict[str, frozenset[str]]
 
     def lookup(self, word: str) -> str | None:
         """Resolve a command word to a vocabulary utility name.
@@ -55,16 +42,16 @@ class UtilityVocabulary:
         ``/bin/rm`` and ``rm`` both map to ``rm``. Returns None when the
         word does not name a known utility.
         """
-        if word in self.utilities:
+        if word in self.flags:
             return word
         if "/" in word:
             base = word.rsplit("/", 1)[-1]
-            if base and base in self.utilities:
+            if base and base in self.flags:
                 return base
         return None
 
     def unsplittable_flags(self, utility: str) -> frozenset[str]:
-        return self.known_flags.get(utility, frozenset())
+        return self.flags.get(utility, frozenset())
 
 
 def _bad_word(word: str) -> bool:
@@ -75,8 +62,8 @@ def _bad_word(word: str) -> bool:
 
 def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
     """Parse vocabulary file contents. Raises VocabularyFormatError."""
-    utilities: set[str] = set()
-    known_flags: dict[str, frozenset[str]] = {}
+    flags_of: dict[str, frozenset[str]] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -85,6 +72,8 @@ def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
         name = name.strip()
         if not name or _bad_word(name):
             raise VocabularyFormatError(f"{origin}:{lineno}: bad utility name {name!r}")
+        if name in line_of:
+            raise VocabularyFormatError(f"{origin}:{lineno}: utility {name!r} repeats line {line_of[name]}")
         flags: set[str] = set()
         for raw_flag in flag_part.split(","):
             flag = raw_flag.strip().lstrip("-")
@@ -93,12 +82,11 @@ def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
             if _bad_word(flag):
                 raise VocabularyFormatError(f"{origin}:{lineno}: bad flag {raw_flag!r}")
             flags.add(flag)
-        utilities.add(name)
-        if flags:
-            known_flags[name] = frozenset(flags)
-    if not utilities:
+        line_of[name] = lineno
+        flags_of[name] = frozenset(flags)
+    if not flags_of:
         raise VocabularyFormatError(f"{origin}: no utility records found")
-    return UtilityVocabulary(utilities=frozenset(utilities), known_flags=known_flags)
+    return UtilityVocabulary(flags_of)
 
 
 def load_vocabulary(path: str | Path) -> UtilityVocabulary:

@@ -68,6 +68,14 @@ def test_vocabulary_saved_with_a_byte_order_mark_is_a_data_error(tmp_path, capsy
     assert err.startswith(f"error: {vocab}:1: bad utility name '\\ufeffls'"), err
 
 
+def test_vocabulary_that_repeats_a_utility_is_a_data_error(tmp_path, capsys):
+    vocab = tmp_path / "dup.txt"
+    vocab.write_text("ls\nfind\tname\nfind\ttype\n", encoding="utf-8")
+    assert cli(["parse", "--vocab", str(vocab), "ls"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vocab}:3: utility 'find' repeats line 2"), err
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert cli(["filter", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 2
 

@@ -25,7 +25,6 @@ from nlbash.errors import (
 from nlbash.harness import (
     EvaluationReport,
     LatencyStats,
-    ReplayPredictor,
     SubprocessPredictor,
     emit_report,
     evaluate,
@@ -33,7 +32,7 @@ from nlbash.harness import (
     measure_latency,
     score_prediction_file,
 )
-from nlbash.metric import Prediction, dataset_score
+from nlbash.metric import Aggregation, ExampleScore, Prediction, dataset_score
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
 
@@ -571,7 +570,6 @@ def _report_record(**changes):
         pytest.param(_report_record(mean_score=None), id="null-mean"),
         pytest.param(_report_record(latency=[0.1, 0.1, 0.1]), id="list-latency"),
         pytest.param(_report_record(latency={"mean": 0.1}), id="short-latency"),
-        pytest.param(_report_record(metadata=[]), id="list-metadata"),
         pytest.param(_report_record(per_example=[3]), id="scalar-example"),
         pytest.param(_report_record(per_example=[{"id": "a"}]), id="short-example"),
         pytest.param(_report_record(per_example=[{"id": "a", "aggregation": "best", "score": 1.0,
@@ -740,11 +738,37 @@ def test_offline_score_matches_live_evaluation(tmp_path):
     assert [r.score for r in offline.per_example] == [r.score for r in live.per_example]
 
 
-def test_replay_predictor_missing_id_abstains():
-    data = dataset(3, seed=11)
-    replay = ReplayPredictor([e.id for e in data], {})
-    report = evaluate(replay, data, vocab=VOCAB)
-    assert report.mean_score == 0.0
+class ThreeGuessPredictor:
+    """A wrong guess, an unparseable text and the first reference, in that order
+    or reversed; with k=2 the first order averages and the reverse finds the reference."""
+
+    def __init__(self, examples):
+        self._by_invocation = {e.invocation: e.references[0] for e in examples}
+
+    def predict(self, nlc, k):
+        guesses = [Prediction("touch x", 0.4), Prediction("frobnicate", 0.2),
+                   Prediction(self._by_invocation[nlc], 0.8)]
+        return guesses[::-1] if len(nlc) % 2 else guesses
+
+
+def test_offline_score_abstains_on_a_missing_id_and_ignores_an_extra_one(tmp_path):
+    data = dataset(12, seed=11)
+    predictor = ThreeGuessPredictor(data)
+    live = evaluate(predictor, data, k=2, vocab=VOCAB)
+
+    missing = data[4].id
+    path = tmp_path / "preds.jsonl"
+    write_predictions(path, [ex for ex in data if ex.id != missing], predictor)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "not-in-the-dataset", "predictions": [{"cmd": "ls", "confidence": 1.0}]}) + "\n")
+    offline = score_prediction_file(str(path), data, k=2, vocab=VOCAB)
+
+    assert [r.example_id for r in offline.per_example] == [e.id for e in data]
+    for got, want in zip(offline.per_example, live.per_example):
+        if got.example_id == missing:
+            assert got.score == ExampleScore(0.0, (), Aggregation.AVERAGE)
+        else:
+            assert got.score == want.score
 
 
 # --- subprocess protocol -----------------------------------------------------------

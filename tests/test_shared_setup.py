@@ -146,7 +146,8 @@ def test_the_analysis_interns_equal_templates_across_commands():
     assert a is b is c and a is not d
     view = analysed.take([3, 1])
     assert [doc.template for doc in view.documents] == [d, a]
-    assert list(view) == [("disk", "df -h"), ("list them", "ls -al /b")]
+    pairs = [(doc.invocation, doc.command) for doc in view.documents]
+    assert pairs == [("disk", "df -h"), ("list them", "ls -al /b")]
 
 
 @pytest.mark.parametrize("corpus", CORPORA)

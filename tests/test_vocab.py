@@ -1,18 +1,22 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlbash.errors import VocabularyFormatError
-from nlbash.vocab import UtilityVocabulary, default_vocabulary, load_vocabulary, parse_vocabulary
+from nlbash.vocab import default_vocabulary, load_vocabulary, parse_vocabulary
 
 
 def test_default_vocabulary_size():
     vocab = default_vocabulary()
-    assert len(vocab) >= 128
+    assert len(vocab.flags) >= 128
 
 
 def test_default_vocabulary_has_core_utilities():
     vocab = default_vocabulary()
     for name in ("find", "ls", "grep", "tail", "df", "xargs", "sudo", "chown"):
-        assert name in vocab
+        assert vocab.lookup(name) == name
 
 
 def test_find_known_flags_present():
@@ -66,18 +70,53 @@ def test_name_or_flag_that_cannot_print_rejected(text, error):
         parse_vocabulary(text)
 
 
-def test_known_flags_must_reference_known_utilities():
-    with pytest.raises(VocabularyFormatError):
-        UtilityVocabulary(
-            utilities=frozenset({"ls"}), known_flags={"find": frozenset({"name"})}
-        )
+@pytest.mark.parametrize(
+    "text",
+    ["find\tname\nfind\ttype\n", "find\ttype\nfind\tname\n", "find\tname\nfind\n"],
+    ids=["name-then-type", "type-then-name", "name-then-bare"],
+)
+def test_repeated_utility_rejected(text):
+    with pytest.raises(VocabularyFormatError, match=r"^<string>:2: utility 'find' repeats line 1$"):
+        parse_vocabulary(text)
+
+
+# Names and flags a vocabulary line can hold: printable, no whitespace, no
+# comma in a flag, no name that reads as a comment.
+_WORD = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=5)
+_FLAG = _WORD.filter(lambda flag: "," not in flag)
+_RECORDS = st.dictionaries(
+    _WORD.filter(lambda name: not name.startswith("#")),
+    st.frozensets(_FLAG, max_size=3),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _line(name, flags):
+    return f"{name}\t{','.join(sorted(flags))}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS, data=st.data())
+def test_line_order_does_not_matter_and_a_repeated_name_is_refused(records, data):
+    lines = data.draw(st.permutations([_line(n, f) for n, f in records.items()]))
+    vocab = parse_vocabulary("\n".join(lines))
+    for name, flags in records.items():
+        assert vocab.lookup(name) == name
+        assert vocab.unsplittable_flags(name) == {f.lstrip("-") for f in flags} - {""}
+
+    name = data.draw(st.sampled_from(sorted(records)))
+    repeat = _line(name, data.draw(st.frozensets(_FLAG, max_size=2)))
+    lines.insert(data.draw(st.integers(0, len(lines))), repeat)
+    with pytest.raises(VocabularyFormatError, match=f"utility {re.escape(repr(name))} repeats line"):
+        parse_vocabulary("\n".join(lines))
 
 
 def test_load_vocabulary_roundtrip(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("find\tname,type\ngrep\nls\n", encoding="utf-8")
     vocab = load_vocabulary(path)
-    assert len(vocab) == 3
+    assert len(vocab.flags) == 3
     assert vocab.unsplittable_flags("find") == frozenset({"name", "type"})
 
 
