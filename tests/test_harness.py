@@ -599,6 +599,16 @@ def test_report_from_json_rejects_a_malformed_report(text):
         EvaluationReport.from_json(text)
 
 
+@pytest.mark.parametrize("metadata", [{"seed": 1}, [], None], ids=["object", "list", "null"])
+def test_report_from_json_ignores_a_metadata_key(metadata):
+    # a report no longer carries "metadata"; one written by an older version
+    # loads like any report with an extra key
+    record = json.loads(_report_record())
+    assert "metadata" not in record
+    plain = EvaluationReport.from_json(json.dumps(record))
+    assert EvaluationReport.from_json(json.dumps({**record, "metadata": metadata})) == plain
+
+
 _NEAR_EXAMPLE = st.fixed_dictionaries(
     {
         "id": st.just("a") | json_values,
@@ -769,6 +779,14 @@ def test_offline_score_abstains_on_a_missing_id_and_ignores_an_extra_one(tmp_pat
             assert got.score == ExampleScore(0.0, (), Aggregation.AVERAGE)
         else:
             assert got.score == want.score
+
+
+def test_replay_predictor_answers_each_call_with_the_next_list():
+    first, second = [Prediction("ls", 1.0)], [Prediction("pwd", 0.5), Prediction("cd", 0.2)]
+    replay = harness.ReplayPredictor(iter([first, [], second]))
+    assert replay.predict("any query", k=5) == first
+    assert replay.predict("first", k=5) == []
+    assert replay.predict("any query", k=1) == second  # evaluate keeps the first k
 
 
 # --- subprocess protocol -----------------------------------------------------------

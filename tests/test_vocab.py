@@ -112,6 +112,16 @@ def test_line_order_does_not_matter_and_a_repeated_name_is_refused(records, data
         parse_vocabulary("\n".join(lines))
 
 
+def test_utility_listed_without_flags_has_no_unsplittable_flags():
+    vocab = parse_vocabulary("ls\nfind\tname\n")
+    assert set(vocab.flags) == {"ls", "find"}
+    assert vocab.unsplittable_flags("ls") == frozenset()
+    assert vocab.unsplittable_flags("find") == frozenset({"name"})
+    assert vocab.lookup("/bin/ls") == "ls"
+    assert vocab.unsplittable_flags("grep") == frozenset()  # not in this vocabulary
+    assert vocab.lookup("grep") is None
+
+
 def test_load_vocabulary_roundtrip(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("find\tname,type\ngrep\nls\n", encoding="utf-8")
