@@ -4,10 +4,17 @@ The grammar is deliberately narrow: a command is a pipeline of simple
 commands, each a utility followed by flags, arguments, redirects,
 ``$( )`` / backtick substitutions, and an ``-exec utility ... \\;`` payload
 after an exec flag the vocabulary lists for that utility (find's). Anything
-else — ``&&`` / ``||`` lists, ``;`` sequences, subshells, here-docs, process
-substitution, arithmetic, control flow, a command name glued to a
-substitution (``ls$(cmd)``), nesting deeper than MAX_NESTING_DEPTH — raises
-BashSyntaxError, which is exactly how corpus filtering rejects it.
+else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
+here-docs, process substitution, arithmetic, control flow, comments, a
+command name glued to a substitution (``ls$(cmd)``), nesting deeper than
+MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
+filtering rejects it.
+
+Lines are read as Bash reads them. An unquoted newline ends a command, as
+``;`` does, so it is refused, except directly after ``|`` and at either end
+of the text or of a substitution; a redirect whose target would be on the
+next line is missing its target. A backslash-newline (a line continuation)
+is refused, and CR is word text (``ls\\r`` names no known utility).
 
 Every unquoted substitution is a nested command, also one inside a word
 (``x=$(cmd)``); only one inside double quotes (``"$(cmd)"``) stays opaque
@@ -17,13 +24,21 @@ its own scope: a ';' or '+' inside it never ends an enclosing ``-exec``.
 Each simple command records its flag names in ``SimpleCommand.flags``, read
 with the vocabulary at parse time: ``--name=value`` gives ``name``, a
 single-dash word listed for the utility stays whole (``find -name``), and
-any other splits per character (``ls -la`` gives l and a).
+any other splits per character (``ls -la`` gives l and a). A bare ``--``
+ends the options of a command that is not a wrapper (POSIX utility syntax
+guideline 10): every later word is an argument, so ``rm -- -rf`` is
+``rm[]``, also inside an ``-exec`` payload, where ``\\;`` and ``+`` still end
+it. A wrapper reads on past ``--`` to its target (``sudo -- ls -la``).
 
 The lexer reads a word with one compiled pattern, ``_WORD``: quoted
 strings and backslash escapes stay inside the word, and an unquoted space,
-tab, CR, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it. Other
-whitespace (``\\x0b``, ``\\xa0``) is word text, and a quote never closed or a
-backslash that ends the text is a BashSyntaxError.
+tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it. Other
+whitespace (CR, ``\\x0b``, ``\\xa0``) is word text. Each piece of a word
+must close where Bash closes it: a quote never closed, a backslash that
+ends the text, a ``${`` that no ``}`` closes before a quote, ``$``,
+backtick, brace or parenthesis, a ``$( )``, ``${ }`` or backtick inside
+double quotes that Bash would read on past, and a quoted backtick inside a
+backtick substitution are each a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -129,13 +144,33 @@ def _walk(cmd: SimpleCommand):
 _REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>?|<)(?:&(?:[0-9]+|-))?")
 _REDIRECT_START = frozenset("<>&0123456789")
 
-# A word: any mix of unquoted characters other than space, tab, CR, LF and
-# |;&<>()` , a '$' not opening '$(', whole '...' strings, whole "..." strings
-# with their backslash escapes, and \x escapes. A match that stops at a quote
-# or a backslash stopped at one that is never closed or that ends the text;
-# _WORD_ERRORS names which.
-_WORD = re.compile(r"""(?:[^ \t\n\r|;&<>()`'"\\$]+|\$(?!\()|'[^']*'|"(?:[^"\\]|\\.)*"|\\.)*""", re.S)
-_WORD_ERRORS = {"'": "unbalanced single quote", '"': "unbalanced double quote", "\\": "trailing backslash"}
+# A word: any mix of the pieces below. A match that stops at a quote, a
+# backslash or a '$' stopped at one that is never closed, at a backslash that
+# ends the text or a line, or at a '${' that is not closed as below;
+# _WORD_ERRORS names which. Each piece holds only what Bash reads the same
+# way: a '${', or a substitution inside "...", must close before any
+# character that would make Bash read on past its '}', ')' or backtick.
+_WORD = re.compile(
+    r"""(?:
+        [^ \t\n|;&<>()`'"\\$]+             # unquoted text, CR included
+      | \$(?: \{[^{}()'"\\`$]*\}            # ${name}
+          | '(?:[^'\\]|\\.)*'              # $'...' with its backslash escapes
+          | (?![({]) )                     # a '$' that opens nothing
+      | '[^']*'
+      | "(?: [^"\\$`] | \\. | `[^`\\]*`
+          | \$(?: \{[^{}()'"\\`$]*\} | \([^()'"\\`$\#]*\) | (?![({]) ) )*"
+      | \\[^\n]                          # an escape; a backslash-newline is refused
+    )*""",
+    re.S | re.X,
+)
+_WORD_ERRORS = {
+    "'": "unbalanced single quote",
+    '"': "unbalanced double quote",
+    "\\": "trailing backslash",
+    "\\\n": "line continuations are not supported",
+    "${": "unterminated or nested '${'",
+}
+_WORD_ERROR_STOPS = frozenset(stop[0] for stop in _WORD_ERRORS)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -146,8 +181,21 @@ def tokenize(text: str) -> list[Token]:
     n = len(text)
     while i < n:
         c = text[i]
-        if c in " \t\n\r":
+        if c in " \t":
             i += 1
+            continue
+        if c == "\n":
+            # A newline is a blank directly after '|' and at either end of the
+            # text or of a substitution. Anywhere else it ends the command, as
+            # ';' does, and the parser refuses it; a run of blanks counts once.
+            j = i + 1
+            while text[j : j + 1] in (" ", "\t", "\n"):
+                j += 1
+            nxt = text[j : j + 1]
+            closes = stack and nxt == (")" if stack[-1] == "(" else "`")
+            if tokens and tokens[-1].kind not in (_PIPE, _SUBST_OPEN) and nxt and not closes:
+                tokens.append(Token(_SEMI, "\n", i, i + 1))
+            i = j
             continue
         if c == "|":
             if text[i + 1 : i + 2] == "|":
@@ -199,11 +247,19 @@ def tokenize(text: str) -> list[Token]:
                 raise BashSyntaxError("unbalanced ')'")
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
+        elif c == "#" and text[i - 1 : i] not in (")", "`"):
+            # a '#' that starts a word (not one glued to a substitution) opens a comment
+            raise BashSyntaxError("comments are not supported")
         else:
             j = _WORD.match(text, i).end()
-            if (error := _WORD_ERRORS.get(text[j : j + 1])) is not None:
-                raise BashSyntaxError(error)
-            tokens.append(Token(_WORD_KIND, text[i:j], i, j))  # any other stop has a branch above
+            if j < n and text[j] in _WORD_ERROR_STOPS:
+                error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
+                if error is not None:  # else a '$(' that opens a substitution
+                    raise BashSyntaxError(error)
+            word = text[i:j]  # any other stop has a branch above
+            if "`" in word and "`" in stack:  # Bash would end the substitution at it
+                raise BashSyntaxError("nested backticks are not supported")
+            tokens.append(Token(_WORD_KIND, word, i, j))
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
@@ -252,13 +308,14 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     flags: set[str] = set()
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
+    options = True  # until a bare '--' ends them, outside a wrapper
 
     while (tok := tokens[cur.pos]) is not None:
         kind, text = tok.kind, tok.text
         if kind is _WORD_KIND:
             if in_exec and text == "+":
                 break  # the end of the surrounding -exec clause, left to the caller
-            if _is_flag_word(text):
+            if options and _is_flag_word(text):
                 cur.pos += 1
                 head, eq, _ = text.partition("=") if text[1] == "-" else (text, "", "")
                 if eq:
@@ -277,6 +334,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             if may_wrap and vocab.lookup(text) is not None:
                 nested.append(_parse_simple(cur, vocab, in_exec))
                 break
+            if text == "--" and not may_wrap:
+                options = False
             cur.pos += 1
             erased_args += 1
             continue
@@ -284,6 +343,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         if kind is _PIPE or kind is _SUBST_CLOSE:
             break
         if kind is _SEMI:
+            if text == "\n":
+                raise BashSyntaxError("newline-separated command sequences are not supported")
             if in_exec:
                 break
             raise BashSyntaxError("';' command sequences are not supported")

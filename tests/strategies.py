@@ -3,14 +3,17 @@
 from hypothesis import strategies as st
 
 # Shell metacharacters and digits, fragments that reach the parser's
-# nesting and redirect paths and the lexer's word edges (\x0b, \x0c and
-# \xa0 are word text, not breaks; a quoted string may span a line; a text
-# may end in one backslash), and any other character.
+# nesting and redirect paths and the lexer's word edges (\x0b, \x0c, \xa0
+# and \r are word text, not breaks; a quoted string may span a line; a text
+# may end in one backslash), the places where Bash reads a line differently
+# from a blank (a redirect or '|' next to a newline; an open '${'), a bare
+# '--' that ends the options, and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
      "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²",
-     "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\"]
+     "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
+     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- "]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)

@@ -60,6 +60,12 @@ def test_parse_bad_command_is_data_error(capsys):
     assert cli(["parse", "grep 'unterminated"]) == 2
 
 
+def test_parse_of_two_lines_is_data_error(capsys):
+    assert cli(["parse", "ls\nrm -rf /tmp/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "newline" in err and "Traceback" not in err, err
+
+
 def test_vocabulary_saved_with_a_byte_order_mark_is_a_data_error(tmp_path, capsys):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("ls\tl\ngrep\n", encoding="utf-8-sig")

@@ -217,6 +217,11 @@ def test_filter_rejects_parse_errors():
     assert report.rejected[0].reason is RejectReason.PARSE_ERROR
 
 
+def test_filter_rejects_a_reference_of_two_lines_as_parse_error():
+    report = filter_examples([ex("f", "ls\nrm -rf /tmp/x")], VOCAB)
+    assert not report.kept and report.rejected[0].reason is RejectReason.PARSE_ERROR
+
+
 def test_filter_rejects_nesting_past_the_limit_as_parse_error():
     deep = ["sudo " * 3000 + "ls", "echo " + "$( echo " * 1500 + "ls" + " )" * 1500]
     report = filter_examples([ex(f"deep{i}", cmd) for i, cmd in enumerate(deep)], VOCAB)

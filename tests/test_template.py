@@ -3,13 +3,8 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
-from reference_impl import normalize_template_ref, parse_ref
-from strategies import shell_text
 
-from nlbash.errors import NlbashError
 from nlbash.parser import parse
-from nlbash.synth import command_corpus, toy_corpus
 from nlbash.template import TemplateCommand, TemplateUnit, flatten_utilities, normalize_template
 from nlbash.vocab import default_vocabulary, parse_vocabulary
 
@@ -170,30 +165,3 @@ def test_custom_vocabulary_is_read_at_parse_time_only():
     assert str(normalize_template(parse("frob -exec ls -la {} +", vocab))) == "frob[exec] | ls[a,l]"
     # not listed for frob in this vocabulary, so it splits
     assert str(normalize_template(parse("frob -name x", vocab))) == "frob[a,e,m,n]"
-
-
-def _assert_matches_ref(text):
-    try:
-        ast = parse(text, VOCAB)
-    except NlbashError:
-        return False
-    expected, erased = normalize_template_ref(parse_ref(text, VOCAB), VOCAB)
-    assert str(normalize_template(ast)) == expected, text
-    assert [c.erased_args for c in ast.walk()] == erased, text
-    return True
-
-
-def test_template_matches_reference_over_generated_commands():
-    for cmd in command_corpus(5000):
-        assert _assert_matches_ref(cmd)
-
-
-def test_template_matches_reference_over_toy_corpus_references():
-    checked = sum(_assert_matches_ref(r) for ex in toy_corpus(2000, seed=5) for r in ex.references)
-    assert checked > 1000
-
-
-@settings(max_examples=400, deadline=None)
-@given(shell_text)
-def test_template_matches_reference_on_any_parsed_text(text):
-    _assert_matches_ref(text)
