@@ -5,10 +5,10 @@ commands, each a utility followed by flags, arguments, redirects,
 ``$( )`` / backtick substitutions, and an ``-exec utility ... \\;`` payload
 after an exec flag the vocabulary lists for that utility (find's). Anything
 else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
-here-docs, process substitution, arithmetic, control flow, comments, a
-command name glued to a substitution (``ls$(cmd)``), nesting deeper than
-MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
-filtering rejects it.
+here-docs, process substitution, arithmetic, control flow, a comment inside
+a substitution, a command name glued to a substitution (``ls$(cmd)``),
+nesting deeper than MAX_NESTING_DEPTH — raises BashSyntaxError, which is
+exactly how corpus filtering rejects it.
 
 Lines are read as Bash reads them. An unquoted newline ends a command, as
 ``;`` does, so it is refused, except directly after ``|`` and at either end
@@ -28,17 +28,21 @@ any other splits per character (``ls -la`` gives l and a). A bare ``--``
 ends the options of a command that is not a wrapper (POSIX utility syntax
 guideline 10): every later word is an argument, so ``rm -- -rf`` is
 ``rm[]``, also inside an ``-exec`` payload, where ``\\;`` and ``+`` still end
-it. A wrapper reads on past ``--`` to its target (``sudo -- ls -la``).
+it. A wrapper reads on past ``--`` to its target (``sudo -- ls -la``), and
+so does a utility whose vocabulary entry lists unsplittable flags, since
+those are not POSIX options (``find -- . -name x`` keeps ``name``).
 
 The lexer reads a word with one compiled pattern, ``_WORD``: quoted
-strings and backslash escapes stay inside the word, and an unquoted space,
-tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it. Other
-whitespace (CR, ``\\x0b``, ``\\xa0``) is word text. Each piece of a word
-must close where Bash closes it: a quote never closed, a backslash that
-ends the text, a ``${`` that no ``}`` closes before a quote, ``$``,
-backtick, brace or parenthesis, a ``$( )``, ``${ }`` or backtick inside
-double quotes that Bash would read on past, and a quoted backtick inside a
-backtick substitution are each a BashSyntaxError.
+strings, ``${...}`` and backslash escapes stay inside the word, and an
+unquoted space, tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends
+it. Other whitespace (CR, ``\\x0b``, ``\\xa0``) is word text, and a ``#``
+stays word text too, except where it starts a word inside a substitution
+(a comment there would hide the close). Inside double quotes a ``$( )`` or
+backtick substitution is read whole, so ``cd "$(dirname "$0")"`` is one
+word. Each piece must close where Bash closes it: a quote never closed, a
+backslash that ends the text, a ``${`` that no ``}`` closes, and a
+substitution inside ``${...}`` or nested inside a quoted ``$( )`` that Bash
+would read on past are each a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -139,38 +143,39 @@ def _walk(cmd: SimpleCommand):
 
 
 # A redirect operator: [fd]>, [fd]>>, [fd]<, &>, &>>, or an fd duplication
-# such as 2>&1, <&0 or >&-. As in Bash, only ASCII digits name an fd.
+# such as 2>&1, <&0 or >&- (never >>&). As in Bash, only ASCII digits name
+# an fd.
 # _REDIRECT_START gates the match so that ordinary words skip the regex.
-_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>?|<)(?:&(?:[0-9]+|-))?")
+_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>](?:&(?:[0-9]+|-))?)")
 _REDIRECT_START = frozenset("<>&0123456789")
 
-# A word: any mix of the pieces below. A match that stops at a quote, a
-# backslash or a '$' stopped at one that is never closed, at a backslash that
-# ends the text or a line, or at a '${' that is not closed as below;
-# _WORD_ERRORS names which. Each piece holds only what Bash reads the same
-# way: a '${', or a substitution inside "...", must close before any
-# character that would make Bash read on past its '}', ')' or backtick.
-_WORD = re.compile(
-    r"""(?:
-        [^ \t\n|;&<>()`'"\\$]+             # unquoted text, CR included
-      | \$(?: \{[^{}()'"\\`$]*\}            # ${name}
-          | '(?:[^'\\]|\\.)*'              # $'...' with its backslash escapes
-          | (?![({]) )                     # a '$' that opens nothing
-      | '[^']*'
-      | "(?: [^"\\$`] | \\. | `[^`\\]*`
-          | \$(?: \{[^{}()'"\\`$]*\} | \([^()'"\\`$\#]*\) | (?![({]) ) )*"
-      | \\[^\n]                          # an escape; a backslash-newline is refused
-    )*""",
-    re.S | re.X,
+# A word: any mix of unquoted characters other than space, tab, LF and
+# |;&<>()` (CR is word text), '$' pieces, whole '...' strings, whole "..."
+# strings and escapes of any character but LF. Each piece ends where Bash
+# ends it; what Bash would read on past (a substitution nested deeper than
+# below) is left out of the piece, so the word stops there. _WORD_ERRORS
+# names a stop at a quote, a backslash or a '${' left open, at a backslash
+# that ends the text or a line, or at a '${' not closed as below or a '$['.
+_BARE = r"""\$(?![({[])"""  # a '$' that opens nothing
+_QUOTED = r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE  # text inside "..." with no substitution
+# A '$' piece: a bare '$', or a whole '${...}', closed at its first '}'
+# outside quotes and escapes (a '<(' or '>(' in it opens a substitution):
+_DOLLAR = r"""(?:%s|\$\{(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*'|"%s")*\})""" % (_BARE, _BARE, _QUOTED)
+# Inside "...", also a backtick substitution and a '$(...)' closed at its
+# first ')' outside quotes and escapes, so that a '"' inside either does not
+# end the string:
+_DOUBLE = r"""(?:[^"\\$`]|\\.|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$]|\\.|%s|'[^']*'|"%s")*\))*""" % (
+    _DOLLAR, _DOLLAR, _QUOTED
 )
+_WORD = re.compile(r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|'[^']*'|"%s"|\\[^\n])*""" % (_DOLLAR, _DOUBLE), re.S)
 _WORD_ERRORS = {
     "'": "unbalanced single quote",
     '"': "unbalanced double quote",
     "\\": "trailing backslash",
     "\\\n": "line continuations are not supported",
-    "${": "unterminated or nested '${'",
+    "${": "unterminated '${'",
+    "$[": "arithmetic expansion is not supported",
 }
-_WORD_ERROR_STOPS = frozenset(stop[0] for stop in _WORD_ERRORS)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -247,19 +252,16 @@ def tokenize(text: str) -> list[Token]:
                 raise BashSyntaxError("unbalanced ')'")
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
-        elif c == "#" and text[i - 1 : i] not in (")", "`"):
-            # a '#' that starts a word (not one glued to a substitution) opens a comment
-            raise BashSyntaxError("comments are not supported")
+        elif c == "#" and stack and text[i - 1 : i] not in (")", "`"):
+            # a '#' that starts a word inside a substitution opens a comment
+            # that would hide its close; elsewhere it stays word text
+            raise BashSyntaxError("comments inside a substitution are not supported")
         else:
             j = _WORD.match(text, i).end()
-            if j < n and text[j] in _WORD_ERROR_STOPS:
-                error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
-                if error is not None:  # else a '$(' that opens a substitution
-                    raise BashSyntaxError(error)
-            word = text[i:j]  # any other stop has a branch above
-            if "`" in word and "`" in stack:  # Bash would end the substitution at it
-                raise BashSyntaxError("nested backticks are not supported")
-            tokens.append(Token(_WORD_KIND, word, i, j))
+            error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j : j + 1])
+            if error is not None:  # else a '$(' or a stop with a branch above
+                raise BashSyntaxError(error)
+            tokens.append(Token(_WORD_KIND, text[i:j], i, j))
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
@@ -308,7 +310,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     flags: set[str] = set()
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
-    options = True  # until a bare '--' ends them, outside a wrapper
+    options = True  # until a bare '--' ends them, below
 
     while (tok := tokens[cur.pos]) is not None:
         kind, text = tok.kind, tok.text
@@ -334,8 +336,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             if may_wrap and vocab.lookup(text) is not None:
                 nested.append(_parse_simple(cur, vocab, in_exec))
                 break
-            if text == "--" and not may_wrap:
-                options = False
+            if text == "--" and not (may_wrap or unsplittable):
+                options = False  # a wrapper, or find's expression, reads on past it
             cur.pos += 1
             erased_args += 1
             continue

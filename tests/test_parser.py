@@ -453,7 +453,7 @@ GOLDEN = [
     ('sort <\nf', BashSyntaxError("redirect '<' is missing its target")),
     ('echo 2>\nx', BashSyntaxError("redirect '2>' is missing its target")),
     ('ls\n| wc', BashSyntaxError('newline-separated command sequences are not supported')),
-    ('echo ${ls ', BashSyntaxError("unterminated or nested '${'")),
+    ('echo ${ls ', BashSyntaxError("unterminated '${'")),
     ('ls\r', UnknownUtilityError('ls\r')),
     ('ls \r', ('ls', 'ls[]', (1,))),
     ('echo ${HOME}/x', ('echo', 'echo[]', (1,))),
@@ -501,17 +501,31 @@ GOLDEN = [
     ('echo "$("', BashSyntaxError('unbalanced double quote')),
     ('echo "${"', BashSyntaxError('unbalanced double quote')),
     ('echo "`"', BashSyntaxError('unbalanced double quote')),
-    ('echo $(ls #)', BashSyntaxError('comments are not supported')),
-    ("echo `ls '`' `", BashSyntaxError('nested backticks are not supported')),
-    ('ls #x', BashSyntaxError('comments are not supported')),
+    ('echo $(ls #)', BashSyntaxError('comments inside a substitution are not supported')),
+    ('ls #x', ('ls', 'ls[]', (1,))),
+    ('ls -la # list files', ('ls', 'ls[a,l]', (3,))),
     ('echo $(ls)#x', ('echo', 'echo[] | ls[]', (1, 0))),
     ('echo "$(ls)"', ('echo', 'echo[]', (1,))),
     ('echo "`date`"', ('echo', 'echo[]', (1,))),
     ('echo "${a}b"', ('echo', 'echo[]', (1,))),
-    ("echo $'a\\'b'", ('echo', 'echo[]', (1,))),
-    ("echo $'\\'' '", BashSyntaxError('unbalanced single quote')),
+    ("echo $'a\\'b'", BashSyntaxError('unbalanced single quote')),
     ('echo ${a b}', ('echo', 'echo[]', (1,))),
-    ('echo ${a$(ls)}', BashSyntaxError("unterminated or nested '${'")),
+    ('echo ${a$(ls)}', BashSyntaxError("unterminated '${'")),
+    ('echo ${a <(}', BashSyntaxError("unterminated '${'")),
+    ('echo ${a:-$b}', ('echo', 'echo[]', (1,))),
+    ('echo ${x:-"d"}', ('echo', 'echo[]', (1,))),
+    ('echo ${x:-"}"}', ('echo', 'echo[]', (1,))),
+    ('echo ${x:-"}', BashSyntaxError("unterminated '${'")),
+    ('cd "$(dirname "$0")"', ('cd', 'cd[]', (1,))),
+    ('echo "$(basename $f)"', ('echo', 'echo[]', (1,))),
+    ('mkdir "$(date +"%F")"', ('mkdir', 'mkdir[]', (1,))),
+    ("echo \"$(awk '{print $1}' f)\"", ('echo', 'echo[]', (1,))),
+    ('echo "a`b"c`d"', ('echo', 'echo[]', (1,))),
+    ('echo "$(echo "$(ls)")"', BashSyntaxError('unbalanced double quote')),
+    ('echo $[1]', BashSyntaxError('arithmetic expansion is not supported')),
+    ('ls >>&1', BashSyntaxError('bad redirect at offset 3')),
+    ('find -- . -name x', ('find', 'find[name]', (3,))),
+    ('find -- . -exec ls {} \\;', ('find', 'find[exec] | ls[]', (2, 1))),
     ('echo a#b', ('echo', 'echo[]', (1,))),
     ('ls\r\n', UnknownUtilityError('ls\r')),
     ('ls \x00', ('ls', 'ls[]', (1,))),
@@ -535,15 +549,17 @@ def test_golden_parse(text, expected):
     assert _outcome(text) == expected
 
 
-# Texts that an earlier parser accepted and `bash -n` refuses: a redirect
-# whose target is on the next line, a newline before '|', an unclosed '${',
-# a substitution inside "..." that Bash reads on past its closing quote, a
-# comment that hides a ')', a quoted backtick inside backticks, and a
-# $'...' string whose escaped quote Bash does not end the string at.
+# Texts that `bash -n` refuses and that a looser reading of lines, '${',
+# "..." or redirects would accept: a redirect whose target is on the next
+# line, a newline before '|', a '${' that no '}' closes or that holds a
+# substitution Bash reads on past its '}', a substitution inside "..." that
+# Bash reads on past the closing quote, a comment that hides a ')', '>>&'
+# and '$['.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
-    'echo "$("', 'echo "${"', 'echo "`"', "echo $(ls #)", "echo `ls '`' `", 'echo `ls "`"`',
-    "echo $'\\'' '",
+    "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
+    'echo "$("', 'echo "${"', 'echo "`"', 'echo `ls "`"`', 'echo "$(ls \')"',
+    "echo $(ls #)", "ls >>&-", "echo $[",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
