@@ -10,11 +10,10 @@ a substitution, a command name glued to a substitution (``ls$(cmd)``),
 nesting deeper than MAX_NESTING_DEPTH — raises BashSyntaxError, which is
 exactly how corpus filtering rejects it.
 
-Lines are read as Bash reads them. An unquoted newline ends a command, as
-``;`` does, so it is refused, except directly after ``|`` and at either end
-of the text or of a substitution; a redirect whose target would be on the
-next line is missing its target. A backslash-newline (a line continuation)
-is refused, and CR is word text (``ls\\r`` names no known utility).
+An unquoted newline ends a command, as ``;`` does, so it is refused, except
+directly after ``|`` and at either end of the text or of a substitution; a
+redirect target is never read from the next line. A backslash-newline (a
+line continuation) is refused, and CR is word text.
 
 Every unquoted substitution is a nested command, also one inside a word
 (``x=$(cmd)``); only one inside double quotes (``"$(cmd)"``) stays opaque
@@ -25,24 +24,18 @@ Each simple command records its flag names in ``SimpleCommand.flags``, read
 with the vocabulary at parse time: ``--name=value`` gives ``name``, a
 single-dash word listed for the utility stays whole (``find -name``), and
 any other splits per character (``ls -la`` gives l and a). A bare ``--``
-ends the options of a command that is not a wrapper (POSIX utility syntax
-guideline 10): every later word is an argument, so ``rm -- -rf`` is
-``rm[]``, also inside an ``-exec`` payload, where ``\\;`` and ``+`` still end
-it. A wrapper reads on past ``--`` to its target (``sudo -- ls -la``), and
-so does a utility whose vocabulary entry lists unsplittable flags, since
-those are not POSIX options (``find -- . -name x`` keeps ``name``).
+ends the options (POSIX utility syntax guideline 10), so ``rm -- -rf`` is
+``rm[]``, also inside an ``-exec`` payload; a wrapper, and a utility with
+unsplittable flags (find's primaries are no options), read on past it.
 
 The lexer reads a word with one compiled pattern, ``_WORD``: quoted
-strings, ``${...}`` and backslash escapes stay inside the word, and an
-unquoted space, tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends
-it. Other whitespace (CR, ``\\x0b``, ``\\xa0``) is word text, and a ``#``
-stays word text too, except where it starts a word inside a substitution
-(a comment there would hide the close). Inside double quotes a ``$( )`` or
-backtick substitution is read whole, so ``cd "$(dirname "$0")"`` is one
-word. Each piece must close where Bash closes it: a quote never closed, a
-backslash that ends the text, a ``${`` that no ``}`` closes, and a
-substitution inside ``${...}`` or nested inside a quoted ``$( )`` that Bash
-would read on past are each a BashSyntaxError.
+strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole),
+``${...}`` and backslash escapes stay inside the word, and an unquoted
+space, tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it.
+Other whitespace (CR, ``\\x0b``, ``\\xa0``) and ``#`` are word text; only a
+``#`` that starts a word inside a substitution, where a comment would hide
+the close, is refused. A piece that Bash would close elsewhere, or not at
+all, is a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -150,12 +143,10 @@ _REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>](?:&(?:[0-9]+|-))?)")
 _REDIRECT_START = frozenset("<>&0123456789")
 
 # A word: any mix of unquoted characters other than space, tab, LF and
-# |;&<>()` (CR is word text), '$' pieces, whole '...' strings, whole "..."
-# strings and escapes of any character but LF. Each piece ends where Bash
-# ends it; what Bash would read on past (a substitution nested deeper than
-# below) is left out of the piece, so the word stops there. _WORD_ERRORS
-# names a stop at a quote, a backslash or a '${' left open, at a backslash
-# that ends the text or a line, or at a '${' not closed as below or a '$['.
+# |;&<>()` (CR is word text), '$' pieces, whole '...' and "..." strings, and
+# escapes of any character but LF. Each piece ends where Bash ends it; a
+# substitution nested deeper than below is left out, so the word stops at
+# it. _WORD_ERRORS names each stop that is an error.
 _BARE = r"""\$(?![({[])"""  # a '$' that opens nothing
 _QUOTED = r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE  # text inside "..." with no substitution
 # A '$' piece: a bare '$', or a whole '${...}', closed at its first '}'
@@ -258,10 +249,11 @@ def tokenize(text: str) -> list[Token]:
             raise BashSyntaxError("comments inside a substitution are not supported")
         else:
             j = _WORD.match(text, i).end()
-            error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j : j + 1])
-            if error is not None:  # else a '$(' or a stop with a branch above
-                raise BashSyntaxError(error)
-            tokens.append(Token(_WORD_KIND, text[i:j], i, j))
+            if j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
+                error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
+                if error is not None:  # else a '$(' that opens a substitution
+                    raise BashSyntaxError(error)
+            tokens.append(Token(_WORD_KIND, text[i:j], i, j))  # any other stop has a branch above
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
