@@ -35,7 +35,7 @@ space, tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it.
 Other whitespace (CR, ``\\x0b``, ``\\xa0``) and ``#`` are word text; only a
 ``#`` that starts a word inside a substitution, where a comment would hide
 the close, is refused. A piece that Bash would close elsewhere, or not at
-all, is a BashSyntaxError.
+all (a ``${`` that no ``}`` closes), is a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
