@@ -17,7 +17,6 @@ from nlbash import (
     emit_report,
     evaluate,
     filter_examples,
-    measure_latency,
     pairs_from_examples,
 )
 from nlbash.synth import toy_corpus
@@ -38,13 +37,14 @@ loaded = json.loads(payload)
 print("JSON keys:", sorted(loaded)[:6], "...")
 print()
 
-# Latency measurement uses a monotonic clock with warmup calls discarded.
+# The report's latency times each predict call on a monotonic clock: the
+# mean, the median and the 95th percentile over the examples.
 class Sleeper:
     def predict(self, nlc, k):
         time.sleep(0.02)
         return [Prediction("ls", 1.0)]
 
-stats = measure_latency(Sleeper(), [e.invocation for e in data[:10]], warmup=2)
+stats = evaluate(Sleeper(), data[:10], k=5).latency
 print(f"sleepy predictor: mean={stats.mean*1000:.1f}ms median={stats.median*1000:.1f}ms "
       f"p95={stats.p95*1000:.1f}ms")
 print()

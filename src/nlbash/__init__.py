@@ -34,7 +34,6 @@ from .harness import (
     SubprocessPredictor,
     emit_report,
     evaluate,
-    measure_latency,
     score_prediction_file,
 )
 from .metric import Prediction, ScoredPrediction, example_score, prediction_score
@@ -75,7 +74,6 @@ __all__ = [
     "flatten_utilities",
     "load_examples",
     "load_vocabulary",
-    "measure_latency",
     "normalize_nl",
     "normalize_template",
     "pairs_from_examples",

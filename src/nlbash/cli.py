@@ -31,7 +31,6 @@ from .harness import (
 from .metric import DEFAULT_TOP_K
 from .parser import parse
 from .retrieval import (
-    CalibrationModel,
     TfIdfIndex,
     TfIdfPredictor,
     make_calibration_data,
@@ -86,7 +85,7 @@ def _cmd_filter(args, vocab):
 
 
 def _cmd_split(args, vocab):
-    examples = _load_filtered(args.data, vocab) if args.filter else load_examples(args.data)
+    examples = load_examples(args.data)
     fractions = args.fractions.split(",")
     try:
         train, val, test = build_splits(examples, seed=args.seed, fractions=fractions)
@@ -135,7 +134,6 @@ def _cmd_calibrate(args, vocab):
         holdout_fraction=args.holdout,
         seed=args.seed,
         k=args.k,
-        normalize=args.normalize,
     )
     model = train_calibrator(features, labels)
     model.save(args.out)
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--filter", action="store_true", help="filter before splitting")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser(
@@ -284,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", type=_open_unit_fraction, default=0.2)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser(

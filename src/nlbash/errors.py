@@ -47,10 +47,6 @@ class EmptyDatasetError(NlbashError):
     """An aggregate was requested over zero examples."""
 
 
-class EmptySampleError(NlbashError):
-    """Latency measurement was requested over an empty sample."""
-
-
 class DegenerateLabelsError(NlbashError):
     """Calibration data is too small or single-class to fit a model.
 

@@ -26,7 +26,6 @@ import math
 import numbers
 import os
 import select
-import shlex
 import statistics
 import subprocess
 import time
@@ -37,7 +36,6 @@ from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, 
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
-    EmptySampleError,
     PredictorProtocolError,
     SchemaError,
     UnknownUtilityError,
@@ -285,35 +283,13 @@ def evaluate(
     )
 
 
-def measure_latency(
-    predictor: Predictor,
-    sample: Sequence[str],
-    warmup: int = 3,
-    k: int = DEFAULT_TOP_K,
-) -> LatencyStats:
-    """Wall-clock per-query latency over a sample of queries, after warmup calls."""
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    if not sample:
-        raise EmptySampleError("latency sample is empty")
-    for i in range(warmup):
-        predictor.predict(sample[i % len(sample)], k)
-    times = []
-    for q in sample:
-        start = time.perf_counter()
-        predictor.predict(q, k)
-        times.append(time.perf_counter() - start)
-    return LatencyStats.from_samples(times)
-
-
 def emit_report(report: EvaluationReport, format: str = "json") -> bytes:
     """Serialize a report as schema-stable JSON or a leaderboard-style table."""
     if not report.per_example:
         raise EmptyDatasetError("report contains no examples")
-    fmt = format.lower()
-    if fmt == "json":
+    if format == "json":
         return report.to_json().encode("utf-8")
-    if fmt == "table":
+    if format == "table":
         width = max(28, len(report.predictor))
         header = f"{'Predictor':<{width}} {'Accuracy Score':>14} {'Latency (sec)':>14}"
         rule = "-" * len(header)
@@ -403,12 +379,14 @@ class SubprocessPredictor:
     of ``{"cmd": ..., "confidence": ...}`` objects. A child that sends no
     whole line within REPLY_TIMEOUT_S, or sends more than MAX_REPLY_BYTES
     without a newline, is killed, and that call and every later one raise
-    PredictorProtocolError. A command with no words raises
-    ValueError before any process starts.
+    PredictorProtocolError. The command is an argument list; a ``str``,
+    or a list with no words, raises ValueError before any process starts.
     """
 
-    def __init__(self, command: str | Sequence[str]):
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    def __init__(self, command: Sequence[str]):
+        if isinstance(command, str):
+            raise ValueError(f"predictor command {command!r} is a str, not an argument list")
+        argv = list(command)
         if not argv:
             raise ValueError(f"predictor command {command!r} is empty")
         self.name = f"subprocess:{argv[0]}"

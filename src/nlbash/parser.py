@@ -6,9 +6,10 @@ commands, each a utility followed by flags, arguments, redirects,
 after an exec flag the vocabulary lists for that utility (find's). Anything
 else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
 here-docs, process substitution, arithmetic, control flow, a comment inside
-a substitution, a command name glued to a substitution (``ls$(cmd)``),
-nesting deeper than MAX_NESTING_DEPTH — raises BashSyntaxError, which is
-exactly how corpus filtering rejects it.
+a backtick substitution, a command name glued to a substitution
+(``ls$(cmd)``), a leading ``time`` keyword that times no command
+(``time -p | wc``), nesting deeper than MAX_NESTING_DEPTH — raises
+BashSyntaxError, which is exactly how corpus filtering rejects it.
 
 An unquoted newline ends a command, as ``;`` does, so it is refused, except
 directly after ``|`` and at either end of the text or of a substitution; a
@@ -29,13 +30,15 @@ ends the options (POSIX utility syntax guideline 10), so ``rm -- -rf`` is
 unsplittable flags (find's primaries are no options), read on past it.
 
 The lexer reads a word with one compiled pattern, ``_WORD``: quoted
-strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole),
-``${...}`` and backslash escapes stay inside the word, and an unquoted
-space, tab, LF, one of ``|;&<>()`` or a backtick, or a ``$(``, ends it.
-Other whitespace (CR, ``\\x0b``, ``\\xa0``) and ``#`` are word text; only a
-``#`` that starts a word inside a substitution, where a comment would hide
-the close, is refused. A piece that Bash would close elsewhere, or not at
-all (a ``${`` that no ``}`` closes), is a BashSyntaxError.
+strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole,
+``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
+stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
+a backtick, or a ``$(``, ends it. Other whitespace (CR, ``\\x0b``,
+``\\xa0``) is word text. A ``#`` that starts a word opens a comment that
+runs to the end of the line, as in Bash, so ``ls -la # list files`` is
+``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it is word text. A piece
+that Bash would close elsewhere, or not at all (a ``${`` that no ``}``
+closes), is a BashSyntaxError.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -66,6 +69,9 @@ EXEC_FLAGS = frozenset({"exec", "execdir", "ok", "okdir"})
 _RESERVED_WORDS = frozenset(
     "if then elif else fi for while until do done case esac function select coproc in".split()
 )
+# What Bash refuses right after its 'time' keyword: a '|', or a word it
+# reads as reserved there.
+_TIMED_STOPS = _RESERVED_WORDS | {"|", "{", "}", "[[", "]]", "!"}
 
 # Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
 # backtick substitutions) that parse accepts; deeper text is refused
@@ -143,24 +149,31 @@ _REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>](?:&(?:[0-9]+|-))?)")
 _REDIRECT_START = frozenset("<>&0123456789")
 
 # A word: any mix of unquoted characters other than space, tab, LF and
-# |;&<>()` (CR is word text), '$' pieces, whole '...' and "..." strings, and
-# escapes of any character but LF. Each piece ends where Bash ends it; a
-# substitution nested deeper than below is left out, so the word stops at
-# it. _WORD_ERRORS names each stop that is an error.
-_BARE = r"""\$(?![({[])"""  # a '$' that opens nothing
+# |;&<>()` (CR is word text), '$' pieces, whole '...', $'...' and "..."
+# strings, and escapes of any character but LF. Each piece ends where Bash
+# ends it; a substitution nested deeper than below is left out, so the word
+# stops at it. _WORD_ERRORS names each stop that is an error.
+_BARE = r"""\$\$|\$(?![({[])"""  # inside "...", '$$' or a '$' that opens nothing
 _QUOTED = r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE  # text inside "..." with no substitution
-# A '$' piece: a bare '$', or a whole '${...}', closed at its first '}'
-# outside quotes and escapes (a '<(' or '>(' in it opens a substitution):
-_DOLLAR = r"""(?:%s|\$\{(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*'|"%s")*\})""" % (_BARE, _BARE, _QUOTED)
+# Outside "...", a whole $'...' (a backslash escapes any character, a quote
+# too), '$$', or a '$' that opens nothing:
+_UNQUOTED = r"""\$'(?:[^'\\]|\\.)*'|\$\$|\$(?![({['])"""
+# A whole '${...}', closed at its first '}' outside quotes and escapes (a
+# '<(' or '>(' in it opens a substitution):
+_BRACE = r"""\$\{(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*'|"%s")*\}""" % (_UNQUOTED, _QUOTED)
 # Inside "...", also a backtick substitution and a '$(...)' closed at its
 # first ')' outside quotes and escapes, so that a '"' inside either does not
-# end the string:
-_DOUBLE = r"""(?:[^"\\$`]|\\.|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$]|\\.|%s|'[^']*'|"%s")*\))*""" % (
-    _DOLLAR, _DOLLAR, _QUOTED
+# end the string; a '#' that starts a word there opens a comment, which
+# would hide that ')', so it ends the piece:
+_DOUBLE = r"""(?:[^"\\$`]|\\.|%s|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$#]|(?<![ \t\n|;&<>(])#|\\.|%s|%s|'[^']*'|"%s")*\))*""" % (
+    _BARE, _BRACE, _UNQUOTED, _BRACE, _QUOTED
 )
-_WORD = re.compile(r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|'[^']*'|"%s"|\\[^\n])*""" % (_DOLLAR, _DOUBLE), re.S)
+_WORD = re.compile(
+    r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*""" % (_UNQUOTED, _BRACE, _DOUBLE), re.S
+)
 _WORD_ERRORS = {
     "'": "unbalanced single quote",
+    "$'": "unbalanced single quote",
     '"': "unbalanced double quote",
     "\\": "trailing backslash",
     "\\\n": "line continuations are not supported",
@@ -243,10 +256,13 @@ def tokenize(text: str) -> list[Token]:
                 raise BashSyntaxError("unbalanced ')'")
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
-        elif c == "#" and stack and text[i - 1 : i] not in (")", "`"):
-            # a '#' that starts a word inside a substitution opens a comment
-            # that would hide its close; elsewhere it stays word text
-            raise BashSyntaxError("comments inside a substitution are not supported")
+        elif c == "#" and not (tokens and tokens[-1].end == i and tokens[-1].kind is _SUBST_CLOSE):
+            # a '#' that starts a word opens a comment, to the end of the line;
+            # Bash ends a backtick substitution before it reads one inside it
+            if "`" in stack:
+                raise BashSyntaxError("comments inside a backtick substitution are not supported")
+            j = text.find("\n", i)
+            i = n if j < 0 else j
         else:
             j = _WORD.match(text, i).end()
             if j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
@@ -297,7 +313,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     if glued is not None and glued.kind is _SUBST_OPEN and glued.start == tok.end:
         raise BashSyntaxError(f"command name {word!r} is glued to a substitution")
 
-    unsplittable = vocab.unsplittable_flags(utility)
+    unsplittable = vocab.flags[utility]  # lookup returns a key of this map
     erased_args = 0
     flags: set[str] = set()
     nested: list[SimpleCommand] = []
@@ -379,6 +395,20 @@ def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary) -> list[SimpleComman
     return stages
 
 
+def _untimed(tokens: list[Token]) -> str | None:
+    """The text after the leading Bash ``time`` keywords (each with at most
+    ``-p`` and then ``--``) when no command can start there: '|' or a
+    reserved word. Only a word token holds any of these texts but '|'."""
+    texts = [t.text for t in tokens] + [""]
+    i = 0
+    while texts[i] == "time":
+        i += 1
+        for option in ("-p", "--"):
+            if texts[i] == option:
+                i += 1
+    return texts[i] if texts[i] in _TIMED_STOPS else None
+
+
 def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandAST:
     """Parse command text into a pipeline AST.
 
@@ -391,6 +421,8 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     if vocab is None:
         vocab = default_vocabulary()
     tokens = tokenize(command_text)
+    if tokens and tokens[0].text == "time" and (after := _untimed(tokens)):
+        raise BashSyntaxError(f"'time' has no command before {after!r}")
     cur = _Cursor([*tokens, None])
     stages = _parse_pipeline(cur, vocab)
     leftover = cur.tokens[cur.pos]

@@ -50,9 +50,6 @@ class UtilityVocabulary:
                 return base
         return None
 
-    def unsplittable_flags(self, utility: str) -> frozenset[str]:
-        return self.flags.get(utility, frozenset())
-
 
 def _bad_word(word: str) -> bool:
     """True for a name or flag holding whitespace or a character that

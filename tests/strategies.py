@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 # and \r are word text, not breaks; a quoted string may span a line; a text
 # may end in one backslash), the places where Bash reads a line differently
 # from a blank (a redirect or '|' next to a newline; an open '${'), a bare
-# '--' that ends the options, and any other character.
+# '--' that ends the options, a '#' that may open a comment, a leading
+# 'time' keyword, a $'...' string, and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
      "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²",
      "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
-     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- "]
+     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)
 # Text led by a known utility, so that a fair share of it parses.
 _COMMANDS = st.tuples(
-    st.sampled_from(["ls ", "echo ", "sudo ", "find . "]),
+    st.sampled_from(["ls ", "echo ", "sudo ", "find . ", "time "]),
     st.lists(st.one_of(_FRAGMENTS, _WORDS, _WORDS), max_size=12).map("".join),
 )
 # find with an -exec payload ended by '+', a shape the text above seldom

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from nlbash.corpus import build_splits, filter_examples
-from nlbash.harness import evaluate, measure_latency
+from nlbash.harness import evaluate
 from nlbash.metric import (
     Prediction,
     ScoredPrediction,
@@ -206,11 +206,11 @@ def test_criterion_7_baseline_ablation_ordering():
 
 
 def test_criterion_8_latency():
-    # TF-IDF retrieval on a 10k-pair index
+    # TF-IDF retrieval on a 10k-pair index; evaluate times the predict call alone
     big = toy_corpus(10000, seed=3)
     predictor = TfIdfPredictor(pairs_from_examples(big), VOCAB)
-    queries = [e.invocation for e in toy_corpus(40, seed=4)]
-    stats = measure_latency(predictor, queries, warmup=3, k=5)
+    queries = filter_examples(toy_corpus(40, seed=4), VOCAB).kept
+    stats = evaluate(predictor, queries, k=5, vocab=VOCAB).latency
     tfidf_ok = stats.mean < 0.100
 
     class Sleeper:
@@ -218,7 +218,7 @@ def test_criterion_8_latency():
             time.sleep(0.050)
             return [Prediction("ls", 1.0)]
 
-    sleep_stats = measure_latency(Sleeper(), queries[:10], warmup=2, k=5)
+    sleep_stats = evaluate(Sleeper(), queries[:10], k=5, vocab=VOCAB).latency
     sleep_ok = 0.050 <= sleep_stats.mean <= 0.075
     _report(
         8,

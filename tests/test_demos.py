@@ -5,8 +5,10 @@ Each demo runs in its own interpreter (a few seconds in all) and must exit 0
 with nothing on stderr, so a changed signature breaks the suite, not the demo.
 Every public name has one import path, the package root; only ``nlbash.synth``
 is imported on its own, because the root leaves it out to keep the CLI's
-start-up short. The README's module table is held to render: no row splits
-into more cells than its header.
+start-up short. Conversely, every exported name has a user: a demo or a
+README example imports it, or it is an error or one of the format and
+protocol types the README lists. The README's module table is held to
+render: no row splits into more cells than its header.
 """
 
 import ast
@@ -60,6 +62,18 @@ def test_every_exported_name_resolves():
     assert len(set(nlbash.__all__)) == len(nlbash.__all__)
     missing = [name for name in nlbash.__all__ if not hasattr(nlbash, name)]
     assert not missing, f"nlbash.__all__ lists {missing}, which the package does not define"
+
+
+def test_every_exported_name_has_a_user():
+    imported = {n for source in SOURCES.values() for m, n in _nlbash_imports(source) if m == "nlbash"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"the types of the file formats and protocols below \((.*?)\);", readme, re.S)
+    assert listed, "the README's Python API section no longer lists the format and protocol types"
+    types = set(re.findall(r"`(\w+)`", listed.group(1)))
+    errors = {n for n in nlbash.__all__
+              if isinstance(getattr(nlbash, n), type) and issubclass(getattr(nlbash, n), nlbash.NlbashError)}
+    unused = sorted(set(nlbash.__all__) - imported - types - errors)
+    assert not unused, f"nlbash.__all__ exports {unused}, which no demo or README example imports"
 
 
 def test_readme_module_table_rows_have_the_header_cell_count():

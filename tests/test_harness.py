@@ -17,7 +17,6 @@ from nlbash.corpus import Example, filter_examples
 from nlbash.errors import (
     BashSyntaxError,
     EmptyDatasetError,
-    EmptySampleError,
     NlbashError,
     SchemaError,
     UnknownUtilityError,
@@ -29,7 +28,6 @@ from nlbash.harness import (
     emit_report,
     evaluate,
     load_prediction_file,
-    measure_latency,
     score_prediction_file,
 )
 from nlbash.metric import Aggregation, ExampleScore, Prediction, dataset_score
@@ -494,40 +492,36 @@ def test_empty_dataset_rejected():
         evaluate(ConstantPredictor("ls"), [], vocab=VOCAB)
 
 
-# --- latency -----------------------------------------------------------------
-
-def test_measure_latency_counts_warmup_separately():
-    calls = []
-
-    class Counting:
-        def predict(self, nlc, k):
-            calls.append(nlc)
-            return []
-
-    sample = ["a", "b", "c"]
-    stats = measure_latency(Counting(), sample, warmup=2, k=5)
-    assert len(calls) == 5  # 2 warmup + 3 measured
-    assert stats.mean >= 0.0
-
-
-def test_measure_latency_empty_sample_rejected():
-    with pytest.raises(EmptySampleError):
-        measure_latency(ConstantPredictor("ls"), [], warmup=0)
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: evaluate(ConstantPredictor("ls"), dataset(2), k=0, vocab=VOCAB), "k must be >= 1"),
-        (lambda: measure_latency(ConstantPredictor("ls"), ["a"], warmup=-1), "warmup must be >= 0"),
         (lambda: emit_report(evaluate(ConstantPredictor("ls"), dataset(2), vocab=VOCAB), "xml"),
          "unknown report format: 'xml'"),
+        (lambda: emit_report(evaluate(ConstantPredictor("ls"), dataset(2), vocab=VOCAB), "JSON"),
+         "unknown report format: 'JSON'"),
     ],
-    ids=["evaluate-k-0", "negative-warmup", "xml-report"],
+    ids=["evaluate-k-0", "xml-report", "upper-case-report"],
 )
 def test_out_of_range_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_evaluate_times_each_predict_call_once():
+    calls = []
+
+    class Sleeper:
+        def predict(self, nlc, k):
+            calls.append(nlc)
+            time.sleep(0.01)
+            return []
+
+    data = dataset(3)
+    report = evaluate(Sleeper(), data, vocab=VOCAB)
+    assert calls == [ex.invocation for ex in data]
+    assert all(r.latency_s >= 0.01 for r in report.per_example)
+    assert report.latency == LatencyStats.from_samples([r.latency_s for r in report.per_example])
 
 
 def test_latency_stats_percentile():
@@ -812,13 +806,18 @@ def test_subprocess_predictor_round_trip(tmp_path):
     assert report.mean_score == pytest.approx(0.9)
 
 
-@pytest.mark.parametrize("command", ["", "   ", []], ids=["empty", "blank", "no-argv"])
-def test_subprocess_predictor_refuses_an_empty_command(command, monkeypatch):
+@pytest.mark.parametrize(
+    "command, problem",
+    [("", "is a str"), ("   ", "is a str"), (f"{sys.executable} p.py", "is a str"), ([], "is empty")],
+    ids=["empty", "blank", "str", "no-argv"],
+)
+def test_subprocess_predictor_refuses_a_str_or_an_empty_command(command, problem, monkeypatch):
+    # a str is a Sequence[str] too; splitting a command line is the CLI's job
     def no_popen(*args, **kwargs):
         raise AssertionError("Popen ran")
 
     monkeypatch.setattr("nlbash.harness.subprocess.Popen", no_popen)
-    with pytest.raises(ValueError, match=re.escape(f"predictor command {command!r} is empty")):
+    with pytest.raises(ValueError, match=re.escape(f"predictor command {command!r} {problem}")):
         SubprocessPredictor(command)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 
@@ -125,14 +126,19 @@ def test_assignment_prefix_rejected_as_unknown_utility():
         parse("v=$(whoami | tr a-z A-Z)", VOCAB)
 
 
+# What may lie between tokens: blanks, and comments that run to the end of a line.
+_GAP = re.compile(r"(?:[ \t\n]|#[^\n]*(?=\n|\Z))*")
+
+
 def test_token_spans_tile_the_source():
-    cmd = "grep -i 'a b'  f.txt | wc -l"
+    cmd = "grep -i 'a b'  f.txt |  # keep\n wc -l # count"
     tokens = tokenize(cmd)
     pos = 0
     for tok in tokens:
-        assert cmd[pos : tok.start].strip() == ""  # only whitespace between tokens
+        assert _GAP.fullmatch(cmd, pos, tok.start)  # blanks or a comment between tokens
         assert cmd[tok.start : tok.end] == tok.text
         pos = tok.end
+    assert cmd[pos:] == " # count"
 
 
 def test_token_kinds():
@@ -501,14 +507,27 @@ GOLDEN = [
     ('echo "$("', BashSyntaxError('unbalanced double quote')),
     ('echo "${"', BashSyntaxError('unbalanced double quote')),
     ('echo "`"', BashSyntaxError('unbalanced double quote')),
-    ('echo $(ls #)', BashSyntaxError('comments inside a substitution are not supported')),
-    ('ls #x', ('ls', 'ls[]', (1,))),
-    ('ls -la # list files', ('ls', 'ls[a,l]', (3,))),
+    ('echo $(ls #)', BashSyntaxError('unterminated command substitution')),
+    ('ls #x', ('ls', 'ls[]', (0,))),
+    ('ls -la # list files', ('ls', 'ls[a,l]', (0,))),
+    ('ls # x | wc', ('ls', 'ls[]', (0,))),
+    ('echo >#x', BashSyntaxError("redirect '>' is missing its target")),
+    ("ls #'\n'", BashSyntaxError('unbalanced single quote')),
+    ('x=$(ls)#y', UnknownUtilityError('x=')),
+    ('echo `ls`#x', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo $(ls # c\n)', ('echo', 'echo[] | ls[]', (0, 0))),
+    ('ls |# a\n# b\nwc', ('ls | wc', 'ls[] | wc[]', (0, 0))),
+    ('echo `ls #`x', BashSyntaxError('comments inside a backtick substitution are not supported')),
+    ('echo "$(ls #)"', BashSyntaxError('unbalanced double quote')),
+    ('echo "$(ls a#b)"', ('echo', 'echo[]', (1,))),
     ('echo $(ls)#x', ('echo', 'echo[] | ls[]', (1, 0))),
     ('echo "$(ls)"', ('echo', 'echo[]', (1,))),
     ('echo "`date`"', ('echo', 'echo[]', (1,))),
     ('echo "${a}b"', ('echo', 'echo[]', (1,))),
-    ("echo $'a\\'b'", BashSyntaxError('unbalanced single quote')),
+    ("echo $'a\\'b'", ('echo', 'echo[]', (1,))),
+    ("echo $'\\'' '", BashSyntaxError('unbalanced single quote')),
+    ("echo $'x", BashSyntaxError('unbalanced single quote')),
+    ('echo "$\'"', ('echo', 'echo[]', (1,))),
     ('echo ${a b}', ('echo', 'echo[]', (1,))),
     ('echo ${a$(ls)}', BashSyntaxError("unterminated '${'")),
     ('echo ${a <(}', BashSyntaxError("unterminated '${'")),
@@ -530,6 +549,29 @@ GOLDEN = [
     ('ls\r\n', UnknownUtilityError('ls\r')),
     ('ls \x00', ('ls', 'ls[]', (1,))),
     ('echo \ud800', ('echo', 'echo[]', (1,))),
+    ('time | wc', BashSyntaxError("'time' has no command before '|'")),
+    ('time -p | wc', BashSyntaxError("'time' has no command before '|'")),
+    ('time -- | wc', BashSyntaxError("'time' has no command before '|'")),
+    ('time -p -- | wc', BashSyntaxError("'time' has no command before '|'")),
+    ('time time | wc', BashSyntaxError("'time' has no command before '|'")),
+    ('time', ('time', 'time[]', (0,))),
+    ('time -p', ('time', 'time[p]', (0,))),
+    ('time x | wc', ('time | wc', 'time[] | wc[]', (1, 0))),
+    ('time -x | wc', ('time | wc', 'time[x] | wc[]', (0, 0))),
+    ('time 2>x | wc', ('time | wc', 'time[] | wc[]', (1, 0))),
+    ('time -p -p | wc', ('time | wc', 'time[p] | wc[]', (0, 0))),
+    ('ls | time | wc', ('ls | time | wc', 'ls[] | time[] | wc[]', (0, 0, 0))),
+    ('sudo time | wc', ('sudo | wc', 'sudo[] | time[] | wc[]', (0, 0, 0))),
+    ('echo $(time | wc)', ('echo', 'echo[] | time[] | wc[]', (0, 0, 0))),
+    ('/usr/bin/time | wc', ('time | wc', 'time[] | wc[]', (0, 0))),
+    ('time }', BashSyntaxError("'time' has no command before '}'")),
+    ('time ! ls', BashSyntaxError("'time' has no command before '!'")),
+    ("echo ${x:-$'a\\'b'}", ('echo', 'echo[]', (1,))),
+    ("echo \"$(echo $'\\'')\"", ('echo', 'echo[]', (1,))),
+    ('echo $$ $${x}', ('echo', 'echo[]', (2,))),
+    ('echo "$$(ls)"', ('echo', 'echo[]', (1,))),
+    ('echo $$(ls)', BashSyntaxError('subshells are not supported')),
+    ('echo $$$(ls)', ('echo', 'echo[] | ls[]', (1, 0))),
 ]
 
 
@@ -553,13 +595,18 @@ def test_golden_parse(text, expected):
 # "..." or redirects would accept: a redirect whose target is on the next
 # line, a newline before '|', a '${' that no '}' closes or that holds a
 # substitution Bash reads on past its '}', a substitution inside "..." that
-# Bash reads on past the closing quote, a comment that hides a ')', '>>&'
-# and '$['.
+# Bash reads on past the closing quote, a comment that hides a ')', a
+# quote or a redirect target, a comment that a backtick ends before the
+# line does, '>>&', '$[', a '$'...'' whose escaped quote leaves it open,
+# a '$$' read as '$' and '${', and a leading 'time' keyword that times no
+# command.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
     "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
     'echo "$("', 'echo "${"', 'echo "`"', 'echo `ls "`"`', 'echo "$(ls \')"',
-    "echo $(ls #)", "ls >>&-", "echo $[",
+    "echo $(ls #)", 'echo "$(ls #)"', "echo >#x", "ls #'\n'", "echo `ls #`\n`",
+    "ls >>&-", "echo $[", "echo $'\\'' '", "echo ${x:-$'\\'}''", "echo \"${x:-$'\\'}\"",
+    "time | wc", "time -p -- | wc", "time time | wc", "time }", "time $${\n;ls #}",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -599,7 +646,7 @@ def test_bash_reads_every_generated_text_parse_accepts(text):
 
 @settings(max_examples=400, deadline=None)
 @given(shell_text)
-def test_token_spans_tile_the_text_with_blanks_between(text):
+def test_token_spans_tile_the_text_with_blanks_or_comments_between(text):
     try:
         tokens = tokenize(text)
     except NlbashError:
@@ -607,9 +654,9 @@ def test_token_spans_tile_the_text_with_blanks_between(text):
     pos = 0
     for tok in tokens:
         assert pos <= tok.start < tok.end and text[tok.start : tok.end] == tok.text
-        assert set(text[pos : tok.start]) <= set(" \t\n"), (text, tok)
+        assert _GAP.fullmatch(text, pos, tok.start), (text, tok)
         pos = tok.end
-    assert set(text[pos:]) <= set(" \t\n"), text
+    assert _GAP.fullmatch(text, pos), text
 
 
 @settings(max_examples=400, deadline=None)

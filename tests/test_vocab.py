@@ -21,7 +21,7 @@ def test_default_vocabulary_has_core_utilities():
 
 def test_find_known_flags_present():
     vocab = default_vocabulary()
-    flags = vocab.unsplittable_flags("find")
+    flags = vocab.flags["find"]
     for flag in ("name", "type", "regex", "regextype", "exec", "empty", "delete", "maxdepth"):
         assert flag in flags
 
@@ -37,7 +37,7 @@ def test_lookup_resolves_paths_to_basenames():
 
 def test_parse_vocabulary_flags_accept_leading_dashes():
     vocab = parse_vocabulary("find\t-name,-type,regex\nls\n")
-    assert vocab.unsplittable_flags("find") == frozenset({"name", "type", "regex"})
+    assert vocab.flags["find"] == frozenset({"name", "type", "regex"})
 
 
 def test_empty_file_rejected():
@@ -103,7 +103,7 @@ def test_line_order_does_not_matter_and_a_repeated_name_is_refused(records, data
     vocab = parse_vocabulary("\n".join(lines))
     for name, flags in records.items():
         assert vocab.lookup(name) == name
-        assert vocab.unsplittable_flags(name) == {f.lstrip("-") for f in flags} - {""}
+        assert vocab.flags[name] == {f.lstrip("-") for f in flags} - {""}
 
     name = data.draw(st.sampled_from(sorted(records)))
     repeat = _line(name, data.draw(st.frozensets(_FLAG, max_size=2)))
@@ -115,10 +115,10 @@ def test_line_order_does_not_matter_and_a_repeated_name_is_refused(records, data
 def test_utility_listed_without_flags_has_no_unsplittable_flags():
     vocab = parse_vocabulary("ls\nfind\tname\n")
     assert set(vocab.flags) == {"ls", "find"}
-    assert vocab.unsplittable_flags("ls") == frozenset()
-    assert vocab.unsplittable_flags("find") == frozenset({"name"})
+    assert vocab.flags["ls"] == frozenset()
+    assert vocab.flags["find"] == frozenset({"name"})
     assert vocab.lookup("/bin/ls") == "ls"
-    assert vocab.unsplittable_flags("grep") == frozenset()  # not in this vocabulary
+    assert "grep" not in vocab.flags
     assert vocab.lookup("grep") is None
 
 
@@ -127,7 +127,7 @@ def test_load_vocabulary_roundtrip(tmp_path):
     path.write_text("find\tname,type\ngrep\nls\n", encoding="utf-8")
     vocab = load_vocabulary(path)
     assert len(vocab.flags) == 3
-    assert vocab.unsplittable_flags("find") == frozenset({"name", "type"})
+    assert vocab.flags["find"] == frozenset({"name", "type"})
 
 
 def test_load_vocabulary_rejects_bad_utf8(tmp_path):
