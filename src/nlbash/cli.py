@@ -84,7 +84,7 @@ def _cmd_filter(args, vocab):
     return 0
 
 
-def _cmd_split(args, vocab):
+def _cmd_split(args):
     examples = load_examples(args.data)
     fractions = args.fractions.split(",")
     try:
@@ -134,6 +134,7 @@ def _cmd_calibrate(args, vocab):
         holdout_fraction=args.holdout,
         seed=args.seed,
         k=args.k,
+        normalize=True,
     )
     model = train_calibrator(features, labels)
     model.save(args.out)
@@ -242,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejected")
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser(
-        "split", parents=[vocab_arg], help="build deterministic train/val/test splits"
-    )
+    p = sub.add_parser("split", help="build deterministic train/val/test splits")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fractions", default="0.8,0.1,0.1")
@@ -311,6 +310,8 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if "vocab" not in args:  # split reads no vocabulary
+            return args.func(args)
         vocab = load_vocabulary(args.vocab) if args.vocab else default_vocabulary()
         return args.func(args, vocab)
     except UsageError as exc:

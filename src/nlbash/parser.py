@@ -2,14 +2,24 @@
 
 The grammar is deliberately narrow: a command is a pipeline of simple
 commands, each a utility followed by flags, arguments, redirects,
-``$( )`` / backtick substitutions, and an ``-exec utility ... \\;`` payload
+``$( )`` / backtick substitutions, and an ``-exec utility ...`` payload
 after an exec flag the vocabulary lists for that utility (find's). Anything
 else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
-here-docs, process substitution, arithmetic, control flow, a comment inside
-a backtick substitution, a command name glued to a substitution
-(``ls$(cmd)``), a leading ``time`` keyword that times no command
-(``time -p | wc``), nesting deeper than MAX_NESTING_DEPTH — raises
+here-docs, process substitution, arithmetic, control flow, a comment or a
+quoted backtick inside a backtick substitution, a command name glued to a
+substitution (``ls$(cmd)``), a leading ``time`` keyword that times no
+command (``time -p | wc``), nesting deeper than MAX_NESTING_DEPTH — raises
 BashSyntaxError, which is exactly how corpus filtering rejects it.
+
+An ``-exec`` payload ends where GNU find ends it: at a word that find
+reads as ``;`` once Bash has removed its quotes (``\\;``, ``';'``,
+``";"``), or at one it reads as ``+`` (``+``, ``\\+``, ``'+'``, ``"+"``)
+right after one it reads as ``{}`` (``{}``, ``'{}'``, ``"{}"``,
+``\\{\\}``). That word is consumed and the host command reads on. Any
+other ``+`` is an argument (``find . -exec echo + {} \\;``), and a bare
+``;`` separates commands, so it is refused: find never receives it. A
+payload with no end word runs to the end of the text, a ``|`` or the close
+of its substitution.
 
 An unquoted newline ends a command, as ``;`` does, so it is refused, except
 directly after ``|`` and at either end of the text or of a substitution; a
@@ -34,11 +44,13 @@ strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole,
 ``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
 stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
 a backtick, or a ``$(``, ends it. Other whitespace (CR, ``\\x0b``,
-``\\xa0``) is word text. A ``#`` that starts a word opens a comment that
-runs to the end of the line, as in Bash, so ``ls -la # list files`` is
-``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it is word text. A piece
-that Bash would close elsewhere, or not at all (a ``${`` that no ``}``
-closes), is a BashSyntaxError.
+``\\xa0``) is word text, and only ASCII digits name a redirect's file
+descriptor (``²>x`` is the word ``²`` and ``>x``). A ``#`` that starts a
+word opens a comment that runs to the end of the line, as in Bash, so ``ls
+-la # list files`` is ``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it
+is word text. A piece that Bash would close elsewhere, or not at all, is a
+BashSyntaxError: a ``${`` that no ``}`` closes, or a backtick inside quotes
+inside a backtick substitution, which Bash reads as the substitution's end.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -62,9 +74,13 @@ from .vocab import UtilityVocabulary, default_vocabulary
 # Utilities that run another command given as their trailing words.
 WRAPPER_UTILITIES = frozenset({"sudo", "xargs", "time", "nice"})
 
-# Flags whose payload is a nested command terminated by ';' or '+', for a
-# utility whose vocabulary entry lists them as unsplittable (find).
+# Flags whose payload is a nested command, for a utility whose vocabulary
+# entry lists them as unsplittable (find). The words that find reads as ';',
+# '+' and '{}', which end a payload (see the module docstring):
 EXEC_FLAGS = frozenset({"exec", "execdir", "ok", "okdir"})
+_SEMIS = frozenset({"\\;", "';'", '";"'})
+_PLUSES = frozenset({"+", "\\+", "'+'", '"+"'})
+_BRACES = frozenset({"{}", "'{}'", '"{}"', "\\{\\}"})
 
 _RESERVED_WORDS = frozenset(
     "if then elif else fi for while until do done case esac function select coproc in".split()
@@ -171,6 +187,9 @@ _DOUBLE = r"""(?:[^"\\$`]|\\.|%s|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$#]|(?<![ 
 _WORD = re.compile(
     r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*""" % (_UNQUOTED, _BRACE, _DOUBLE), re.S
 )
+# Text up to its first unescaped backtick, quoted or not: where Bash ends a
+# backtick substitution.
+_TO_BACKTICK = re.compile(r"(?:[^`\\]|\\.)*", re.S)
 _WORD_ERRORS = {
     "'": "unbalanced single quote",
     "$'": "unbalanced single quote",
@@ -214,9 +233,6 @@ def tokenize(text: str) -> list[Token]:
         elif c == ";":
             tokens.append(Token(_SEMI, ";", i, i + 1))
             i += 1
-        elif c == "\\" and text[i + 1 : i + 2] == ";":
-            tokens.append(Token(_SEMI, "\\;", i, i + 2))
-            i += 2
         elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
             op, j = m.group(), m.end()
             nxt = text[j : j + 1]
@@ -269,6 +285,8 @@ def tokenize(text: str) -> list[Token]:
                 error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
                 if error is not None:  # else a '$(' that opens a substitution
                     raise BashSyntaxError(error)
+            if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
+                raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
             tokens.append(Token(_WORD_KIND, text[i:j], i, j))  # any other stop has a branch above
             i = j
     if stack:
@@ -292,7 +310,7 @@ class _Cursor:
 
 
 def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
-    """One simple command; ``in_exec`` (an -exec payload) lets ';' or '+' end it."""
+    """One simple command; ``in_exec`` (an -exec payload) lets find's end word end it."""
     cur.depth += 1
     if cur.depth > MAX_NESTING_DEPTH:
         raise BashSyntaxError(
@@ -323,7 +341,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     while (tok := tokens[cur.pos]) is not None:
         kind, text = tok.kind, tok.text
         if kind is _WORD_KIND:
-            if in_exec and text == "+":
+            if in_exec and (text in _SEMIS or text in _PLUSES and tokens[cur.pos - 1].text in _BRACES):
                 break  # the end of the surrounding -exec clause, left to the caller
             if options and _is_flag_word(text):
                 cur.pos += 1
@@ -355,8 +373,6 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         if kind is _SEMI:
             if text == "\n":
                 raise BashSyntaxError("newline-separated command sequences are not supported")
-            if in_exec:
-                break
             raise BashSyntaxError("';' command sequences are not supported")
         cur.pos += 1
         if kind is _SUBST_OPEN:
@@ -381,8 +397,8 @@ def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand
     if tok is None or tok.kind is not _WORD_KIND or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
     payload = _parse_simple(cur, vocab, in_exec=True)
-    end = cur.tokens[cur.pos]  # the payload stopped at the end, '|', a close, ';' or '+'
-    if end is not None and (end.kind is _SEMI or end.text == "+"):
+    end = cur.tokens[cur.pos]  # the payload stopped at the end, '|', a close or its end word
+    if end is not None and end.kind is _WORD_KIND:
         cur.pos += 1
     return payload
 
@@ -425,9 +441,6 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
         raise BashSyntaxError(f"'time' has no command before {after!r}")
     cur = _Cursor([*tokens, None])
     stages = _parse_pipeline(cur, vocab)
-    leftover = cur.tokens[cur.pos]
-    if leftover is not None:
-        raise BashSyntaxError(f"unexpected {leftover.text!r} at offset {leftover.start}")
     return CommandAST(stages=tuple(stages), raw=command_text, tokens=tuple(tokens))
 
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 # may end in one backslash), the places where Bash reads a line differently
 # from a blank (a redirect or '|' next to a newline; an open '${'), a bare
 # '--' that ends the options, a '#' that may open a comment, a leading
-# 'time' keyword, a $'...' string, and any other character.
+# 'time' keyword, a $'...' string, the quoted and escaped ';' and '+' that
+# may end an -exec payload, and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
      "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²",
      "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
-     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'"]
+     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'", "';'", " \\+"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)
@@ -23,8 +24,9 @@ _COMMANDS = st.tuples(
     st.sampled_from(["ls ", "echo ", "sudo ", "find . ", "time "]),
     st.lists(st.one_of(_FRAGMENTS, _WORDS, _WORDS), max_size=12).map("".join),
 )
-# find with an -exec payload ended by '+', a shape the text above seldom
-# builds: the parser must consume that '+', or it becomes find's argument.
+# find with an -exec payload, a shape the text above seldom builds. A '+'
+# ends the payload only right after '{}', and the parser must consume it
+# there, or it becomes find's argument; any other '+' is an argument.
 _EXEC_PLUS = st.tuples(
     st.sampled_from(["find . ", "find /tmp -name x ", "sudo find . "]),
     st.sampled_from(["-exec ", "-execdir ", "-ok ", "-okdir "]),

@@ -1,11 +1,13 @@
 import json
 import shlex
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from nlbash.cli import cli
 from nlbash.corpus import filter_examples, save_examples
+from nlbash.retrieval import CalibrationModel, TfIdfPredictor, pairs_from_examples
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
 
@@ -124,6 +126,9 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         assert cli(argv) == 1, argv
         err = capsys.readouterr().err
         assert "error: argument --" in err and "Traceback" not in err, argv
+    # split reads no vocabulary, so it takes no --vocab
+    assert cli(["split", "--data", str(data_file), "--out-prefix", prefix, "--vocab", "x"]) == 1
+    assert "unrecognized arguments: --vocab x" in capsys.readouterr().err
     # a split seed only orders the shuffle, so a negative one is fine
     assert cli(["split", "--data", str(data_file), "--seed", "-1", "--out-prefix", prefix]) == 0
 
@@ -341,6 +346,24 @@ def test_calibrate_writes_model(data_file, tmp_path, capsys):
     held_out = int(capsys.readouterr().out.split()[2])  # "trained on N hits ..."
     assert cli(args[:-2]) == 0
     assert held_out > int(capsys.readouterr().out.split()[2])  # more held out, more hits
+
+
+@pytest.mark.parametrize("seed, k", [(3, 5), (0, 2)])
+def test_calibrate_fits_the_model_of_eval_variant_full(seed, k, tmp_path):
+    data = tmp_path / "corpus.jsonl"
+    examples = filter_examples(toy_corpus(800, seed=3), VOCAB).kept
+    save_examples(examples, data)
+    model_path = tmp_path / "model.json"
+    argv = ["calibrate", "--data", str(data), "--out", str(model_path), "--holdout", "0.2",
+            "--seed", str(seed), "--k", str(k)]
+    assert cli(argv) == 0
+    full = TfIdfPredictor.with_calibration(pairs_from_examples(examples), VOCAB, seed=seed, k=k)
+
+    def exact(model):  # each field, bit for bit
+        return {name: [float.hex(x) for x in (v if isinstance(v, tuple) else (v,))]
+                for name, v in asdict(model).items()}
+
+    assert exact(CalibrationModel.load(model_path)) == exact(full.calibration)
 
 
 def test_eval_baseline_without_train_is_a_usage_error(data_file, capsys):

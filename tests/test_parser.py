@@ -9,6 +9,9 @@ from strategies import shell_text
 
 from nlbash.errors import BashSyntaxError, NlbashError, UnknownUtilityError
 from nlbash.parser import (
+    _BRACES,
+    _PLUSES,
+    _SEMIS,
     MAX_NESTING_DEPTH,
     Token,
     TokenKind,
@@ -112,7 +115,7 @@ def test_utility_path_resolves_to_basename():
         "sudo wc$(x) f",
         "find . -exec rm$(x) {} \\;",
         "echo x$((1 + 2))",
-        "echo -exec ls {} \\;",
+        "find . -exec rm {} ;",
     ],
 )
 def test_unsupported_or_malformed_rejected(cmd):
@@ -424,7 +427,7 @@ GOLDEN = [
     ('sudo wc$(x) f', BashSyntaxError("command name 'wc' is glued to a substitution")),
     ('find . -exec rm$(x) {} \\;', BashSyntaxError("command name 'rm' is glued to a substitution")),
     ('echo x$((1 + 2))', BashSyntaxError('arithmetic expansion is not supported')),
-    ('echo -exec ls {} \\;', BashSyntaxError("';' command sequences are not supported")),
+    ('echo -exec ls {} \\;', ('echo', 'echo[c,e,x]', (3,))),
     ('frobnicate -x', UnknownUtilityError('frobnicate')),
     ('kill $( frobnicate -p )', UnknownUtilityError('frobnicate')),
     ('v=$(whoami | tr a-z A-Z)', UnknownUtilityError('v=')),
@@ -485,7 +488,7 @@ GOLDEN = [
     ('ls $(pwd)', ('ls', 'ls[] | pwd[]', (0, 0))),
     ('sudo', ('sudo', 'sudo[]', (0,))),
     ('find . -exec echo $(ls +) \\;', ('find', 'find[exec] | echo[] | ls[]', (1, 0, 1))),
-    ('find . -exec echo `ls +` +', ('find', 'find[exec] | echo[] | ls[]', (1, 0, 1))),
+    ('find . -exec echo `ls +` +', ('find', 'find[exec] | echo[] | ls[]', (1, 1, 1))),
     ('echo $(ls /tmp | wc -l)', ('echo', 'echo[] | ls[] | wc[l]', (0, 1, 0))),
     ('echo prefix$(date)suffix', ('echo', 'echo[] | date[]', (2, 0))),
     ('ls &> out.txt', ('ls', 'ls[]', (1,))),
@@ -572,6 +575,18 @@ GOLDEN = [
     ('echo "$$(ls)"', ('echo', 'echo[]', (1,))),
     ('echo $$(ls)', BashSyntaxError('subshells are not supported')),
     ('echo $$$(ls)', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo \\;', ('echo', 'echo[]', (1,))),
+    ('xargs sh -c x \\;', ('xargs', 'xargs[c]', (3,))),
+    ("find . -exec rm {} ';' -print", ('find', 'find[exec,print] | rm[]', (1, 1))),
+    ('find . -exec rm {} \\+ -print', ('find', 'find[exec,print] | rm[]', (1, 1))),
+    ("find . -exec rm '{}' + -print", ('find', 'find[exec,print] | rm[]', (1, 1))),
+    ('find . -exec echo + {} \\;', ('find', 'find[exec] | echo[]', (1, 2))),
+    ('find . -exec sudo rm {} +', ('find', 'find[exec] | sudo[] | rm[]', (1, 0, 1))),
+    ('find . -exec rm {} ;', BashSyntaxError("';' command sequences are not supported")),
+    ("echo `ls 'a b'`", ('echo', 'echo[] | ls[]', (0, 1))),
+    ("echo `ls '`' `", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo `echo "`ls`"`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ("echo `ls '\\`'`", ('echo', 'echo[] | ls[]', (0, 1))),
 ]
 
 
@@ -597,9 +612,9 @@ def test_golden_parse(text, expected):
 # substitution Bash reads on past its '}', a substitution inside "..." that
 # Bash reads on past the closing quote, a comment that hides a ')', a
 # quote or a redirect target, a comment that a backtick ends before the
-# line does, '>>&', '$[', a '$'...'' whose escaped quote leaves it open,
-# a '$$' read as '$' and '${', and a leading 'time' keyword that times no
-# command.
+# line does, a quoted backtick that ends the backtick substitution around
+# it, '>>&', '$[', a '$'...'' whose escaped quote leaves it open, a '$$'
+# read as '$' and '${', and a leading 'time' keyword that times no command.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
     "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
@@ -607,6 +622,7 @@ BASH_PINNED = [
     "echo $(ls #)", 'echo "$(ls #)"', "echo >#x", "ls #'\n'", "echo `ls #`\n`",
     "ls >>&-", "echo $[", "echo $'\\'' '", "echo ${x:-$'\\'}''", "echo \"${x:-$'\\'}\"",
     "time | wc", "time -p -- | wc", "time time | wc", "time }", "time $${\n;ls #}",
+    "echo `ls '`' `",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -635,6 +651,22 @@ def _assert_bash_reads_what_parse_accepts(text):
 )
 def test_bash_reads_every_pinned_or_golden_text_parse_accepts(text):
     _assert_bash_reads_what_parse_accepts(text)
+
+
+@needs_bash
+@pytest.mark.parametrize(
+    "word, find_reads",
+    [(w, ";") for w in sorted(_SEMIS)] + [(w, "+") for w in sorted(_PLUSES)]
+    + [(w, "{}") for w in sorted(_BRACES)],
+)
+def test_bash_hands_find_what_each_exec_end_spelling_stands_for(word, find_reads):
+    done = subprocess.run(
+        [_BASH, "--norc", "--noprofile", "-c", f'printf "%s\\n" {word}'],
+        env=_BASH_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, find_reads + "\n"), (word, done.stderr)
 
 
 @needs_bash
