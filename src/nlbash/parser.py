@@ -19,7 +19,9 @@ right after one it reads as ``{}`` (``{}``, ``'{}'``, ``"{}"``,
 other ``+`` is an argument (``find . -exec echo + {} \\;``), and a bare
 ``;`` separates commands, so it is refused: find never receives it. A
 payload with no end word runs to the end of the text, a ``|`` or the close
-of its substitution.
+of its substitution. A payload that opens with a word find reads as ``;``
+names no command, and GNU find refuses it, so it is a BashSyntaxError
+(``find . -exec \\; -print``).
 
 An unquoted newline ends a command, as ``;`` does, so it is refused, except
 directly after ``|`` and at either end of the text or of a substitution; a
@@ -39,7 +41,10 @@ ends the options (POSIX utility syntax guideline 10), so ``rm -- -rf`` is
 ``rm[]``, also inside an ``-exec`` payload; a wrapper, and a utility with
 unsplittable flags (find's primaries are no options), read on past it.
 
-The lexer reads a word with one compiled pattern, ``_WORD``: quoted
+The lexer reads a plain word, with no quote, escape, ``$`` or ``#`` to
+read and a blank, ``|`` or the end of the text right after it, together
+with the blanks before it in one match of ``_PLAIN``; most words are plain.
+Any other word it reads with one compiled pattern, ``_WORD``: quoted
 strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole,
 ``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
 stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
@@ -115,6 +120,10 @@ class Token(NamedTuple):
 _WORD_KIND, _PIPE, _SEMI = TokenKind.WORD, TokenKind.PIPE, TokenKind.SEMI
 _SUBST_OPEN, _SUBST_CLOSE = TokenKind.SUBST_OPEN, TokenKind.SUBST_CLOSE
 
+# Builds a parse record from the tuple of its fields: the instance that
+# calling the class makes, without the class's Python-level __new__.
+_new = tuple.__new__
+
 
 class SimpleCommand(NamedTuple):
     """One pipeline stage: a utility plus its flags/arguments.
@@ -141,16 +150,18 @@ class CommandAST(NamedTuple):
     raw: str
     tokens: tuple[Token, ...]
 
-    def walk(self):
-        """All simple commands, pipeline order, nested after their host."""
-        for stage in self.stages:
-            yield from _walk(stage)
+    def walk(self) -> list[SimpleCommand]:
+        """A new list of all simple commands, pipeline order, nested after their host."""
+        commands: list[SimpleCommand] = []
+        _walk(self.stages, commands)
+        return commands
 
 
-def _walk(cmd: SimpleCommand):
-    yield cmd
-    for sub in cmd.nested:
-        yield from _walk(sub)
+def _walk(cmds: tuple[SimpleCommand, ...], into: list[SimpleCommand]) -> None:
+    for cmd in cmds:
+        into.append(cmd)
+        if cmd.nested:
+            _walk(cmd.nested, into)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +198,12 @@ _DOUBLE = r"""(?:[^"\\$`]|\\.|%s|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$#]|(?<![ 
 _WORD = re.compile(
     r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*""" % (_UNQUOTED, _BRACE, _DOUBLE), re.S
 )
+# A plain word and the blanks before it: no quote, escape or '$' to read,
+# no '#' to open a comment, and a blank, '|' or the end right after, so no
+# branch of tokenize but the word's would take it (a digit-led word names
+# no fd, as no '<' or '>' follows its digits). Every other start goes to
+# those branches.
+_PLAIN = re.compile(r"""[ \t]*([^ \t\n|;&<>()`'"\\$#][^ \t\n|;&<>()`'"\\$]*)(?=[ \t\n|]|\Z)""")
 # Text up to its first unescaped backtick, quoted or not: where Bash ends a
 # backtick substitution.
 _TO_BACKTICK = re.compile(r"(?:[^`\\]|\\.)*", re.S)
@@ -205,9 +222,16 @@ def tokenize(text: str) -> list[Token]:
     """Lex command text into tokens. Raises BashSyntaxError."""
     tokens: list[Token] = []
     stack: list[str] = []  # open substitution delimiters: '(' or '`'
+    plain = _PLAIN.match  # read per call, so a test can switch the fast path off
     i = 0
     n = len(text)
     while i < n:
+        if m := plain(text, i):
+            j = m.end()
+            word = m[1]
+            tokens.append(_new(Token, (_WORD_KIND, word, j - len(word), j)))
+            i = j
+            continue
         c = text[i]
         if c in " \t":
             i += 1
@@ -222,16 +246,16 @@ def tokenize(text: str) -> list[Token]:
             nxt = text[j : j + 1]
             closes = stack and nxt == (")" if stack[-1] == "(" else "`")
             if tokens and tokens[-1].kind not in (_PIPE, _SUBST_OPEN) and nxt and not closes:
-                tokens.append(Token(_SEMI, "\n", i, i + 1))
+                tokens.append(_new(Token, (_SEMI, "\n", i, i + 1)))
             i = j
             continue
         if c == "|":
             if text[i + 1 : i + 2] == "|":
                 raise BashSyntaxError("'||' lists are not supported")
-            tokens.append(Token(_PIPE, "|", i, i + 1))
+            tokens.append(_new(Token, (_PIPE, "|", i, i + 1)))
             i += 1
         elif c == ";":
-            tokens.append(Token(_SEMI, ";", i, i + 1))
+            tokens.append(_new(Token, (_SEMI, ";", i, i + 1)))
             i += 1
         elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
             op, j = m.group(), m.end()
@@ -243,7 +267,7 @@ def tokenize(text: str) -> list[Token]:
                     raise BashSyntaxError("process substitution is not supported")
                 if nxt == "&" and op[0] != "&":
                     raise BashSyntaxError(f"bad redirect at offset {i}")
-            tokens.append(Token(TokenKind.REDIRECT, op, i, j))
+            tokens.append(_new(Token, (TokenKind.REDIRECT, op, i, j)))
             i = j
         elif c == "&":
             if text[i + 1 : i + 2] == "&":
@@ -252,20 +276,20 @@ def tokenize(text: str) -> list[Token]:
         elif c == "$" and text[i + 1 : i + 2] == "(":
             if text[i + 2 : i + 3] == "(":
                 raise BashSyntaxError("arithmetic expansion is not supported")
-            tokens.append(Token(_SUBST_OPEN, "$(", i, i + 2))
+            tokens.append(_new(Token, (_SUBST_OPEN, "$(", i, i + 2)))
             stack.append("(")
             i += 2
         elif c == "`":
             if stack and stack[-1] == "`":
-                tokens.append(Token(_SUBST_CLOSE, "`", i, i + 1))
+                tokens.append(_new(Token, (_SUBST_CLOSE, "`", i, i + 1)))
                 stack.pop()
             else:
-                tokens.append(Token(_SUBST_OPEN, "`", i, i + 1))
+                tokens.append(_new(Token, (_SUBST_OPEN, "`", i, i + 1)))
                 stack.append("`")
             i += 1
         elif c == ")":
             if stack and stack[-1] == "(":
-                tokens.append(Token(_SUBST_CLOSE, ")", i, i + 1))
+                tokens.append(_new(Token, (_SUBST_CLOSE, ")", i, i + 1)))
                 stack.pop()
                 i += 1
             else:
@@ -287,7 +311,7 @@ def tokenize(text: str) -> list[Token]:
                     raise BashSyntaxError(error)
             if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
                 raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
-            tokens.append(Token(_WORD_KIND, text[i:j], i, j))  # any other stop has a branch above
+            tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))  # any other stop has a branch above
             i = j
     if stack:
         raise BashSyntaxError("unterminated command substitution")
@@ -354,7 +378,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
                         flags.add(name[1:])
                 elif name in unsplittable:
                     flags.add(name)
-                    if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab)):
+                    if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab, name)):
                         nested.append(payload)
                 else:  # a bundle, -la: one flag per character
                     flags.update(name)
@@ -389,13 +413,15 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             erased_args += 1
 
     cur.depth -= 1
-    return SimpleCommand(utility, frozenset(flags), erased_args, tuple(nested))
+    return _new(SimpleCommand, (utility, frozenset(flags), erased_args, tuple(nested)))
 
 
-def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary) -> SimpleCommand | None:
+def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary, flag: str) -> SimpleCommand | None:
     tok = cur.tokens[cur.pos]
     if tok is None or tok.kind is not _WORD_KIND or _is_flag_word(tok.text):
         return None  # bare -exec with no payload; leave the stream alone
+    if tok.text in _SEMIS:  # GNU find refuses it too: "invalid argument `;' to `-exec'"
+        raise BashSyntaxError(f"'-{flag}' has no command before {tok.text!r}")
     payload = _parse_simple(cur, vocab, in_exec=True)
     end = cur.tokens[cur.pos]  # the payload stopped at the end, '|', a close or its end word
     if end is not None and end.kind is _WORD_KIND:
@@ -439,9 +465,10 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     tokens = tokenize(command_text)
     if tokens and tokens[0].text == "time" and (after := _untimed(tokens)):
         raise BashSyntaxError(f"'time' has no command before {after!r}")
-    cur = _Cursor([*tokens, None])
-    stages = _parse_pipeline(cur, vocab)
-    return CommandAST(stages=tuple(stages), raw=command_text, tokens=tuple(tokens))
+    ast_tokens = tuple(tokens)
+    tokens.append(None)
+    stages = _parse_pipeline(_Cursor(tokens), vocab)
+    return _new(CommandAST, (tuple(stages), command_text, ast_tokens))
 
 
 def reconstruct(ast: CommandAST) -> str:

@@ -19,6 +19,10 @@ from typing import NamedTuple
 
 from .parser import CommandAST
 
+# Builds a record from the tuple of its fields: the instance that calling
+# the class makes, without the class's Python-level __new__.
+_new = tuple.__new__
+
 
 class TemplateUnit(NamedTuple):
     utility: str
@@ -47,7 +51,8 @@ class TemplateCommand(NamedTuple):
 
 def normalize_template(ast: CommandAST) -> TemplateCommand:
     """Normalize a parsed command into its scoring template."""
-    return TemplateCommand(tuple(TemplateUnit(cmd.utility, cmd.flags) for cmd in ast.walk()))
+    units = tuple([_new(TemplateUnit, (cmd.utility, cmd.flags)) for cmd in ast.walk()])
+    return _new(TemplateCommand, (units,))
 
 
 def flatten_utilities(ast: CommandAST) -> list[str]:

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 # from a blank (a redirect or '|' next to a newline; an open '${'), a bare
 # '--' that ends the options, a '#' that may open a comment, a leading
 # 'time' keyword, a $'...' string, the quoted and escaped ';' and '+' that
-# may end an -exec payload, and any other character.
+# may end an -exec payload, words at the edges of the lexer's plain-word
+# pattern (glued to a character that ends it, holding a '#', led by a
+# digit), and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
      "-n ", "$(", ")", "`", " | ", "2>&1", ">&-", "&>", "<&", "<<", "<(", "\t", "\n", "²",
      "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
-     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'", "';'", " \\+"]
+     ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'", "';'", " \\+",
+     "a;", "a&", "a<", "a>", "a(", "a)", "a`", "a'", 'a"', "a$", "a#b", " 2x", " 2>f"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)

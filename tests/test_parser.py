@@ -1,26 +1,31 @@
+import hashlib
 import os
 import re
 import shutil
 import subprocess
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from strategies import shell_text
 
+from nlbash import parser
 from nlbash.errors import BashSyntaxError, NlbashError, UnknownUtilityError
 from nlbash.parser import (
     _BRACES,
     _PLUSES,
     _SEMIS,
     MAX_NESTING_DEPTH,
+    CommandAST,
+    SimpleCommand,
     Token,
     TokenKind,
     parse,
     reconstruct,
     tokenize,
 )
-from nlbash.synth import command_corpus
-from nlbash.template import normalize_template
+from nlbash.synth import command_corpus, toy_corpus
+from nlbash.template import TemplateCommand, TemplateUnit, normalize_template
 from nlbash.vocab import default_vocabulary
 
 VOCAB = default_vocabulary()
@@ -367,6 +372,21 @@ def test_tokens_are_immutable_named_tuples():
     assert tokens[0] == tuple(tokens[0]) == (TokenKind.WORD, "ls", 0, 2)
 
 
+def test_parse_records_and_templates_keep_their_classes():
+    # the parser and normalize_template build them with tuple.__new__
+    ast = parse("find . -exec rm {} \\; | sudo wc -l $(ls)", VOCAB)
+    template = normalize_template(ast)
+    records = [(ast, CommandAST), (template, TemplateCommand)]
+    records += [(t, Token) for t in ast.tokens] + [(c, SimpleCommand) for c in ast.walk()]
+    records += [(u, TemplateUnit) for u in template.units]
+    for record, cls in records:
+        assert type(record) is cls
+        assert record == cls(*record) and hash(record) == hash(cls(*record))
+        assert tuple(getattr(record, name) for name in cls._fields) == tuple(record)
+        copy = record._replace()
+        assert type(copy) is cls and copy == record
+
+
 # The golden table: each text with its pipeline line (the stage utilities, as
 # `nlbash parse` prints them), template and erased count per command of
 # walk(), or the error it raises. Every row was checked by hand against the
@@ -576,13 +596,16 @@ GOLDEN = [
     ('echo $$(ls)', BashSyntaxError('subshells are not supported')),
     ('echo $$$(ls)', ('echo', 'echo[] | ls[]', (1, 0))),
     ('echo \\;', ('echo', 'echo[]', (1,))),
-    ('xargs sh -c x \\;', ('xargs', 'xargs[c]', (3,))),
+    ('xargs sh -c x \\;', ('xargs', 'xargs[] | sh[c]', (0, 2))),
     ("find . -exec rm {} ';' -print", ('find', 'find[exec,print] | rm[]', (1, 1))),
     ('find . -exec rm {} \\+ -print', ('find', 'find[exec,print] | rm[]', (1, 1))),
     ("find . -exec rm '{}' + -print", ('find', 'find[exec,print] | rm[]', (1, 1))),
     ('find . -exec echo + {} \\;', ('find', 'find[exec] | echo[]', (1, 2))),
     ('find . -exec sudo rm {} +', ('find', 'find[exec] | sudo[] | rm[]', (1, 0, 1))),
     ('find . -exec rm {} ;', BashSyntaxError("';' command sequences are not supported")),
+    ('find . -exec \\; -print', BashSyntaxError("'-exec' has no command before '\\\\;'")),
+    ("find . -exec ';'", BashSyntaxError("'-exec' has no command before \"';'\"")),
+    ('find . -exec {} +', UnknownUtilityError('{}')),
     ("echo `ls 'a b'`", ('echo', 'echo[] | ls[]', (0, 1))),
     ("echo `ls '`' `", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
     ('echo `echo "`ls`"`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
@@ -604,6 +627,21 @@ def test_golden_parse(text, expected):
     if isinstance(expected, NlbashError):
         expected = type(expected), str(expected)
     assert _outcome(text) == expected
+
+
+# The same-output gate for parser work: a SHA-256 over the outcome above
+# of every distinct text of two generated corpora. A change meant to read
+# some of them otherwise updates the pin, and CHANGES.md names the change.
+OUTCOMES_SHA256 = "637f9819d3a1e79d40b4af08e597a1be9adadc70ae772634d681a3c07c5d37fe"
+
+
+def test_parse_outcomes_of_the_generated_corpora_match_the_pin():
+    texts = set(command_corpus(5000, seed=0))
+    texts.update(ref for ex in toy_corpus(2000, seed=0) for ref in ex.references)
+    digest = hashlib.sha256()
+    for text in sorted(texts):
+        digest.update(repr((text, _outcome(text))).encode("utf-8", "surrogatepass"))
+    assert digest.hexdigest() == OUTCOMES_SHA256
 
 
 # Texts that `bash -n` refuses and that a looser reading of lines, '${',
@@ -689,6 +727,42 @@ def test_token_spans_tile_the_text_with_blanks_or_comments_between(text):
         assert _GAP.fullmatch(text, pos, tok.start), (text, tok)
         pos = tok.end
     assert _GAP.fullmatch(text, pos), text
+
+
+def _tokens_or_error(text):
+    try:
+        return tokenize(text)
+    except NlbashError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_the_plain_word_path_reads_as_the_general_path(text):
+    with mock.patch.object(parser, "_PLAIN", re.compile(r"(?!)")):  # never matches
+        general = _tokens_or_error(text)
+    assert _tokens_or_error(text) == general, text
+
+
+# Words at the plain-word pattern's edges: glued to each character that
+# ends it or that it leaves to the general path, with a '#' inside, or led
+# by a digit.
+PLAIN_EDGES = [
+    "ls a;", "ls a&", "ls a<b", "ls a>b", "ls a(", "ls a)", "echo $(ls a)", "echo `ls a`",
+    "ls a'b'", 'ls a"b"', "ls a$", "ls a$b", "ls a\\ b", "ls a#b", "ls #a", "ls 2x", "ls 2>f",
+    "ls 22 x", "ls a|wc", "ls a\tb\n", " \t ls  a ", "ls a\rb", "ls \xa0a",
+]
+
+
+@pytest.mark.parametrize(
+    "text", PLAIN_EDGES + BASH_PINNED + [text for text, _ in GOLDEN], ids=repr
+)
+def test_the_plain_word_path_reads_every_edge_pinned_or_golden_text_as_the_general_path(text):
+    _assert_the_plain_word_path_reads_as_the_general_path(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shell_text)
+def test_the_plain_word_path_reads_every_generated_text_as_the_general_path(text):
+    _assert_the_plain_word_path_reads_as_the_general_path(text)
 
 
 @settings(max_examples=400, deadline=None)
