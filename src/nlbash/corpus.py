@@ -13,6 +13,11 @@ every unquoted substitution included; only one inside double quotes is
 argument text, so its command is not checked. Round-trip holds by
 construction (``reconstruct`` copies the gaps between tokens from the raw
 text), and the filter still checks it.
+
+The filter also records the template of each reference it keeps in the
+vocabulary's template table, after emptying it, so the commands that read
+the kept references next (``evaluate``, the TF-IDF index and
+``utility_histogram``) parse none of them again.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .errors import (
     UnknownUtilityError,
 )
 from .parser import parse, reconstruct
-from .template import flatten_utilities
-from .vocab import UtilityVocabulary
+from .template import TemplateCommand, flatten_utilities, normalize_template
+from .vocab import UtilityVocabulary, _filtered_templates
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +195,10 @@ def save_examples(examples: Iterable[Example], path: str | Path) -> None:
             fh.write(json.dumps(ex.to_record(), ensure_ascii=False) + "\n")
 
 
-def _check_reference(cmd: str, vocab: UtilityVocabulary) -> RejectReason | None:
+def _check_reference(
+    cmd: str, vocab: UtilityVocabulary | None, templates: dict[str, TemplateCommand]
+) -> RejectReason | None:
+    """Why ``cmd`` is rejected, or None after recording its template in ``templates``."""
     try:
         ast = parse(cmd, vocab)
     except UnknownUtilityError:
@@ -199,6 +207,7 @@ def _check_reference(cmd: str, vocab: UtilityVocabulary) -> RejectReason | None:
         return RejectReason.PARSE_ERROR
     if reconstruct(ast) != cmd:
         return RejectReason.ROUNDTRIP_MISMATCH
+    templates[cmd] = normalize_template(ast)
     return None
 
 
@@ -207,23 +216,31 @@ def filter_examples(
 ) -> FilterReport:
     """Apply the parse / round-trip / whitelist pipeline to every reference.
 
-    Surviving references replace the original list; an example with no
-    survivors is rejected with the reason of its first failing reference.
+    Surviving references replace the original list (an example whose
+    references all survive is kept as it is); an example with no survivors
+    is rejected with the reason of its first failing reference. The
+    vocabulary's template table is emptied and then holds the template of
+    every kept reference, each distinct text checked once.
     """
+    templates = _filtered_templates(vocab)
+    templates.clear()
     report = FilterReport()
     for ex in examples:
         survivors: list[str] = []
         first_reason: RejectReason | None = None
         for ref in ex.references:
-            reason = _check_reference(ref, vocab)
+            # A text already kept in this run passes again: no second parse.
+            reason = None if ref in templates else _check_reference(ref, vocab, templates)
             if reason is None:
                 survivors.append(ref)
             elif first_reason is None:
                 first_reason = reason
-        if survivors:
-            report.kept.append(replace(ex, references=tuple(survivors)))
-        else:
+        if not survivors:
             report.rejected.append(Rejection(ex, first_reason or RejectReason.PARSE_ERROR))
+        elif first_reason is None:
+            report.kept.append(ex)
+        else:
+            report.kept.append(replace(ex, references=tuple(survivors)))
     return report
 
 
@@ -298,13 +315,20 @@ def utility_histogram(
 ) -> list[tuple[str, int]]:
     """Count flattened utilities across all references, most frequent first.
 
-    Expects pre-filtered references (every command must parse). Ties break
-    lexicographically.
+    Expects pre-filtered references (every command must parse). A reference
+    the last filter kept is read from its recorded template, whose units
+    name the same utilities in the same order; any other is parsed. Ties
+    break lexicographically.
     """
+    templates = _filtered_templates(vocab)
     counts: dict[str, int] = {}
     for ex in examples:
         for ref in ex.references:
-            for utility in flatten_utilities(parse(ref, vocab)):
+            template = templates.get(ref)
+            utilities = (
+                [unit.utility for unit in template.units] if template else flatten_utilities(parse(ref, vocab))
+            )
+            for utility in utilities:
                 counts[utility] = counts.get(utility, 0) + 1
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 

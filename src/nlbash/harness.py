@@ -4,9 +4,11 @@ A predictor is anything with ``predict(nlc, k) -> predictions`` returning
 at most k (command, confidence) pairs. The harness times the predict call
 alone (monotonic clock), parses each predicted command, and scores its
 template against all reference templates. Each distinct command text,
-reference or prediction, is parsed and templated once per ``evaluate``
-call. A prediction the parser rejects scores -delta, each time a
-prediction names it — a command outside the grammar can never match a
+reference or prediction, is parsed and templated at most once per
+``evaluate`` call, and not at all when the last corpus filter on the
+vocabulary kept it as a reference: its template is read from the
+vocabulary's table. A prediction the parser rejects scores -delta, each
+time a prediction names it — a command outside the grammar can never match a
 reference, and silently dropping it would game the averaging branch. A
 predictor exception scores the whole example -1, and so does a prediction
 set whose first k items are not all a ``str`` cmd with a real confidence,
@@ -52,7 +54,7 @@ from .metric import (
 )
 from .parser import parse
 from .template import TemplateCommand, normalize_template
-from .vocab import UtilityVocabulary
+from .vocab import UtilityVocabulary, _filtered_templates
 
 
 class Predictor(Protocol):
@@ -203,8 +205,10 @@ def evaluate(
     References must already parse (run the corpus filter first); one that
     does not raises its BashSyntaxError or UnknownUtilityError. Latency
     covers the predict call only. Each distinct command text is parsed and
-    templated once per call; an unparseable text costs each prediction
-    that names it -delta and counts once per such prediction. A cmd of a
+    templated once per call, unless the last ``filter_examples`` on the
+    vocabulary kept it and so recorded its template; an unparseable text
+    costs each prediction that names it -delta and counts once per such
+    prediction. A cmd of a
     ``str`` subclass is scored as its plain text. The report names the
     predictor by its ``name`` attribute, read once, when that is a ``str``
     (kept as its plain text), and by its class name otherwise, also when
@@ -219,11 +223,12 @@ def evaluate(
     # not the exception: its traceback would hold this frame, and so the
     # memo, in a reference cycle.
     memo: dict[str, TemplateCommand | None] = {}
+    filtered = _filtered_templates(vocab)
 
     def template_of(cmd: str) -> TemplateCommand | None:
         if cmd not in memo:
             try:
-                memo[cmd] = normalize_template(parse(cmd, vocab))
+                memo[cmd] = filtered.get(cmd) or normalize_template(parse(cmd, vocab))
             except (BashSyntaxError, UnknownUtilityError):
                 memo[cmd] = None
         return memo[cmd]

@@ -21,7 +21,10 @@ other ``+`` is an argument (``find . -exec echo + {} \\;``), and a bare
 payload with no end word runs to the end of the text, a ``|`` or the close
 of its substitution. A payload that opens with a word find reads as ``;``
 names no command, and GNU find refuses it, so it is a BashSyntaxError
-(``find . -exec \\; -print``).
+(``find . -exec \\; -print``). An exec flag inside a payload opens no
+payload of its own, since find ends the outer payload at the first end
+word: ``find . -exec find . -exec ls {} + +`` is ``find[exec] |
+find[exec]``, the inner find erasing ``.``, ``ls`` and ``{}``.
 
 An unquoted newline ends a command, as ``;`` does, so it is refused, except
 directly after ``|`` and at either end of the text or of a substitution; a
@@ -334,7 +337,8 @@ class _Cursor:
 
 
 def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> SimpleCommand:
-    """One simple command; ``in_exec`` (an -exec payload) lets find's end word end it."""
+    """One simple command; ``in_exec`` (an -exec payload) lets find's end word
+    end it, and keeps an exec flag in it from opening a payload of its own."""
     cur.depth += 1
     if cur.depth > MAX_NESTING_DEPTH:
         raise BashSyntaxError(
@@ -378,7 +382,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
                         flags.add(name[1:])
                 elif name in unsplittable:
                     flags.add(name)
-                    if name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab, name)):
+                    if not in_exec and name in EXEC_FLAGS and (payload := _parse_exec_payload(cur, vocab, name)):
                         nested.append(payload)
                 else:  # a bundle, -la: one flag per character
                     flags.update(name)

@@ -36,7 +36,7 @@ from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
 from .metric import Prediction, ScoredPrediction, prediction_score
 from .parser import parse
 from .template import TemplateCommand, normalize_template
-from .vocab import UtilityVocabulary
+from .vocab import UtilityVocabulary, _filtered_templates
 
 INDEX_FORMAT_VERSION = 1
 
@@ -126,8 +126,10 @@ class _AnalysedPairs:
     ids, in first-occurrence order, are ``terms[offsets[i]:offsets[i + 1]]``
     with their counts at the same places in ``counts``; term id ``t`` is the
     term ``names[t]``, numbered by first occurrence over all pairs. Each
-    distinct command is parsed once, and equal templates are one interned
-    object. ``take`` selects pairs and shares the analysis.
+    distinct command is templated once, read from the vocabulary's table when
+    the last corpus filter on it kept the command and parsed otherwise, and
+    equal templates are one interned object. ``take`` selects pairs and
+    shares the analysis.
     """
 
     def __init__(self, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool):
@@ -135,6 +137,7 @@ class _AnalysedPairs:
         ids: dict[str, int] = {}
         by_command: dict[str, TemplateCommand] = {}
         interned: dict[TemplateCommand, TemplateCommand] = {}
+        filtered = _filtered_templates(vocab)
         self.terms, self.counts, self.offsets = array("i"), array("i"), array("l", [0])
         for nl, cmd in pairs:
             nl, cmd = str(nl), str(cmd)
@@ -147,7 +150,7 @@ class _AnalysedPairs:
             self.offsets.append(len(self.terms))
             template = by_command.get(cmd)
             if template is None:
-                template = normalize_template(parse(cmd, vocab))
+                template = filtered.get(cmd) or normalize_template(parse(cmd, vocab))
                 template = by_command[cmd] = interned.setdefault(template, template)
             self.documents.append(IndexedDocument(nl, cmd, template))
         self.names = list(ids)
@@ -173,8 +176,9 @@ class TfIdfIndex:
     """Immutable TF-IDF index over NL-command pairs; queries are thread-safe.
 
     The build reads one analysis of the pairs: each invocation tokenized
-    once into term ids, each distinct command parsed once, equal templates
-    one interned object. Plain pairs are analysed on entry;
+    once into term ids, each distinct command templated once (parsed unless
+    the last corpus filter on the vocabulary recorded its template), equal
+    templates one interned object. Plain pairs are analysed on entry;
     ``TfIdfPredictor.with_calibration`` analyses once and builds both of
     its indexes from that.
 

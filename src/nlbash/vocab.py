@@ -1,9 +1,16 @@
 """Utility vocabulary: the whitelist of utilities and their unsplittable flags.
 
-The vocabulary drives two decisions, both made by the parser, its only
-reader: whether a command's utilities are acceptable at all, and which
-single-dash multi-character tokens (``find -name``, ``find -type``, ...)
-are real long flags rather than bundles of one-letter options.
+The vocabulary drives two decisions, both made by the parser: whether a
+command's utilities are acceptable at all, and which single-dash
+multi-character tokens (``find -name``, ``find -type``, ...) are real long
+flags rather than bundles of one-letter options.
+
+A vocabulary object also carries a private table of templates, filled only
+by ``corpus.filter_examples``: the template of each reference its last run
+kept. A template depends only on the text and the vocabulary, so
+``harness.evaluate``, the TF-IDF index and ``utility_histogram`` read a
+text's template there before they parse it themselves. The table is
+neither compared nor shown in the repr.
 
 File format (UTF-8, one record per utility, one per line)::
 
@@ -20,11 +27,15 @@ so no utility's flags depend on the order of the lines.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import VocabularyFormatError
+
+if TYPE_CHECKING:
+    from .template import TemplateCommand
 
 _DEFAULT_RESOURCE = "ubuntu_utilities.txt"
 
@@ -34,6 +45,11 @@ class UtilityVocabulary:
     """Immutable map from each known utility to its unsplittable flags (mostly none)."""
 
     flags: dict[str, frozenset[str]]
+    # Reference text -> its template, for the references the last
+    # filter_examples run on this vocabulary kept; only that filter writes here.
+    _templates: dict[str, TemplateCommand] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lookup(self, word: str) -> str | None:
         """Resolve a command word to a vocabulary utility name.
@@ -94,6 +110,11 @@ def load_vocabulary(path: str | Path) -> UtilityVocabulary:
     except UnicodeDecodeError as exc:
         raise VocabularyFormatError(f"{path}: invalid UTF-8 ({exc.reason})") from exc
     return parse_vocabulary(text, origin=str(path))
+
+
+def _filtered_templates(vocab: UtilityVocabulary | None) -> dict[str, TemplateCommand]:
+    """The template table of ``vocab``, or of the default vocabulary for None."""
+    return (vocab if vocab is not None else default_vocabulary())._templates
 
 
 @lru_cache(maxsize=1)

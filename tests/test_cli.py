@@ -1,12 +1,14 @@
 import json
 import shlex
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
+from nlbash import corpus, harness, retrieval
 from nlbash.cli import cli
-from nlbash.corpus import filter_examples, save_examples
+from nlbash.corpus import filter_examples, load_examples, save_examples
 from nlbash.retrieval import CalibrationModel, TfIdfPredictor, pairs_from_examples
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
@@ -395,6 +397,35 @@ def test_eval_runs_an_external_predictor(data_file, tmp_path, capsys):
     asked = {ex.id for ex in examples if "list" in ex.invocation.split()}
     answered = {r["id"] for r in report["per_example"] if r["per_prediction"]}
     assert asked and answered == asked
+
+
+@pytest.mark.parametrize("command", ["score", "index", "stats"])
+def test_a_command_parses_each_distinct_reference_once(command, data_file, tmp_path, monkeypatch, capsys):
+    examples = load_examples(data_file)
+    references = [ref for ex in examples for ref in ex.references]
+    assert len(set(references)) < len(references)  # a repeated reference is parsed once too
+    pred_path = tmp_path / "preds.jsonl"
+    with open(pred_path, "w", encoding="utf-8") as fh:
+        for i, ex in enumerate(examples):  # each prediction is some example's reference
+            cmd = examples[(i + 1) % len(examples)].references[0]
+            fh.write(json.dumps({"id": ex.id, "predictions": [{"cmd": cmd, "confidence": 1.0}]}) + "\n")
+    parsed = Counter()
+
+    def counted(parse):
+        def wrapper(text, vocab=None):
+            parsed[text] += 1
+            return parse(text, vocab)
+        return wrapper
+
+    for module in (corpus, harness, retrieval):
+        monkeypatch.setattr(module, "parse", counted(module.parse))
+    argv = {
+        "score": ["score", "--pred", str(pred_path), "--refs", str(data_file)],
+        "index": ["index", "--data", str(data_file), "--out", str(tmp_path / "index.json")],
+        "stats": ["stats", "--data", str(data_file)],
+    }[command]
+    assert cli(argv) == 0
+    assert parsed == Counter(set(references))
 
 
 def test_score_prediction_file(data_file, tmp_path, capsys):

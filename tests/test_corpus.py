@@ -21,9 +21,11 @@ from nlbash.corpus import (
 )
 from nlbash.errors import InvalidFractionsError, NlbashError, PredictorProtocolError, SchemaError
 from nlbash.harness import EvaluationReport, SubprocessPredictor, load_prediction_file
+from nlbash.parser import parse
 from nlbash.retrieval import CalibrationModel, TfIdfIndex
 from nlbash.synth import toy_corpus
-from nlbash.vocab import default_vocabulary
+from nlbash.template import normalize_template
+from nlbash.vocab import UtilityVocabulary, default_vocabulary
 
 VOCAB = default_vocabulary()
 
@@ -253,6 +255,26 @@ def test_filter_is_idempotent():
     second = filter_examples(first.kept, VOCAB)
     assert not second.rejected
     assert second.kept == first.kept
+
+
+def test_filter_keeps_an_example_whose_references_all_survive_as_it_is():
+    examples = [ex("a", "ls -la", "df -h"), ex("b", "frobnicate -x", "ls -la"), ex("c", "ls -la")]
+    kept = filter_examples(examples, VOCAB).kept
+    assert kept[0] is examples[0] and kept[2] is examples[2]
+    assert kept[1] == Example("b", "b", ("ls -la",))
+
+
+def test_the_template_table_holds_the_last_filters_kept_references_only():
+    vocab = UtilityVocabulary(VOCAB.flags)
+    first = filter_examples(toy_corpus(200, seed=1), vocab)
+    second = filter_examples(
+        [*toy_corpus(100, seed=2), ex("g", "frobnicate -x", "ls -la"), ex("h", "grep 'oops")], vocab
+    )
+    first_refs = {ref for e in first.kept for ref in e.references}
+    kept = {ref for e in second.kept for ref in e.references}
+    assert first_refs - kept and "ls -la" in kept
+    assert vocab._templates == {ref: normalize_template(parse(ref, VOCAB)) for ref in kept}
+    assert vocab == VOCAB and repr(vocab) == repr(VOCAB)  # the table is neither compared nor shown
 
 
 def test_save_filter_report(tmp_path):

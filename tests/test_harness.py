@@ -7,13 +7,13 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_impl import _contract_violation, evaluate_ref
 from strategies import byte_lines, json_values, shell_text
 
 from nlbash import harness
-from nlbash.corpus import Example, filter_examples
+from nlbash.corpus import Example, filter_examples, utility_histogram
 from nlbash.errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -31,8 +31,9 @@ from nlbash.harness import (
     score_prediction_file,
 )
 from nlbash.metric import Aggregation, ExampleScore, Prediction, dataset_score
+from nlbash.retrieval import TfIdfIndex, pairs_from_examples
 from nlbash.synth import toy_corpus
-from nlbash.vocab import default_vocabulary
+from nlbash.vocab import UtilityVocabulary, default_vocabulary
 
 VOCAB = default_vocabulary()
 
@@ -364,6 +365,8 @@ def test_memoized_evaluate_scores_like_the_unmemoized_loop():
 
 
 def test_evaluate_parses_and_templates_each_distinct_text_once(monkeypatch):
+    # A vocabulary of its own, so no earlier filter's templates are read.
+    vocab = UtilityVocabulary(VOCAB.flags)
     data = repeating_dataset()
     predictor = RepeatingPredictor(data)
     texts = set()
@@ -378,7 +381,7 @@ def test_evaluate_parses_and_templates_each_distinct_text_once(monkeypatch):
     parsing = set()
     for text in texts:
         try:
-            harness.parse(text, VOCAB)
+            harness.parse(text, vocab)
             parsing.add(text)
         except (BashSyntaxError, UnknownUtilityError):
             pass
@@ -394,10 +397,51 @@ def test_evaluate_parses_and_templates_each_distinct_text_once(monkeypatch):
 
     monkeypatch.setattr(harness, "parse", counted("parse", harness.parse))
     monkeypatch.setattr(harness, "normalize_template", counted("template", harness.normalize_template))
-    evaluate(predictor, data, k=5, vocab=VOCAB)
+    evaluate(predictor, data, k=5, vocab=vocab)
     assert calls == {"parse": len(texts), "template": len(parsing)}
-    evaluate(predictor, data, k=5, vocab=VOCAB)  # the memo lives for one call
+    evaluate(predictor, data, k=5, vocab=vocab)  # the memo lives for one call
     assert calls == {"parse": 2 * len(texts), "template": 2 * len(parsing)}
+
+
+class AnswerPredictor:
+    """Answers each query with its stored prediction list."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def predict(self, nlc, k):
+        return self.answers[nlc]
+
+
+_TOY_REFS = sorted({ref for ex in toy_corpus(200, seed=3) for ref in ex.references})
+_TEXTS = st.one_of(st.sampled_from(_POOL + _TOY_REFS), shell_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(_TEXTS, min_size=1, max_size=3), st.lists(_TEXTS, max_size=4)),
+    min_size=1, max_size=6,
+))
+def test_templates_recorded_by_the_filter_change_no_result(rows):
+    examples = [Example(f"e{i}", f"query {i}", tuple(refs)) for i, (refs, _) in enumerate(rows)]
+    filled = UtilityVocabulary(VOCAB.flags)
+    kept = filter_examples(examples, filled).kept
+    assume(kept)
+    fresh = UtilityVocabulary(VOCAB.flags)  # no filter has run on it: an empty table
+    predictor = AnswerPredictor(
+        {f"query {i}": [Prediction(t, 0.25 + 0.5 * (j % 2)) for j, t in enumerate(predictions)]
+         for i, (_, predictions) in enumerate(rows)}
+    )
+    assert filled._templates and not fresh._templates
+    assert scores_of(evaluate(predictor, kept, k=5, vocab=filled)) == scores_of(
+        evaluate(predictor, kept, k=5, vocab=fresh)
+    )
+    assert utility_histogram(kept, filled) == utility_histogram(kept, fresh)
+    pairs = pairs_from_examples(kept)
+    filled_docs, fresh_docs = (
+        [(d.command, d.template) for d in TfIdfIndex(pairs, vocab).documents] for vocab in (filled, fresh)
+    )
+    assert filled_docs == fresh_docs
 
 
 @pytest.mark.parametrize("seen_before", [False, True], ids=["fresh", "seen-as-prediction"])

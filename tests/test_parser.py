@@ -606,6 +606,9 @@ GOLDEN = [
     ('find . -exec \\; -print', BashSyntaxError("'-exec' has no command before '\\\\;'")),
     ("find . -exec ';'", BashSyntaxError("'-exec' has no command before \"';'\"")),
     ('find . -exec {} +', UnknownUtilityError('{}')),
+    # find ends the outer payload at the first end word, so an inner -exec opens none
+    ('find . -exec find . -exec ls {} + +', ('find', 'find[exec] | find[exec]', (2, 3))),
+    ('find . -exec find . -exec ls {} \\; \\;', ('find', 'find[exec] | find[exec]', (2, 3))),
     ("echo `ls 'a b'`", ('echo', 'echo[] | ls[]', (0, 1))),
     ("echo `ls '`' `", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
     ('echo `echo "`ls`"`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),

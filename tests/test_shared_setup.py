@@ -23,7 +23,7 @@ from nlbash.retrieval import (
 )
 from nlbash.synth import toy_corpus
 from nlbash.template import normalize_template
-from nlbash.vocab import default_vocabulary
+from nlbash.vocab import UtilityVocabulary, default_vocabulary
 from reference_impl import calibration_data_ref, with_calibration_ref
 
 VOCAB = default_vocabulary()
@@ -132,7 +132,8 @@ def test_with_calibration_parses_each_command_and_tokenizes_each_pair_once(monke
     monkeypatch.setattr(retrieval, "parse", counted("parse", retrieval.parse))
     tokenizer = "normalize_nl" if normalize else "plain_tokens"
     monkeypatch.setattr(retrieval, tokenizer, counted("tokenize", getattr(retrieval, tokenizer)))
-    TfIdfPredictor.with_calibration(pairs, VOCAB, normalize=normalize)
+    # A vocabulary of its own, so the templates toy_pairs' filter recorded are not read.
+    TfIdfPredictor.with_calibration(pairs, UtilityVocabulary(VOCAB.flags), normalize=normalize)
     holdout_queries = max(1, round(0.2 * len(pairs)))
     assert calls == {"parse": len({cmd for _, cmd in pairs}), "tokenize": len(pairs) + holdout_queries}
 
