@@ -15,6 +15,9 @@ Weights use raw term counts times a smoothed inverse document frequency,
 ln((1 + D) / (1 + df)) + 1, and vectors are L2-normalized, so cosine
 similarities live in [0, 1]. Hits with zero similarity are dropped;
 returning nothing is better than returning confident garbage.
+
+numpy is executed on first use: each function that needs it imports it
+locally, so importing this module (and the package) does not run numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import NUMBER, Example, _finite, decode_json, json_field
 from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
@@ -197,6 +198,8 @@ class TfIdfIndex:
         vocab: UtilityVocabulary | None = None,
         normalize: bool = False,
     ):
+        import numpy as np
+
         if not pairs:
             raise EmptyCorpusError("cannot index an empty corpus")
         self.normalize = normalize
@@ -247,6 +250,8 @@ class TfIdfIndex:
 
     def _scores(self, nlc: str) -> np.ndarray:
         """Each document's cosine similarity to ``nlc``, unclamped."""
+        import numpy as np
+
         scores = np.zeros(len(self.documents))
         indptr, indices, data = self._indptr, self._indices, self._data
         for row, qw in zip(*self._vectorize(_tokens(nlc, self.normalize))):
@@ -301,6 +306,8 @@ def retrieve(index: TfIdfIndex, nlc: str, k: int, dedupe: bool = False) -> list[
     gives what ``dedupe_hits`` gives on the pool's hits. Hits are built
     for the returned documents only.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     n = k * DEDUPE_POOL_FACTOR if dedupe else k
@@ -408,6 +415,8 @@ def train_calibrator(
     the model. Raises DegenerateLabelsError for fewer than two rows or a
     single class, and ValueError when features and labels do not pair up.
     """
+    import numpy as np
+
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if len(x) != len(y) or (len(x) and x.ndim != 2):
@@ -466,6 +475,8 @@ def make_calibration_data(
     DegenerateLabelsError when the pairs are too few to leave both sides
     of the split non-empty.
     """
+    import numpy as np
+
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -1,8 +1,11 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +445,64 @@ def test_score_prediction_file(data_file, tmp_path, capsys):
     assert cli(["score", "--pred", str(pred_path), "--refs", str(data_file)]) == 0
     out = capsys.readouterr().out
     assert "mean score: 1.0000" in out
+
+
+# Run in a fresh interpreter: numpy must stay unexecuted through the
+# commands that neither build nor query an index or a calibrator, and its
+# first import must come from inside nlbash.retrieval once one does.
+NUMPY_CHILD = """
+import json, sys, traceback
+
+class FirstNumpyImport:  # notes where numpy is first imported, then lets it import
+    where = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and FirstNumpyImport.where is None:
+            FirstNumpyImport.where = [(f.filename, f.name) for f in traceback.extract_stack()]
+
+sys.meta_path.insert(0, FirstNumpyImport())
+import nlbash
+from nlbash.cli import cli
+
+raw, preds = sys.argv[1:]
+steps = {
+    "parse": ["parse", "ls -la | wc -l"],
+    "filter": ["filter", "--data", raw, "--out", "kept.jsonl"],
+    "split": ["split", "--data", "kept.jsonl", "--out-prefix", "parts"],
+    "stats": ["stats", "--data", "kept.jsonl"],
+    "score": ["score", "--pred", preds, "--refs", "kept.jsonl"],
+    "index": ["index", "--data", "kept.jsonl", "--out", "index.json"],
+    "eval": ["eval", "--baseline", "tfidf", "--variant", "full", "--train", "kept.jsonl",
+             "--data", "kept.jsonl", "--format", "json", "--out", "report.json"],
+}
+loaded = {"import nlbash": "numpy" in sys.modules}
+for name, argv in steps.items():
+    loaded[name] = (cli(argv), "numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "first_import": FirstNumpyImport.where}))
+"""
+
+
+def test_only_commands_that_index_or_calibrate_execute_numpy(tmp_path):
+    examples = toy_corpus(60, seed=5)
+    raw = tmp_path / "raw.jsonl"
+    save_examples(examples, raw)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": ex.id, "predictions": [{"cmd": ex.references[0], "confidence": 1.0}]})
+        + "\n" for ex in examples
+    ), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", NUMPY_CHILD, str(raw), str(preds)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["loaded"] == {
+        "import nlbash": False,
+        **{name: [0, False] for name in ("parse", "filter", "split", "stats", "score")},
+        "index": [0, True],
+        "eval": [0, True],
+    }
+    package = [where for where in result["first_import"] if where[0].startswith(str(src))]
+    assert package[-1] == [str(src / "nlbash" / "retrieval.py"), "__init__"]

@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import shell_text
 
 from nlbash import parser
@@ -783,3 +784,67 @@ def test_every_template_flag_comes_from_a_dash_led_word(text):
             sources.update([tok.text[1:], *tok.text[1:]])
     for cmd in ast.walk():
         assert cmd.flags <= sources, (text, cmd)
+
+
+# Rewrites that Bash reads as the same command, each built from the token
+# spans of a parse: a template must not depend on how the words are spelled.
+# A plain argument word holds only characters that Bash gives no meaning,
+# is not led by a dash and names no utility (so it is no command word).
+_PLAIN_ARGUMENT = re.compile(r"[A-Za-z0-9_./:=,@%+-]+")
+_FLAG_BUNDLE = re.compile(r"-[A-Za-z]{2,}")
+
+
+def _quote_a_plain_argument(ast):
+    """One text per plain argument word, that word single-quoted."""
+    text = ast.raw
+    for tok in ast.tokens:
+        if (tok.kind is TokenKind.WORD and _PLAIN_ARGUMENT.fullmatch(tok.text)
+                and not tok.text.startswith("-") and VOCAB.lookup(tok.text) is None):
+            yield f"{text[:tok.start]}'{tok.text}'{text[tok.end:]}"
+
+
+def _split_a_flag_bundle(ast):
+    """One text per single-dash bundle of letters, split one flag a word
+    (``-la`` -> ``-l -a``), when no utility of the command has unsplittable
+    flags. A redirect target is left alone: split, all its letters but the
+    first would become words of the command."""
+    if any(VOCAB.flags[cmd.utility] for cmd in ast.walk()):
+        return
+    text, tokens = ast.raw, ast.tokens
+    for i, tok in enumerate(tokens):
+        if (tok.kind is TokenKind.WORD and _FLAG_BUNDLE.fullmatch(tok.text)
+                and not (i and tokens[i - 1].kind is TokenKind.REDIRECT)):
+            yield text[:tok.start] + " ".join(f"-{c}" for c in tok.text[1:]) + text[tok.end:]
+
+
+SPELLING_REWRITES = [_quote_a_plain_argument, _split_a_flag_bundle]
+_GENERATED = command_corpus(5000, seed=0)
+
+
+def _rewrites_keeping_the_template(text, rewrite):
+    """How many rewrites of ``text`` there are; each must parse to the same template."""
+    ast = parse(text, VOCAB)
+    template = normalize_template(ast)
+    rewritten = list(rewrite(ast))
+    for new in rewritten:
+        assert normalize_template(parse(new, VOCAB)) == template, (text, new)
+    return len(rewritten)
+
+
+def test_spelling_rewrites_of_the_generated_corpus_keep_the_template():
+    rewritten = {
+        rewrite.__name__: sum(_rewrites_keeping_the_template(text, rewrite) > 0 for text in _GENERATED)
+        for rewrite in SPELLING_REWRITES
+    }
+    assert rewritten == {"_quote_a_plain_argument": 4333, "_split_a_flag_bundle": 455}
+
+
+@pytest.mark.parametrize("rewrite", SPELLING_REWRITES, ids=lambda f: f.__name__)
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.sampled_from(_GENERATED), shell_text))
+def test_spelling_rewrites_keep_the_template(rewrite, text):
+    try:
+        parse(text, VOCAB)
+    except NlbashError:
+        return
+    _rewrites_keeping_the_template(text, rewrite)
