@@ -31,10 +31,10 @@ from .harness import (
 from .metric import DEFAULT_TOP_K
 from .parser import parse
 from .retrieval import (
-    TfIdfIndex,
     TfIdfPredictor,
     make_calibration_data,
     pairs_from_examples,
+    save_index,
     train_calibrator,
 )
 from .template import flatten_utilities, normalize_template
@@ -120,9 +120,9 @@ def _cmd_score(args, vocab):
 
 def _cmd_index(args, vocab):
     examples = _load_filtered(args.data, vocab)
-    index = TfIdfIndex(pairs_from_examples(examples), vocab=vocab, normalize=args.normalize)
-    index.save(args.out)
-    print(f"indexed {len(index)} pairs -> {args.out}")
+    pairs = pairs_from_examples(examples)
+    save_index(pairs, args.out, args.normalize)  # TfIdfIndex.load builds the index
+    print(f"indexed {len(pairs)} pairs -> {args.out}")
     return 0
 
 
@@ -267,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("index", parents=[vocab_arg], help="build and persist a TF-IDF index")
+    p = sub.add_parser(
+        "index",
+        parents=[vocab_arg],
+        help="persist the filtered pairs of a TF-IDF index; the index is built when loaded",
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action="store_true")

@@ -36,7 +36,7 @@ class InvalidFractionsError(NlbashError):
 
 
 class EmptyCorpusError(NlbashError):
-    """An index was built over zero documents."""
+    """An index was built or saved over zero documents."""
 
 
 class EmptyPredictionSetError(NlbashError):

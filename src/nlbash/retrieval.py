@@ -9,7 +9,9 @@ independently switchable so ablations can be compared. Normalization
 yields class tokens only: the baseline fills no arguments, so the literals
 they replace are not kept. A fitted ``CalibrationModel`` is written and
 read with ``save`` and ``load``. ``dedupe_hits`` prunes a hit list the way
-``retrieve(..., dedupe=True)`` prunes its ranking; it is not exported.
+``retrieve(..., dedupe=True)`` prunes its ranking; it is not exported, nor
+is ``save_index``, the one writer of the index file, which needs only the
+pairs: ``TfIdfIndex.load`` builds the index.
 
 Weights use raw term counts times a smoothed inverse document frequency,
 ln((1 + D) / (1 + df)) + 1, and vectors are L2-normalized, so cosine
@@ -263,13 +265,8 @@ class TfIdfIndex:
         return len(self.documents)
 
     def save(self, path: str | Path) -> None:
-        """Persist to JSON; the index is rebuilt deterministically on load."""
-        payload = {
-            "version": INDEX_FORMAT_VERSION,
-            "normalize": self.normalize,
-            "pairs": [[doc.invocation, doc.command] for doc in self.documents],
-        }
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        """Persist to JSON with ``save_index``; the index is rebuilt deterministically on load."""
+        save_index([(doc.invocation, doc.command) for doc in self.documents], path, self.normalize)
 
     @classmethod
     def load(cls, path: str | Path, vocab: UtilityVocabulary | None = None) -> "TfIdfIndex":
@@ -289,6 +286,23 @@ class TfIdfIndex:
         if not all(type(p) is list and list(map(type, p)) == [str, str] for p in pairs):
             raise SchemaError(f"{where}: 'pairs' must be a list of [invocation, command] strings")
         return cls([(nl, cmd) for nl, cmd in pairs], vocab=vocab, normalize=normalize)
+
+
+def save_index(pairs: Sequence[tuple[str, str]], path: str | Path, normalize: bool) -> None:
+    """Write the index file of ``pairs``, from which ``TfIdfIndex.load`` builds the index.
+
+    The one writer of the format: nothing is tokenized, parsed or weighed
+    here. Raises EmptyCorpusError, before the file is opened, when ``pairs``
+    is empty, as building an index over them would.
+    """
+    if not pairs:
+        raise EmptyCorpusError("cannot index an empty corpus")
+    payload = {
+        "version": INDEX_FORMAT_VERSION,
+        "normalize": normalize,
+        "pairs": [[nl, cmd] for nl, cmd in pairs],
+    }
+    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
 def retrieve(index: TfIdfIndex, nlc: str, k: int, dedupe: bool = False) -> list[RetrievalHit]:

@@ -323,6 +323,50 @@ def test_index_and_eval_baseline(data_file, tmp_path, capsys):
     assert "Accuracy Score" in out
 
 
+def _index_data(tmp_path):
+    """A raw dataset with non-ASCII invocations and one rejected example, and its kept pairs."""
+    lines = [json.dumps(ex.to_record(), ensure_ascii=False) for ex in toy_corpus(40, seed=11)]
+    lines += [
+        json.dumps({"invocation": "liste les fichiers « récents » — ça va", "cmd": "ls -lt"},
+                   ensure_ascii=False),
+        json.dumps({"invocation": "ファイルを数える 📁", "cmd": ["ls | wc -l", "ls -1 | wc -l"]},
+                   ensure_ascii=False),
+        json.dumps({"invocation": "frobnicate ünïcode", "cmd": "frobnicate x"}, ensure_ascii=False),
+    ]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return raw, pairs_from_examples(filter_examples(load_examples(raw), VOCAB).kept)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_index_writes_the_file_of_the_index_over_the_kept_pairs(normalize, tmp_path, capsys):
+    raw, pairs = _index_data(tmp_path)
+    assert any(not nl.isascii() for nl, _ in pairs)
+    assert len(pairs) < len(pairs_from_examples(load_examples(raw)))  # a pair is rejected
+    out = tmp_path / "index.json"
+    argv = ["index", "--data", str(raw), "--out", str(out)] + ["--normalize"] * normalize
+    capsys.readouterr()
+    assert cli(argv) == 0
+    assert capsys.readouterr().out == f"indexed {len(pairs)} pairs -> {out}\n"
+    built = tmp_path / "built.json"
+    retrieval.TfIdfIndex(pairs, VOCAB, normalize).save(built)
+    assert out.read_bytes() == built.read_bytes()
+    loaded = retrieval.TfIdfIndex.load(out, VOCAB)
+    assert loaded.normalize is normalize
+    assert [(doc.invocation, doc.command) for doc in loaded.documents] == pairs
+
+
+@pytest.mark.parametrize("data", ["", '{"invocation": "x", "cmd": ["frobnicate x", "ls && rm x"]}\n'])
+def test_index_of_no_kept_pairs_is_a_data_error_and_writes_no_file(data, tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(data, encoding="utf-8")
+    out = tmp_path / "index.json"
+    capsys.readouterr()
+    assert cli(["index", "--data", str(raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: cannot index an empty corpus\n")
+    assert not out.exists()
+
+
 def test_eval_json_report(data_file, tmp_path):
     out_path = tmp_path / "report.json"
     for variant in ("raw", "normalize"):
@@ -448,8 +492,9 @@ def test_score_prediction_file(data_file, tmp_path, capsys):
 
 
 # Run in a fresh interpreter: numpy must stay unexecuted through the
-# commands that neither build nor query an index or a calibrator, and its
-# first import must come from inside nlbash.retrieval once one does.
+# commands that neither fit a calibrator nor query an index, and its first
+# import must come from inside nlbash.retrieval once one does. The steps run
+# in the order given, so each command that executes numpy gets its own child.
 NUMPY_CHILD = """
 import json, sys, traceback
 
@@ -464,7 +509,7 @@ sys.meta_path.insert(0, FirstNumpyImport())
 import nlbash
 from nlbash.cli import cli
 
-raw, preds = sys.argv[1:]
+raw, preds, *order = sys.argv[1:]
 steps = {
     "parse": ["parse", "ls -la | wc -l"],
     "filter": ["filter", "--data", raw, "--out", "kept.jsonl"],
@@ -472,17 +517,20 @@ steps = {
     "stats": ["stats", "--data", "kept.jsonl"],
     "score": ["score", "--pred", preds, "--refs", "kept.jsonl"],
     "index": ["index", "--data", "kept.jsonl", "--out", "index.json"],
+    "calibrate": ["calibrate", "--data", "kept.jsonl", "--out", "model.json"],
     "eval": ["eval", "--baseline", "tfidf", "--variant", "full", "--train", "kept.jsonl",
              "--data", "kept.jsonl", "--format", "json", "--out", "report.json"],
 }
 loaded = {"import nlbash": "numpy" in sys.modules}
-for name, argv in steps.items():
-    loaded[name] = (cli(argv), "numpy" in sys.modules)
+for name in order:
+    loaded[name] = (cli(steps[name]), "numpy" in sys.modules)
 print(json.dumps({"loaded": loaded, "first_import": FirstNumpyImport.where}))
 """
+WITHOUT_NUMPY = ("parse", "filter", "split", "stats", "score", "index")
 
 
-def test_only_commands_that_index_or_calibrate_execute_numpy(tmp_path):
+@pytest.mark.parametrize("numpy_step", ["calibrate", "eval"])
+def test_only_calibrate_and_eval_baseline_execute_numpy(numpy_step, tmp_path):
     examples = toy_corpus(60, seed=5)
     raw = tmp_path / "raw.jsonl"
     save_examples(examples, raw)
@@ -493,16 +541,15 @@ def test_only_commands_that_index_or_calibrate_execute_numpy(tmp_path):
     ), encoding="utf-8")
     src = Path(__file__).resolve().parents[1] / "src"
     child = subprocess.run(
-        [sys.executable, "-c", NUMPY_CHILD, str(raw), str(preds)],
+        [sys.executable, "-c", NUMPY_CHILD, str(raw), str(preds), *WITHOUT_NUMPY, numpy_step],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
     result = json.loads(child.stdout.splitlines()[-1])
     assert result["loaded"] == {
         "import nlbash": False,
-        **{name: [0, False] for name in ("parse", "filter", "split", "stats", "score")},
-        "index": [0, True],
-        "eval": [0, True],
+        **{name: [0, False] for name in WITHOUT_NUMPY},
+        numpy_step: [0, True],
     }
     package = [where for where in result["first_import"] if where[0].startswith(str(src))]
-    assert package[-1] == [str(src / "nlbash" / "retrieval.py"), "__init__"]
+    assert package[-1] == [str(src / "nlbash" / "retrieval.py"), "make_calibration_data"]
