@@ -9,8 +9,7 @@ wrote it, and read as ``"other"`` when absent, ``null`` or empty.
 Filtering keeps a reference command only when it parses and reconstructs
 byte-identically; an example survives when at least one reference does.
 ``parse`` enforces the utility whitelist at every nesting depth it parses,
-every unquoted substitution included; only one inside double quotes is
-argument text, so its command is not checked. Round-trip holds by
+every substitution included, quoted or not. Round-trip holds by
 construction (``reconstruct`` copies the gaps between tokens from the raw
 text), and the filter still checks it.
 

@@ -31,10 +31,14 @@ directly after ``|`` and at either end of the text or of a substitution; a
 redirect target is never read from the next line. A backslash-newline (a
 line continuation) is refused, and CR is word text.
 
-Every unquoted substitution is a nested command, also one inside a word
-(``x=$(cmd)``); only one inside double quotes (``"$(cmd)"``) stays opaque
-argument text, its utility neither checked nor templated. A substitution is
-its own scope: a ';' or '+' inside it never ends an enclosing ``-exec``.
+Every substitution is a nested command, also one inside a word
+(``x=$(cmd)``) or a string (``"$(cmd)"``), and its own scope: a ';' or '+'
+inside it never ends an enclosing ``-exec``. A word that substitutions
+split is erased once, by its piece before the first (``x=$(ls)y`` erases
+one word, ``$(ls)y`` none), and a piece after a substitution is never a
+flag, an ``-exec`` end word or a wrapper's target. A quoted or escaped
+command word (``\\rm``, ``'rm'``, ``"ls"``) names the utility that Bash's
+quote removal leaves, and is never a reserved word or the ``time`` keyword.
 
 Each simple command records its flag names in ``SimpleCommand.flags``, read
 with the vocabulary at parse time: ``--name=value`` gives ``name``, a
@@ -44,12 +48,11 @@ ends the options (POSIX utility syntax guideline 10), so ``rm -- -rf`` is
 ``rm[]``, also inside an ``-exec`` payload; a wrapper, and a utility with
 unsplittable flags (find's primaries are no options), read on past it.
 
-The lexer reads a plain word, with no quote, escape, ``$`` or ``#`` to
-read and a blank, ``|`` or the end of the text right after it, together
-with the blanks before it in one match of ``_PLAIN``; most words are plain.
-Any other word it reads with one compiled pattern, ``_WORD``: quoted
-strings (a ``$( )`` or backtick substitution inside ``"..."`` read whole,
-``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
+The lexer reads a plain word, with no quote, escape, ``$`` or ``#`` to read
+and a blank, ``|`` or the end of the text right after it, together with the
+blanks before it in one match of ``_PLAIN``; most words are plain. Any other
+word it reads with one compiled pattern, ``_WORD``: quoted strings
+(``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
 stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
 a backtick, or a ``$(``, ends it. Other whitespace (CR, ``\\x0b``,
 ``\\xa0``) is word text, and only ASCII digits name a redirect's file
@@ -90,12 +93,13 @@ _SEMIS = frozenset({"\\;", "';'", '";"'})
 _PLUSES = frozenset({"+", "\\+", "'+'", '"+"'})
 _BRACES = frozenset({"{}", "'{}'", '"{}"', "\\{\\}"})
 
+# Bash's reserved words but 'time', which parse reads as the utility.
 _RESERVED_WORDS = frozenset(
-    "if then elif else fi for while until do done case esac function select coproc in".split()
+    "if then elif else fi for while until do done case esac function select coproc in { } [[ ]] !".split()
 )
 # What Bash refuses right after its 'time' keyword: a '|', or a word it
 # reads as reserved there.
-_TIMED_STOPS = _RESERVED_WORDS | {"|", "{", "}", "[[", "]]", "!"}
+_TIMED_STOPS = _RESERVED_WORDS | {"|"}
 
 # Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
 # backtick substitutions) that parse accepts; deeper text is refused
@@ -134,10 +138,9 @@ class SimpleCommand(NamedTuple):
     ``flags`` holds its flag names, without dashes. ``erased_args`` counts
     the words a template erases: plain arguments, the value of
     ``--name=value`` (also of ``--=v``) and redirect targets. ``nested``
-    holds the commands this stage runs itself — the target of a wrapper
-    like sudo/xargs, an ``-exec`` payload, or the stages of a ``$( )`` /
-    backtick substitution outside double quotes — in source order. Like
-    every parse record, it is a named tuple.
+    holds the commands this stage runs itself — the target of a wrapper like
+    sudo/xargs, an ``-exec`` payload, or the stages of a substitution — in
+    source order. Like every parse record, it is a named tuple.
     """
 
     utility: str
@@ -181,8 +184,8 @@ _REDIRECT_START = frozenset("<>&0123456789")
 # A word: any mix of unquoted characters other than space, tab, LF and
 # |;&<>()` (CR is word text), '$' pieces, whole '...', $'...' and "..."
 # strings, and escapes of any character but LF. Each piece ends where Bash
-# ends it; a substitution nested deeper than below is left out, so the word
-# stops at it. _WORD_ERRORS names each stop that is an error.
+# ends it; a substitution ends the word, also inside a "..." that it leaves
+# open (group 1). _WORD_ERRORS names each stop that is an error.
 _BARE = r"""\$\$|\$(?![({[])"""  # inside "...", '$$' or a '$' that opens nothing
 _QUOTED = r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE  # text inside "..." with no substitution
 # Outside "...", a whole $'...' (a backslash escapes any character, a quote
@@ -191,15 +194,10 @@ _UNQUOTED = r"""\$'(?:[^'\\]|\\.)*'|\$\$|\$(?![({['])"""
 # A whole '${...}', closed at its first '}' outside quotes and escapes (a
 # '<(' or '>(' in it opens a substitution):
 _BRACE = r"""\$\{(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*'|"%s")*\}""" % (_UNQUOTED, _QUOTED)
-# Inside "...", also a backtick substitution and a '$(...)' closed at its
-# first ')' outside quotes and escapes, so that a '"' inside either does not
-# end the string; a '#' that starts a word there opens a comment, which
-# would hide that ')', so it ends the piece:
-_DOUBLE = r"""(?:[^"\\$`]|\\.|%s|%s|`(?:[^`\\]|\\.)*`|\$\((?:[^()`'"\\$#]|(?<![ \t\n|;&<>(])#|\\.|%s|%s|'[^']*'|"%s")*\))*""" % (
-    _BARE, _BRACE, _UNQUOTED, _BRACE, _QUOTED
-)
+# Inside "...", also a whole '${...}'; a '$(' or a backtick ends it:
+_DOUBLE = re.compile(r"""(?:[^"\\$`]|\\.|%s|%s)*""" % (_BARE, _BRACE), re.S)
 _WORD = re.compile(
-    r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*""" % (_UNQUOTED, _BRACE, _DOUBLE), re.S
+    r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*(?:(")%s(?=\$\(|`))?""" % (_UNQUOTED, _BRACE, _DOUBLE.pattern, _DOUBLE.pattern), re.S
 )
 # A plain word and the blanks before it: no quote, escape or '$' to read,
 # no '#' to open a comment, and a blank, '|' or the end right after, so no
@@ -224,7 +222,7 @@ _WORD_ERRORS = {
 def tokenize(text: str) -> list[Token]:
     """Lex command text into tokens. Raises BashSyntaxError."""
     tokens: list[Token] = []
-    stack: list[str] = []  # open substitution delimiters: '(' or '`'
+    stack: list[str] = []  # open contexts: '(' or '`' of a substitution, '"' around one
     plain = _PLAIN.match  # read per call, so a test can switch the fast path off
     i = 0
     n = len(text)
@@ -282,24 +280,29 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(_new(Token, (_SUBST_OPEN, "$(", i, i + 2)))
             stack.append("(")
             i += 2
-        elif c == "`":
-            if stack and stack[-1] == "`":
-                tokens.append(_new(Token, (_SUBST_CLOSE, "`", i, i + 1)))
-                stack.pop()
-            else:
-                tokens.append(_new(Token, (_SUBST_OPEN, "`", i, i + 1)))
-                stack.append("`")
+        elif c == "`" and not (stack and stack[-1] == "`"):
+            if "`" in stack and stack[-1] == '"':  # Bash ends the substitution here
+                raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
+            tokens.append(_new(Token, (_SUBST_OPEN, "`", i, i + 1)))
+            stack.append("`")
             i += 1
-        elif c == ")":
-            if stack and stack[-1] == "(":
-                tokens.append(_new(Token, (_SUBST_CLOSE, ")", i, i + 1)))
-                stack.pop()
-                i += 1
-            else:
+        elif c == ")" or c == "`":  # a close
+            if c == ")" and not (stack and stack[-1] == "("):
                 raise BashSyntaxError("unbalanced ')'")
+            tokens.append(_new(Token, (_SUBST_CLOSE, c, i, i + 1)))
+            stack.pop()
+            i += 1
+            if stack and stack[-1] == '"':  # the string resumes, to its closing quote or the next substitution
+                j = _DOUBLE.match(text, i).end()
+                if text.startswith('"', j):
+                    stack.pop()
+                    j += 1
+                if j > i:  # the rest of the word, if any, is the next word token
+                    tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))
+                i = j
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
-        elif c == "#" and not (tokens and tokens[-1].end == i and tokens[-1].kind is _SUBST_CLOSE):
+        elif c == "#" and not (tokens and tokens[-1].end == i and tokens[-1].kind in (_WORD_KIND, _SUBST_CLOSE)):
             # a '#' that starts a word opens a comment, to the end of the line;
             # Bash ends a backtick substitution before it reads one inside it
             if "`" in stack:
@@ -307,8 +310,11 @@ def tokenize(text: str) -> list[Token]:
             j = text.find("\n", i)
             i = n if j < 0 else j
         else:
-            j = _WORD.match(text, i).end()
-            if j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
+            m = _WORD.match(text, i)
+            j = m.end()
+            if m[1]:  # a "..." that a substitution interrupts stays open
+                stack.append('"')
+            elif j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
                 error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
                 if error is not None:  # else a '$(' that opens a substitution
                     raise BashSyntaxError(error)
@@ -317,7 +323,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))  # any other stop has a branch above
             i = j
     if stack:
-        raise BashSyntaxError("unterminated command substitution")
+        raise BashSyntaxError("unbalanced double quote" if stack[-1] == '"' else "unterminated command substitution")
     return tokens
 
 
@@ -327,6 +333,27 @@ def tokenize(text: str) -> list[Token]:
 
 def _is_flag_word(text: str) -> bool:
     return text.startswith("-") and len(text) > 1 and text != "--"
+
+
+# A command word with a quote or a backslash but no '$' or backtick, and the
+# pieces of Bash's quote removal: an escape, a '...', or a "..." in which a
+# backslash escapes only '"', itself and a newline.
+_QUOTED_NAME = re.compile(r"""[^$`]*['"\\][^$`]*""")
+_QUOTE_PIECE = re.compile(r"""\\(.)|'([^']*)'|"((?:[^"\\]|\\.)*)\"""", re.S)
+_ESCAPE_IN_DOUBLE = re.compile(r'\\(["\\])|\\\n')
+
+
+def _unquoted(m: re.Match[str]) -> str:
+    piece = m[m.lastindex]
+    return _ESCAPE_IN_DOUBLE.sub(r"\1", piece) if m.lastindex == 3 else piece
+
+
+def _unquoted_lookup(vocab: UtilityVocabulary, word: str) -> str | None:
+    """``vocab.lookup`` of a quoted or escaped command word (``\\rm``, ``'rm'``,
+    ``"ls"``) after Bash's quote removal; None for any other word."""
+    if _QUOTED_NAME.fullmatch(word) is None:
+        return None
+    return vocab.lookup(_QUOTE_PIECE.sub(_unquoted, word))
 
 
 class _Cursor:
@@ -352,7 +379,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     word = tok.text
     if word in _RESERVED_WORDS:
         raise BashSyntaxError(f"shell control flow ({word!r}) is not supported")
-    utility = vocab.lookup(word)
+    utility = vocab.lookup(word) or _unquoted_lookup(vocab, word)
     if utility is None:
         raise UnknownUtilityError(word)
     glued = tokens[cur.pos]
@@ -387,7 +414,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
                 else:  # a bundle, -la: one flag per character
                     flags.update(name)
                 continue
-            if may_wrap and vocab.lookup(text) is not None:
+            if may_wrap and (vocab.lookup(text) or _unquoted_lookup(vocab, text)):
                 nested.append(_parse_simple(cur, vocab, in_exec))
                 break
             if text == "--" and not (may_wrap or unsplittable):
@@ -406,6 +433,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         if kind is _SUBST_OPEN:
             nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
             cur.pos += 1  # only at the close that tokenize paired with this open
+            while (rest := tokens[cur.pos]) is not None and rest.kind is _WORD_KIND and rest.start == tokens[cur.pos - 1].end:
+                cur.pos += 1  # the rest of the word the substitution is in, counted with it
             continue
         # REDIRECT: fd duplications like 2>&1 are self-contained; everything
         # else, &> included, consumes the following word as its target.
@@ -422,8 +451,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
 
 def _parse_exec_payload(cur: _Cursor, vocab: UtilityVocabulary, flag: str) -> SimpleCommand | None:
     tok = cur.tokens[cur.pos]
-    if tok is None or tok.kind is not _WORD_KIND or _is_flag_word(tok.text):
-        return None  # bare -exec with no payload; leave the stream alone
+    if tok is None or tok.kind is not _WORD_KIND or tok.text == '"' or _is_flag_word(tok.text):
+        return None  # bare -exec, or one led by a substitution, quoted or not; leave the stream alone
     if tok.text in _SEMIS:  # GNU find refuses it too: "invalid argument `;' to `-exec'"
         raise BashSyntaxError(f"'-{flag}' has no command before {tok.text!r}")
     payload = _parse_simple(cur, vocab, in_exec=True)

@@ -45,7 +45,7 @@ ERASED = {
     "echo done >> log.txt": [("echo", 2)],  # 'done' and the redirect target
     "sudo chown root process": [("sudo", 0), ("chown", 2)],
     "find . -name x -exec rm -f {} \\;": [("find", 2), ("rm", 1)],
-    'ls "$(frobnicate)"': [("ls", 1)],  # a double-quoted substitution is argument text
+    'cd "$(dirname x)"': [("cd", 1), ("dirname", 1)],  # a double-quoted substitution is a command
 }
 
 

@@ -206,6 +206,7 @@ def test_filter_keeps_parseable(tmp_path):
         "sudo ls | frobnicate",
         "echo x=$(frobnicate)",
         "echo a`frobnicate`b",
+        'ls "$(frobnicate)"',
     ],
 )
 def test_filter_rejects_non_whitelist_utility(cmd):

@@ -49,6 +49,8 @@ GOLDEN = [
     ("mkdir directory", "touch directory", -1.0),
     ("df --total | tail -n 1", "tail -n 1 | df --total", -1.0),
     ("find / -name linux", "find / -EXdsx -name linux", 0.1666),
+    ("rm -rf x", "\\rm -rf x", 1.0),  # Bash runs rm for the escaped command word
+    ("cd $(dirname x)", 'cd "$(dirname x)"', 1.0),  # and reads the quoted substitution
 ]
 
 

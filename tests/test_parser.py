@@ -511,7 +511,7 @@ GOLDEN = [
     ('find . -exec echo $(ls +) \\;', ('find', 'find[exec] | echo[] | ls[]', (1, 0, 1))),
     ('find . -exec echo `ls +` +', ('find', 'find[exec] | echo[] | ls[]', (1, 1, 1))),
     ('echo $(ls /tmp | wc -l)', ('echo', 'echo[] | ls[] | wc[l]', (0, 1, 0))),
-    ('echo prefix$(date)suffix', ('echo', 'echo[] | date[]', (2, 0))),
+    ('echo prefix$(date)suffix', ('echo', 'echo[] | date[]', (1, 0))),
     ('ls &> out.txt', ('ls', 'ls[]', (1,))),
     ('ls &>> out.txt', ('ls', 'ls[]', (1,))),
     ('ls >&- x', ('ls', 'ls[]', (1,))),
@@ -524,9 +524,9 @@ GOLDEN = [
     ('ls --=v', ('ls', 'ls[]', (1,))),
     ('find / -EXdsx -name linux', ('find', 'find[E,X,d,name,s,x]', (2,))),
     ('grep -ok x f', ('grep', 'grep[k,o]', (2,))),
-    ('ls "$(frobnicate)"', ('ls', 'ls[]', (1,))),
+    ('ls "$(frobnicate)"', UnknownUtilityError('frobnicate')),
     ('echo x=$(ls)', ('echo', 'echo[] | ls[]', (1, 0))),
-    ('echo a`ls`b', ('echo', 'echo[] | ls[]', (2, 0))),
+    ('echo a`ls`b', ('echo', 'echo[] | ls[]', (1, 0))),
     ('tail -n 1', ('tail', 'tail[n]', (1,))),
     ('echo "$("', BashSyntaxError('unbalanced double quote')),
     ('echo "${"', BashSyntaxError('unbalanced double quote')),
@@ -538,15 +538,15 @@ GOLDEN = [
     ('echo >#x', BashSyntaxError("redirect '>' is missing its target")),
     ("ls #'\n'", BashSyntaxError('unbalanced single quote')),
     ('x=$(ls)#y', UnknownUtilityError('x=')),
-    ('echo `ls`#x', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo `ls`#x', ('echo', 'echo[] | ls[]', (0, 0))),
     ('echo $(ls # c\n)', ('echo', 'echo[] | ls[]', (0, 0))),
     ('ls |# a\n# b\nwc', ('ls | wc', 'ls[] | wc[]', (0, 0))),
     ('echo `ls #`x', BashSyntaxError('comments inside a backtick substitution are not supported')),
-    ('echo "$(ls #)"', BashSyntaxError('unbalanced double quote')),
-    ('echo "$(ls a#b)"', ('echo', 'echo[]', (1,))),
-    ('echo $(ls)#x', ('echo', 'echo[] | ls[]', (1, 0))),
-    ('echo "$(ls)"', ('echo', 'echo[]', (1,))),
-    ('echo "`date`"', ('echo', 'echo[]', (1,))),
+    ('echo "$(ls #)"', BashSyntaxError('unterminated command substitution')),
+    ('echo "$(ls a#b)"', ('echo', 'echo[] | ls[]', (1, 1))),
+    ('echo $(ls)#x', ('echo', 'echo[] | ls[]', (0, 0))),
+    ('echo "$(ls)"', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo "`date`"', ('echo', 'echo[] | date[]', (1, 0))),
     ('echo "${a}b"', ('echo', 'echo[]', (1,))),
     ("echo $'a\\'b'", ('echo', 'echo[]', (1,))),
     ("echo $'\\'' '", BashSyntaxError('unbalanced single quote')),
@@ -559,12 +559,12 @@ GOLDEN = [
     ('echo ${x:-"d"}', ('echo', 'echo[]', (1,))),
     ('echo ${x:-"}"}', ('echo', 'echo[]', (1,))),
     ('echo ${x:-"}', BashSyntaxError("unterminated '${'")),
-    ('cd "$(dirname "$0")"', ('cd', 'cd[]', (1,))),
-    ('echo "$(basename $f)"', ('echo', 'echo[]', (1,))),
-    ('mkdir "$(date +"%F")"', ('mkdir', 'mkdir[]', (1,))),
-    ("echo \"$(awk '{print $1}' f)\"", ('echo', 'echo[]', (1,))),
-    ('echo "a`b"c`d"', ('echo', 'echo[]', (1,))),
-    ('echo "$(echo "$(ls)")"', BashSyntaxError('unbalanced double quote')),
+    ('cd "$(dirname "$0")"', ('cd', 'cd[] | dirname[]', (1, 1))),
+    ('echo "$(basename $f)"', ('echo', 'echo[] | basename[]', (1, 1))),
+    ('mkdir "$(date +"%F")"', ('mkdir', 'mkdir[] | date[]', (1, 1))),
+    ("echo \"$(awk '{print $1}' f)\"", ('echo', 'echo[] | awk[]', (1, 2))),
+    ('echo "a`b"c`d"', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo "$(echo "$(ls)")"', ('echo', 'echo[] | echo[] | ls[]', (1, 1, 0))),
     ('echo $[1]', BashSyntaxError('arithmetic expansion is not supported')),
     ('ls >>&1', BashSyntaxError('bad redirect at offset 3')),
     ('find -- . -name x', ('find', 'find[name]', (3,))),
@@ -591,7 +591,7 @@ GOLDEN = [
     ('time }', BashSyntaxError("'time' has no command before '}'")),
     ('time ! ls', BashSyntaxError("'time' has no command before '!'")),
     ("echo ${x:-$'a\\'b'}", ('echo', 'echo[]', (1,))),
-    ("echo \"$(echo $'\\'')\"", ('echo', 'echo[]', (1,))),
+    ("echo \"$(echo $'\\'')\"", ('echo', 'echo[] | echo[]', (1, 1))),
     ('echo $$ $${x}', ('echo', 'echo[]', (2,))),
     ('echo "$$(ls)"', ('echo', 'echo[]', (1,))),
     ('echo $$(ls)', BashSyntaxError('subshells are not supported')),
@@ -614,6 +614,43 @@ GOLDEN = [
     ("echo `ls '`' `", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
     ('echo `echo "`ls`"`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
     ("echo `ls '\\`'`", ('echo', 'echo[] | ls[]', (0, 1))),
+    # A substitution inside "..." is a command, as outside. A word that
+    # substitutions split is erased once, by its piece before the first, and
+    # a piece glued behind one is never a flag or a wrapper's target.
+    ('cd "$(dirname x)"', ('cd', 'cd[] | dirname[]', (1, 1))),
+    ('kill "$( jobs -p )"', ('kill', 'kill[] | jobs[p]', (1, 0))),
+    ('echo x=$(ls)y', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo $(ls)y', ('echo', 'echo[] | ls[]', (0, 0))),
+    ('echo $(ls)-la', ('echo', 'echo[] | ls[]', (0, 0))),
+    ('sudo $(ls)rm', ('sudo', 'sudo[] | ls[]', (0, 0))),
+    ('echo "a$(pwd)$(ls)b"c "$(date)"\'q\'', ('echo', 'echo[] | pwd[] | ls[] | date[]', (2, 0, 0, 0))),
+    ('ls > "$(pwd)"', ('ls', 'ls[] | pwd[]', (1, 0))),
+    ('find . -exec "$(ls)" \\;', ('find', 'find[exec] | ls[]', (3, 0))),
+    ('find . -exec $(ls) \\;', ('find', 'find[exec] | ls[]', (2, 0))),
+    ('echo "$(ls)', BashSyntaxError('unbalanced double quote')),
+    ('echo "$(ls', BashSyntaxError('unterminated command substitution')),
+    ('echo "$(ls)$[1]"', BashSyntaxError('arithmetic expansion is not supported')),
+    ('echo "$((1))"', BashSyntaxError('arithmetic expansion is not supported')),
+    ('echo "$(;)"', BashSyntaxError('empty pipeline stage')),
+    ('echo "$(>>)"', BashSyntaxError('empty pipeline stage')),
+    ('time "$(!)"', BashSyntaxError("shell control flow ('!') is not supported")),
+    ('"$(ls)"', UnknownUtilityError('"')),
+    # A quoted or escaped command word names the utility that quote removal
+    # leaves; it is never a reserved word or the 'time' keyword.
+    ('\\rm -rf x', ('rm', 'rm[f,r]', (1,))),
+    ("'rm' -rf x", ('rm', 'rm[f,r]', (1,))),
+    ('"ls" -la', ('ls', 'ls[a,l]', (0,))),
+    ('sudo \\rm x', ('sudo', 'sudo[] | rm[]', (0, 1))),
+    ("find . -exec 'rm' {} +", ('find', 'find[exec] | rm[]', (1, 1))),
+    ('"/bin/rm" x', ('rm', 'rm[]', (1,))),
+    ('l"s" -l', ('ls', 'ls[l]', (0,))),
+    ('"time" -p | wc', ('time | wc', 'time[p] | wc[]', (0, 0))),
+    ('"if" x', UnknownUtilityError('"if"')),
+    ('"l\\s"', UnknownUtilityError('"l\\s"')),
+    ('"ls$(pwd)"', UnknownUtilityError('"ls')),
+    ('"ls"$(pwd)', BashSyntaxError('command name \'"ls"\' is glued to a substitution')),
+    ('! ls', BashSyntaxError("shell control flow ('!') is not supported")),
+    ('[[ -f x ]]', BashSyntaxError("shell control flow ('[[') is not supported")),
 ]
 
 
@@ -656,7 +693,8 @@ def test_parse_outcomes_of_the_generated_corpora_match_the_pin():
 # quote or a redirect target, a comment that a backtick ends before the
 # line does, a quoted backtick that ends the backtick substitution around
 # it, '>>&', '$[', a '$'...'' whose escaped quote leaves it open, a '$$'
-# read as '$' and '${', and a leading 'time' keyword that times no command.
+# read as '$' and '${', a leading 'time' keyword that times no command, and
+# a substitution inside "..." that names no command.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
     "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
@@ -664,7 +702,7 @@ BASH_PINNED = [
     "echo $(ls #)", 'echo "$(ls #)"', "echo >#x", "ls #'\n'", "echo `ls #`\n`",
     "ls >>&-", "echo $[", "echo $'\\'' '", "echo ${x:-$'\\'}''", "echo \"${x:-$'\\'}\"",
     "time | wc", "time -p -- | wc", "time time | wc", "time }", "time $${\n;ls #}",
-    "echo `ls '`' `",
+    "echo `ls '`' `", 'echo "$(;)"', 'echo "$(>>)"', 'time "$(!)"',
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -716,6 +754,91 @@ def test_bash_hands_find_what_each_exec_end_spelling_stands_for(word, find_reads
 @given(shell_text)
 def test_bash_reads_every_generated_text_parse_accepts(text):
     _assert_bash_reads_what_parse_accepts(text)
+
+
+def _bash_prints_otherwise(ast):
+    """Whether Bash may print the text back with another template: it drops a
+    NUL as it reads, prints the 'time' keyword's '--' as '-p', and prints
+    every redirect after the words of its command. A moved redirect target
+    runs its substitutions after theirs, or stops a '{}' from ending an
+    -exec payload before '+'. Counted loosely: a word that starts apart from
+    the token before it, after a redirect and its target in the same
+    pipeline stage."""
+    texts = [tok.text for tok in ast.tokens]
+    if "\0" in ast.raw or any(t == "time" and "--" in texts[i + 1 : i + 3] for i, t in enumerate(texts)):
+        return True
+    redirected = [False]  # per open substitution: a redirect in its current stage
+    end, target_next = None, False
+    for tok in ast.tokens:
+        kind = tok.kind
+        if kind in (TokenKind.WORD, TokenKind.SUBST_OPEN) and tok.start != end and redirected[-1] and not target_next:
+            return True
+        target_next = kind is TokenKind.REDIRECT and "&" not in tok.text[1:]
+        if kind is TokenKind.REDIRECT:
+            redirected[-1] = True
+        elif kind is TokenKind.PIPE:
+            redirected[-1] = False
+        elif kind is TokenKind.SUBST_OPEN:
+            redirected.append(False)
+        elif kind is TokenKind.SUBST_CLOSE:
+            redirected.pop()
+        end = tok.end
+    return False
+
+
+@pytest.fixture(scope="module")
+def bash_home(tmp_path_factory):
+    return tmp_path_factory.mktemp("bash_home")
+
+
+def _assert_bash_reprints_the_template(text, home):
+    """Wrap an accepted text as ``f() {⏎text⏎}``, let Bash define f and print
+    it back with ``declare -f f``, and parse the body. Bash runs with only a
+    PATH that points nowhere, in a directory of its own, and only once
+    ``bash -n`` has accepted the wrapper: parse accepts no ';', '&' or
+    newline in command position, so it is one definition, which runs
+    nothing."""
+    try:
+        ast = parse(text, VOCAB)
+    except NlbashError:
+        return
+    if _bash_prints_otherwise(ast):
+        return
+    wrapper = f"f() {{\n{text}\n}}\n".encode("utf-8", "surrogatepass")
+    env = {"PATH": str(home / "nowhere")}
+    checked = subprocess.run([_BASH, "--norc", "--noprofile", "-n"], input=wrapper, env=env, cwd=home, capture_output=True)
+    assert checked.returncode == 0, (text, checked.stderr)
+    done = subprocess.run(
+        [_BASH, "--norc", "--noprofile"], input=wrapper + b"declare -f f\n", env=env, cwd=home, capture_output=True
+    )
+    printed = done.stdout.decode("utf-8", "surrogatepass")
+    body = printed[printed.index("{ \n") + 3 : printed.rindex("}")]
+    assert normalize_template(parse(body, VOCAB)) == normalize_template(ast), (text, body)
+
+
+@needs_bash
+@pytest.mark.parametrize("text", [t for t, out in GOLDEN if not isinstance(out, NlbashError)], ids=repr)
+def test_bash_reprints_every_golden_text_parse_accepts_with_its_template(text, bash_home):
+    _assert_bash_reprints_the_template(text, bash_home)
+
+
+@needs_bash
+@settings(max_examples=300, deadline=None)
+@given(shell_text)
+def test_bash_reprints_every_generated_text_parse_accepts_with_its_template(bash_home, text):
+    _assert_bash_reprints_the_template(text, bash_home)
+
+
+@pytest.mark.parametrize(
+    "text, otherwise",
+    [
+        ("ls > f", False), ("ls > f | wc x", False), ('ls > "$(pwd)"', False), ("ls 2>&1", False),
+        ("ls > f x", True), ("ls 2>&1 x", True), ("echo > f $(ls)", True), ("echo $(ls > f x)", True),
+        ("time -- ls", True), ("time -p -- ls", True), ("ls \0", True),
+    ],
+)
+def test_the_reprint_oracle_leaves_out_what_bash_prints_otherwise(text, otherwise):
+    assert _bash_prints_otherwise(parse(text, VOCAB)) is otherwise
 
 
 @settings(max_examples=400, deadline=None)
@@ -817,7 +940,36 @@ def _split_a_flag_bundle(ast):
             yield text[:tok.start] + " ".join(f"-{c}" for c in tok.text[1:]) + text[tok.end:]
 
 
-SPELLING_REWRITES = [_quote_a_plain_argument, _split_a_flag_bundle]
+def _quote_a_substitution_word(ast):
+    """One text per word that is one whole ``$( )`` substitution, that word
+    double-quoted."""
+    text, tokens = ast.raw, ast.tokens
+    opens = []
+    for i, tok in enumerate(tokens):
+        if tok.kind is TokenKind.SUBST_OPEN:
+            opens.append(i)
+        elif tok.kind is TokenKind.SUBST_CLOSE:
+            j = opens.pop()
+            first = tokens[j]
+            glued_before = j > 0 and tokens[j - 1].end == first.start
+            glued_after = i + 1 < len(tokens) and tokens[i + 1].start == tok.end
+            if first.text == "$(" and not glued_before and not glued_after:
+                yield f'{text[:first.start]}"{text[first.start:tok.end]}"{text[tok.end:]}'
+
+
+def _quote_a_command_word(ast):
+    """Three texts per plain word that names a utility, that word
+    single-quoted, double-quoted or led by a backslash. Bash removes the
+    quotes before it runs a command word, and any other such word stays an
+    argument."""
+    text = ast.raw
+    for tok in ast.tokens:
+        if tok.kind is TokenKind.WORD and _PLAIN_ARGUMENT.fullmatch(tok.text) and VOCAB.lookup(tok.text):
+            for spelled in (f"'{tok.text}'", f'"{tok.text}"', f"\\{tok.text}"):
+                yield text[:tok.start] + spelled + text[tok.end:]
+
+
+SPELLING_REWRITES = [_quote_a_plain_argument, _split_a_flag_bundle, _quote_a_substitution_word, _quote_a_command_word]
 _GENERATED = command_corpus(5000, seed=0)
 
 
@@ -836,7 +988,10 @@ def test_spelling_rewrites_of_the_generated_corpus_keep_the_template():
         rewrite.__name__: sum(_rewrites_keeping_the_template(text, rewrite) > 0 for text in _GENERATED)
         for rewrite in SPELLING_REWRITES
     }
-    assert rewritten == {"_quote_a_plain_argument": 4333, "_split_a_flag_bundle": 455}
+    assert rewritten == {
+        "_quote_a_plain_argument": 4333, "_split_a_flag_bundle": 455,
+        "_quote_a_substitution_word": 46, "_quote_a_command_word": 5000,
+    }
 
 
 @pytest.mark.parametrize("rewrite", SPELLING_REWRITES, ids=lambda f: f.__name__)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nlbash.errors import UnknownUtilityError
 from nlbash.parser import parse
 from nlbash.template import TemplateCommand, TemplateUnit, flatten_utilities, normalize_template
 from nlbash.vocab import default_vocabulary, parse_vocabulary
@@ -88,10 +89,13 @@ def test_exec_flags_open_a_payload_only_where_the_vocabulary_lists_them():
     assert template_of("grep -ok x f").units == (TemplateUnit("grep", frozenset({"k", "o"})),)
 
 
-def test_double_quoted_substitution_stays_argument_text():
-    t = template_of('ls "$(frobnicate)"')
-    assert t.units == (TemplateUnit("ls", frozenset()),)
-    assert erased_counts('ls "$(frobnicate)"') == (1,)
+def test_double_quoted_substitution_is_a_nested_command():
+    t = template_of('cd "$(dirname x)"')
+    assert t == template_of("cd $(dirname x)")
+    assert t.units == (TemplateUnit("cd", frozenset()), TemplateUnit("dirname", frozenset()))
+    assert erased_counts('cd "$(dirname x)"') == (1, 1)  # the two quote pieces are one word
+    with pytest.raises(UnknownUtilityError):
+        parse('ls "$(frobnicate)"', VOCAB)
 
 
 def test_equality_ignores_erased_arg_counts():
