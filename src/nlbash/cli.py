@@ -38,7 +38,7 @@ from .retrieval import (
     train_calibrator,
 )
 from .template import flatten_utilities, normalize_template
-from .vocab import default_vocabulary, load_vocabulary
+from .vocab import UtilityVocabulary, default_vocabulary, load_vocabulary
 
 
 class UsageError(Exception):
@@ -316,7 +316,9 @@ def cli(argv=None) -> int:
     try:
         if "vocab" not in args:  # split reads no vocabulary
             return args.func(args)
-        vocab = load_vocabulary(args.vocab) if args.vocab else default_vocabulary()
+        # A vocabulary object of its own, so that the template table its
+        # filters fill is freed when the command returns.
+        vocab = load_vocabulary(args.vocab) if args.vocab else UtilityVocabulary(default_vocabulary().flags)
         return args.func(args, vocab)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,10 +13,11 @@ every substitution included, quoted or not. Round-trip holds by
 construction (``reconstruct`` copies the gaps between tokens from the raw
 text), and the filter still checks it.
 
-The filter also records the template of each reference it keeps in the
-vocabulary's template table, after emptying it, so the commands that read
-the kept references next (``evaluate``, the TF-IDF index and
-``utility_histogram``) parse none of them again.
+The filter also adds the template of each reference it keeps to the
+vocabulary's template table, so the commands that read the kept references
+next (``evaluate``, the TF-IDF index and ``utility_histogram``) parse none
+of them again, and a second filter with the same vocabulary object parses
+none that the first kept.
 """
 
 from __future__ import annotations
@@ -217,18 +218,18 @@ def filter_examples(
 
     Surviving references replace the original list (an example whose
     references all survive is kept as it is); an example with no survivors
-    is rejected with the reason of its first failing reference. The
-    vocabulary's template table is emptied and then holds the template of
-    every kept reference, each distinct text checked once.
+    is rejected with the reason of its first failing reference. The template
+    of every kept reference is added to the vocabulary's table (to none for
+    ``vocab=None``), and each distinct text is checked once: a text the table
+    holds already passes.
     """
     templates = _filtered_templates(vocab)
-    templates.clear()
     report = FilterReport()
     for ex in examples:
         survivors: list[str] = []
         first_reason: RejectReason | None = None
         for ref in ex.references:
-            # A text already kept in this run passes again: no second parse.
+            # A text this vocabulary's filters kept passes again: no second parse.
             reason = None if ref in templates else _check_reference(ref, vocab, templates)
             if reason is None:
                 survivors.append(ref)
@@ -315,7 +316,7 @@ def utility_histogram(
     """Count flattened utilities across all references, most frequent first.
 
     Expects pre-filtered references (every command must parse). A reference
-    the last filter kept is read from its recorded template, whose units
+    a filter kept with ``vocab`` is read from its recorded template, whose units
     name the same utilities in the same order; any other is parsed. Ties
     break lexicographically.
     """

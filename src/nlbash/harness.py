@@ -5,8 +5,8 @@ at most k (command, confidence) pairs. The harness times the predict call
 alone (monotonic clock), parses each predicted command, and scores its
 template against all reference templates. Each distinct command text,
 reference or prediction, is parsed and templated at most once per
-``evaluate`` call, and not at all when the last corpus filter on the
-vocabulary kept it as a reference: its template is read from the
+``evaluate`` call, and not at all when a corpus filter with the same
+vocabulary object kept it as a reference: its template is read from the
 vocabulary's table. A prediction the parser rejects scores -delta, each
 time a prediction names it — a command outside the grammar can never match a
 reference, and silently dropping it would game the averaging branch. A

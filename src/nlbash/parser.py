@@ -5,18 +5,19 @@ commands, each a utility followed by flags, arguments, redirects,
 ``$( )`` / backtick substitutions, and an ``-exec utility ...`` payload
 after an exec flag the vocabulary lists for that utility (find's). Anything
 else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
-here-docs, process substitution, arithmetic, control flow, a comment or a
-quoted backtick inside a backtick substitution, a command name glued to a
-substitution (``ls$(cmd)``), a leading ``time`` keyword that times no
-command (``time -p | wc``), nesting deeper than MAX_NESTING_DEPTH — raises
-BashSyntaxError, which is exactly how corpus filtering rejects it.
+here-docs, process substitution, arithmetic, control flow, a backtick
+inside a string, ``${...}`` or ``$( )`` inside a backtick substitution, a
+command name glued to a substitution (``ls$(cmd)``), a leading ``time``
+keyword that times no command (``time -p | wc``), nesting deeper than
+MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
+filtering rejects it.
 
-An ``-exec`` payload ends where GNU find ends it: at a word that find
-reads as ``;`` once Bash has removed its quotes (``\\;``, ``';'``,
-``";"``), or at one it reads as ``+`` (``+``, ``\\+``, ``'+'``, ``"+"``)
-right after one it reads as ``{}`` (``{}``, ``'{}'``, ``"{}"``,
-``\\{\\}``). That word is consumed and the host command reads on. Any
-other ``+`` is an argument (``find . -exec echo + {} \\;``), and a bare
+An ``-exec`` payload ends where GNU find ends it: at a word that find reads
+as ``;`` once Bash has removed its quotes (``\\;``, ``';'``, ``";"``), or
+at one it reads as ``+`` (``+``, ``\\+``, ``'+'``, ``"+"``) right after a
+word it receives as ``{}`` (``{}``, ``'{}'``, ``"{}"``, ``\\{\\}``; find
+receives no redirect). That word is consumed and the host command reads on.
+Any other ``+`` is an argument (``find . -exec echo + {} \\;``), and a bare
 ``;`` separates commands, so it is refused: find never receives it. A
 payload with no end word runs to the end of the text, a ``|`` or the close
 of its substitution. A payload that opens with a word find reads as ``;``
@@ -32,13 +33,14 @@ redirect target is never read from the next line. A backslash-newline (a
 line continuation) is refused, and CR is word text.
 
 Every substitution is a nested command, also one inside a word
-(``x=$(cmd)``) or a string (``"$(cmd)"``), and its own scope: a ';' or '+'
-inside it never ends an enclosing ``-exec``. A word that substitutions
-split is erased once, by its piece before the first (``x=$(ls)y`` erases
-one word, ``$(ls)y`` none), and a piece after a substitution is never a
-flag, an ``-exec`` end word or a wrapper's target. A quoted or escaped
-command word (``\\rm``, ``'rm'``, ``"ls"``) names the utility that Bash's
-quote removal leaves, and is never a reserved word or the ``time`` keyword.
+(``x=$(cmd)``), a string (``"$(cmd)"``) or a ``${...}`` (``${a:-$(cmd)}``),
+and its own scope: a ';' or '+' inside it never ends an enclosing
+``-exec``. A word that substitutions split is erased once, by its piece
+before the first (``x=$(ls)y`` erases one word, ``$(ls)y`` none), and a
+piece after a substitution is never a flag, an ``-exec`` end word or a
+wrapper's target. A quoted or escaped command word (``\\rm``, ``'rm'``,
+``"ls"``) names the utility that Bash's quote removal leaves, and is never
+a reserved word or the ``time`` keyword.
 
 Each simple command records its flag names in ``SimpleCommand.flags``, read
 with the vocabulary at parse time: ``--name=value`` gives ``name``, a
@@ -50,18 +52,21 @@ unsplittable flags (find's primaries are no options), read on past it.
 
 The lexer reads a plain word, with no quote, escape, ``$`` or ``#`` to read
 and a blank, ``|`` or the end of the text right after it, together with the
-blanks before it in one match of ``_PLAIN``; most words are plain. Any other
-word it reads with one compiled pattern, ``_WORD``: quoted strings
+blanks before it in one match of ``_PLAIN``; most words are plain. Any
+other word it reads with ``_WORD`` and, through each string and ``${...}``
+it opens and closes (these nest), with ``_read_on``: quoted strings
 (``$'...'`` with its backslash escapes), ``${...}`` and backslash escapes
 stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
 a backtick, or a ``$(``, ends it. Other whitespace (CR, ``\\x0b``,
 ``\\xa0``) is word text, and only ASCII digits name a redirect's file
 descriptor (``²>x`` is the word ``²`` and ``>x``). A ``#`` that starts a
-word opens a comment that runs to the end of the line, as in Bash, so ``ls
--la # list files`` is ``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it
-is word text. A piece that Bash would close elsewhere, or not at all, is a
-BashSyntaxError: a ``${`` that no ``}`` closes, or a backtick inside quotes
-inside a backtick substitution, which Bash reads as the substitution's end.
+word opens a comment that runs to the end of the line, or to the closing
+backtick of a backtick substitution, as in Bash, so ``ls -la # list files``
+is ``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it is word text. A
+piece that Bash would close elsewhere, or not at all, is a BashSyntaxError:
+a ``${`` that no ``}`` closes, or a backtick inside a string, ``${...}`` or
+``$( )`` inside a backtick substitution, which Bash reads as the
+substitution's end.
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -182,23 +187,17 @@ _REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>](?:&(?:[0-9]+|-))?)")
 _REDIRECT_START = frozenset("<>&0123456789")
 
 # A word: any mix of unquoted characters other than space, tab, LF and
-# |;&<>()` (CR is word text), '$' pieces, whole '...', $'...' and "..."
-# strings, and escapes of any character but LF. Each piece ends where Bash
-# ends it; a substitution ends the word, also inside a "..." that it leaves
-# open (group 1). _WORD_ERRORS names each stop that is an error.
+# |;&<>()` (CR is word text), '$' pieces, whole '...' and $'...' strings,
+# and escapes of any character but LF, up to a '"' or '${' (read on by
+# _read_on) or a substitution; _WORD_ERRORS names each stop that is an error.
 _BARE = r"""\$\$|\$(?![({[])"""  # inside "...", '$$' or a '$' that opens nothing
-_QUOTED = r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE  # text inside "..." with no substitution
 # Outside "...", a whole $'...' (a backslash escapes any character, a quote
 # too), '$$', or a '$' that opens nothing:
 _UNQUOTED = r"""\$'(?:[^'\\]|\\.)*'|\$\$|\$(?![({['])"""
-# A whole '${...}', closed at its first '}' outside quotes and escapes (a
-# '<(' or '>(' in it opens a substitution):
-_BRACE = r"""\$\{(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*'|"%s")*\}""" % (_UNQUOTED, _QUOTED)
-# Inside "...", also a whole '${...}'; a '$(' or a backtick ends it:
-_DOUBLE = re.compile(r"""(?:[^"\\$`]|\\.|%s|%s)*""" % (_BARE, _BRACE), re.S)
-_WORD = re.compile(
-    r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|%s|'[^']*'|"%s"|\\[^\n])*(?:(")%s(?=\$\(|`))?""" % (_UNQUOTED, _BRACE, _DOUBLE.pattern, _DOUBLE.pattern), re.S
-)
+_WORD = re.compile(r"""(?:[^ \t\n|;&<>()`'"\\$]+|%s|'[^']*'|\\[^\n])*""" % _UNQUOTED, re.S)
+_DOUBLE = re.compile(r"""(?:[^"\\$`]|\\.|%s)*""" % _BARE, re.S)  # in "...", to a '"', '${' or substitution
+# In '${...}', to a '}' outside quotes and escapes, a '"', a '${' or a substitution ('<(' too):
+_BRACE = re.compile(r"""(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*')*""" % _UNQUOTED, re.S)
 # A plain word and the blanks before it: no quote, escape or '$' to read,
 # no '#' to open a comment, and a blank, '|' or the end right after, so no
 # branch of tokenize but the word's would take it (a digit-led word names
@@ -211,18 +210,36 @@ _TO_BACKTICK = re.compile(r"(?:[^`\\]|\\.)*", re.S)
 _WORD_ERRORS = {
     "'": "unbalanced single quote",
     "$'": "unbalanced single quote",
-    '"': "unbalanced double quote",
     "\\": "trailing backslash",
     "\\\n": "line continuations are not supported",
-    "${": "unterminated '${'",
     "$[": "arithmetic expansion is not supported",
 }
+_UNCLOSED = {'"': "unbalanced double quote", "{": "unterminated '${'"}
+
+
+def _read_on(text: str, i: int, stack: list[str]) -> int:
+    """Read a word on from ``i`` through each "..." and ${...} it opens and
+    closes; return where it ends or meets a substitution, those open on ``stack``."""
+    while True:
+        top = stack[-1] if stack else None
+        i = (_DOUBLE if top == '"' else _BRACE if top == "{" else _WORD).match(text, i).end()
+        c = text[i : i + 1]
+        if c == "}" or c == '"' and top == '"':  # only brace text stops at '}'
+            stack.pop()
+        elif c == '"':
+            stack.append(c)
+        elif text.startswith("${", i):
+            stack.append("{")
+            i += 1
+        else:
+            return i
+        i += 1
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex command text into tokens. Raises BashSyntaxError."""
     tokens: list[Token] = []
-    stack: list[str] = []  # open contexts: '(' or '`' of a substitution, '"' around one
+    stack: list[str] = []  # open contexts: '(' or '`' of a substitution, '"' or '{' of a '${' around one
     plain = _PLAIN.match  # read per call, so a test can switch the fast path off
     i = 0
     n = len(text)
@@ -281,7 +298,7 @@ def tokenize(text: str) -> list[Token]:
             stack.append("(")
             i += 2
         elif c == "`" and not (stack and stack[-1] == "`"):
-            if "`" in stack and stack[-1] == '"':  # Bash ends the substitution here
+            if "`" in stack:  # Bash ends the substitution here
                 raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
             tokens.append(_new(Token, (_SUBST_OPEN, "`", i, i + 1)))
             stack.append("`")
@@ -292,38 +309,38 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(_new(Token, (_SUBST_CLOSE, c, i, i + 1)))
             stack.pop()
             i += 1
-            if stack and stack[-1] == '"':  # the string resumes, to its closing quote or the next substitution
-                j = _DOUBLE.match(text, i).end()
-                if text.startswith('"', j):
-                    stack.pop()
-                    j += 1
+            if stack and stack[-1] in '"{':  # the word resumes, to its end or the next substitution
+                j = _read_on(text, i, stack)
+                if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
+                    raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
                 if j > i:  # the rest of the word, if any, is the next word token
                     tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))
                 i = j
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
         elif c == "#" and not (tokens and tokens[-1].end == i and tokens[-1].kind in (_WORD_KIND, _SUBST_CLOSE)):
-            # a '#' that starts a word opens a comment, to the end of the line;
-            # Bash ends a backtick substitution before it reads one inside it
-            if "`" in stack:
-                raise BashSyntaxError("comments inside a backtick substitution are not supported")
+            # a '#' that starts a word opens a comment, to the end of the line
+            # or, inside a backtick substitution, to its closing backtick,
+            # which Bash finds before it reads a comment
             j = text.find("\n", i)
-            i = n if j < 0 else j
+            j = n if j < 0 else j
+            if "`" in stack:
+                j = min(j, _TO_BACKTICK.match(text, i).end())
+            i = j
         else:
-            m = _WORD.match(text, i)
-            j = m.end()
-            if m[1]:  # a "..." that a substitution interrupts stays open
-                stack.append('"')
-            elif j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
-                error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j])
-                if error is not None:  # else a '$(' that opens a substitution
+            j = _WORD.match(text, i).end()
+            if j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
+                if text[j] == '"' or text.startswith("${", j):
+                    j = _read_on(text, j, stack)
+                error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j : j + 1])
+                if error is not None:  # else the word's end or a substitution opener
                     raise BashSyntaxError(error)
             if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
                 raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
             tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))  # any other stop has a branch above
             i = j
     if stack:
-        raise BashSyntaxError("unbalanced double quote" if stack[-1] == '"' else "unterminated command substitution")
+        raise BashSyntaxError(_UNCLOSED.get(stack[-1], "unterminated command substitution"))
     return tokens
 
 
@@ -392,12 +409,14 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
     nested: list[SimpleCommand] = []
     may_wrap = utility in WRAPPER_UTILITIES
     options = True  # until a bare '--' ends them, below
+    received = None  # the last word that find receives from this command
 
     while (tok := tokens[cur.pos]) is not None:
         kind, text = tok.kind, tok.text
         if kind is _WORD_KIND:
-            if in_exec and (text in _SEMIS or text in _PLUSES and tokens[cur.pos - 1].text in _BRACES):
+            if in_exec and (text in _SEMIS or text in _PLUSES and received in _BRACES):
                 break  # the end of the surrounding -exec clause, left to the caller
+            received = text
             if options and _is_flag_word(text):
                 cur.pos += 1
                 head, eq, _ = text.partition("=") if text[1] == "-" else (text, "", "")
@@ -431,6 +450,7 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             raise BashSyntaxError("';' command sequences are not supported")
         cur.pos += 1
         if kind is _SUBST_OPEN:
+            received = None  # its output, not '{}'
             nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
             cur.pos += 1  # only at the close that tokenize paired with this open
             while (rest := tokens[cur.pos]) is not None and rest.kind is _WORD_KIND and rest.start == tokens[cur.pos - 1].end:

@@ -130,9 +130,9 @@ class _AnalysedPairs:
     with their counts at the same places in ``counts``; term id ``t`` is the
     term ``names[t]``, numbered by first occurrence over all pairs. Each
     distinct command is templated once, read from the vocabulary's table when
-    the last corpus filter on it kept the command and parsed otherwise, and
-    equal templates are one interned object. ``take`` selects pairs and
-    shares the analysis.
+    a corpus filter with that vocabulary object kept the command and parsed
+    otherwise, and equal templates are one interned object. ``take`` selects
+    pairs and shares the analysis.
     """
 
     def __init__(self, pairs: Sequence[tuple[str, str]], vocab: UtilityVocabulary | None, normalize: bool):
@@ -180,7 +180,7 @@ class TfIdfIndex:
 
     The build reads one analysis of the pairs: each invocation tokenized
     once into term ids, each distinct command templated once (parsed unless
-    the last corpus filter on the vocabulary recorded its template), equal
+    a corpus filter with the vocabulary object recorded its template), equal
     templates one interned object. Plain pairs are analysed on entry;
     ``TfIdfPredictor.with_calibration`` analyses once and builds both of
     its indexes from that.

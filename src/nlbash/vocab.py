@@ -6,11 +6,12 @@ multi-character tokens (``find -name``, ``find -type``, ...) are real long
 flags rather than bundles of one-letter options.
 
 A vocabulary object also carries a private table of templates, filled only
-by ``corpus.filter_examples``: the template of each reference its last run
-kept. A template depends only on the text and the vocabulary, so
-``harness.evaluate``, the TF-IDF index and ``utility_histogram`` read a
-text's template there before they parse it themselves. The table is
-neither compared nor shown in the repr.
+by ``corpus.filter_examples``: the template of every reference a filter kept
+with this vocabulary object. A template depends only on the text and the
+vocabulary, so ``harness.evaluate``, the TF-IDF index and
+``utility_histogram`` read a text's template there before they parse it
+themselves. The table is neither compared nor shown in the repr, and lives
+as long as the object: each ``nlbash`` command makes its own.
 
 File format (UTF-8, one record per utility, one per line)::
 
@@ -45,8 +46,8 @@ class UtilityVocabulary:
     """Immutable map from each known utility to its unsplittable flags (mostly none)."""
 
     flags: dict[str, frozenset[str]]
-    # Reference text -> its template, for the references the last
-    # filter_examples run on this vocabulary kept; only that filter writes here.
+    # Reference text -> its template, for every reference a filter_examples
+    # run with this vocabulary object kept; only that filter writes here.
     _templates: dict[str, TemplateCommand] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -113,8 +114,9 @@ def load_vocabulary(path: str | Path) -> UtilityVocabulary:
 
 
 def _filtered_templates(vocab: UtilityVocabulary | None) -> dict[str, TemplateCommand]:
-    """The template table of ``vocab``, or of the default vocabulary for None."""
-    return (vocab if vocab is not None else default_vocabulary())._templates
+    """The template table of ``vocab``; a new empty one for None, so that no
+    table outlives its caller's vocabulary object."""
+    return vocab._templates if vocab is not None else {}
 
 
 @lru_cache(maxsize=1)

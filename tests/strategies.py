@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 # 'time' keyword, a $'...' string, the quoted and escaped ';' and '+' that
 # may end an -exec payload, words at the edges of the lexer's plain-word
 # pattern (glued to a character that ends it, holding a '#', led by a
-# digit), a substitution that opens or closes inside "...", a quoted or
-# escaped command word, and any other character.
+# digit), a substitution that opens or closes inside "...", a '${...}'
+# that opens, nests or closes around a substitution or a string, a quoted
+# or escaped command word, and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
@@ -20,7 +21,7 @@ _FRAGMENTS = st.sampled_from(
      "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
      ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'", "';'", " \\+",
      "a;", "a&", "a<", "a>", "a(", "a)", "a`", "a'", 'a"', "a$", "a#b", " 2x", " 2>f",
-     '"$(', ')"', '"`', '`"', '"a$(', ')b"']
+     '"$(', ')"', '"`', '`"', '"a$(', ')b"', "${a:-", "${a//x/", '"${', "\\}", '}"', "}}"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)

@@ -12,6 +12,7 @@ import pytest
 from nlbash import corpus, harness, retrieval
 from nlbash.cli import cli
 from nlbash.corpus import filter_examples, load_examples, save_examples
+from nlbash.harness import EvaluationReport, score_prediction_file
 from nlbash.retrieval import CalibrationModel, TfIdfPredictor, pairs_from_examples
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
@@ -381,6 +382,15 @@ def test_eval_json_report(data_file, tmp_path):
         assert report["mean_score"] > 0.9, variant
 
 
+def test_eval_json_report_on_stdout_ends_its_line(data_file, capsys):
+    code = cli(["eval", "--baseline", "tfidf", "--variant", "raw", "--train", str(data_file),
+                "--data", str(data_file), "--format", "json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n") and out.count("\n}") == 1  # one report, its last line ended
+    assert EvaluationReport.from_json(out).mean_score > 0.9
+
+
 def test_calibrate_writes_model(data_file, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     code = cli(
@@ -446,11 +456,17 @@ def test_eval_runs_an_external_predictor(data_file, tmp_path, capsys):
     assert asked and answered == asked
 
 
-@pytest.mark.parametrize("command", ["score", "index", "stats"])
+@pytest.mark.parametrize("command", ["score", "index", "stats", "eval"])
 def test_a_command_parses_each_distinct_reference_once(command, data_file, tmp_path, monkeypatch, capsys):
     examples = load_examples(data_file)
     references = [ref for ex in examples for ref in ex.references]
     assert len(set(references)) < len(references)  # a repeated reference is parsed once too
+    train_path = tmp_path / "train.jsonl"
+    if command == "eval":  # training data that holds some of the references, not all
+        train = [ref for ex in toy_corpus(300, seed=2) for ref in ex.references]
+        assert set(references) & set(train) and set(references) - set(train)
+        references += train
+        save_examples(toy_corpus(300, seed=2), train_path)
     pred_path = tmp_path / "preds.jsonl"
     with open(pred_path, "w", encoding="utf-8") as fh:
         for i, ex in enumerate(examples):  # each prediction is some example's reference
@@ -470,9 +486,31 @@ def test_a_command_parses_each_distinct_reference_once(command, data_file, tmp_p
         "score": ["score", "--pred", str(pred_path), "--refs", str(data_file)],
         "index": ["index", "--data", str(data_file), "--out", str(tmp_path / "index.json")],
         "stats": ["stats", "--data", str(data_file)],
+        "eval": ["eval", "--baseline", "tfidf", "--variant", "full", "--train", str(train_path),
+                 "--data", str(data_file), "--format", "json", "--out", str(tmp_path / "report.json")],
     }[command]
     assert cli(argv) == 0
     assert parsed == Counter(set(references))
+
+
+def test_score_out_writes_the_report_of_score_prediction_file(data_file, tmp_path, capsys):
+    examples = load_examples(data_file)
+    pred_path = tmp_path / "preds.jsonl"
+    with open(pred_path, "w", encoding="utf-8") as fh:
+        for i, ex in enumerate(examples):  # some right, some wrong, one unparseable
+            cmd = "ls |" if i == 0 else examples[i // 2].references[0]
+            fh.write(json.dumps({"id": ex.id, "predictions": [{"cmd": cmd, "confidence": 0.5}]}) + "\n")
+    out_path = tmp_path / "report.json"
+    assert cli(["score", "--pred", str(pred_path), "--refs", str(data_file), "--out", str(out_path)]) == 0
+    written = EvaluationReport.from_json(out_path.read_bytes())
+    expected = score_prediction_file(str(pred_path), examples, vocab=VOCAB)
+    assert [(r.example_id, r.score) for r in written.per_example] == [
+        (r.example_id, r.score) for r in expected.per_example
+    ]
+    assert (written.mean_score, written.dataset_fingerprint, written.unparseable_prediction_count) == (
+        expected.mean_score, expected.dataset_fingerprint, 1
+    )
+    assert {r.score.value > 0 for r in written.per_example} == {True, False}
 
 
 def test_score_prediction_file(data_file, tmp_path, capsys):

@@ -265,7 +265,7 @@ def test_filter_keeps_an_example_whose_references_all_survive_as_it_is():
     assert kept[1] == Example("b", "b", ("ls -la",))
 
 
-def test_the_template_table_holds_the_last_filters_kept_references_only():
+def test_the_template_table_holds_every_reference_its_vocabularys_filters_kept():
     vocab = UtilityVocabulary(VOCAB.flags)
     first = filter_examples(toy_corpus(200, seed=1), vocab)
     second = filter_examples(
@@ -274,8 +274,11 @@ def test_the_template_table_holds_the_last_filters_kept_references_only():
     first_refs = {ref for e in first.kept for ref in e.references}
     kept = {ref for e in second.kept for ref in e.references}
     assert first_refs - kept and "ls -la" in kept
-    assert vocab._templates == {ref: normalize_template(parse(ref, VOCAB)) for ref in kept}
+    assert vocab._templates == {ref: normalize_template(parse(ref, VOCAB)) for ref in first_refs | kept}
     assert vocab == VOCAB and repr(vocab) == repr(VOCAB)  # the table is neither compared nor shown
+    before = dict(VOCAB._templates)
+    filter_examples(toy_corpus(50, seed=3))  # no vocabulary object, no table
+    assert VOCAB._templates == before
 
 
 def test_save_filter_report(tmp_path):

@@ -83,6 +83,13 @@ def test_unknown_utility_in_substitution_rejected():
         parse("kill $( frobnicate -p )", VOCAB)
 
 
+def test_parse_without_a_vocabulary_reads_with_the_default_one():
+    text = "find . -name x -exec sudo rm {} + | wc -l"
+    assert parse(text) == parse(text, VOCAB)
+    with pytest.raises(UnknownUtilityError):
+        parse("frobnicate -x")
+
+
 def test_utility_path_resolves_to_basename():
     ast = parse("/bin/rm -f stale.txt", VOCAB)
     assert ast.stages[0].utility == "rm"
@@ -541,7 +548,7 @@ GOLDEN = [
     ('echo `ls`#x', ('echo', 'echo[] | ls[]', (0, 0))),
     ('echo $(ls # c\n)', ('echo', 'echo[] | ls[]', (0, 0))),
     ('ls |# a\n# b\nwc', ('ls | wc', 'ls[] | wc[]', (0, 0))),
-    ('echo `ls #`x', BashSyntaxError('comments inside a backtick substitution are not supported')),
+    ('echo `ls #`x', ('echo', 'echo[] | ls[]', (0, 0))),
     ('echo "$(ls #)"', BashSyntaxError('unterminated command substitution')),
     ('echo "$(ls a#b)"', ('echo', 'echo[] | ls[]', (1, 1))),
     ('echo $(ls)#x', ('echo', 'echo[] | ls[]', (0, 0))),
@@ -553,12 +560,12 @@ GOLDEN = [
     ("echo $'x", BashSyntaxError('unbalanced single quote')),
     ('echo "$\'"', ('echo', 'echo[]', (1,))),
     ('echo ${a b}', ('echo', 'echo[]', (1,))),
-    ('echo ${a$(ls)}', BashSyntaxError("unterminated '${'")),
-    ('echo ${a <(}', BashSyntaxError("unterminated '${'")),
+    ('echo ${a$(ls)}', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo ${a <(}', BashSyntaxError('process substitution is not supported')),
     ('echo ${a:-$b}', ('echo', 'echo[]', (1,))),
     ('echo ${x:-"d"}', ('echo', 'echo[]', (1,))),
     ('echo ${x:-"}"}', ('echo', 'echo[]', (1,))),
-    ('echo ${x:-"}', BashSyntaxError("unterminated '${'")),
+    ('echo ${x:-"}', BashSyntaxError('unbalanced double quote')),
     ('cd "$(dirname "$0")"', ('cd', 'cd[] | dirname[]', (1, 1))),
     ('echo "$(basename $f)"', ('echo', 'echo[] | basename[]', (1, 1))),
     ('mkdir "$(date +"%F")"', ('mkdir', 'mkdir[] | date[]', (1, 1))),
@@ -651,6 +658,35 @@ GOLDEN = [
     ('"ls"$(pwd)', BashSyntaxError('command name \'"ls"\' is glued to a substitution')),
     ('! ls', BashSyntaxError("shell control flow ('!') is not supported")),
     ('[[ -f x ]]', BashSyntaxError("shell control flow ('[[') is not supported")),
+    # A substitution inside ${...} is a command too, and a ${...} nests.
+    ('echo ${a:-$(pwd)}', ('echo', 'echo[] | pwd[]', (1, 0))),
+    ('cd "${1:-$(pwd)}"', ('cd', 'cd[] | pwd[]', (1, 0))),
+    ('echo ${a:-${b:-c}}', ('echo', 'echo[]', (1,))),
+    ('echo "${a:-"}"}"', ('echo', 'echo[]', (1,))),
+    ('echo ${a:-`pwd`}', ('echo', 'echo[] | pwd[]', (1, 0))),
+    ('echo ${a//x/$(ls)}', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo ${a:-"$(ls)"}', ('echo', 'echo[] | ls[]', (1, 0))),
+    ('echo ${a:-$(echo })}', ('echo', 'echo[] | echo[]', (1, 1))),
+    ('echo ${a:-$(ls)', BashSyntaxError("unterminated '${'")),
+    ("echo ${a:-$(ls)'}", BashSyntaxError('unbalanced single quote')),
+    ('echo "${a:-$(ls)}', BashSyntaxError('unbalanced double quote')),
+    ('echo ${a:-$[1]}', BashSyntaxError('arithmetic expansion is not supported')),
+    # Inside a backtick substitution, Bash ends it at the first backtick, also
+    # one inside a ${...} or a $( ), and a comment runs to that backtick.
+    ('echo `echo ${a:-`ls`}`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo `echo $(echo `ls`)`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo `echo $(ls #x)`ls`)`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo `echo "$(ls)"\'`\'`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ("echo `echo ${a:-$(ls)'`'}`", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo `echo a #x`', ('echo', 'echo[] | echo[]', (0, 1))),
+    ('echo "[`echo d #)`]"', ('echo', 'echo[] | echo[]', (1, 1))),
+    ('echo `echo a #x\\`y`', ('echo', 'echo[] | echo[]', (0, 1))),
+    ('echo `echo $(echo a #x\n)`', ('echo', 'echo[] | echo[] | echo[]', (0, 0, 1))),
+    ('echo `ls #`\n`', BashSyntaxError('unterminated command substitution')),
+    # find receives no redirect, so a '+' ends a payload only right after a
+    # '{}' that find receives.
+    ('find . -execdir echo a< {} + -print', ('find', 'find[execdir] | echo[i,n,p,r,t]', (1, 3))),
+    ('find /tmp -name x -exec sudo ls {} 3<&0 + -exec ls {} +', ('find', 'find[exec,name] | sudo[] | ls[] | ls[]', (2, 0, 1, 1))),
 ]
 
 
@@ -687,8 +723,9 @@ def test_parse_outcomes_of_the_generated_corpora_match_the_pin():
 
 # Texts that `bash -n` refuses and that a looser reading of lines, '${',
 # "..." or redirects would accept: a redirect whose target is on the next
-# line, a newline before '|', a '${' that no '}' closes or that holds a
-# substitution Bash reads on past its '}', a substitution inside "..." that
+# line, a newline before '|', a '${' that no '}' closes, that holds a
+# substitution Bash reads on past its '}' or a string it leaves open, or
+# that a process substitution interrupts, a substitution inside "..." that
 # Bash reads on past the closing quote, a comment that hides a ')', a
 # quote or a redirect target, a comment that a backtick ends before the
 # line does, a quoted backtick that ends the backtick substitution around
@@ -702,7 +739,8 @@ BASH_PINNED = [
     "echo $(ls #)", 'echo "$(ls #)"', "echo >#x", "ls #'\n'", "echo `ls #`\n`",
     "ls >>&-", "echo $[", "echo $'\\'' '", "echo ${x:-$'\\'}''", "echo \"${x:-$'\\'}\"",
     "time | wc", "time -p -- | wc", "time time | wc", "time }", "time $${\n;ls #}",
-    "echo `ls '`' `", 'echo "$(;)"', 'echo "$(>>)"', 'time "$(!)"',
+    "echo `ls '`' `", 'echo "$(;)"', 'echo "$(>>)"', 'time "$(!)"', 'echo ${x:-"}',
+    'echo `echo "$(ls)"\'`\'`', "echo `echo ${a:-$(ls)'`'}`",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -749,6 +787,37 @@ def test_bash_hands_find_what_each_exec_end_spelling_stands_for(word, find_reads
     assert (done.returncode, done.stdout) == (0, find_reads + "\n"), (word, done.stderr)
 
 
+# `bash -n` does not parse a backtick substitution's body, so these run
+# Bash on texts of builtins only: a comment in one ends at its closing
+# backtick, and a backtick inside a ${...} or $( ) in one ends it, so that
+# Bash fails where parse refuses.
+@needs_bash
+@pytest.mark.parametrize(
+    "text, prints",
+    [
+        ("echo `echo a #x`", "a\n"),
+        ('echo "[`echo d #)`]"', "[d]\n"),
+        ("echo `echo a #x\\`y`", "a\n"),
+        ("echo `echo $(echo a #x\n)`", "a\n"),
+        ("echo `echo ${a:-`echo x`}`", None),
+        ("echo `echo $(echo `echo x`)`", None),
+        ("echo `echo $(echo a #x)`echo`)`", None),
+    ],
+)
+def test_bash_runs_backtick_texts_of_builtins_as_parse_reads_them(text, prints, bash_home):
+    done = subprocess.run(
+        [_BASH, "--norc", "--noprofile", "-c", text],
+        env={"PATH": str(bash_home / "nowhere")}, cwd=bash_home, capture_output=True, text=True,
+    )
+    if prints is None:
+        assert done.stderr, (text, done.stdout)
+        with pytest.raises(BashSyntaxError):
+            parse(text, VOCAB)
+    else:
+        assert (done.stdout, done.stderr) == (prints, ""), text
+        parse(text, VOCAB)
+
+
 @needs_bash
 @settings(max_examples=300, deadline=None)
 @given(shell_text)
@@ -760,10 +829,9 @@ def _bash_prints_otherwise(ast):
     """Whether Bash may print the text back with another template: it drops a
     NUL as it reads, prints the 'time' keyword's '--' as '-p', and prints
     every redirect after the words of its command. A moved redirect target
-    runs its substitutions after theirs, or stops a '{}' from ending an
-    -exec payload before '+'. Counted loosely: a word that starts apart from
-    the token before it, after a redirect and its target in the same
-    pipeline stage."""
+    runs its substitutions after theirs. Counted loosely: a word that starts
+    apart from the token before it, after a redirect and its target in the
+    same pipeline stage."""
     texts = [tok.text for tok in ast.tokens]
     if "\0" in ast.raw or any(t == "time" and "--" in texts[i + 1 : i + 3] for i, t in enumerate(texts)):
         return True
