@@ -221,16 +221,23 @@ def filter_examples(
     is rejected with the reason of its first failing reference. The template
     of every kept reference is added to the vocabulary's table (to none for
     ``vocab=None``), and each distinct text is checked once: a text the table
-    holds already passes.
+    holds already passes, and a text this call rejected keeps its reason.
     """
     templates = _filtered_templates(vocab)
+    rejected: dict[str, RejectReason] = {}  # for this call only; the table holds kept texts
     report = FilterReport()
     for ex in examples:
         survivors: list[str] = []
         first_reason: RejectReason | None = None
         for ref in ex.references:
-            # A text this vocabulary's filters kept passes again: no second parse.
-            reason = None if ref in templates else _check_reference(ref, vocab, templates)
+            if ref in templates:  # this vocabulary's filters kept it: no second parse
+                reason = None
+            elif ref in rejected:
+                reason = rejected[ref]
+            else:
+                reason = _check_reference(ref, vocab, templates)
+                if reason is not None:
+                    rejected[ref] = reason
             if reason is None:
                 survivors.append(ref)
             elif first_reason is None:

@@ -5,10 +5,9 @@ commands, each a utility followed by flags, arguments, redirects,
 ``$( )`` / backtick substitutions, and an ``-exec utility ...`` payload
 after an exec flag the vocabulary lists for that utility (find's). Anything
 else — ``&&`` / ``||`` lists, ``;`` or newline sequences, subshells,
-here-docs, process substitution, arithmetic, control flow, a backtick
-inside a string, ``${...}`` or ``$( )`` inside a backtick substitution, a
-command name glued to a substitution (``ls$(cmd)``), a leading ``time``
-keyword that times no command (``time -p | wc``), nesting deeper than
+here-docs, process substitution, arithmetic, control flow, a command name
+glued to a substitution (``ls$(cmd)``), a ``time`` keyword that times no
+command (``time -p | wc``, ``ls $(\\ntime)``), nesting deeper than
 MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
 filtering rejects it.
 
@@ -59,14 +58,14 @@ it opens and closes (these nest), with ``_read_on``: quoted strings
 stay inside the word, and an unquoted space, tab, LF, one of ``|;&<>()`` or
 a backtick, or a ``$(``, ends it. Other whitespace (CR, ``\\x0b``,
 ``\\xa0``) is word text, and only ASCII digits name a redirect's file
-descriptor (``²>x`` is the word ``²`` and ``>x``). A ``#`` that starts a
-word opens a comment that runs to the end of the line, or to the closing
-backtick of a backtick substitution, as in Bash, so ``ls -la # list files``
-is ``ls[a,l]``; inside a word (``a#b``, ``$(ls)#x``) it is word text. A
-piece that Bash would close elsewhere, or not at all, is a BashSyntaxError:
-a ``${`` that no ``}`` closes, or a backtick inside a string, ``${...}`` or
-``$( )`` inside a backtick substitution, which Bash reads as the
-substitution's end.
+descriptor (``²>x`` is the word ``²`` and ``>x``). A backtick
+substitution's body is the text up to its first unescaped backtick, lexed
+like a text of its own, since Bash finds that backtick before it reads the
+body. A ``#`` that starts a word opens a comment that runs to the end of
+the line or of the text, so ``ls -la # list files`` is ``ls[a,l]``; inside
+a word (``a#b``, ``$(ls)#x``) it is word text. A string, ``${`` or ``$(``
+that the end of its text leaves open is a BashSyntaxError, also at a
+backtick substitution's closing backtick (``echo `echo "`ls`"` ``).
 
 Every token keeps its original text and span, so ``reconstruct`` returns
 the input byte for byte for any command ``parse`` accepts. No shell
@@ -102,9 +101,10 @@ _BRACES = frozenset({"{}", "'{}'", '"{}"', "\\{\\}"})
 _RESERVED_WORDS = frozenset(
     "if then elif else fi for while until do done case esac function select coproc in { } [[ ]] !".split()
 )
-# What Bash refuses right after its 'time' keyword: a '|', or a word it
-# reads as reserved there.
-_TIMED_STOPS = _RESERVED_WORDS | {"|"}
+# What Bash refuses right after its 'time' keyword: a '|', a ')' on the
+# keyword's line, or a word it reads as reserved there but '!', which negates
+# the timed pipeline.
+_TIMED_STOPS = _RESERVED_WORDS - {"!"} | {"|", ")"}
 
 # Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
 # backtick substitutions) that parse accepts; deeper text is refused
@@ -204,9 +204,9 @@ _BRACE = re.compile(r"""(?:[^}`'"\\$<>]|[<>](?!\()|\\.|%s|'[^']*')*""" % _UNQUOT
 # no fd, as no '<' or '>' follows its digits). Every other start goes to
 # those branches.
 _PLAIN = re.compile(r"""[ \t]*([^ \t\n|;&<>()`'"\\$#][^ \t\n|;&<>()`'"\\$]*)(?=[ \t\n|]|\Z)""")
-# Text up to its first unescaped backtick, quoted or not: where Bash ends a
-# backtick substitution.
-_TO_BACKTICK = re.compile(r"(?:[^`\\]|\\.)*", re.S)
+# Text up to its first unescaped backtick, quoted or not, where Bash ends a
+# backtick substitution, or else to the end, a lone backslash there too.
+_TO_BACKTICK = re.compile(r"(?:[^`\\]|\\.)*\\?", re.S)
 _WORD_ERRORS = {
     "'": "unbalanced single quote",
     "$'": "unbalanced single quote",
@@ -217,12 +217,12 @@ _WORD_ERRORS = {
 _UNCLOSED = {'"': "unbalanced double quote", "{": "unterminated '${'"}
 
 
-def _read_on(text: str, i: int, stack: list[str]) -> int:
-    """Read a word on from ``i`` through each "..." and ${...} it opens and
-    closes; return where it ends or meets a substitution, those open on ``stack``."""
+def _read_on(text: str, i: int, n: int, stack: list[str]) -> int:
+    """Read a word on from ``i`` through each "..." and ${...} it opens and closes,
+    up to ``n``; return where it ends or meets a substitution, those open on ``stack``."""
     while True:
         top = stack[-1] if stack else None
-        i = (_DOUBLE if top == '"' else _BRACE if top == "{" else _WORD).match(text, i).end()
+        i = (_DOUBLE if top == '"' else _BRACE if top == "{" else _WORD).match(text, i, n).end()
         c = text[i : i + 1]
         if c == "}" or c == '"' and top == '"':  # only brace text stops at '}'
             stack.pop()
@@ -240,11 +240,12 @@ def tokenize(text: str) -> list[Token]:
     """Lex command text into tokens. Raises BashSyntaxError."""
     tokens: list[Token] = []
     stack: list[str] = []  # open contexts: '(' or '`' of a substitution, '"' or '{' of a '${' around one
+    ends: list[int] = []  # per open backtick substitution, the end of the text around its body
     plain = _PLAIN.match  # read per call, so a test can switch the fast path off
     i = 0
-    n = len(text)
-    while i < n:
-        if m := plain(text, i):
+    n = size = len(text)  # n: the end of the text, or of the backtick substitution's body
+    while i < size:
+        if m := plain(text, i, n):
             j = m.end()
             word = m[1]
             tokens.append(_new(Token, (_WORD_KIND, word, j - len(word), j)))
@@ -275,7 +276,7 @@ def tokenize(text: str) -> list[Token]:
         elif c == ";":
             tokens.append(_new(Token, (_SEMI, ";", i, i + 1)))
             i += 1
-        elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i)):
+        elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i, n)):
             op, j = m.group(), m.end()
             nxt = text[j : j + 1]
             if op[-1] in "<>":  # a plain operator: refuse <<, <( / >( and a bare >&
@@ -297,46 +298,41 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(_new(Token, (_SUBST_OPEN, "$(", i, i + 2)))
             stack.append("(")
             i += 2
-        elif c == "`" and not (stack and stack[-1] == "`"):
-            if "`" in stack:  # Bash ends the substitution here
-                raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
+        elif c == "`" and i < n:  # an open: its body is lexed up to where Bash ends it
             tokens.append(_new(Token, (_SUBST_OPEN, "`", i, i + 1)))
             stack.append("`")
+            ends.append(n)
+            n = _TO_BACKTICK.match(text, i + 1, n).end()
             i += 1
-        elif c == ")" or c == "`":  # a close
+        elif c == ")" or c == "`":  # a close; a backtick here is at n, its body's end
             if c == ")" and not (stack and stack[-1] == "("):
                 raise BashSyntaxError("unbalanced ')'")
+            if c == "`":  # what the body leaves open is unclosed, as at the end of any text
+                if stack[-1] != "`":
+                    raise BashSyntaxError(_UNCLOSED.get(stack[-1], "unterminated command substitution"))
+                n = ends.pop()
             tokens.append(_new(Token, (_SUBST_CLOSE, c, i, i + 1)))
             stack.pop()
             i += 1
             if stack and stack[-1] in '"{':  # the word resumes, to its end or the next substitution
-                j = _read_on(text, i, stack)
-                if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
-                    raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
+                j = _read_on(text, i, n, stack)
                 if j > i:  # the rest of the word, if any, is the next word token
                     tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))
                 i = j
         elif c == "(":
             raise BashSyntaxError("subshells are not supported")
         elif c == "#" and not (tokens and tokens[-1].end == i and tokens[-1].kind in (_WORD_KIND, _SUBST_CLOSE)):
-            # a '#' that starts a word opens a comment, to the end of the line
-            # or, inside a backtick substitution, to its closing backtick,
-            # which Bash finds before it reads a comment
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            if "`" in stack:
-                j = min(j, _TO_BACKTICK.match(text, i).end())
-            i = j
+            # a '#' that starts a word opens a comment, to the end of the line or of the text
+            j = text.find("\n", i, n)
+            i = n if j < 0 else j
         else:
-            j = _WORD.match(text, i).end()
+            j = _WORD.match(text, i, n).end()
             if j < n and text[j] in "'\"\\$":  # most words stop at a blank or an operator
                 if text[j] == '"' or text.startswith("${", j):
-                    j = _read_on(text, j, stack)
+                    j = _read_on(text, j, n, stack)
                 error = _WORD_ERRORS.get(text[j : j + 2]) or _WORD_ERRORS.get(text[j : j + 1])
                 if error is not None:  # else the word's end or a substitution opener
                     raise BashSyntaxError(error)
-            if "`" in stack and _TO_BACKTICK.match(text, i, j).end() < j:
-                raise BashSyntaxError("quoted backticks inside a backtick substitution are not supported")
             tokens.append(_new(Token, (_WORD_KIND, text[i:j], i, j)))  # any other stop has a branch above
             i = j
     if stack:
@@ -490,18 +486,27 @@ def _parse_pipeline(cur: _Cursor, vocab: UtilityVocabulary) -> list[SimpleComman
     return stages
 
 
-def _untimed(tokens: list[Token]) -> str | None:
-    """The text after the leading Bash ``time`` keywords (each with at most
-    ``-p`` and then ``--``) when no command can start there: '|' or a
-    reserved word. Only a word token holds any of these texts but '|'."""
+def _check_time_keywords(tokens: list[Token], text: str) -> None:
+    """Refuse a Bash ``time`` keyword that times no command. Bash reads a
+    'time' as its keyword where it leads the text or, after a newline, a
+    ``$( )``. Past the keywords there (each with at most ``-p`` and then
+    ``--``), a '!' is refused as ``! ls`` is, and a stop in ``_TIMED_STOPS``
+    as timing nothing. Only a word token holds any of these texts but '|'
+    and ')'."""
     texts = [t.text for t in tokens] + [""]
-    i = 0
-    while texts[i] == "time":
-        i += 1
-        for option in ("-p", "--"):
-            if texts[i] == option:
-                i += 1
-    return texts[i] if texts[i] in _TIMED_STOPS else None
+    for k, tok in enumerate(tokens):
+        if tok.text != "time" or k and not (texts[k - 1] == "$(" and "\n" in text[tokens[k - 1].end : tok.start]):
+            continue
+        i = k
+        while texts[i] == "time":
+            i += 1
+            for option in ("-p", "--"):
+                if texts[i] == option:
+                    i += 1
+        if texts[i] == "!":
+            raise BashSyntaxError("shell control flow ('!') is not supported")
+        if texts[i] in _TIMED_STOPS and not (texts[i] == ")" and "\n" in text[tokens[i - 1].end : tokens[i].start]):
+            raise BashSyntaxError(f"'time' has no command before {texts[i]!r}")
 
 
 def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandAST:
@@ -516,8 +521,8 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     if vocab is None:
         vocab = default_vocabulary()
     tokens = tokenize(command_text)
-    if tokens and tokens[0].text == "time" and (after := _untimed(tokens)):
-        raise BashSyntaxError(f"'time' has no command before {after!r}")
+    if tokens and tokens[0].text == "time" or "\n" in command_text:  # where a keyword may be
+        _check_time_keywords(tokens, command_text)
     ast_tokens = tuple(tokens)
     tokens.append(None)
     stages = _parse_pipeline(_Cursor(tokens), vocab)

@@ -43,7 +43,12 @@ _DEFAULT_RESOURCE = "ubuntu_utilities.txt"
 
 @dataclass(frozen=True)
 class UtilityVocabulary:
-    """Immutable map from each known utility to its unsplittable flags (mostly none)."""
+    """Map from each known utility to its unsplittable flags (mostly none).
+
+    The fields are frozen, but the object also carries the corpus filter's
+    template table, which grows as ``filter_examples`` keeps references with
+    this object; the table is neither compared nor shown in the repr.
+    """
 
     flags: dict[str, frozenset[str]]
     # Reference text -> its template, for every reference a filter_examples

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 # pattern (glued to a character that ends it, holding a '#', led by a
 # digit), a substitution that opens or closes inside "...", a '${...}'
 # that opens, nests or closes around a substitution or a string, a quoted
-# or escaped command word, and any other character.
+# or escaped command word, a backtick substitution's body cut or ended by
+# what Bash reads before its closing backtick (a lone backslash that ends
+# the text, an open quote or comment, an escaped backtick, and a '${', '"'
+# or '$(' left open before a backtick), and any other character.
 _META = st.sampled_from(list("<>&|;$()`'\"\\ 0123456789"))
 _FRAGMENTS = st.sampled_from(
     ["ls ", "echo ", "sudo ", "xargs ", "find . ", "-exec ", " {} ", " \\;", " + ", "--a=",
@@ -21,7 +24,8 @@ _FRAGMENTS = st.sampled_from(
      "\\\n", "\x0b", "\x0c", "\xa0", "$", "$x", '"a\\"b"', "'a'\"b\"", "'a\nb'", "a\\",
      ">\n", "&>\n", "\n| ", "${", "}", "\r", " -- ", "#", " #", "-p ", "$'", "\\'", "';'", " \\+",
      "a;", "a&", "a<", "a>", "a(", "a)", "a`", "a'", 'a"', "a$", "a#b", " 2x", " 2>f",
-     '"$(', ')"', '"`', '`"', '"a$(', ')b"', "${a:-", "${a//x/", '"${', "\\}", '}"', "}}"]
+     '"$(', ')"', '"`', '`"', '"a$(', ')b"', "${a:-", "${a//x/", '"${', "\\}", '}"', "}}",
+     "`ls \\", "`echo '", "`#", "\\`", "${a`", '"a`', "$(ls`"]
 )
 _WORDS = st.sampled_from(["a ", "-x ", "'q r' ", '"$(ls)" ', "x=$(cat) ", "> f ", "3<&0 "])
 _CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)
@@ -41,7 +45,17 @@ _EXEC_PLUS = st.tuples(
     st.sampled_from(["{} +", " {} + ", "+", "{} \\;"]),
     st.sampled_from(["", " -print", " | wc -l", " -exec ls {} +", " +"]),
 )
-shell_text = st.one_of(_CHARS.map("".join), _COMMANDS.map("".join), _EXEC_PLUS.map("".join))
+# A backtick substitution, bare or opened inside "...", '$( )' or '${...}',
+# whose body the text ends or cuts: at its closing backtick, or at the end
+# of the text, after a lone backslash too.
+_BACKTICK_BODY = st.tuples(
+    st.sampled_from(["echo `", 'echo "`', "echo $(ls `", "echo ${a:-`", "ls `echo "]),
+    st.lists(st.one_of(_FRAGMENTS, _WORDS), max_size=4).map("".join),
+    st.sampled_from(["", "`", "\\", "` x", "`)", '`"', "`}"]),
+)
+shell_text = st.one_of(
+    _CHARS.map("".join), _COMMANDS.map("".join), _EXEC_PLUS.map("".join), _BACKTICK_BODY.map("".join)
+)
 
 # Lines for the JSON-lines readers: arbitrary bytes, records close to the
 # dataset and prediction schemas, bad UTF-8, and nesting past the JSON

@@ -265,6 +265,17 @@ def test_filter_keeps_an_example_whose_references_all_survive_as_it_is():
     assert kept[1] == Example("b", "b", ("ls -la",))
 
 
+@pytest.mark.parametrize("fresh", [False, True], ids=["no-vocab", "fresh-vocab"])
+def test_the_filter_parses_each_distinct_text_once_rejected_ones_too(fresh, monkeypatch):
+    refs = ("ls ; rm x", "frobnicate -x", "ls -la")
+    parsed = []
+    monkeypatch.setattr(nlbash.corpus, "parse", lambda text, v=None: parsed.append(text) or parse(text, v))
+    vocab = UtilityVocabulary(VOCAB.flags) if fresh else None
+    report = filter_examples([ex(str(i), *refs) for i in range(4)], vocab)
+    assert [e.references for e in report.kept] == [("ls -la",)] * 4
+    assert sorted(parsed) == sorted(refs)
+
+
 def test_the_template_table_holds_every_reference_its_vocabularys_filters_kept():
     vocab = UtilityVocabulary(VOCAB.flags)
     first = filter_examples(toy_corpus(200, seed=1), vocab)

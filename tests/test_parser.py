@@ -2,11 +2,12 @@ import hashlib
 import os
 import re
 import shutil
+import signal
 import subprocess
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from strategies import shell_text
 
@@ -570,7 +571,7 @@ GOLDEN = [
     ('echo "$(basename $f)"', ('echo', 'echo[] | basename[]', (1, 1))),
     ('mkdir "$(date +"%F")"', ('mkdir', 'mkdir[] | date[]', (1, 1))),
     ("echo \"$(awk '{print $1}' f)\"", ('echo', 'echo[] | awk[]', (1, 2))),
-    ('echo "a`b"c`d"', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ('echo "a`b"c`d"', BashSyntaxError('unbalanced double quote')),
     ('echo "$(echo "$(ls)")"', ('echo', 'echo[] | echo[] | ls[]', (1, 1, 0))),
     ('echo $[1]', BashSyntaxError('arithmetic expansion is not supported')),
     ('ls >>&1', BashSyntaxError('bad redirect at offset 3')),
@@ -596,7 +597,21 @@ GOLDEN = [
     ('echo $(time | wc)', ('echo', 'echo[] | time[] | wc[]', (0, 0, 0))),
     ('/usr/bin/time | wc', ('time | wc', 'time[] | wc[]', (0, 0))),
     ('time }', BashSyntaxError("'time' has no command before '}'")),
-    ('time ! ls', BashSyntaxError("'time' has no command before '!'")),
+    # After its keywords, Bash reads '!' as negation, which parse refuses as it
+    # refuses '! ls'. After a '$(' and a newline, 'time' is Bash's keyword
+    # too, and a ')' on its line times nothing.
+    ('time ! ls', BashSyntaxError("shell control flow ('!') is not supported")),
+    ('time -p ! ls', BashSyntaxError("shell control flow ('!') is not supported")),
+    ('ls $(\ntime)', BashSyntaxError("'time' has no command before ')'")),
+    ('ls $(\ntime -p)', BashSyntaxError("'time' has no command before ')'")),
+    ('ls $(\ntime -- )', BashSyntaxError("'time' has no command before ')'")),
+    ('ls $(\ntime | wc)', BashSyntaxError("'time' has no command before '|'")),
+    ('echo "$(\ntime)"', BashSyntaxError("'time' has no command before ')'")),
+    ('ls $( # c\n time)', BashSyntaxError("'time' has no command before ')'")),
+    ('ls $(\ntime ls)', ('ls', 'ls[] | time[] | ls[]', (0, 0, 0))),
+    ('ls $(\ntime\n)', ('ls', 'ls[] | time[]', (0, 0))),
+    ('ls $(\ntime -p # c\n)', ('ls', 'ls[] | time[p]', (0, 0))),
+    ('echo $(time)', ('echo', 'echo[] | time[]', (0, 0))),
     ("echo ${x:-$'a\\'b'}", ('echo', 'echo[]', (1,))),
     ("echo \"$(echo $'\\'')\"", ('echo', 'echo[] | echo[]', (1, 1))),
     ('echo $$ $${x}', ('echo', 'echo[]', (2,))),
@@ -618,8 +633,8 @@ GOLDEN = [
     ('find . -exec find . -exec ls {} + +', ('find', 'find[exec] | find[exec]', (2, 3))),
     ('find . -exec find . -exec ls {} \\; \\;', ('find', 'find[exec] | find[exec]', (2, 3))),
     ("echo `ls 'a b'`", ('echo', 'echo[] | ls[]', (0, 1))),
-    ("echo `ls '`' `", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
-    ('echo `echo "`ls`"`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    ("echo `ls '`' `", BashSyntaxError('unbalanced single quote')),
+    ('echo `echo "`ls`"`', BashSyntaxError('unbalanced double quote')),
     ("echo `ls '\\`'`", ('echo', 'echo[] | ls[]', (0, 1))),
     # A substitution inside "..." is a command, as outside. A word that
     # substitutions split is erased once, by its piece before the first, and
@@ -672,12 +687,13 @@ GOLDEN = [
     ('echo "${a:-$(ls)}', BashSyntaxError('unbalanced double quote')),
     ('echo ${a:-$[1]}', BashSyntaxError('arithmetic expansion is not supported')),
     # Inside a backtick substitution, Bash ends it at the first backtick, also
-    # one inside a ${...} or a $( ), and a comment runs to that backtick.
-    ('echo `echo ${a:-`ls`}`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
-    ('echo `echo $(echo `ls`)`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
-    ('echo `echo $(ls #x)`ls`)`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
-    ('echo `echo "$(ls)"\'`\'`', BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
-    ("echo `echo ${a:-$(ls)'`'}`", BashSyntaxError('quoted backticks inside a backtick substitution are not supported')),
+    # one inside a ${...} or a $( ), and a comment runs to that backtick; what
+    # the body leaves open there is unclosed, as at the end of a text.
+    ('echo `echo ${a:-`ls`}`', BashSyntaxError("unterminated '${'")),
+    ('echo `echo $(echo `ls`)`', BashSyntaxError('unterminated command substitution')),
+    ('echo `echo $(ls #x)`ls`)`', BashSyntaxError('unterminated command substitution')),
+    ('echo `echo "$(ls)"\'`\'`', BashSyntaxError('unbalanced single quote')),
+    ("echo `echo ${a:-$(ls)'`'}`", BashSyntaxError('unbalanced single quote')),
     ('echo `echo a #x`', ('echo', 'echo[] | echo[]', (0, 1))),
     ('echo "[`echo d #)`]"', ('echo', 'echo[] | echo[]', (1, 1))),
     ('echo `echo a #x\\`y`', ('echo', 'echo[] | echo[]', (0, 1))),
@@ -730,8 +746,9 @@ def test_parse_outcomes_of_the_generated_corpora_match_the_pin():
 # quote or a redirect target, a comment that a backtick ends before the
 # line does, a quoted backtick that ends the backtick substitution around
 # it, '>>&', '$[', a '$'...'' whose escaped quote leaves it open, a '$$'
-# read as '$' and '${', a leading 'time' keyword that times no command, and
-# a substitution inside "..." that names no command.
+# read as '$' and '${', a 'time' keyword that times no command (leading the
+# text, or a '$( )' after a newline), and a substitution inside "..." that
+# names no command.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
     "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
@@ -741,6 +758,8 @@ BASH_PINNED = [
     "time | wc", "time -p -- | wc", "time time | wc", "time }", "time $${\n;ls #}",
     "echo `ls '`' `", 'echo "$(;)"', 'echo "$(>>)"', 'time "$(!)"', 'echo ${x:-"}',
     'echo `echo "$(ls)"\'`\'`', "echo `echo ${a:-$(ls)'`'}`",
+    "ls $(\ntime)", "ls $(\ntime -p)", "ls $(\ntime -- )", "ls $(\ntime | wc)", 'echo "$(\ntime)"',
+    "ls $( # c\n time)",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -922,6 +941,39 @@ def test_token_spans_tile_the_text_with_blanks_or_comments_between(text):
         assert _GAP.fullmatch(text, pos, tok.start), (text, tok)
         pos = tok.end
     assert _GAP.fullmatch(text, pos), text
+
+
+class _Stuck(Exception):
+    pass
+
+
+def _stop_the_lexer(signum, frame):
+    """Raise in a frame of the parser module only: an exception raised in a
+    callback that the lexer's allocations ran (a gc callback) is swallowed,
+    so the timer fires again instead."""
+    if frame is not None and frame.f_globals.get("__name__") == parser.__name__:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        raise _Stuck
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer to bound the call")
+@settings(max_examples=400, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(shell_text)
+def test_the_lexer_ends_on_every_generated_text(text):
+    """A lexer loop that stops advancing fails here, with its text, instead
+    of hanging the run: an alarm is armed around the call only. No shrinking,
+    which would spend the alarm's second on every smaller text that hangs."""
+    previous = signal.signal(signal.SIGALRM, _stop_the_lexer)
+    signal.setitimer(signal.ITIMER_REAL, 1.0, 0.01)  # then every 10 ms, until it stops the lexer
+    try:
+        tokenize(text)
+    except NlbashError:
+        pass
+    except _Stuck:
+        pytest.fail(f"tokenize ran for over 1 s on {text!r}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _tokens_or_error(text):
