@@ -11,6 +11,21 @@ command (``time -p | wc``, ``ls $(\\ntime)``), nesting deeper than
 MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
 filtering rejects it.
 
+A redirect has one rule, Bash's: an operator (``[fd]>``, ``[fd]>>``,
+``[fd]<``, ``[fd]>&``, ``[fd]<&``, ``&>``, ``&>>``) takes the next word as
+its target, and that word decides whether it duplicates, closes or opens a
+file. So the ``1`` of ``2>&1`` and the ``-`` of ``>&-`` are targets as the
+``f`` of ``> f`` is, and a ``#`` glued to a target is word text (``ls
+2>&1#ls -x`` is ``ls[x]``). After ``>&`` or ``<&`` and any blanks, digits
+before a ``<`` or ``>`` are the target, not the next operator's fd
+(``echo >&3<&0 x`` erases 3 words), and a ``-`` is a whole word, so what
+is glued to it starts a word of its own (``ls >&--exec`` is ``ls[c,e,x]``;
+in ``ls >&-#x`` the ``#`` opens a comment). A target may open with a
+substitution, a nested command like any other (``ls > $(date).log`` is
+``ls[] | date[]``). A target is one erased word, never a flag, an ``-exec``
+end word or a wrapper's target; an operator with no word after it is
+refused (``ls >&``, ``ls >&>x``), and so are ``>|`` and ``<>``.
+
 An ``-exec`` payload ends where GNU find ends it: at a word that find reads
 as ``;`` once Bash has removed its quotes (``\\;``, ``';'``, ``";"``), or
 at one it reads as ``+`` (``+``, ``\\+``, ``'+'``, ``"+"``) right after a
@@ -84,7 +99,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import BashSyntaxError, UnknownUtilityError
-from .vocab import UtilityVocabulary, default_vocabulary
+from .vocab import UtilityVocabulary, _shared_default
 
 # Utilities that run another command given as their trailing words.
 WRAPPER_UTILITIES = frozenset({"sudo", "xargs", "time", "nice"})
@@ -97,14 +112,13 @@ _SEMIS = frozenset({"\\;", "';'", '";"'})
 _PLUSES = frozenset({"+", "\\+", "'+'", '"+"'})
 _BRACES = frozenset({"{}", "'{}'", '"{}"', "\\{\\}"})
 
-# Bash's reserved words but 'time', which parse reads as the utility.
-_RESERVED_WORDS = frozenset(
-    "if then elif else fi for while until do done case esac function select coproc in { } [[ ]] !".split()
-)
+# Bash's reserved words but 'time', which parse reads as the utility: those
+# that open a compound command ('!' negates a pipeline), then the others.
+_OPENERS = frozenset("if for while until case select function coproc { [[ !".split())
+_RESERVED_WORDS = _OPENERS | frozenset("then elif else fi do done esac } ]] in".split())
 # What Bash refuses right after its 'time' keyword: a '|', a ')' on the
-# keyword's line, or a word it reads as reserved there but '!', which negates
-# the timed pipeline.
-_TIMED_STOPS = _RESERVED_WORDS - {"!"} | {"|", ")"}
+# keyword's line, or a reserved word that opens no command there.
+_TIMED_STOPS = _RESERVED_WORDS - _OPENERS | {"|", ")"}
 
 # Deepest nesting of commands (wrapper targets, -exec payloads, $( ) and
 # backtick substitutions) that parse accepts; deeper text is refused
@@ -142,7 +156,8 @@ class SimpleCommand(NamedTuple):
 
     ``flags`` holds its flag names, without dashes. ``erased_args`` counts
     the words a template erases: plain arguments, the value of
-    ``--name=value`` (also of ``--=v``) and redirect targets. ``nested``
+    ``--name=value`` (also of ``--=v``) and redirect targets, a
+    duplication's too (the ``1`` of ``2>&1``). ``nested``
     holds the commands this stage runs itself — the target of a wrapper like
     sudo/xargs, an ``-exec`` payload, or the stages of a substitution — in
     source order. Like every parse record, it is a named tuple.
@@ -179,12 +194,15 @@ def _walk(cmds: tuple[SimpleCommand, ...], into: list[SimpleCommand]) -> None:
 # Lexer
 
 
-# A redirect operator: [fd]>, [fd]>>, [fd]<, &>, &>>, or an fd duplication
-# such as 2>&1, <&0 or >&- (never >>&). As in Bash, only ASCII digits name
-# an fd.
-# _REDIRECT_START gates the match so that ordinary words skip the regex.
-_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>](?:&(?:[0-9]+|-))?)")
+# A redirect operator, [fd]>, [fd]>>, [fd]<, [fd]>&, [fd]<&, &> or &>>, takes the next
+# word as its target, as in Bash (the 1 of 2>&1 too); only ASCII digits name an fd.
+# _REDIRECT_START lets ordinary words skip the regex.
+_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>]&?)")
 _REDIRECT_START = frozenset("<>&0123456789")
+# After '>&' or '<&' and any blanks, Bash reads a '-' as a word of its own ('ls >&-x'
+# passes x, and in 'ls >&-#x' the '#' opens a comment), and digits before a '<' or
+# '>' as a target, not the next operator's fd ('echo >&3<&0'): this matches either.
+_DUP_TARGET = re.compile(r"[ \t]*(-|[0-9]+(?=[<>]))(?:#[^\n]*)?")
 
 # A word: any mix of unquoted characters other than space, tab, LF and
 # |;&<>()` (CR is word text), '$' pieces, whole '...' and $'...' strings,
@@ -279,15 +297,15 @@ def tokenize(text: str) -> list[Token]:
         elif c in _REDIRECT_START and (m := _REDIRECT.match(text, i, n)):
             op, j = m.group(), m.end()
             nxt = text[j : j + 1]
-            if op[-1] in "<>":  # a plain operator: refuse <<, <( / >( and a bare >&
-                if op[-1] == "<" and nxt == "<":
-                    raise BashSyntaxError("here-documents are not supported")
-                if nxt == "(":
-                    raise BashSyntaxError("process substitution is not supported")
-                if nxt == "&" and op[0] != "&":
-                    raise BashSyntaxError(f"bad redirect at offset {i}")
+            if op[-1] == "<" and nxt == "<":
+                raise BashSyntaxError("here-documents are not supported")
+            if nxt == "(":
+                raise BashSyntaxError("process substitution is not supported")
             tokens.append(_new(Token, (TokenKind.REDIRECT, op, i, j)))
             i = j
+            if op[-1] == "&" and (m := _DUP_TARGET.match(text, j, n)):
+                tokens.append(_new(Token, (_WORD_KIND, m[1], m.start(1), m.end(1))))
+                i = m.end()
         elif c == "&":
             if text[i + 1 : i + 2] == "&":
                 raise BashSyntaxError("'&&' lists are not supported")
@@ -452,14 +470,13 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
             while (rest := tokens[cur.pos]) is not None and rest.kind is _WORD_KIND and rest.start == tokens[cur.pos - 1].end:
                 cur.pos += 1  # the rest of the word the substitution is in, counted with it
             continue
-        # REDIRECT: fd duplications like 2>&1 are self-contained; everything
-        # else, &> included, consumes the following word as its target.
-        if "&" not in text[1:]:
-            target = tokens[cur.pos]
-            if target is None or target.kind is not _WORD_KIND:
-                raise BashSyntaxError(f"redirect {text!r} is missing its target")
+        # REDIRECT: its target, one erased word, is a word or opens with a substitution (read next)
+        target = tokens[cur.pos]
+        erased_args += 1
+        if target is not None and target.kind is _WORD_KIND:
             cur.pos += 1
-            erased_args += 1
+        elif target is None or target.kind is not _SUBST_OPEN:
+            raise BashSyntaxError(f"redirect {text!r} is missing its target")
 
     cur.depth -= 1
     return _new(SimpleCommand, (utility, frozenset(flags), erased_args, tuple(nested)))
@@ -490,9 +507,9 @@ def _check_time_keywords(tokens: list[Token], text: str) -> None:
     """Refuse a Bash ``time`` keyword that times no command. Bash reads a
     'time' as its keyword where it leads the text or, after a newline, a
     ``$( )``. Past the keywords there (each with at most ``-p`` and then
-    ``--``), a '!' is refused as ``! ls`` is, and a stop in ``_TIMED_STOPS``
-    as timing nothing. Only a word token holds any of these texts but '|'
-    and ')'."""
+    ``--``), a word in ``_OPENERS`` is refused as it is at a command's start
+    (``time if``, ``time ! ls``), and a stop in ``_TIMED_STOPS`` as timing
+    nothing. Only a word token holds any of these texts but '|' and ')'."""
     texts = [t.text for t in tokens] + [""]
     for k, tok in enumerate(tokens):
         if tok.text != "time" or k and not (texts[k - 1] == "$(" and "\n" in text[tokens[k - 1].end : tok.start]):
@@ -503,8 +520,8 @@ def _check_time_keywords(tokens: list[Token], text: str) -> None:
             for option in ("-p", "--"):
                 if texts[i] == option:
                     i += 1
-        if texts[i] == "!":
-            raise BashSyntaxError("shell control flow ('!') is not supported")
+        if texts[i] in _OPENERS:  # Bash times the compound command, which parse refuses
+            raise BashSyntaxError(f"shell control flow ({texts[i]!r}) is not supported")
         if texts[i] in _TIMED_STOPS and not (texts[i] == ")" and "\n" in text[tokens[i - 1].end : tokens[i].start]):
             raise BashSyntaxError(f"'time' has no command before {texts[i]!r}")
 
@@ -519,7 +536,7 @@ def parse(command_text: str, vocab: UtilityVocabulary | None = None) -> CommandA
     if not command_text or not command_text.strip():
         raise BashSyntaxError("empty command")
     if vocab is None:
-        vocab = default_vocabulary()
+        vocab = _shared_default()
     tokens = tokenize(command_text)
     if tokens and tokens[0].text == "time" or "\n" in command_text:  # where a keyword may be
         _check_time_keywords(tokens, command_text)

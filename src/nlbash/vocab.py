@@ -11,7 +11,8 @@ with this vocabulary object. A template depends only on the text and the
 vocabulary, so ``harness.evaluate``, the TF-IDF index and
 ``utility_histogram`` read a text's template there before they parse it
 themselves. The table is neither compared nor shown in the repr, and lives
-as long as the object: each ``nlbash`` command makes its own.
+as long as the object: ``default_vocabulary()`` returns a new object on each
+call, and each ``nlbash`` command makes its own.
 
 File format (UTF-8, one record per utility, one per line)::
 
@@ -125,7 +126,14 @@ def _filtered_templates(vocab: UtilityVocabulary | None) -> dict[str, TemplateCo
 
 
 @lru_cache(maxsize=1)
-def default_vocabulary() -> UtilityVocabulary:
-    """The vocabulary shipped with the package (Ubuntu 18.04 utility set)."""
+def _shared_default() -> UtilityVocabulary:
+    """The vocabulary shipped with the package, parsed once: what ``parse``
+    reads when given none. It is never handed out, so nothing fills its table."""
     resource = importlib.resources.files("nlbash").joinpath(f"data/{_DEFAULT_RESOURCE}")
     return parse_vocabulary(resource.read_text(encoding="utf-8"), origin=_DEFAULT_RESOURCE)
+
+
+def default_vocabulary() -> UtilityVocabulary:
+    """A new vocabulary object over the flag map shipped with the package
+    (Ubuntu 18.04 utility set), with an empty template table of its own."""
+    return UtilityVocabulary(_shared_default().flags)

@@ -120,7 +120,6 @@ def test_utility_path_resolves_to_basename():
         "echo )",
         "ls > ",
         "ls >&",
-        "ls 2>&x",
         "ls &>(sort)",
         "ls 2<<EOF",
         "ls &>&1",
@@ -252,15 +251,15 @@ def test_midword_substitution_splits_the_word():
     ]
 
 
-def test_self_contained_redirects_take_no_target():
-    # the word after 2>&1 is not its target, so a wrapper still runs it
+def test_a_duplications_target_is_the_word_after_it():
+    # the 1 of 2>&1 is its target, so a wrapper still runs the word after it
     assert [(c.utility, c.erased_args) for c in parse("sudo 2>&1 ls", VOCAB).walk()] == [
-        ("sudo", 0), ("ls", 0)
+        ("sudo", 1), ("ls", 0)
     ]
     assert [(c.utility, c.erased_args) for c in parse("sudo > out ls", VOCAB).walk()] == [
         ("sudo", 1), ("ls", 0)
     ]
-    assert parse("ls 2>&1", VOCAB).stages[0].erased_args == 0
+    assert parse("ls 2>&1", VOCAB).stages[0].erased_args == 1
     with pytest.raises(BashSyntaxError, match="missing its target"):
         parse("ls >", VOCAB)
 
@@ -270,15 +269,29 @@ def test_self_contained_redirects_take_no_target():
     [
         ("ls &> out.txt", ["out.txt"]),
         ("ls &>> out.txt", ["out.txt"]),
-        ("ls >&- x", ["x"]),
-        ("ls 10<&0 x", ["x"]),
+        ("ls >&- x", ["-", "x"]),
+        ("ls 10<&0 x", ["0", "x"]),
         ("ls 2>>err.txt", ["err.txt"]),
+        ("ls >&out.txt", ["out.txt"]),
+        ("ls <&-x", ["-", "x"]),
     ],
 )
-def test_redirect_takes_a_target_unless_it_duplicates_an_fd(cmd, args):
+def test_every_redirect_takes_the_next_word_as_its_target(cmd, args):
     ast = parse(cmd, VOCAB)
     assert [t.text for t in ast.tokens if t.kind is TokenKind.WORD][1:] == args
     assert ast.stages[0].erased_args == len(args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shell_text)
+def test_every_redirect_of_an_accepted_text_is_followed_by_its_target(text):
+    try:
+        tokens = parse(text, VOCAB).tokens
+    except NlbashError:
+        return
+    for tok, after in zip(tokens, tokens[1:] + (None,)):
+        if tok.kind is TokenKind.REDIRECT:
+            assert after is not None and after.kind in (TokenKind.WORD, TokenKind.SUBST_OPEN), text
 
 
 def test_only_ascii_digits_name_a_file_descriptor():
@@ -424,7 +437,7 @@ GOLDEN = [
     ('ps aux | grep nginx', ('ps | grep', 'ps[] | grep[]', (1, 1))),
     ('echo done >> log.txt', ('echo', 'echo[]', (2,))),
     ('cat f.txt 2>/dev/null', ('cat', 'cat[]', (2,))),
-    ('grep foo f.txt > out.txt 2>&1', ('grep', 'grep[]', (3,))),
+    ('grep foo f.txt > out.txt 2>&1', ('grep', 'grep[]', (4,))),
     ('tar -xzf a.tar.gz -C /tmp ', ('tar', 'tar[C,f,x,z]', (2,))),
     ('', BashSyntaxError('empty command')),
     ('   ', BashSyntaxError('empty command')),
@@ -446,8 +459,7 @@ GOLDEN = [
     ('if true; then ls; fi', BashSyntaxError("shell control flow ('if') is not supported")),
     ('echo )', BashSyntaxError("unbalanced ')'")),
     ('ls > ', BashSyntaxError("redirect '>' is missing its target")),
-    ('ls >&', BashSyntaxError('bad redirect at offset 3')),
-    ('ls 2>&x', BashSyntaxError('bad redirect at offset 3')),
+    ('ls >&', BashSyntaxError("redirect '>&' is missing its target")),
     ('ls &>(sort)', BashSyntaxError('process substitution is not supported')),
     ('ls 2<<EOF', BashSyntaxError('here-documents are not supported')),
     ('ls &>&1', BashSyntaxError("background '&' is not supported")),
@@ -509,7 +521,7 @@ GOLDEN = [
     ('find . -exec -print', ('find', 'find[exec,print]', (1,))),
     ('ls > -la', ('ls', 'ls[]', (1,))),
     ('sudo > ls wc', ('sudo', 'sudo[] | wc[]', (1, 0))),
-    ('sudo 2>&1 ls', ('sudo', 'sudo[] | ls[]', (0, 0))),
+    ('sudo 2>&1 ls', ('sudo', 'sudo[] | ls[]', (1, 0))),
     ('sudo > out ls', ('sudo', 'sudo[] | ls[]', (1, 0))),
     ('find . -name x -exec cat {} \\; -delete', ('find', 'find[delete,exec,name] | cat[]', (2, 1))),
     ('find . -empty -exec rm {}', ('find', 'find[empty,exec] | rm[]', (1, 1))),
@@ -522,8 +534,8 @@ GOLDEN = [
     ('echo prefix$(date)suffix', ('echo', 'echo[] | date[]', (1, 0))),
     ('ls &> out.txt', ('ls', 'ls[]', (1,))),
     ('ls &>> out.txt', ('ls', 'ls[]', (1,))),
-    ('ls >&- x', ('ls', 'ls[]', (1,))),
-    ('ls 10<&0 x', ('ls', 'ls[]', (1,))),
+    ('ls >&- x', ('ls', 'ls[]', (2,))),
+    ('ls 10<&0 x', ('ls', 'ls[]', (2,))),
     ('ls 2>>err.txt', ('ls', 'ls[]', (1,))),
     ('echo ²>x', ('echo', 'echo[]', (2,))),
     ('sudo time find /tmp -name core', ('sudo', 'sudo[] | time[] | find[name]', (0, 0, 2))),
@@ -574,7 +586,7 @@ GOLDEN = [
     ('echo "a`b"c`d"', BashSyntaxError('unbalanced double quote')),
     ('echo "$(echo "$(ls)")"', ('echo', 'echo[] | echo[] | ls[]', (1, 1, 0))),
     ('echo $[1]', BashSyntaxError('arithmetic expansion is not supported')),
-    ('ls >>&1', BashSyntaxError('bad redirect at offset 3')),
+    ('ls >>&1', BashSyntaxError("background '&' is not supported")),
     ('find -- . -name x', ('find', 'find[name]', (3,))),
     ('find -- . -exec ls {} \\;', ('find', 'find[exec] | ls[]', (2, 1))),
     ('echo a#b', ('echo', 'echo[]', (1,))),
@@ -702,7 +714,35 @@ GOLDEN = [
     # find receives no redirect, so a '+' ends a payload only right after a
     # '{}' that find receives.
     ('find . -execdir echo a< {} + -print', ('find', 'find[execdir] | echo[i,n,p,r,t]', (1, 3))),
-    ('find /tmp -name x -exec sudo ls {} 3<&0 + -exec ls {} +', ('find', 'find[exec,name] | sudo[] | ls[] | ls[]', (2, 0, 1, 1))),
+    ('find /tmp -name x -exec sudo ls {} 3<&0 + -exec ls {} +', ('find', 'find[exec,name] | sudo[] | ls[] | ls[]', (2, 0, 2, 1))),
+    # Every redirect operator, '>&' and '<&' too, takes the next word as its
+    # target, one erased word: a substitution may open it, and digits right
+    # after an '&' are that target, so a '#' glued to them is word text.
+    ('ls > $(date +%F).log', ('ls', 'ls[] | date[]', (1, 1))),
+    ('ls > `date`.log', ('ls', 'ls[] | date[]', (1, 0))),
+    ('ls >&out.txt', ('ls', 'ls[]', (1,))),
+    ('echo >&3<&0 x', ('echo', 'echo[]', (3,))),
+    ('ls 2>&1#ls -x', ('ls', 'ls[x]', (1,))),
+    ('ls 2>&1-x', ('ls', 'ls[]', (1,))),
+    ('ls 2>&x', ('ls', 'ls[]', (1,))),
+    ('ls >&>x', BashSyntaxError("redirect '>&' is missing its target")),
+    # After '>&' or '<&' and any blanks, Bash reads digits before a '<' or '>'
+    # as the target, and a '-' as a whole word, so what is glued to it is a
+    # word of its own, and a '#' there opens a comment.
+    ('echo >& 3>f', ('echo', 'echo[]', (2,))),
+    ('ls >&--exec', ('ls', 'ls[c,e,x]', (1,))),
+    ('ls >& -x', ('ls', 'ls[]', (2,))),
+    ('ls 2>&-1', ('ls', 'ls[]', (2,))),
+    ('ls >&-#x', ('ls', 'ls[]', (1,))),
+    # After the 'time' keyword, a reserved word that opens a compound command
+    # is refused as at a command's start; one that closes or continues one
+    # times nothing.
+    ('time if true; then ls; fi', BashSyntaxError("shell control flow ('if') is not supported")),
+    ('time { ls; }', BashSyntaxError("shell control flow ('{') is not supported")),
+    ('time [[ -f x ]]', BashSyntaxError("shell control flow ('[[') is not supported")),
+    ('time while true; do ls; done', BashSyntaxError("shell control flow ('while') is not supported")),
+    ('time fi', BashSyntaxError("'time' has no command before 'fi'")),
+    ('time do', BashSyntaxError("'time' has no command before 'do'")),
 ]
 
 
@@ -747,8 +787,10 @@ def test_parse_outcomes_of_the_generated_corpora_match_the_pin():
 # line does, a quoted backtick that ends the backtick substitution around
 # it, '>>&', '$[', a '$'...'' whose escaped quote leaves it open, a '$$'
 # read as '$' and '${', a 'time' keyword that times no command (leading the
-# text, or a '$( )' after a newline), and a substitution inside "..." that
-# names no command.
+# text, or a '$( )' after a newline), a substitution inside "..." that
+# names no command, a '#' glued to a duplication's target (word text, so
+# no comment hides the '$(' after it), and a redirect whose next word is
+# another redirect.
 BASH_PINNED = [
     "ls &>\nls", "ls >\nf", "sort <\nf", "echo 2>\nx", "ls\n| wc", "echo ${ls ",
     "echo ${a <(}", "echo ${`}` ", "echo ${$(ls }", 'echo ${"}" "}',
@@ -759,7 +801,7 @@ BASH_PINNED = [
     "echo `ls '`' `", 'echo "$(;)"', 'echo "$(>>)"', 'time "$(!)"', 'echo ${x:-"}',
     'echo `echo "$(ls)"\'`\'`', "echo `echo ${a:-$(ls)'`'}`",
     "ls $(\ntime)", "ls $(\ntime -p)", "ls $(\ntime -- )", "ls $(\ntime | wc)", 'echo "$(\ntime)"',
-    "ls $( # c\n time)",
+    "ls $( # c\n time)", "ls 2>&1#$(", "echo > 3>f", "time fi", "time do",
 ]
 _BASH = shutil.which("bash")
 # No BASH_ENV: a non-interactive Bash would read that file first.
@@ -860,7 +902,7 @@ def _bash_prints_otherwise(ast):
         kind = tok.kind
         if kind in (TokenKind.WORD, TokenKind.SUBST_OPEN) and tok.start != end and redirected[-1] and not target_next:
             return True
-        target_next = kind is TokenKind.REDIRECT and "&" not in tok.text[1:]
+        target_next = kind is TokenKind.REDIRECT
         if kind is TokenKind.REDIRECT:
             redirected[-1] = True
         elif kind is TokenKind.PIPE:

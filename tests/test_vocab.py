@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlbash import vocab as vocab_module
+from nlbash.corpus import filter_examples
 from nlbash.errors import VocabularyFormatError
+from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary, load_vocabulary, parse_vocabulary
 
 
@@ -33,6 +36,17 @@ def test_lookup_resolves_paths_to_basenames():
     assert vocab.lookup("rm") == "rm"
     assert vocab.lookup("frobnicate") is None
     assert vocab.lookup("/opt/frobnicate") is None
+
+
+def test_each_default_vocabulary_has_a_template_table_of_its_own():
+    filled = default_vocabulary()
+    for seed in range(3):
+        filter_examples(toy_corpus(300, seed=seed), filled)
+    filter_examples(toy_corpus(300, seed=3))  # parse reads the shared default, with no table to fill
+    fresh = default_vocabulary()
+    assert filled._templates and not fresh._templates
+    assert fresh == filled and fresh.flags is filled.flags  # one parsed flag map
+    assert not vocab_module._shared_default()._templates
 
 
 def test_parse_vocabulary_flags_accept_leading_dashes():
