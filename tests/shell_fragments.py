@@ -1,6 +1,7 @@
-"""The fragments that random shell text is built from, as plain lists: the
-``shell_text`` strategy of ``strategies.py`` samples them, and so does
-``tools/readings.py``, which runs without hypothesis.
+"""The fragments that random shell text is built from, as plain lists, and
+``SHAPES``, the shapes it takes: the ``shell_text`` strategy of
+``strategies.py`` builds them, and so does ``tools/readings.py``, which runs
+without hypothesis.
 
 Shell metacharacters and digits, fragments that reach the parser's nesting
 and redirect paths and the lexer's word edges (\\x0b, \\x0c, \\xa0 and \\r
@@ -48,3 +49,17 @@ EXEC_TAILS = ["", " -print", " | wc -l", " -exec ls {} +", " +"]
 # of the text, after a lone backslash too.
 BACKTICK_OPENS = ["echo `", 'echo "`', "echo $(ls `", "echo ${a:-`", "ls `echo "]
 BACKTICK_ENDS = ["", "`", "\\", "` x", "`)", '`"', "`}"]
+
+# Stands for any character in a run below.
+ANY = None
+# The shapes of random text, each a sequence of parts joined in order. A
+# part is a list, one piece of which it takes, or a run (lists, most): up to
+# `most` pieces, each taken from one of `lists`, so that a list named twice
+# is taken twice as often. Add a shape here and both the strategy and the
+# reading differential build it.
+SHAPES = [
+    [([META, META, FRAGMENTS, ANY], 40)],
+    [COMMAND_LEADS, ([FRAGMENTS, WORDS, WORDS], 12)],
+    [EXEC_HOSTS, EXEC_FLAGS, EXEC_UTILITIES, ([WORDS, FRAGMENTS], 3), EXEC_ENDS, EXEC_TAILS],
+    [BACKTICK_OPENS, ([FRAGMENTS, WORDS], 4), BACKTICK_ENDS],
+]

@@ -1,45 +1,19 @@
 """Hypothesis strategies shared by the property tests."""
 
 from hypothesis import strategies as st
-from shell_fragments import (
-    BACKTICK_ENDS,
-    BACKTICK_OPENS,
-    COMMAND_LEADS,
-    EXEC_ENDS,
-    EXEC_FLAGS,
-    EXEC_HOSTS,
-    EXEC_TAILS,
-    EXEC_UTILITIES,
-    FRAGMENTS,
-    META,
-    WORDS,
-)
+from shell_fragments import ANY, SHAPES
 
-# Random shell text, built from the fragments that shell_fragments.py lists
-# and describes, and from any other character.
-_META = st.sampled_from(META)
-_FRAGMENTS = st.sampled_from(FRAGMENTS)
-_WORDS = st.sampled_from(WORDS)
-_CHARS = st.lists(st.one_of(_META, _META, _FRAGMENTS, st.characters()), max_size=40)
-_COMMANDS = st.tuples(
-    st.sampled_from(COMMAND_LEADS), st.lists(st.one_of(_FRAGMENTS, _WORDS, _WORDS), max_size=12).map("".join)
-)
-_EXEC_PLUS = st.tuples(
-    st.sampled_from(EXEC_HOSTS),
-    st.sampled_from(EXEC_FLAGS),
-    st.sampled_from(EXEC_UTILITIES),
-    st.lists(st.one_of(_WORDS, _FRAGMENTS), max_size=3).map("".join),
-    st.sampled_from(EXEC_ENDS),
-    st.sampled_from(EXEC_TAILS),
-)
-_BACKTICK_BODY = st.tuples(
-    st.sampled_from(BACKTICK_OPENS),
-    st.lists(st.one_of(_FRAGMENTS, _WORDS), max_size=4).map("".join),
-    st.sampled_from(BACKTICK_ENDS),
-)
-shell_text = st.one_of(
-    _CHARS.map("".join), _COMMANDS.map("".join), _EXEC_PLUS.map("".join), _BACKTICK_BODY.map("".join)
-)
+
+def _part(part):
+    if isinstance(part, list):
+        return st.sampled_from(part)
+    lists, most = part
+    piece = st.one_of([st.characters() if kind is ANY else st.sampled_from(kind) for kind in lists])
+    return st.lists(piece, max_size=most).map("".join)
+
+
+# Random shell text of the shapes that shell_fragments.py lists and describes.
+shell_text = st.one_of([st.tuples(*map(_part, shape)).map("".join) for shape in SHAPES])
 
 # Lines for the JSON-lines readers: arbitrary bytes, records close to the
 # dataset and prediction schemas, bad UTF-8, and nesting past the JSON

@@ -1,15 +1,17 @@
 """Smoke test of tools/readings.py, the parser's reading differential."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "readings.py"
+_SPEC = importlib.util.spec_from_file_location("readings", ROOT / "tools" / "readings.py")
+readings = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(readings)
 
 
 def _no_revision_reason():
@@ -26,14 +28,14 @@ _NO_REVISION = _no_revision_reason()
 
 
 @pytest.mark.skipif(_NO_REVISION is not None, reason=str(_NO_REVISION))
-def test_a_revision_read_against_itself_moves_nothing():
-    done = subprocess.run(
-        [sys.executable, str(TOOL), "--base", "HEAD", "--head", "HEAD", "--texts", "300", "--corpus", "200"],
-        capture_output=True, text=True, timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    total = int(re.search(r"^(\d+) distinct texts", done.stdout, re.M)[1])
-    counts = dict(re.findall(r"^(\S.*?)\s{2,}(\d+)\b", done.stdout, re.M))
-    assert len(counts) == 6 and counts.pop("same") == str(total), done.stdout
-    assert set(counts.values()) == {"0"}, done.stdout
-    assert "generated texts that moved: 0" in done.stdout
+def test_a_revision_read_against_itself_moves_nothing(tmp_path, capsys):
+    src = readings._export("HEAD", tmp_path / "head")
+    pool, generated = readings.build_pool(0, 300, 200)
+    readings.compare(pool, generated, src, src, tmp_path)
+    out = capsys.readouterr().out
+    total = int(re.search(r"^(\d+) distinct texts", out, re.M)[1])
+    counts = dict(re.findall(r"^(\S.*?)\s{2,}(\d+)\b", out, re.M))
+    assert len(counts) == 6 and counts.pop("same") == str(total), out
+    assert set(counts.values()) == {"0"}, out
+    assert "generated texts that moved: 0" in out
+

@@ -1,17 +1,16 @@
 """Compare the parser's readings of one pool of texts at two revisions.
 
-    python3 tools/readings.py --base REV [--head REV] [--seed S] [--texts N] [--corpus N]
+    python3 tools/readings.py --base REV [--head REV] [--seed S] [--texts N]
 
 Each side is the ``src/`` tree of a git revision, exported with
 ``git archive`` into a temporary directory; without ``--head`` the head side
 is the working tree's ``src/``. Each side parses the same pool in an
 interpreter of its own. The pool holds the references of
-``command_corpus(N)`` and ``toy_corpus(N // 4)`` for seeds 0 and 1 (the
+``command_corpus(20000)`` and ``toy_corpus(5000)`` for seeds 0 and 1 (the
 generated texts) and ``--texts`` random texts drawn with
-``random.Random(--seed)`` from the fragment lists of
-``tests/shell_fragments.py``, the lists that the ``shell_text`` strategy
-samples; the pool is built from the working tree, so it needs no
-hypothesis.
+``random.Random(--seed)`` in the shapes of ``tests/shell_fragments.py``,
+the shapes that the ``shell_text`` strategy builds; the pool is built from
+the working tree, so it needs no hypothesis.
 
 A reading is the tokens, the template and the erased counts of an accepted
 text, or the error class and message of a refused one. The tool prints how
@@ -28,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -39,19 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from shell_fragments import (  # noqa: E402
-    BACKTICK_ENDS,
-    BACKTICK_OPENS,
-    COMMAND_LEADS,
-    EXEC_ENDS,
-    EXEC_FLAGS,
-    EXEC_HOSTS,
-    EXEC_TAILS,
-    EXEC_UTILITIES,
-    FRAGMENTS,
-    META,
-    WORDS,
-)
+from shell_fragments import ANY, SHAPES  # noqa: E402
 
 from nlbash.synth import command_corpus, toy_corpus  # noqa: E402
 
@@ -64,6 +52,7 @@ CLASSES = (
     "refusal message or class only",
 )
 SHOWN = 5  # texts shown per class, the shortest
+CORPUS = 20000  # commands per command_corpus seed
 
 # Run in each side's interpreter: argv is the side's src/, the pool file and
 # the output file, which gets one JSON reading per line, in pool order.
@@ -95,24 +84,19 @@ def _character(rng: random.Random) -> str:
             return c
 
 
-def _pieces(rng: random.Random, lists: list[list[str]], most: int) -> str:
-    return "".join(rng.choice(rng.choice(lists)) for _ in range(rng.randint(0, most)))
+def _part(rng: random.Random, part) -> str:
+    if isinstance(part, list):
+        return rng.choice(part)
+    lists, most = part
+    return "".join(
+        _character(rng) if kind is ANY else rng.choice(kind)
+        for kind in (rng.choice(lists) for _ in range(rng.randint(0, most)))
+    )
 
 
 def random_text(rng: random.Random) -> str:
-    """One text of the four shapes that ``shell_text`` builds."""
-    shape = rng.randrange(4)
-    if shape == 0:  # metacharacters, fragments and any character
-        return "".join(
-            _character(rng) if k == 3 else rng.choice((META, META, FRAGMENTS)[k])
-            for k in (rng.randrange(4) for _ in range(rng.randint(0, 40)))
-        )
-    if shape == 1:  # led by a known utility
-        return rng.choice(COMMAND_LEADS) + _pieces(rng, [FRAGMENTS, WORDS, WORDS], 12)
-    if shape == 2:  # find with an -exec payload
-        head = rng.choice(EXEC_HOSTS) + rng.choice(EXEC_FLAGS) + rng.choice(EXEC_UTILITIES)
-        return head + _pieces(rng, [WORDS, FRAGMENTS], 3) + rng.choice(EXEC_ENDS) + rng.choice(EXEC_TAILS)
-    return rng.choice(BACKTICK_OPENS) + _pieces(rng, [FRAGMENTS, WORDS], 4) + rng.choice(BACKTICK_ENDS)
+    """One text of a shape of ``SHAPES``, the shapes that ``shell_text`` builds."""
+    return "".join(_part(rng, part) for part in rng.choice(SHAPES))
 
 
 def build_pool(seed: int, texts: int, corpus: int) -> tuple[list[str], set[str]]:
@@ -163,9 +147,13 @@ def _show(reading: list) -> str:
 
 
 def _bash_accepts(texts: list[str], bash: str) -> int:
+    env = {k: v for k, v in os.environ.items() if k != "BASH_ENV"}  # a non-interactive bash sources it
     return sum(
         subprocess.run(
-            [bash, "--norc", "--noprofile", "-n"], input=text.encode("utf-8", "surrogatepass"), capture_output=True
+            [bash, "--norc", "--noprofile", "-n"],
+            input=text.encode("utf-8", "surrogatepass"),
+            capture_output=True,
+            env=env,
         ).returncode == 0
         for text in texts
     )
@@ -211,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", help="revision whose src/ is the head side (default: the working tree)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the random texts (default 0)")
     parser.add_argument("--texts", type=int, default=20000, help="random texts to draw (default 20000)")
-    parser.add_argument("--corpus", type=int, default=20000, help="commands per command_corpus seed (default 20000)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="readings-") as tmp:
         work = Path(tmp)
@@ -224,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot export src/ with git: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
             return 2
         print(f"base {labels[0]}, head {labels[1]}")
-        pool, generated = build_pool(args.seed, args.texts, args.corpus)
+        pool, generated = build_pool(args.seed, args.texts, CORPUS)
         compare(pool, generated, base_src, head_src, work)
     return 0
 
