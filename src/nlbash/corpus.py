@@ -80,7 +80,24 @@ class FilterReport:
     rejected: list[Rejection] = field(default_factory=list)
 
 
-def _example_from_record(record: object, where: str, default_id: str) -> Example:
+def _example_from_record(record: object, path: str | Path, lineno: int) -> Example:
+    """The example that line ``lineno`` of the dataset at ``path`` holds. A record of
+    the usual shape is checked in one pass; for any other, the field checks below
+    raise the SchemaError that names its first fault."""
+    if type(record) is dict:
+        invocation, cmd, source = record.get("invocation"), record.get("cmd"), record.get("source")
+        ex_id = record.get("id")
+        if ex_id is None and "id" not in record:
+            ex_id = f"ex-{lineno:06d}"
+        references = (cmd,) if type(cmd) is str else tuple(cmd) if type(cmd) is list else ()
+        if (
+            type(invocation) is str and invocation.strip()
+            and references and all(type(c) is str and c.strip() for c in references)
+            and type(ex_id) is str and ex_id
+            and (source is None or type(source) is str)
+        ):
+            return Example(ex_id, invocation, references, source or "other")
+    where = f"{path}:{lineno}"
     invocation = json_field(record, "invocation", str, where)
     if not invocation.strip():
         raise SchemaError(f"{where}: 'invocation' must be a non-empty string")
@@ -88,38 +105,41 @@ def _example_from_record(record: object, where: str, default_id: str) -> Example
     references = [cmd] if type(cmd) is str else cmd
     if not references or any(type(c) is not str or not c.strip() for c in references):
         raise SchemaError(f"{where}: 'cmd' must be a command or a non-empty list of commands")
-    ex_id = json_field(record, "id", str, where, default_id)
-    if not ex_id:
+    if not json_field(record, "id", str, where, "a default id"):
         raise SchemaError(f"{where}: 'id' must be a non-empty string")
-    return Example(
-        id=ex_id,
-        invocation=invocation,
-        references=tuple(references),
-        source=json_field(record, "source", (str, type(None)), where, None) or "other",
-    )
+    json_field(record, "source", (str, type(None)), where, None)
+    raise AssertionError(f"{where}: the record check refused a record with no fault")
 
 
-def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, text) for each non-blank line of a UTF-8 file.
+def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, JSON value) for each non-blank line of a UTF-8 file.
 
-    Lines end where text mode ends them (``\\n``, ``\\r\\n`` or ``\\r``), but
-    each is decoded alone, so the SchemaError for a bad byte names its line.
+    Lines end where text mode ends them (``\\n``, ``\\r\\n`` or ``\\r``, never
+    U+2028 or ``\\x1c``), and each is decoded alone, so the SchemaError for a bad
+    byte names its line, and a line is never JSON only when joined with the next.
+    A line of whitespace alone, Unicode blanks too, is skipped.
     """
     with open(path, "rb") as fh:
-        lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
-            if line.strip():
-                yield lineno, line
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
+        if not line.isspace():
+            yield lineno, decode_json(line, f"{path}:{lineno}")
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # A JSON number: an exact int or float, so never a bool.
 NUMBER = (int, float)
 _REQUIRED = object()
+# What json.loads runs, bound once: the C scanner and the blanks that may surround
+# a value. json.loads reaches the scanner through three Python frames per call.
+_scan_json = json.JSONDecoder().scan_once
+_json_blanks = json.decoder.WHITESPACE.match
+# What json.dumps(value, ensure_ascii=False) runs, bound once: the same bytes.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def decode_json(data: str | bytes, where: str) -> object:
@@ -130,7 +150,12 @@ def decode_json(data: str | bytes, where: str) -> object:
     file, line or reply, is decoded here."""
     try:
         text = data if type(data) is str else data.decode("utf-8")
-        value = json.loads(text)
+        try:
+            value, end = _scan_json(text, _json_blanks(text, 0).end())
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end < 0 or _json_blanks(text, end).end() != len(text):
+            value = json.loads(text)  # refuses the text as the scan did, in json's own words
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{where}: invalid UTF-8 ({exc.reason})") from exc
     except (ValueError, RecursionError) as exc:
@@ -182,17 +207,12 @@ def _finite(value: object, key: str, where: str) -> float:
 
 def load_examples(path: str | Path) -> list[Example]:
     """Load a JSON-lines dataset. Raises SchemaError naming ``path`` and the line number."""
-    examples: list[Example] = []
-    for lineno, line in text_lines(path):
-        where = f"{path}:{lineno}"
-        examples.append(_example_from_record(decode_json(line, where), where, f"ex-{lineno:06d}"))
-    return examples
+    return [_example_from_record(record, path, lineno) for lineno, record in json_lines(path)]
 
 
 def save_examples(examples: Iterable[Example], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_record(), ensure_ascii=False) + "\n")
+        fh.writelines(_encode_json(ex.to_record()) + "\n" for ex in examples)
 
 
 def _check_reference(
@@ -257,10 +277,10 @@ def save_filter_report(
     save_examples(report.kept, kept_path)
     if rejected_path is not None:
         with open(rejected_path, "w", encoding="utf-8") as fh:
-            for rej in report.rejected:
-                record = rej.example.to_record()
-                record["reason"] = rej.reason.value
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.writelines(
+                _encode_json({**rej.example.to_record(), "reason": rej.reason.value}) + "\n"
+                for rej in report.rejected
+            )
 
 
 def _unit_interval(seed: int, ex: Example) -> float:

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Protocol, Sequence
 
-from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, text_lines
+from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, json_lines
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -348,9 +348,8 @@ def load_prediction_file(path: str) -> dict[str, list[Prediction]]:
     that is not such a record.
     """
     by_id: dict[str, list[Prediction]] = {}
-    for lineno, line in text_lines(path):
+    for lineno, record in json_lines(path):
         where = f"{path}:{lineno}"
-        record = decode_json(line, where)
         ex_id = json_field(record, "id", str, where)
         if ex_id in by_id:
             raise SchemaError(f"{where}: id {ex_id!r} repeats an earlier line")

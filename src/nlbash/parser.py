@@ -12,19 +12,20 @@ MAX_NESTING_DEPTH — raises BashSyntaxError, which is exactly how corpus
 filtering rejects it.
 
 A redirect has one rule, Bash's: an operator (``[fd]>``, ``[fd]>>``,
-``[fd]<``, ``[fd]>&``, ``[fd]<&``, ``&>``, ``&>>``) takes the next word as
-its target, and that word decides whether it duplicates, closes or opens a
-file. So the ``1`` of ``2>&1`` and the ``-`` of ``>&-`` are targets as the
-``f`` of ``> f`` is, and a ``#`` glued to a target is word text (``ls
-2>&1#ls -x`` is ``ls[x]``). After ``>&`` or ``<&`` and any blanks, digits
-before a ``<`` or ``>`` are the target, not the next operator's fd
-(``echo >&3<&0 x`` erases 3 words), and a ``-`` is a whole word, so what
-is glued to it starts a word of its own (``ls >&--exec`` is ``ls[c,e,x]``;
-in ``ls >&-#x`` the ``#`` opens a comment). A target may open with a
-substitution, a nested command like any other (``ls > $(date).log`` is
-``ls[] | date[]``). A target is one erased word, never a flag, an ``-exec``
-end word or a wrapper's target; an operator with no word after it is
-refused (``ls >&``, ``ls >&>x``), and so are ``>|`` and ``<>``.
+``[fd]>|``, ``[fd]<``, ``[fd]<>``, ``[fd]>&``, ``[fd]<&``, ``&>``,
+``&>>``) takes the next word as its target, and that word decides
+whether it duplicates, closes or opens a file. So the ``1`` of ``2>&1``
+and the ``-`` of ``>&-`` are targets as the ``f`` of ``> f`` is, and a
+``#`` glued to a target is word text (``ls 2>&1#ls -x`` is ``ls[x]``).
+After ``>&`` or ``<&`` and any blanks, digits before a ``<`` or ``>``
+are the target, not the next operator's fd (``echo >&3<&0 x`` erases 3
+words), and a ``-`` is a whole word, so what is glued to it starts a
+word of its own (``ls >&--exec`` is ``ls[c,e,x]``; in ``ls >&-#x`` the
+``#`` opens a comment). A target may open with a substitution, a nested
+command like any other (``ls > $(date).log`` is ``ls[] | date[]``). A
+target is one erased word, never a flag, an ``-exec`` end word or a
+wrapper's target; an operator with no word after it is refused (``ls
+>&``, ``ls >&>x``).
 
 An ``-exec`` payload ends where GNU find ends it: at a word that find reads
 as ``;`` once Bash has removed its quotes (``\\;``, ``';'``, ``";"``), or
@@ -48,7 +49,8 @@ line continuation) is refused, and CR is word text.
 
 Every substitution is a nested command, also one inside a word
 (``x=$(cmd)``), a string (``"$(cmd)"``) or a ``${...}`` (``${a:-$(cmd)}``),
-and its own scope: a ';' or '+' inside it never ends an enclosing
+but an empty one (``$()``, ``$( )``, two backticks) adds none; each is
+its own scope: a ';' or '+' inside it never ends an enclosing
 ``-exec``. A word that substitutions split is erased once, by its piece
 before the first (``x=$(ls)y`` erases one word, ``$(ls)y`` none), and a
 piece after a substitution is never a flag, an ``-exec`` end word or a
@@ -194,10 +196,10 @@ def _walk(cmds: tuple[SimpleCommand, ...], into: list[SimpleCommand]) -> None:
 # Lexer
 
 
-# A redirect operator, [fd]>, [fd]>>, [fd]<, [fd]>&, [fd]<&, &> or &>>, takes the next
-# word as its target, as in Bash (the 1 of 2>&1 too); only ASCII digits name an fd.
-# _REDIRECT_START lets ordinary words skip the regex.
-_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|[<>]&?)")
+# A redirect operator, [fd]>, [fd]>>, [fd]>|, [fd]<, [fd]<>, [fd]>&, [fd]<&, &> or &>>,
+# takes the next word as its target, as in Bash (the 1 of 2>&1 too); only ASCII digits
+# name an fd. _REDIRECT_START lets ordinary words skip the regex.
+_REDIRECT = re.compile(r"&>>?|[0-9]*(?:>>|>\||<>|[<>]&?)")
 _REDIRECT_START = frozenset("<>&0123456789")
 # After '>&' or '<&' and any blanks, Bash reads a '-' as a word of its own ('ls >&-x'
 # passes x, and in 'ls >&-#x' the '#' opens a comment), and digits before a '<' or
@@ -465,7 +467,8 @@ def _parse_simple(cur: _Cursor, vocab: UtilityVocabulary, in_exec: bool) -> Simp
         cur.pos += 1
         if kind is _SUBST_OPEN:
             received = None  # its output, not '{}'
-            nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
+            if tokens[cur.pos].kind is not _SUBST_CLOSE:  # '$()' and '``' run no command
+                nested.extend(_parse_pipeline(cur, vocab))  # its own scope, so it stops
             cur.pos += 1  # only at the close that tokenize paired with this open
             while (rest := tokens[cur.pos]) is not None and rest.kind is _WORD_KIND and rest.start == tokens[cur.pos - 1].end:
                 cur.pos += 1  # the rest of the word the substitution is in, counted with it

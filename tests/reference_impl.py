@@ -25,11 +25,18 @@ Three exceptions wire the package's own pieces the straightforward way:
   ``retrieve`` used before ``np.add.at``, so that the two can be compared
   bit for bit.
 
+The JSON-lines readers (``load_examples_ref``, ``load_prediction_file_ref``)
+are a per-line reading: split the bytes at each line break by hand, decode
+and ``json.loads`` one line at a time, walk the value for a lone surrogate,
+and check the record field by field, each refusal spelled out where it is
+made.
+
 The parser has no copy here. ``tests/test_parser.py`` checks it against
 Bash itself (``bash -n``), a hand-checked golden table and structural
 properties, none of which descends from an earlier parser.
 """
 
+import json
 import math
 import re
 
@@ -317,3 +324,129 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
         unparseable_prediction_count=unparseable,
         predictor_failure_count=failures,
     )
+
+
+class _Refused(Exception):
+    """A JSON-lines file the oracle refuses; the message is the package's."""
+
+
+def _lines_ref(data):
+    """Each line of ``data`` with its break: LF, CR LF or CR, and nothing else."""
+    lines, start, i = [], 0, 0
+    while i < len(data):
+        end = i + 2 if data[i : i + 2] == b"\r\n" else i + 1
+        if data[i : i + 1] in (b"\n", b"\r"):
+            lines.append(data[start:end])
+            start = end
+        i = end
+    if start < len(data):
+        lines.append(data[start:])
+    return lines
+
+
+def _lone_surrogate_ref(value):
+    """The first lone surrogate in any string of ``value``, keys included, or None."""
+    if isinstance(value, str):
+        for ch in value:
+            if 0xD800 <= ord(ch) <= 0xDFFF:
+                return ch
+        return None
+    if isinstance(value, dict):
+        value = list(value) + list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            found = _lone_surrogate_ref(item)
+            if found:
+                return found
+    return None
+
+
+def _json_lines_ref(path):
+    """(line number, where, value) of each non-blank line in turn; _Refused for a
+    line that is not JSON."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(_lines_ref(data), start=1):
+        where = f"{path}:{lineno}"
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _Refused(f"{where}: invalid UTF-8 ({exc.reason})")
+        if text.strip() == "":
+            continue
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise _Refused(f"{where}: invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:
+            raise _Refused(f"{where}: invalid JSON ({exc})")
+        surrogate = _lone_surrogate_ref(value)
+        if surrogate:
+            raise _Refused(f"{where}: lone surrogate {surrogate!r} in text")
+        yield lineno, where, value
+
+
+def _field_ref(record, key, names, where):
+    """record[key] when its type's name is one of ``names``, else _Refused."""
+    if key not in record:
+        raise _Refused(f"{where}: missing {key!r}")
+    value = record[key]
+    if type(value).__name__ not in names:
+        raise _Refused(f"{where}: {key!r} must be {' or '.join(names)}, got {type(value).__name__}")
+    return value
+
+
+def load_examples_ref(path):
+    """("accepted", [(id, invocation, references, source), ...]) or ("refused", message)."""
+    examples = []
+    try:
+        for lineno, where, record in _json_lines_ref(path):
+            if type(record) is not dict:
+                raise _Refused(f"{where}: expected a JSON object")
+            invocation = _field_ref(record, "invocation", ["str"], where)
+            if invocation.strip() == "":
+                raise _Refused(f"{where}: 'invocation' must be a non-empty string")
+            cmd = _field_ref(record, "cmd", ["str", "list"], where)
+            references = [cmd] if type(cmd) is str else cmd
+            if len(references) == 0:
+                raise _Refused(f"{where}: 'cmd' must be a command or a non-empty list of commands")
+            for ref in references:
+                if type(ref) is not str or ref.strip() == "":
+                    raise _Refused(f"{where}: 'cmd' must be a command or a non-empty list of commands")
+            ex_id = f"ex-{lineno:06d}"
+            if "id" in record:
+                ex_id = _field_ref(record, "id", ["str"], where)
+                if ex_id == "":
+                    raise _Refused(f"{where}: 'id' must be a non-empty string")
+            source = "other"
+            if "source" in record:
+                source = _field_ref(record, "source", ["str", "NoneType"], where)
+                if source is None or source == "":
+                    source = "other"
+            examples.append((ex_id, invocation, tuple(references), source))
+    except _Refused as exc:
+        return "refused", str(exc)
+    return "accepted", examples
+
+
+def load_prediction_file_ref(path):
+    """("accepted", {id: [(cmd, confidence), ...]}) or ("refused", message)."""
+    by_id = {}
+    try:
+        for _, where, record in _json_lines_ref(path):
+            if type(record) is not dict:
+                raise _Refused(f"{where}: expected a JSON object")
+            ex_id = _field_ref(record, "id", ["str"], where)
+            if ex_id in by_id:
+                raise _Refused(f"{where}: id {ex_id!r} repeats an earlier line")
+            items = _field_ref(record, "predictions", ["list"], where)
+            predictions = []
+            for item in items:
+                try:
+                    predictions.append((item["cmd"], item.get("confidence", 1.0)))
+                except (KeyError, TypeError) as exc:
+                    raise _Refused(f"{where}: bad predictions ({exc!r})")
+            by_id[ex_id] = predictions
+    except _Refused as exc:
+        return "refused", str(exc)
+    return "accepted", by_id

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from strategies import byte_lines, shell_text
+from reference_impl import load_examples_ref, load_prediction_file_ref
+from strategies import byte_lines, json_line_files, shell_text
 
 import nlbash
 from nlbash.corpus import (
@@ -101,10 +102,14 @@ def _predictor_reply(path):
         predictor.predict("list files", 5)
 
 
+def _read_predictions(path):
+    return load_prediction_file(str(path))
+
+
 # Each JSON reader: how it reads a file, the error it raises, and where that says it was.
 _JSON_READERS = {
     "dataset": (load_examples, SchemaError, "{path}:1: "),
-    "predictions": (lambda path: load_prediction_file(str(path)), SchemaError, "{path}:1: "),
+    "predictions": (_read_predictions, SchemaError, "{path}:1: "),
     "predictor-reply": (_predictor_reply, PredictorProtocolError, "predictor reply: "),
     "index": (TfIdfIndex.load, SchemaError, "{path}: "),
     "calibration-model": (CalibrationModel.load, SchemaError, "{path}: "),
@@ -128,6 +133,140 @@ def test_every_json_reader_refuses_the_same_bad_input_alike(tmp_path, reader, ba
     with pytest.raises(error) as info:
         read(path)
     assert str(info.value).startswith(where.format(path=path) + reason)
+
+
+def _indexing_error(item):
+    """repr of the error that ``item["cmd"]`` raises, in this Python's words."""
+    try:
+        item["cmd"]
+    except (KeyError, TypeError) as exc:
+        return repr(exc)
+
+
+_PREDICTIONS_A = b'{"id": "a", "predictions": []}\n'
+_OK = b'{"invocation": "x", "cmd": "ls"}'
+
+# Each refused JSON-lines file: its reader, its bytes, and the exact message
+# after "path:", its line number first.
+_REFUSALS = {
+    "no-invocation": (load_examples, b'{"cmd": "ls"}\n', "1: missing 'invocation'"),
+    "empty-invocation": (load_examples, b'{"invocation": "", "cmd": "ls"}\n',
+                         "1: 'invocation' must be a non-empty string"),
+    "blank-invocation": (load_examples, b'{"invocation": " ", "cmd": "ls"}\n',
+                         "1: 'invocation' must be a non-empty string"),
+    "int-invocation": (load_examples, b'{"invocation": 3, "cmd": "ls"}\n', "1: 'invocation' must be str, got int"),
+    "no-cmd": (load_examples, b'{"invocation": "x"}\n', "1: missing 'cmd'"),
+    "empty-cmd-list": (load_examples, b'{"invocation": "x", "cmd": []}\n',
+                       "1: 'cmd' must be a command or a non-empty list of commands"),
+    "int-cmd": (load_examples, b'{"invocation": "x", "cmd": 5}\n', "1: 'cmd' must be str or list, got int"),
+    "empty-cmd-in-list": (load_examples, b'{"invocation": "x", "cmd": ["ls", ""]}\n',
+                          "1: 'cmd' must be a command or a non-empty list of commands"),
+    "blank-cmd-in-list": (load_examples, b'{"invocation": "x", "cmd": [" \\t"]}\n',
+                          "1: 'cmd' must be a command or a non-empty list of commands"),
+    "null-cmd-in-list": (load_examples, b'{"invocation": "x", "cmd": [null]}\n',
+                         "1: 'cmd' must be a command or a non-empty list of commands"),
+    "blank-cmd": (load_examples, b'{"invocation": "x", "cmd": " "}\n',
+                  "1: 'cmd' must be a command or a non-empty list of commands"),
+    "int-id": (load_examples, b'{"invocation": "x", "cmd": "ls", "id": 7}\n', "1: 'id' must be str, got int"),
+    "null-id": (load_examples, b'{"invocation": "x", "cmd": "ls", "id": null}\n',
+                "1: 'id' must be str, got NoneType"),
+    "empty-id": (load_examples, b'{"invocation": "x", "cmd": "ls", "id": ""}\n', "1: 'id' must be a non-empty string"),
+    "array-record": (load_examples, b'["x", "ls"]\n', "1: expected a JSON object"),
+    "int-source": (load_examples, b'{"invocation": "x", "cmd": "ls", "source": 5}\n',
+                   "1: 'source' must be str or NoneType, got int"),
+    "bool-source": (load_examples, b'{"invocation": "x", "cmd": "ls", "source": true}\n',
+                    "1: 'source' must be str or NoneType, got bool"),
+    "first-fault-named": (load_examples, b'{"invocation": "", "cmd": 5, "id": 7}\n',
+                          "1: 'invocation' must be a non-empty string"),
+    "bom": (load_examples, b"\xef\xbb\xbf" + _OK + b"\n",
+            "1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    # each line is invalid, although '[' + ','.join(lines) + ']' decodes
+    "joined-trap": (load_examples, b"1, 2\n[3\n4]\n", "1: invalid JSON (Extra data)"),
+    "json-before-bad-byte": (load_examples, _OK + b'\n{"invocation": \n\n\xff\n', "2: invalid JSON (Expecting value)"),
+    "cr-endings": (load_examples, _OK + b'\r{"invocation": "y", "cmd": 5}\r', "2: 'cmd' must be str or list, got int"),
+    "crlf-truncated-utf8": (load_examples, _OK + b'\r\n{"invocation": "x\xc3\r\n',
+                            "2: invalid UTF-8 (invalid continuation byte)"),
+    "truncated-utf8-at-end": (load_examples, b'{"invocation": "x\xc3', "1: invalid UTF-8 (unexpected end of data)"),
+    # a raw \x1c ends no line, and JSON refuses it inside a string
+    "raw-file-separator": (load_examples, b'{"invocation": "a\x1cb", "cmd": "ls"}\n',
+                           "1: invalid JSON (Invalid control character at)"),
+    "form-feed-after-record": (load_examples, _OK + b"\n" + _OK + b"\x0c\n", "2: invalid JSON (Extra data)"),
+    "second-value": (load_examples, _OK + b" {}\n", "1: invalid JSON (Extra data)"),
+    "lone-surrogate": (load_examples, b'{"id": "a\\ud800", "invocation": "x", "cmd": "ls"}\n',
+                       "1: lone surrogate '\\ud800' in text"),
+    "numeric-pred-id": (_read_predictions, _PREDICTIONS_A + b'{"id": 5, "predictions": []}\n',
+                        "2: 'id' must be str, got int"),
+    "null-pred-id": (_read_predictions, _PREDICTIONS_A + b'{"id": null, "predictions": []}\n',
+                     "2: 'id' must be str, got NoneType"),
+    "no-pred-id": (_read_predictions, _PREDICTIONS_A + b'{"predictions": []}\n', "2: missing 'id'"),
+    "object-predictions": (_read_predictions, _PREDICTIONS_A + b'{"id": "b", "predictions": {}}\n',
+                           "2: 'predictions' must be list, got dict"),
+    "string-predictions": (_read_predictions, _PREDICTIONS_A + b'{"id": "b", "predictions": ""}\n',
+                           "2: 'predictions' must be list, got str"),
+    "no-predictions": (_read_predictions, _PREDICTIONS_A + b'{"id": "b"}\n', "2: missing 'predictions'"),
+    "repeated-id": (_read_predictions, _PREDICTIONS_A * 2, "2: id 'a' repeats an earlier line"),
+    "array-prediction-record": (_read_predictions, _PREDICTIONS_A + b"[1]\n", "2: expected a JSON object"),
+    "int-prediction": (_read_predictions, _PREDICTIONS_A + b'{"id": "b", "predictions": [3]}\n',
+                       f"2: bad predictions ({_indexing_error(3)})"),
+    "prediction-without-cmd": (_read_predictions, _PREDICTIONS_A + b'{"id": "b", "predictions": [{"confidence": 1}]}\n',
+                               "2: bad predictions (KeyError('cmd'))"),
+    "string-prediction": (_read_predictions, _PREDICTIONS_A + b'{"id": "b", "predictions": ["ls"]}\n',
+                          f"2: bad predictions ({_indexing_error('ls')})"),
+    "predictions-cr-endings": (_read_predictions, b'{"id": "a", "predictions": []}\r{"id": "b"}\r',
+                               "2: missing 'predictions'"),
+    "predictions-bom": (_read_predictions, b"\xef\xbb\xbf" + _PREDICTIONS_A,
+                        "1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refused_json_lines_file_gets_its_exact_message(tmp_path, case):
+    read, data, message = _REFUSALS[case]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+def test_a_json_lines_line_ends_at_lf_crlf_or_cr_only_and_a_blank_one_is_skipped(tmp_path):
+    path = tmp_path / "d.jsonl"
+    raw = '{"invocation": "a\u2028b\x85c", "cmd": "ls"}'.encode()  # U+2028 and U+0085 end no line
+    path.write_bytes(raw + b"\r\n\xc2\xa0 \n" + _OK + b"\r \t\r" + _OK)
+    examples = load_examples(path)
+    expected = [("ex-000001", "a\u2028b\x85c"), ("ex-000003", "x"), ("ex-000005", "x")]
+    assert [(e.id, e.invocation) for e in examples] == expected
+
+
+def test_line_break_characters_inside_strings_round_trip_on_one_line(tmp_path):
+    examples = [Example("a\u2028b\x85c\x1cd", "i\u2028\x0b\x0c", ("ls\x85", "x\x1c")), *toy_corpus(3, seed=2)]
+    path = tmp_path / "d.jsonl"
+    save_examples(examples, path)
+    assert path.read_bytes().count(b"\n") == len(examples)
+    assert load_examples(path) == examples
+
+
+def _outcome(read):
+    try:
+        return "accepted", read()
+    except SchemaError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_line_files)
+@example(data=b"1, 2\n[3\n4]\n")
+@example(data=b'{"id": "a", "predictions": []}\r{"id": "b", "predictions": [{"cmd": "ls"}]}')
+def test_json_lines_readers_agree_with_a_per_line_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("lines") / "d.jsonl"
+    path.write_bytes(data)
+    examples = _outcome(lambda: [(e.id, e.invocation, e.references, e.source) for e in load_examples(path)])
+    assert examples == load_examples_ref(path)
+    # repr, so that a NaN confidence compares equal to itself
+    predictions = _outcome(
+        lambda: {k: [(p.cmd, p.confidence) for p in v] for k, v in load_prediction_file(str(path)).items()}
+    )
+    assert repr(predictions) == repr(load_prediction_file_ref(path))
 
 
 def test_only_the_shared_decoder_calls_json_loads():

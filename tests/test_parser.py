@@ -331,6 +331,7 @@ def test_nesting_at_the_limit_parses():
         ("ls $(pwd)", [("ls", 0), ("pwd", 0)]),  # the close is the last token
         ("echo `date`", [("echo", 0), ("date", 0)]),
         ("sudo", [("sudo", 0)]),
+        ("echo $()", [("echo", 0)]),  # an empty substitution runs no command
     ],
 )
 def test_the_token_stream_may_end_at_any_stop(cmd, walk):
@@ -343,7 +344,6 @@ def test_the_token_stream_may_end_at_any_stop(cmd, walk):
         ("ls >", "redirect '>' is missing its target"),
         ("ls 2>>", "redirect '2>>' is missing its target"),
         ("ls |", "empty pipeline stage"),
-        ("echo $()", "empty pipeline stage"),
     ],
 )
 def test_the_token_stream_may_end_where_a_token_is_needed(cmd, message):
@@ -476,7 +476,7 @@ GOLDEN = [
     ('ls >', BashSyntaxError("redirect '>' is missing its target")),
     ('ls 2>>', BashSyntaxError("redirect '2>>' is missing its target")),
     ('ls |', BashSyntaxError('empty pipeline stage')),
-    ('echo $()', BashSyntaxError('empty pipeline stage')),
+    ('echo $()', ('echo', 'echo[]', (0,))),
     ('find . -exec echo $(ls ;) \\;', BashSyntaxError("';' command sequences are not supported")),
     ('/bin/rm -f stale.txt', ('rm', 'rm[f]', (1,))),
     ("cut -d' ' -f1 a", ('cut', "cut[ ,',1,d,f]", (1,))),
@@ -743,6 +743,20 @@ GOLDEN = [
     ('time while true; do ls; done', BashSyntaxError("shell control flow ('while') is not supported")),
     ('time fi', BashSyntaxError("'time' has no command before 'fi'")),
     ('time do', BashSyntaxError("'time' has no command before 'do'")),
+    # '>|' and '<>' are operators, and an empty substitution runs no command.
+    ('ls >| f', ('ls', 'ls[]', (1,))),
+    ('ls 2>|f', ('ls', 'ls[]', (1,))),
+    ('ls <> f', ('ls', 'ls[]', (1,))),
+    ('cat 3<>f', ('cat', 'cat[]', (1,))),
+    ('ls >|', BashSyntaxError("redirect '>|' is missing its target")),
+    ('ls >|| wc', BashSyntaxError("redirect '>|' is missing its target")),
+    ('ls <>>f', BashSyntaxError("redirect '<>' is missing its target")),
+    ('ls <>&1', BashSyntaxError("background '&' is not supported")),
+    ('echo ``', ('echo', 'echo[]', (0,))),
+    ('echo $( )', ('echo', 'echo[]', (0,))),
+    ('echo a$()b', ('echo', 'echo[]', (1,))),
+    ('ls > $()', ('ls', 'ls[]', (1,))),
+    ('echo $(ls $())', ('echo', 'echo[] | ls[]', (0, 0))),
 ]
 
 
