@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shlex
 import sys
 
@@ -131,7 +130,6 @@ def _cmd_calibrate(args, vocab):
     features, labels = make_calibration_data(
         pairs_from_examples(examples),
         vocab=vocab,
-        holdout_fraction=args.holdout,
         seed=args.seed,
         k=args.k,
         normalize=True,
@@ -192,16 +190,6 @@ def _int_at_least(lowest: int):
         return value
 
     return convert
-
-
-def _open_unit_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
-    return value
 
 
 def _command_line(text: str) -> list[str]:
@@ -282,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--holdout", type=_open_unit_fraction, default=0.2)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_calibrate)
 

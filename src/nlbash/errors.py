@@ -39,10 +39,6 @@ class EmptyCorpusError(NlbashError):
     """An index was built or saved over zero documents."""
 
 
-class EmptyPredictionSetError(NlbashError):
-    """An example was scored with no predictions at all."""
-
-
 class EmptyDatasetError(NlbashError):
     """An aggregate was requested over zero examples."""
 

@@ -16,7 +16,8 @@ not a bool, that converts, without raising, to a finite float; both count
 as predictor failures. A cmd
 of a ``str`` subclass is scored as its plain text, so no method of the
 predictor's object runs in the harness. A predictor that returns nothing
-abstains and scores 0.
+abstains; ``metric.aggregate_scores`` scores the empty set 0. Every
+example's score, a failure's -1 included, comes from that one function.
 
 Evaluation is sequential by design so latency numbers stay honest.
 """
@@ -252,25 +253,18 @@ def evaluate(
                 error = checked
         if error is not None:
             failures += 1
-            score = ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE)
-            results.append(ExampleResult(ex.id, score, elapsed, error=error))
-            continue
-
-        if not checked:
-            score = ExampleScore(0.0, (), Aggregation.AVERAGE)
-            results.append(ExampleResult(ex.id, score, elapsed))
-            continue
-
-        per_prediction: list[float] = []
-        for text, delta in checked:
-            template = template_of(text)
-            if template is None:
-                unparseable += 1
-                per_prediction.append(-delta)
-                continue
-            scored = ScoredPrediction(template=template, delta=delta)
-            per_prediction.append(prediction_score(scored, refs))
-        results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed))
+            per_prediction = [-1.0]
+        else:  # an empty set abstains: aggregate_scores scores it 0
+            per_prediction = []
+            for text, delta in checked:
+                template = template_of(text)
+                if template is None:
+                    unparseable += 1
+                    per_prediction.append(-delta)
+                    continue
+                scored = ScoredPrediction(template=template, delta=delta)
+                per_prediction.append(prediction_score(scored, refs))
+        results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed, error))
 
     try:
         name = predictor.name

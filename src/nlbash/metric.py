@@ -6,7 +6,9 @@ confidence delta in [0, 1] that scales its score linearly, and an example
 aggregates its predictions by taking the best score when any is positive
 and the plain average otherwise. Averaging (rather than clamping at zero)
 is what makes padding the prediction list with zero-confidence junk
-useless: wrong guesses still drag the example below zero.
+useless: wrong guesses still drag the example below zero. An empty
+prediction set is an abstention: it scores 0, aggregated as an average
+over nothing.
 
 All functions are pure; everything here is safe to call concurrently.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import EmptyDatasetError, EmptyPredictionSetError
+from .errors import EmptyDatasetError
 from .parser import parse
 from .template import TemplateCommand, normalize_template
 from .vocab import UtilityVocabulary
@@ -114,14 +116,13 @@ def aggregate_scores(scores: Sequence[float]) -> ExampleScore:
     """Fold per-prediction scores into one example score.
 
     Best score if any is strictly positive, otherwise the arithmetic mean
-    of all of them — including any zero-confidence padding.
+    of all of them — including any zero-confidence padding. No scores (an
+    abstention) average to 0.
     """
-    if not scores:
-        raise EmptyPredictionSetError("cannot aggregate an empty prediction set")
     values = tuple(float(s) for s in scores)
     if any(s > 0.0 for s in values):
         return ExampleScore(max(values), values, Aggregation.MAX_POSITIVE)
-    return ExampleScore(sum(values) / len(values), values, Aggregation.AVERAGE)
+    return ExampleScore(sum(values) / len(values) if values else 0.0, values, Aggregation.AVERAGE)
 
 
 def example_score(

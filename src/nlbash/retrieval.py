@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .corpus import NUMBER, Example, _finite, decode_json, json_field
 from .errors import DegenerateLabelsError, EmptyCorpusError, SchemaError
-from .metric import Prediction, ScoredPrediction, prediction_score
+from .metric import DEFAULT_TOP_K, Prediction, ScoredPrediction, prediction_score
 from .parser import parse
 from .template import TemplateCommand, normalize_template
 from .vocab import UtilityVocabulary, _filtered_templates
@@ -50,6 +50,10 @@ LOWER_THRESHOLD = 0.8
 # Full-batch gradient descent settings of the calibration fit.
 CALIBRATION_LEARNING_RATE = 0.1
 CALIBRATION_EPOCHS = 500
+# Share of the pairs held out to label the calibration rows.
+CALIBRATION_HOLDOUT = 0.2
+# Features ``hit_features`` gives a hit: similarity, flag count, utility count.
+_HIT_FEATURES = 3
 
 _STRIP_CHARS = ".,!?;:()[]{}<>\"'`"
 _QUOTED = re.compile(r"\"[^\"]*\"|'[^']*'")
@@ -392,16 +396,17 @@ class CalibrationModel:
 
         Raises SchemaError naming ``path`` unless the file holds an object
         whose ``weights``, ``feature_means`` and ``feature_stds`` are lists
-        of one length, whose ``bias`` is a number, every number finite and
-        every std positive.
+        of one number per ``hit_features`` feature (3), whose ``bias`` is a
+        number, every number finite and every std positive.
         """
         where = str(path)
         obj = decode_json(Path(path).read_bytes(), where)
         lists = {}
         for key in ("weights", "feature_means", "feature_stds"):
             lists[key] = tuple(_finite(v, key, where) for v in json_field(obj, key, list, where))
-        if len({len(v) for v in lists.values()}) != 1:
-            raise SchemaError(f"{where}: weights, means and stds differ in length")
+        if any(len(v) != _HIT_FEATURES for v in lists.values()):
+            raise SchemaError(f"{where}: weights, means and stds must each hold {_HIT_FEATURES} numbers, "
+                              f"one per hit feature, got {[len(v) for v in lists.values()]}")
         if not all(s > 0.0 for s in lists["feature_stds"]):
             raise SchemaError(f"{where}: 'feature_stds' must be positive")
         bias = _finite(json_field(obj, "bias", NUMBER, where), "bias", where)
@@ -473,14 +478,14 @@ def calibrate(hits: Sequence[RetrievalHit], model: CalibrationModel) -> list[Pre
 def make_calibration_data(
     pairs: Sequence[tuple[str, str]],
     vocab: UtilityVocabulary | None = None,
-    holdout_fraction: float = 0.2,
     seed: int = 0,
-    k: int = 5,
+    k: int = DEFAULT_TOP_K,
     normalize: bool = False,
     dedupe: bool = True,
 ) -> tuple[list[list[float]], list[int]]:
     """Build calibration rows by retrieving a held-out slice of the pairs.
 
+    ``CALIBRATION_HOLDOUT`` of the pairs, drawn by ``seed``, are held out.
     The held-out invocations are queried against an index over the rest;
     each hit becomes one row labeled 1 when it scores positively against
     the held-out reference. The pairs are analysed once (see
@@ -491,11 +496,9 @@ def make_calibration_data(
     """
     import numpy as np
 
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pairs))
-    n_holdout = max(1, int(round(len(pairs) * holdout_fraction)))
+    n_holdout = max(1, int(round(len(pairs) * CALIBRATION_HOLDOUT)))
     holdout_idx = set(int(i) for i in order[:n_holdout])
     train = [i for i in range(len(pairs)) if i not in holdout_idx]
     holdout = [i for i in range(len(pairs)) if i in holdout_idx]
@@ -567,7 +570,7 @@ class TfIdfPredictor:
         normalize: bool = True,
         dedupe: bool = True,
         seed: int = 0,
-        k: int = 5,
+        k: int = DEFAULT_TOP_K,
     ) -> "TfIdfPredictor":
         """Fit a calibrator on a held-out slice, then index all pairs.
 

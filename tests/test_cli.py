@@ -116,9 +116,6 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
          "--k", "0"],
         ["score", "--pred", str(data_file), "--refs", str(data_file), "--k", "0"],
         ["calibrate", "--data", str(data_file), "--out", model, "--k", "0"],
-        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "1.5"],
-        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "nan"],
-        ["calibrate", "--data", str(data_file), "--out", model, "--holdout", "abc"],
         ["stats", "--data", str(data_file), "--top", "-3"],
         ["stats", "--data", str(data_file), "--top", "x"],
         ["eval", "--data", str(data_file), "--predictor-cmd", "'x"],
@@ -399,12 +396,15 @@ def test_calibrate_writes_model(data_file, tmp_path, capsys):
     assert code == 0
     model = json.loads(model_path.read_text(encoding="utf-8"))
     assert set(model) == {"weights", "bias", "feature_means", "feature_stds"}
-    capsys.readouterr()
-    args = ["calibrate", "--data", str(data_file), "--out", str(model_path), "--holdout", "0.3"]
-    assert cli(args) == 0
-    held_out = int(capsys.readouterr().out.split()[2])  # "trained on N hits ..."
-    assert cli(args[:-2]) == 0
-    assert held_out > int(capsys.readouterr().out.split()[2])  # more held out, more hits
+
+
+def test_calibrate_takes_no_holdout_share(data_file, tmp_path, capsys):
+    # the held-out share is eval's fixed one, so calibrate writes eval's model
+    model_path = tmp_path / "model.json"
+    assert cli(["calibrate", "--data", str(data_file), "--out", str(model_path), "--holdout", "0.2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --holdout 0.2" in err and "Traceback" not in err
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("seed, k", [(3, 5), (0, 2)])
@@ -413,8 +413,7 @@ def test_calibrate_fits_the_model_of_eval_variant_full(seed, k, tmp_path):
     examples = filter_examples(toy_corpus(800, seed=3), VOCAB).kept
     save_examples(examples, data)
     model_path = tmp_path / "model.json"
-    argv = ["calibrate", "--data", str(data), "--out", str(model_path), "--holdout", "0.2",
-            "--seed", str(seed), "--k", str(k)]
+    argv = ["calibrate", "--data", str(data), "--out", str(model_path), "--seed", str(seed), "--k", str(k)]
     assert cli(argv) == 0
     full = TfIdfPredictor.with_calibration(pairs_from_examples(examples), VOCAB, seed=seed, k=k)
 

@@ -8,7 +8,8 @@ is imported on its own, because the root leaves it out to keep the CLI's
 start-up short. Conversely, every exported name has a user: a demo or a
 README example imports it, or it is an error or one of the format and
 protocol types the README lists. The README's module table is held to
-render: no row splits into more cells than its header.
+render: no row splits into more cells than its header, and the utility
+count it gives for the shipped vocabulary is the shipped file's.
 """
 
 import ast
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import nlbash
+from nlbash.vocab import default_vocabulary
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -88,3 +90,9 @@ def test_readme_module_table_rows_have_the_header_cell_count():
     pipes = [len(re.findall(r"(?<!\\)\|", row)) for row in rows]
     wrong = [row[:40] for row, n in zip(rows, pipes) if n != pipes[0]]
     assert len(rows) > 2 and not wrong, f"rows split into extra cells: {wrong}"
+
+
+def test_readme_states_the_shipped_vocabulary_size():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"A default file with (\d+) common Ubuntu utilities ships", readme)
+    assert stated == [str(len(default_vocabulary().flags))]

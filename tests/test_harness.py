@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import sys
 import textwrap
 import time
@@ -30,7 +31,7 @@ from nlbash.harness import (
     load_prediction_file,
     score_prediction_file,
 )
-from nlbash.metric import Aggregation, ExampleScore, Prediction, dataset_score
+from nlbash.metric import Aggregation, ExampleScore, Prediction, aggregate_scores, dataset_score
 from nlbash.retrieval import TfIdfIndex, pairs_from_examples
 from nlbash.synth import toy_corpus
 from nlbash.vocab import UtilityVocabulary, default_vocabulary
@@ -500,6 +501,30 @@ def test_empty_prediction_set_abstains_at_zero():
     data = dataset(4, seed=4)
     report = evaluate(SilentPredictor(), data, vocab=VOCAB)
     assert report.mean_score == 0.0
+
+
+def test_every_row_is_scored_by_aggregate_scores(monkeypatch):
+    # a failure, an abstention and a scored set: one call each, the row holds its result
+    calls = []
+
+    def recording(scores):
+        calls.append(list(scores))
+        return aggregate_scores(scores)
+
+    class Mixed:
+        def predict(self, nlc, k):
+            return {"a": lambda: 1 / 0, "b": list, "c": lambda: [Prediction("ls -la", 0.5)]}[nlc]()
+
+    monkeypatch.setattr(harness, "aggregate_scores", recording)
+    data = [Example(i, i, ("ls -la",)) for i in "abc"]
+    report = evaluate(Mixed(), data, vocab=VOCAB)
+    assert calls == [[-1.0], [], [0.5]]
+    assert [r.score for r in report.per_example] == [
+        ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE),
+        ExampleScore(0.0, (), Aggregation.AVERAGE),
+        ExampleScore(0.5, (0.5,), Aggregation.MAX_POSITIVE),
+    ]
+    assert [r.error for r in report.per_example] == ["ZeroDivisionError('division by zero')", None, None]
 
 
 def test_mean_score_equals_dataset_score_of_examples():
@@ -987,3 +1012,21 @@ def test_subprocess_reply_times_out(tmp_path, monkeypatch, reply):
     assert [r.score.value for r in report.per_example] == [-1.0, -1.0]
     assert "within 0.5 s" in report.per_example[0].error
     assert "exited" in report.per_example[1].error
+
+
+def test_close_kills_and_reaps_a_child_that_ignores_sigterm(tmp_path):
+    script = tmp_path / "stubborn.py"
+    script.write_text(
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "sys.stdin.readline(); print('[]', flush=True)\n"
+        "while True: time.sleep(1)\n",
+        encoding="utf-8",
+    )
+    predictor = SubprocessPredictor([sys.executable, str(script)])
+    assert predictor.predict("list files", 5) == []  # SIGTERM is ignored from here on
+    start = time.monotonic()
+    predictor.close()
+    # terminate is ignored, so close kills the child after its 5 s wait and reaps it
+    assert 5 <= time.monotonic() - start < 30
+    assert predictor._proc.returncode == -signal.SIGKILL

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from nlbash.errors import EmptyDatasetError, EmptyPredictionSetError
+from nlbash.errors import EmptyDatasetError
 from nlbash.metric import (
     Aggregation,
     ExampleScore,
     Prediction,
     ScoredPrediction,
+    aggregate_scores,
     dataset_score,
     example_score,
     flag_score,
@@ -159,9 +160,11 @@ def test_zero_confidence_padding_does_not_clamp():
     assert result.aggregation is Aggregation.AVERAGE
 
 
-def test_empty_prediction_set_raises():
-    with pytest.raises(EmptyPredictionSetError):
-        example_score([], [template_of("ls")])
+def test_empty_prediction_set_abstains_and_scores_zero():
+    abstained = ExampleScore(0.0, (), Aggregation.AVERAGE)
+    for got in (aggregate_scores([]), aggregate_scores(()), example_score([], [template_of("ls")])):
+        assert got == abstained
+        assert type(got.value) is float and type(got.per_prediction) is tuple
 
 
 # --- dataset_score -------------------------------------------------------
@@ -247,8 +250,6 @@ def test_example_aggregation_matches_reference():
             ScoredPrediction(as_template([("ls", frozenset())]), 1.0) for _ in scores
         ]
         # drive the aggregation directly through its public seam
-        from nlbash.metric import aggregate_scores
-
         got = aggregate_scores(scores)
         assert got.value == pytest.approx(example_score_ref(scores), abs=1e-12)
         assert (got.aggregation is Aggregation.MAX_POSITIVE) == any(s > 0 for s in scores)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -579,16 +580,18 @@ def test_calibration_load_raises_only_nlbash_errors(tmp_path_factory, payload):
         pass
 
 
-def test_a_calibration_model_of_another_width_is_not_applied(tmp_path):
+@pytest.mark.parametrize("width", [0, 1, 2, 4])
+def test_a_calibration_model_of_another_width_is_not_applied(tmp_path, width):
+    # hit_features gives 3 numbers; a model of another width is refused when it is read
+    lists = {"weights": [1.0] * width, "feature_means": [0.5] * width, "feature_stds": [0.2] * width}
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"weights": [1.0], "bias": 0.0, "feature_means": [0.5], "feature_stds": [0.2]}),
-                    encoding="utf-8")
-    narrow = CalibrationModel.load(path)
+    path.write_text(json.dumps({**lists, "bias": 0.0}), encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: weights, means and stds must each hold 3 numbers")):
+        CalibrationModel.load(path)
+    # and one built in memory fails when applied, rather than drop or invent features
+    built = CalibrationModel(bias=0.0, **{key: tuple(v) for key, v in lists.items()})
     with pytest.raises(ValueError):
-        narrow.probability((0.9, 2.0, 1.0))
-    predictor = TfIdfPredictor(PAIRS, VOCAB, calibration=narrow)
-    with pytest.raises(ValueError):
-        predictor.predict("list all files", 3)
+        TfIdfPredictor(PAIRS, VOCAB, calibration=built).predict("list all files", 3)
 
 
 def test_hit_features_are_similarity_flags_utilities():
@@ -601,17 +604,9 @@ def test_hit_features_are_similarity_flags_utilities():
 
 def test_make_calibration_data_produces_both_classes():
     corpus = filter_examples(toy_corpus(400, seed=21), VOCAB).kept
-    features, labels = make_calibration_data(
-        pairs_from_examples(corpus), VOCAB, holdout_fraction=0.2, seed=3
-    )
+    features, labels = make_calibration_data(pairs_from_examples(corpus), VOCAB, seed=3)
     assert len(features) == len(labels) > 100
     assert 0 < sum(labels) < len(labels)
-
-
-@pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
-def test_calibration_holdout_must_lie_strictly_inside_the_unit_interval(fraction):
-    with pytest.raises(ValueError, match=r"holdout_fraction must be in \(0, 1\)"):
-        make_calibration_data(PAIRS, VOCAB, holdout_fraction=fraction)
 
 
 # --- predictor adapter ----------------------------------------------------------
