@@ -3,21 +3,19 @@
 A predictor is anything with ``predict(nlc, k) -> predictions`` returning
 at most k (command, confidence) pairs. The harness times the predict call
 alone (monotonic clock), parses each predicted command, and scores its
-template against all reference templates. Each distinct command text,
-reference or prediction, is parsed and templated at most once per
-``evaluate`` call, and not at all when a corpus filter with the same
-vocabulary object kept it as a reference: its template is read from the
-vocabulary's table. A prediction the parser rejects scores -delta, each
-time a prediction names it — a command outside the grammar can never match a
-reference, and silently dropping it would game the averaging branch. A
-predictor exception scores the whole example -1, and so does a prediction
-set whose first k items are not all a ``str`` cmd with a real confidence,
-not a bool, that converts, without raising, to a finite float; both count
-as predictor failures. A cmd
-of a ``str`` subclass is scored as its plain text, so no method of the
-predictor's object runs in the harness. A predictor that returns nothing
-abstains; ``metric.aggregate_scores`` scores the empty set 0. Every
-example's score, a failure's -1 included, comes from that one function.
+template against all reference templates. A prediction the parser rejects
+scores -delta, each time a prediction names it — a command outside the
+grammar can never match a reference, and silently dropping it would game
+the averaging branch. A predictor exception scores the whole example -1,
+and so does a prediction set whose first k items are not all a ``str`` cmd
+with a real confidence, not a bool, that converts, without raising, to a
+finite float; both count as predictor failures. A cmd of a ``str``
+subclass is scored as its plain text, so no method of the predictor's
+object runs in the harness. A predictor that returns nothing abstains;
+``metric.aggregate_scores`` scores the empty set 0. Every example's score,
+a failure's -1 included, comes from that one function. A report stores
+its rows; its mean score, latency summary and failure count are derived
+from them when read, and checked against them on load.
 
 Evaluation is sequential by design so latency numbers stay honest.
 """
@@ -32,7 +30,7 @@ import select
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NoReturn, Protocol, Sequence
 
 from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, json_lines
@@ -45,7 +43,6 @@ from .errors import (
 )
 from .metric import (
     DEFAULT_TOP_K,
-    Aggregation,
     ExampleScore,
     Prediction,
     ScoredPrediction,
@@ -74,11 +71,7 @@ class LatencyStats:
     def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
         ordered = sorted(samples)
         rank = max(0, -(-95 * len(ordered) // 100) - 1)  # nearest-rank percentile
-        return cls(
-            mean=statistics.fmean(ordered),
-            median=statistics.median(ordered),
-            p95=ordered[rank],
-        )
+        return cls(statistics.fmean(ordered), statistics.median(ordered), ordered[rank])
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,75 +84,88 @@ class ExampleResult:
 
 @dataclass
 class EvaluationReport:
+    """A report is its rows: the mean score, the latency summary and the predictor
+    failure count are derived from ``per_example`` each time they are read."""
+
     predictor: str
     k: int
     per_example: list[ExampleResult]
-    mean_score: float
-    latency: LatencyStats
     dataset_fingerprint: str
     unparseable_prediction_count: int = 0
-    predictor_failure_count: int = 0
 
-    def to_json(self) -> str:
-        payload = {
+    @property
+    def mean_score(self) -> float:
+        return dataset_score([r.score for r in self.per_example])
+
+    @property
+    def latency(self) -> LatencyStats:
+        return LatencyStats.from_samples([r.latency_s for r in self.per_example])
+
+    @property
+    def predictor_failure_count(self) -> int:
+        return sum(r.error is not None for r in self.per_example)
+
+    def _payload(self) -> dict:
+        """What ``to_json`` writes; EmptyDatasetError for a report with no rows."""
+        return {
             "predictor": self.predictor,
             "k": self.k,
             "mean_score": self.mean_score,
-            "latency": {
-                "mean": self.latency.mean,
-                "median": self.latency.median,
-                "p95": self.latency.p95,
-            },
+            "latency": asdict(self.latency),
             "dataset_fingerprint": self.dataset_fingerprint,
             "unparseable_prediction_count": self.unparseable_prediction_count,
             "predictor_failure_count": self.predictor_failure_count,
             "per_example": [
-                {
-                    "id": r.example_id,
-                    "score": r.score.value,
-                    "aggregation": r.score.aggregation.value,
-                    "per_prediction": list(r.score.per_prediction),
-                    "latency_s": r.latency_s,
-                    **({"error": r.error} if r.error else {}),
-                }
+                {"id": r.example_id, "score": r.score.value, "aggregation": r.score.aggregation.value,
+                 "per_prediction": list(r.score.per_prediction), "latency_s": r.latency_s,
+                 **({"error": r.error} if r.error is not None else {})}
                 for r in self.per_example
             ],
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._payload(), ensure_ascii=False, indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvaluationReport":
-        """Read a report written by ``to_json``, as text or UTF-8 bytes; SchemaError
-        unless it holds every key that writes, each of its type, every score and
-        latency a finite number, and known aggregations."""
-
-        def number(record: object, key: str, where: str) -> float:
-            return _finite(json_field(record, key, NUMBER, where), key, where)
-
+        """Read a report written by ``to_json``, as text or UTF-8 bytes: the stored facts,
+        of their types and each number finite, with each row scored by ``aggregate_scores``.
+        SchemaError unless every key that ``to_json`` writes, at the top and in each row,
+        holds what the rows give (the mean, latency, failure count, row scores and
+        aggregations among them); other keys are ignored."""
         obj = decode_json(text, "report")
+        rows = json_field(obj, "per_example", list, "report")
         per_example = []
-        for r in json_field(obj, "per_example", list, "report"):
+        for r in rows:
             example_id = json_field(r, "id", str, "report example")
             where = f"report example {example_id!r}"
-            try:
-                aggregation = Aggregation(json_field(r, "aggregation", str, where))
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            per_prediction = tuple(
-                _finite(v, "per_prediction", where) for v in json_field(r, "per_prediction", list, where)
-            )
-            score = ExampleScore(number(r, "score", where), per_prediction, aggregation)
+            per_prediction = [_finite(v, "per_prediction", where) for v in json_field(r, "per_prediction", list, where)]
+            latency_s = _finite(json_field(r, "latency_s", NUMBER, where), "latency_s", where)
             error = json_field(r, "error", (str, type(None)), where, None)
-            per_example.append(ExampleResult(example_id, score, number(r, "latency_s", where), error))
-        latency = json_field(obj, "latency", dict, "report")
-        scalars = {"predictor": str, "k": int, "dataset_fingerprint": str,
-                   "unparseable_prediction_count": int, "predictor_failure_count": int}
-        return cls(
-            per_example=per_example,
-            mean_score=number(obj, "mean_score", "report"),
-            latency=LatencyStats(*(number(latency, q, "report") for q in ("mean", "median", "p95"))),
-            **{key: json_field(obj, key, kind, "report") for key, kind in scalars.items()},
-        )
+            per_example.append(ExampleResult(example_id, aggregate_scores(per_prediction), latency_s, error))
+        stored = {"predictor": str, "k": int, "dataset_fingerprint": str, "unparseable_prediction_count": int}
+        report = cls(per_example=per_example, **{key: json_field(obj, key, kind, "report") for key, kind in stored.items()})
+        try:
+            payload = report._payload()
+        except (OverflowError, statistics.StatisticsError, EmptyDatasetError) as exc:  # fsum, fmean([]), no rows
+            raise SchemaError(f"report: its rows give no summary ({exc})") from exc
+        named_rows = [(f"report example {w['id']!r}", w, r) for w, r in zip(payload.pop("per_example"), rows)]
+        for where, written, read in [("report", payload, obj), *named_rows]:
+            for key, value in written.items():
+                if key not in read or not _same(value, read[key]):
+                    raise SchemaError(f"{where}: {key!r} must be {value!r}, as the rows give")
+        return report
+
+
+def _same(written: object, read: object) -> bool:
+    """Whether decoded JSON ``read`` holds ``written``: each key of an object (``read`` may
+    hold more), each array item, equal leaves; a bool equals only a bool, a float only finite."""
+    if type(written) is dict:
+        return type(read) is dict and all(key in read and _same(v, read[key]) for key, v in written.items())
+    if type(written) is list:
+        return type(read) is list and len(read) == len(written) and all(map(_same, written, read))
+    finite = type(written) is not float or math.isfinite(written)
+    return finite and written == read and (type(written) is bool) == (type(read) is bool)
 
 
 def _describe(value) -> str:
@@ -209,11 +215,10 @@ def evaluate(
     templated once per call, unless the last ``filter_examples`` on the
     vocabulary kept it and so recorded its template; an unparseable text
     costs each prediction that names it -delta and counts once per such
-    prediction. A cmd of a
-    ``str`` subclass is scored as its plain text. The report names the
-    predictor by its ``name`` attribute, read once, when that is a ``str``
-    (kept as its plain text), and by its class name otherwise, also when
-    reading it raises.
+    prediction. A cmd of a ``str`` subclass is scored as its plain text.
+    The report names the predictor by its ``name`` attribute, read once,
+    when that is a ``str`` (kept as its plain text), and by its class name
+    otherwise, also when reading it raises.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -236,7 +241,6 @@ def evaluate(
 
     results: list[ExampleResult] = []
     unparseable = 0
-    failures = 0
     for ex in dataset:
         # A reference that does not parse is parsed again, to raise its own error.
         refs = [template_of(r) or normalize_template(parse(r, vocab)) for r in ex.references]
@@ -252,7 +256,6 @@ def evaluate(
             if isinstance(checked, str):
                 error = checked
         if error is not None:
-            failures += 1
             per_prediction = [-1.0]
         else:  # an empty set abstains: aggregate_scores scores it 0
             per_prediction = []
@@ -261,9 +264,8 @@ def evaluate(
                 if template is None:
                     unparseable += 1
                     per_prediction.append(-delta)
-                    continue
-                scored = ScoredPrediction(template=template, delta=delta)
-                per_prediction.append(prediction_score(scored, refs))
+                else:
+                    per_prediction.append(prediction_score(ScoredPrediction(template, delta), refs))
         results.append(ExampleResult(ex.id, aggregate_scores(per_prediction), elapsed, error))
 
     try:
@@ -274,28 +276,25 @@ def evaluate(
         predictor=str.__str__(name) if issubclass(type(name), str) else type(predictor).__name__,
         k=k,
         per_example=results,
-        mean_score=dataset_score([r.score for r in results]),
-        latency=LatencyStats.from_samples([r.latency_s for r in results]),
         dataset_fingerprint=dataset_fingerprint(dataset),
         unparseable_prediction_count=unparseable,
-        predictor_failure_count=failures,
     )
 
 
 def emit_report(report: EvaluationReport, format: str = "json") -> bytes:
-    """Serialize a report as schema-stable JSON or a leaderboard-style table."""
-    if not report.per_example:
-        raise EmptyDatasetError("report contains no examples")
+    """Serialize a report as schema-stable JSON or a leaderboard-style table;
+    EmptyDatasetError for a report with no rows, whose mean is undefined."""
     if format == "json":
         return report.to_json().encode("utf-8")
     if format == "table":
         width = max(28, len(report.predictor))
         header = f"{'Predictor':<{width}} {'Accuracy Score':>14} {'Latency (sec)':>14}"
         rule = "-" * len(header)
-        row = f"{report.predictor:<{width}} {report.mean_score:>14.4f} {report.latency.mean:>14.4f}"
+        mean_score, latency = report.mean_score, report.latency
+        row = f"{report.predictor:<{width}} {mean_score:>14.4f} {latency.mean:>14.4f}"
         details = (
             f"examples: {len(report.per_example)}  k: {report.k}  "
-            f"latency median: {report.latency.median:.4f}s  p95: {report.latency.p95:.4f}s\n"
+            f"latency median: {latency.median:.4f}s  p95: {latency.p95:.4f}s\n"
             f"unparseable predictions: {report.unparseable_prediction_count}  "
             f"predictor failures: {report.predictor_failure_count}\n"
             f"dataset: {report.dataset_fingerprint[:16]}"

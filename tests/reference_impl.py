@@ -266,13 +266,12 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
 
     from nlbash.corpus import dataset_fingerprint
     from nlbash.errors import BashSyntaxError, UnknownUtilityError
-    from nlbash.harness import EvaluationReport, ExampleResult, LatencyStats, _describe
+    from nlbash.harness import EvaluationReport, ExampleResult, _describe
     from nlbash.metric import (
         Aggregation,
         ExampleScore,
         ScoredPrediction,
         aggregate_scores,
-        dataset_score,
         prediction_score,
     )
     from nlbash.parser import parse
@@ -280,7 +279,6 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
 
     results = []
     unparseable = 0
-    failures = 0
     for ex in dataset:
         ref_templates = [normalize_template(parse(r, vocab)) for r in ex.references]
         error = None
@@ -294,7 +292,6 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
             raw_predictions = raw_predictions[:k]
             error = _contract_violation(raw_predictions)
         if error is not None:
-            failures += 1
             score = ExampleScore(-1.0, (-1.0,), Aggregation.AVERAGE)
             results.append(ExampleResult(ex.id, score, elapsed, error=error))
             continue
@@ -318,11 +315,8 @@ def evaluate_ref(predictor, dataset, k=5, vocab=None):
         predictor=getattr(predictor, "name", type(predictor).__name__),
         k=k,
         per_example=results,
-        mean_score=dataset_score([r.score for r in results]),
-        latency=LatencyStats.from_samples([r.latency_s for r in results]),
         dataset_fingerprint=dataset_fingerprint(dataset),
         unparseable_prediction_count=unparseable,
-        predictor_failure_count=failures,
     )
 
 

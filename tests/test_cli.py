@@ -250,6 +250,28 @@ def test_help_exits_zero():
     assert cli(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["stats", "--data", "{data}", "--top", "3"], 0),
+        (["stats", "--data", "{data}", "--top", "0"], 1),
+        (["stats", "--data", "{missing}"], 2),
+    ],
+    ids=["ok", "usage-error", "data-error"],
+)
+def test_the_module_exits_with_the_status_of_its_command(argv, status, data_file, tmp_path):
+    # main() in a fresh interpreter: the status reaches the process, and no traceback does
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = [a.format(data=data_file, missing=tmp_path / "missing.jsonl") for a in argv]
+    child = subprocess.run(
+        [sys.executable, "-m", "nlbash.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert child.returncode == status
+    assert "Traceback" not in child.stderr
+    assert (child.stderr == "") == (status == 0)
+
+
 def test_filter_writes_outputs(data_file, tmp_path, capsys):
     out = tmp_path / "kept.jsonl"
     rejected = tmp_path / "rejected.jsonl"

@@ -9,10 +9,13 @@ start-up short. Conversely, every exported name has a user: a demo or a
 README example imports it, or it is an error or one of the format and
 protocol types the README lists. The README's module table is held to
 render: no row splits into more cells than its header, and the utility
-count it gives for the shipped vocabulary is the shipped file's.
+count it gives for the shipped vocabulary is the shipped file's. Its report
+format names exactly the keys a report writes, stored apart from derived.
 """
 
 import ast
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -22,6 +25,8 @@ from pathlib import Path
 import pytest
 
 import nlbash
+from nlbash.harness import EvaluationReport, ExampleResult
+from nlbash.metric import aggregate_scores
 from nlbash.vocab import default_vocabulary
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,3 +101,14 @@ def test_readme_states_the_shipped_vocabulary_size():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"A default file with (\d+) common Ubuntu utilities ships", readme)
     assert stated == [str(len(default_vocabulary().flags))]
+
+
+def test_readme_report_format_names_the_keys_a_report_writes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^\* \*\*Report\*\*.*?(?=^\* )", readme, re.S | re.M).group(0)
+    stored, derived = (set(re.findall(r'`"(\w+)"`', part)) for part in bullet.split("Derived keys:"))
+    rows = [ExampleResult("a", aggregate_scores([1.0]), 0.1), ExampleResult("b", aggregate_scores([-1.0]), 0.2, "")]
+    written = json.loads(EvaluationReport("p", 5, rows, "f").to_json())
+    keys = set(written) | set(written["latency"]) | {key for row in written["per_example"] for key in row}
+    assert stored | derived == keys and not stored & derived
+    assert stored & set(written) == {field.name for field in dataclasses.fields(EvaluationReport)}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import signal
@@ -621,6 +622,152 @@ def _report_record(**changes):
     return json.dumps(record)
 
 
+def _row(example_id="a", per_prediction=(1.0,), latency_s=0.1, **changes):
+    """A report row as ``to_json`` writes it, its score and aggregation derived, then
+    ``changes``; a change to ``None`` drops that key."""
+    score = aggregate_scores(per_prediction)
+    row = {"id": example_id, "score": score.value, "aggregation": score.aggregation.value,
+           "per_prediction": list(per_prediction), "latency_s": latency_s, **changes}
+    return {key: value for key, value in row.items() if value is not None}
+
+
+def _rows_record(rows, **changes):
+    """A report over ``rows`` with each summary derived from them, then ``changes``;
+    a change to ``None`` drops that key. A given mean is not derived, as it may overflow."""
+    latency = LatencyStats.from_samples([r["latency_s"] for r in rows])
+    record = {
+        "predictor": "p", "k": 5, "mean_score": None,
+        "latency": {"mean": latency.mean, "median": latency.median, "p95": latency.p95},
+        "dataset_fingerprint": "f", "unparseable_prediction_count": 0,
+        "predictor_failure_count": sum("error" in r for r in rows), "per_example": rows,
+    }
+    if "mean_score" not in changes:
+        record["mean_score"] = math.fsum(aggregate_scores(r["per_prediction"]).value for r in rows) / len(rows)
+    record.update(changes)
+    return json.dumps({key: value for key, value in record.items() if value is not None})
+
+
+def test_a_report_whose_summaries_match_its_rows_loads():
+    rows = [_row("a", latency_s=0.25), _row("b", (-0.5, 0.0), 0.75), _row("c", (-1.0,), 0.5, error="")]
+    report = EvaluationReport.from_json(_rows_record(rows))
+    assert report.mean_score == (1.0 - 0.25 - 1.0) / 3
+    assert report.latency == LatencyStats(0.5, 0.5, 0.75)
+    assert report.predictor_failure_count == 1
+    assert [r.score.aggregation for r in report.per_example] == [
+        Aggregation.MAX_POSITIVE, Aggregation.AVERAGE, Aggregation.AVERAGE]
+    # a row may hold an int where to_json writes a float; it reads as that float
+    assert EvaluationReport.from_json(_rows_record([_row(per_prediction=(1,), latency_s=0)])).per_example[0].latency_s == 0.0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_rows_record([_row()], mean_score=0.25), "'mean_score' must be 1.0", id="mean"),
+        pytest.param(_rows_record([_row(score=7.0)]), "report example 'a': 'score' must be 1.0",
+                     id="row-score"),
+        pytest.param(_rows_record([_row(aggregation="average")]), "'aggregation' must be 'max_positive'",
+                     id="row-aggregation"),
+        pytest.param(_rows_record([_row(latency_s=0.2)], latency={"mean": 0.1, "median": 0.2, "p95": 0.2}),
+                     "'latency' must be", id="latency-mean"),
+        pytest.param(_rows_record([_row()], predictor_failure_count=1), "'predictor_failure_count' must be 0",
+                     id="failure-count"),
+        pytest.param(_rows_record([_row(error="boom")], predictor_failure_count=0),
+                     "'predictor_failure_count' must be 1", id="uncounted-failure"),
+        pytest.param(_rows_record([_row()], mean_score=True), "'mean_score' must be 1.0", id="bool-mean"),
+        pytest.param(_rows_record([_row(per_prediction=(0.0,))], predictor_failure_count=False),
+                     "'predictor_failure_count' must be 0", id="bool-count"),
+        pytest.param(_rows_record([_row()], mean_score=None), "report: 'mean_score' must be", id="no-mean"),
+        pytest.param(_rows_record([_row(score=None)]),
+                     "report example 'a': 'score' must be", id="no-row-score"),
+        pytest.param(_rows_record([_row()], per_example=[]), "no summary", id="no-rows"),
+        pytest.param(_rows_record([_row("a", (1e308,)), _row("b", (1e308,))], mean_score=1e308),
+                     "no summary", id="overflowing-mean"),
+        pytest.param(_rows_record([_row(per_prediction=(-1e308, -1e308), score=float("-inf"))],
+                                  mean_score=float("-inf")),
+                     "'mean_score' must be -inf", id="infinite-row-score"),
+        pytest.param(_rows_record([_row(str(i), latency_s=t) for i, t in enumerate((-1.5e308, 0.95e308,
+                                                                                     0.95e308, 1e308))],
+                                  latency={"mean": 0.35e308, "median": float("inf"), "p95": 1e308}),
+                     "'latency' must be", id="infinite-median"),
+    ],
+)
+def test_report_from_json_refuses_a_summary_its_rows_do_not_give(text, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        EvaluationReport.from_json(text)
+
+
+class _BlankError(Exception):
+    def __repr__(self):
+        return ""
+
+
+class _BlankFailure:
+    def predict(self, nlc, k):
+        raise _BlankError()
+
+
+def test_a_failure_described_by_an_empty_string_round_trips():
+    data = dataset(2)
+    report = evaluate(_BlankFailure(), data, vocab=VOCAB)
+    assert [r.error for r in report.per_example] == ["", ""]
+    assert report.predictor_failure_count == 2
+    assert all(row["error"] == "" for row in json.loads(report.to_json())["per_example"])
+    loaded = EvaluationReport.from_json(report.to_json())
+    assert loaded == report and loaded.predictor_failure_count == 2
+
+
+_ROUND_TRIP_DATA = dataset(20, seed=11)[:8]
+# One predict call each: answers, an abstention, an unparseable command, contract
+# violations, and raised exceptions (a class, raised fresh), one with an empty repr.
+_BEHAVIOURS = st.one_of(
+    st.lists(st.builds(Prediction, st.sampled_from(_POOL + _TOY_REFS[:20]), st.floats(0.0, 1.0)), max_size=3),
+    st.just([]),
+    st.just([Prediction("ls |", 0.5)]),
+    st.sampled_from([[Prediction(5, 1.0)], [Prediction("ls", float("nan"))], [Prediction("ls", True)]]),
+    st.sampled_from([RuntimeError, _BlankError]),
+)
+_DERIVED = ("mean_score", "mean", "median", "p95", "predictor_failure_count", "score", "aggregation")
+
+
+class _ScriptedPredictor:
+    def __init__(self, behaviours):
+        self._behaviours = iter(behaviours)
+
+    def predict(self, nlc, k):
+        behaviour = next(self._behaviours)
+        if isinstance(behaviour, type):
+            raise behaviour()
+        return behaviour
+
+
+@settings(max_examples=150, deadline=None)
+@given(behaviours=st.lists(_BEHAVIOURS, min_size=1, max_size=len(_ROUND_TRIP_DATA)), data=st.data())
+def test_every_report_round_trips_and_refuses_a_changed_summary(behaviours, data):
+    report = evaluate(_ScriptedPredictor(behaviours), _ROUND_TRIP_DATA[: len(behaviours)], vocab=VOCAB)
+    text = report.to_json()
+    loaded = EvaluationReport.from_json(text)
+    assert loaded == report
+    derived = [(r.mean_score, r.latency, r.predictor_failure_count) for r in (loaded, report)]
+    assert derived[0] == derived[1]
+
+    record = json.loads(text)
+    key = data.draw(st.sampled_from(_DERIVED), label="key")
+    if key in ("score", "aggregation"):
+        holder = data.draw(st.sampled_from(record["per_example"]), label="row")
+    else:
+        holder = record["latency"] if key in ("mean", "median", "p95") else record
+    old = holder[key]
+    if key == "aggregation":
+        new = {"average": "max_positive", "max_positive": "average"}[old]
+    elif key == "predictor_failure_count":
+        new = data.draw(st.integers(0, 10).filter(lambda n: n != old), label="new")
+    else:
+        new = data.draw(st.floats(-2.0, 2.0).filter(lambda v: v != old), label="new")
+    holder[key] = new
+    with pytest.raises(SchemaError):
+        EvaluationReport.from_json(json.dumps(record))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -702,6 +849,8 @@ _NEAR_REPORT = st.fixed_dictionaries(
 @given(text=st.text(max_size=30) | (json_values | _NEAR_REPORT).map(json.dumps))
 @example(text=_report_record(predictor="\ud800"))
 @example(text=_report_record(mean_score=10**400))
+@example(text=_rows_record([_row("a", (1e308,)), _row("b", (1e308,))], mean_score=1e308))
+@example(text=_rows_record([_row()], per_example=[]))
 def test_report_from_json_raises_only_schema_errors(text):
     try:
         report = EvaluationReport.from_json(text)
@@ -768,16 +917,11 @@ def test_predictor_name_is_plain_text_or_the_class_name(predictor_cls, expected)
 
 
 def test_emit_report_empty_rejected():
-    report = EvaluationReport(
-        predictor="x",
-        k=5,
-        per_example=[],
-        mean_score=0.0,
-        latency=LatencyStats(0.0, 0.0, 0.0),
-        dataset_fingerprint="",
-    )
-    with pytest.raises(EmptyDatasetError):
-        emit_report(report, "json")
+    # a report with no rows has no mean score, so neither format can be written
+    report = EvaluationReport(predictor="x", k=5, per_example=[], dataset_fingerprint="")
+    for fmt in ("json", "table"):
+        with pytest.raises(EmptyDatasetError):
+            emit_report(report, fmt)
 
 
 # --- offline scoring -------------------------------------------------------------
