@@ -31,9 +31,10 @@ import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring
 from typing import Iterable, NoReturn, Protocol, Sequence
 
-from .corpus import NUMBER, Example, _finite, dataset_fingerprint, decode_json, json_field, json_lines
+from .corpus import NUMBER, Example, _encode_json, _finite, dataset_fingerprint, decode_json, json_field, json_lines
 from .errors import (
     BashSyntaxError,
     EmptyDatasetError,
@@ -124,12 +125,14 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self._payload(), ensure_ascii=False, indent=2)
+        """``json.dumps(self._payload(), ensure_ascii=False, indent=2)``, the same text."""
+        return _indented(self._payload())
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvaluationReport":
         """Read a report written by ``to_json``, as text or UTF-8 bytes: the stored facts,
-        of their types and each number finite, with each row scored by ``aggregate_scores``.
+        of their types and each number finite, every per-prediction score in [-1, 1] and no
+        latency negative, with each row scored by ``aggregate_scores``.
         SchemaError unless every key that ``to_json`` writes, at the top and in each row,
         holds what the rows give (the mean, latency, failure count, row scores and
         aggregations among them); other keys are ignored."""
@@ -141,6 +144,11 @@ class EvaluationReport:
             where = f"report example {example_id!r}"
             per_prediction = [_finite(v, "per_prediction", where) for v in json_field(r, "per_prediction", list, where)]
             latency_s = _finite(json_field(r, "latency_s", NUMBER, where), "latency_s", where)
+            for score in per_prediction:  # prediction_score lies in [-delta, delta], delta in [0, 1]
+                if not -1.0 <= score <= 1.0:
+                    raise SchemaError(f"{where}: 'per_prediction' must hold scores in [-1, 1], got {score!r}")
+            if latency_s < 0.0:
+                raise SchemaError(f"{where}: 'latency_s' must not be negative, got {latency_s!r}")
             error = json_field(r, "error", (str, type(None)), where, None)
             per_example.append(ExampleResult(example_id, aggregate_scores(per_prediction), latency_s, error))
         stored = {"predictor": str, "k": int, "dataset_fingerprint": str, "unparseable_prediction_count": int}
@@ -155,6 +163,29 @@ class EvaluationReport:
                 if key not in read or not _same(value, read[key]):
                     raise SchemaError(f"{where}: {key!r} must be {value!r}, as the rows give")
         return report
+
+
+def _indented(value: object, pad: str = "\n") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` placed where each line starts
+    with ``pad`` (a newline and the indent of its depth), the same text. With ``indent``
+    json runs its pure-Python encoder; here json's C functions encode each leaf, and a
+    non-empty exact dict (of str keys, as ``_payload`` writes) or list is laid out here.
+    A non-empty tuple or subclass goes through ``json.dumps`` itself, re-indented at each
+    newline, which json never leaves inside a string."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return _encode_json(value)  # NaN, ±inf, an int, None, [] or {}
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring(key)}: {_indented(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if kind is list:
+        return f"[{inner}{(',' + inner).join([_indented(item, inner) for item in value])}{pad}]"
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", pad)
 
 
 def _same(written: object, read: object) -> bool:
@@ -191,7 +222,8 @@ def _checked(predictions: Sequence[Prediction]) -> list[tuple[str, float]] | str
     for i, p in enumerate(predictions):
         try:
             cmd, confidence = p.cmd, p.confidence
-            real = isinstance(confidence, numbers.Real) and not isinstance(confidence, bool)
+            # An exact float, the common case, skips the ABC check.
+            real = type(confidence) is float or (isinstance(confidence, numbers.Real) and not isinstance(confidence, bool))
             value = float(confidence) if real else math.nan
         except Exception:
             cmd, value = None, math.nan
@@ -211,14 +243,16 @@ def evaluate(
 
     References must already parse (run the corpus filter first); one that
     does not raises its BashSyntaxError or UnknownUtilityError. Latency
-    covers the predict call only. Each distinct command text is parsed and
-    templated once per call, unless the last ``filter_examples`` on the
-    vocabulary kept it and so recorded its template; an unparseable text
-    costs each prediction that names it -delta and counts once per such
-    prediction. A cmd of a ``str`` subclass is scored as its plain text.
-    The report names the predictor by its ``name`` attribute, read once,
-    when that is a ``str`` (kept as its plain text), and by its class name
-    otherwise, also when reading it raises.
+    covers the predict call only, and so whatever that call waits for: the
+    first call to a ``SubprocessPredictor`` includes its child's start-up.
+    Each distinct command text is parsed and templated once per call,
+    unless the last ``filter_examples`` on the vocabulary kept it and so
+    recorded its template; an unparseable text costs each prediction that
+    names it -delta and counts once per such prediction. A cmd of a ``str``
+    subclass is scored as its plain text. The report names the predictor
+    by its ``name`` attribute, read once, when that is a ``str`` (kept as
+    its plain text), and by its class name otherwise, also when reading it
+    raises.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -282,8 +316,10 @@ def evaluate(
 
 
 def emit_report(report: EvaluationReport, format: str = "json") -> bytes:
-    """Serialize a report as schema-stable JSON or a leaderboard-style table;
-    EmptyDatasetError for a report with no rows, whose mean is undefined."""
+    """Serialize a report as schema-stable JSON, the bytes of
+    ``json.dumps(report._payload(), ensure_ascii=False, indent=2).encode("utf-8")``,
+    or a leaderboard-style table; EmptyDatasetError for a report with no rows,
+    whose mean is undefined."""
     if format == "json":
         return report.to_json().encode("utf-8")
     if format == "table":
@@ -378,6 +414,9 @@ class SubprocessPredictor:
     without a newline, is killed, and that call and every later one raise
     PredictorProtocolError. The command is an argument list; a ``str``,
     or a list with no words, raises ValueError before any process starts.
+    The child is started here and not waited for (the protocol has no ready
+    signal), so the first ``predict`` call, and its latency in a report,
+    includes the child's start-up.
     """
 
     def __init__(self, command: Sequence[str]):

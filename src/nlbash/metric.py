@@ -109,7 +109,8 @@ def prediction_score(pred: ScoredPrediction, refs: Sequence[TemplateCommand]) ->
     """
     if not refs:
         raise ValueError("refs must be non-empty")
-    return max(_score_against(pred.template, ref, pred.delta) for ref in refs)
+    template, delta = pred.template, pred.delta
+    return max([_score_against(template, ref, delta) for ref in refs])
 
 
 def aggregate_scores(scores: Sequence[float]) -> ExampleScore:
@@ -119,8 +120,8 @@ def aggregate_scores(scores: Sequence[float]) -> ExampleScore:
     of all of them — including any zero-confidence padding. No scores (an
     abstention) average to 0.
     """
-    values = tuple(float(s) for s in scores)
-    if any(s > 0.0 for s in values):
+    values = tuple(map(float, scores))
+    if any(map((0.0).__lt__, values)):  # NaN is not positive
         return ExampleScore(max(values), values, Aggregation.MAX_POSITIVE)
     return ExampleScore(sum(values) / len(values) if values else 0.0, values, Aggregation.AVERAGE)
 

@@ -7,7 +7,10 @@ import signal
 import sys
 import textwrap
 import time
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -134,6 +137,41 @@ def test_malformed_prediction_is_a_predictor_failure(item):
     assert report.unparseable_prediction_count == 0
     assert report.mean_score == -1.0
     assert all(r.error and r.score.per_prediction == (-1.0,) for r in report.per_example)
+
+
+class _OwnFloat(float):
+    """A float whose ``__float__`` gives another value, which the harness uses."""
+
+    def __float__(self):
+        return 0.25
+
+
+@pytest.mark.parametrize(
+    "confidence, delta",
+    [
+        (0.5, 0.5),
+        (1.5, 1.0),
+        (-0.5, 0.0),
+        (_OwnFloat(0.75), 0.25),
+        (numpy.float64(0.5), 0.5),
+        (1, 1.0),
+        (0, 0.0),
+        (True, None),
+        (Fraction(1, 4), 0.25),
+        (Decimal("0.5"), None),
+        (float("nan"), None),
+    ],
+    ids=["float", "float-above-one", "float-below-zero", "float-subclass", "numpy-float64", "int-one",
+         "int-zero", "bool", "fraction", "decimal", "nan"],
+)
+def test_checked_reads_each_kind_of_confidence(confidence, delta):
+    """A confidence is clamped to [0, 1] as a float, or (None here) breaks the contract."""
+    prediction = Prediction("ls", confidence)
+    got = harness._checked([prediction])
+    if delta is None:
+        assert got == f"prediction 0 needs a str cmd and a finite confidence, got {prediction!r}"
+    else:
+        assert got == [("ls", delta)] and type(got[0][1]) is float
 
 
 @pytest.mark.parametrize(
@@ -633,18 +671,25 @@ def _row(example_id="a", per_prediction=(1.0,), latency_s=0.1, **changes):
 
 def _rows_record(rows, **changes):
     """A report over ``rows`` with each summary derived from them, then ``changes``;
-    a change to ``None`` drops that key. A given mean is not derived, as it may overflow."""
-    latency = LatencyStats.from_samples([r["latency_s"] for r in rows])
+    a change to ``None`` drops that key. A given mean or latency is not derived, as
+    either may overflow."""
     record = {
-        "predictor": "p", "k": 5, "mean_score": None,
-        "latency": {"mean": latency.mean, "median": latency.median, "p95": latency.p95},
+        "predictor": "p", "k": 5, "mean_score": None, "latency": None,
         "dataset_fingerprint": "f", "unparseable_prediction_count": 0,
         "predictor_failure_count": sum("error" in r for r in rows), "per_example": rows,
     }
     if "mean_score" not in changes:
         record["mean_score"] = math.fsum(aggregate_scores(r["per_prediction"]).value for r in rows) / len(rows)
+    if "latency" not in changes:
+        latency = LatencyStats.from_samples([r["latency_s"] for r in rows])
+        record["latency"] = {"mean": latency.mean, "median": latency.median, "p95": latency.p95}
     record.update(changes)
     return json.dumps({key: value for key, value in record.items() if value is not None})
+
+
+# Latencies that an evaluation could write, whose mean overflows a float.
+_OVERFLOWING_LATENCY = _rows_record([_row("a", latency_s=1e308), _row("b", latency_s=1e308)],
+                                    latency={"mean": 1e308, "median": 1e308, "p95": 1e308})
 
 
 def test_a_report_whose_summaries_match_its_rows_loads():
@@ -680,20 +725,39 @@ def test_a_report_whose_summaries_match_its_rows_loads():
         pytest.param(_rows_record([_row(score=None)]),
                      "report example 'a': 'score' must be", id="no-row-score"),
         pytest.param(_rows_record([_row()], per_example=[]), "no summary", id="no-rows"),
-        pytest.param(_rows_record([_row("a", (1e308,)), _row("b", (1e308,))], mean_score=1e308),
-                     "no summary", id="overflowing-mean"),
-        pytest.param(_rows_record([_row(per_prediction=(-1e308, -1e308), score=float("-inf"))],
-                                  mean_score=float("-inf")),
-                     "'mean_score' must be -inf", id="infinite-row-score"),
-        pytest.param(_rows_record([_row(str(i), latency_s=t) for i, t in enumerate((-1.5e308, 0.95e308,
-                                                                                     0.95e308, 1e308))],
-                                  latency={"mean": 0.35e308, "median": float("inf"), "p95": 1e308}),
-                     "'latency' must be", id="infinite-median"),
+        pytest.param(_OVERFLOWING_LATENCY, "no summary", id="overflowing-latency-mean"),
     ],
 )
 def test_report_from_json_refuses_a_summary_its_rows_do_not_give(text, message):
     with pytest.raises(SchemaError, match=re.escape(message)):
         EvaluationReport.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param(_row(per_prediction=(1.0000001,)), "'per_prediction' must hold scores in [-1, 1], got 1.0000001",
+                     id="score-above-one"),
+        pytest.param(_row(per_prediction=(0.5, -1.5)), "'per_prediction' must hold scores in [-1, 1], got -1.5",
+                     id="score-below-minus-one"),
+        pytest.param(_row(per_prediction=(-1e308, -1e308), score=float("-inf")),
+                     "'per_prediction' must hold scores in [-1, 1], got -1e+308", id="scores-whose-mean-is-infinite"),
+        pytest.param(_row(latency_s=-1e-9), "'latency_s' must not be negative, got -1e-09", id="negative-latency"),
+        pytest.param(_row(latency_s=-3), "'latency_s' must not be negative, got -3.0", id="negative-int-latency"),
+    ],
+)
+def test_report_from_json_refuses_a_score_or_latency_no_evaluation_writes(row, message):
+    text = _rows_record([_row("b"), {**row, "id": "a"}], mean_score=0.0)
+    with pytest.raises(SchemaError, match=re.escape(f"report example 'a': {message}")):
+        EvaluationReport.from_json(text)
+
+
+@pytest.mark.parametrize("per_prediction, latency_s", [((1.0,), 0.5), ((-1.0,), 0.5), ((1.0, -1.0), -0.0),
+                                                       ((-1, 1), 0)])
+def test_report_from_json_loads_the_ends_of_each_range(per_prediction, latency_s):
+    report = EvaluationReport.from_json(_rows_record([_row(per_prediction=per_prediction, latency_s=latency_s)]))
+    assert report.per_example[0].score.per_prediction == per_prediction
+    assert report.per_example[0].latency_s == latency_s
 
 
 class _BlankError(Exception):
@@ -819,6 +883,56 @@ def test_report_from_json_ignores_a_metadata_key(metadata):
     assert EvaluationReport.from_json(json.dumps({**record, "metadata": metadata})) == plain
 
 
+# Text that json escapes, leaves raw or cannot write as UTF-8, among any other text.
+_REPORT_TEXT = st.lists(
+    st.text(max_size=8) | st.sampled_from(["", '"', "\\", "\u2028", "\ud800", "\x00\x1f\x7f", "\n", "é"]),
+    max_size=3,
+).map("".join)
+_REPORT_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+_IN_MEMORY_REPORTS = st.builds(
+    EvaluationReport,
+    predictor=_REPORT_TEXT,
+    k=st.integers(),
+    per_example=st.lists(
+        st.builds(
+            harness.ExampleResult,
+            _REPORT_TEXT,
+            st.builds(ExampleScore, _REPORT_FLOATS,
+                      (st.lists(_REPORT_FLOATS, max_size=3) | st.lists(_REPORT_FLOATS, min_size=40, max_size=60))
+                      .map(tuple),
+                      st.sampled_from(Aggregation)),
+            _REPORT_FLOATS,
+            st.none() | _REPORT_TEXT,
+        ),
+        max_size=4,
+    ),
+    dataset_fingerprint=_REPORT_TEXT,
+    unparseable_prediction_count=st.integers(),
+)
+
+
+class _Text(str):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_IN_MEMORY_REPORTS)
+@example(report=EvaluationReport("p", 5, [harness.ExampleResult(
+    "\u2028\x00\"", ExampleScore(math.nan, (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16), Aggregation.AVERAGE),
+    -0.0, "\ud800")], "f"))
+@example(report=EvaluationReport(  # leaves of other types than a report of evaluate holds
+    _Text("p"), True, [harness.ExampleResult(_Text("a"), ExampleScore(1, (1, None, _OwnFloat(0.5)), Aggregation.AVERAGE),
+                                             _OwnFloat(0.5), ("t", [1.0], {}))], ("f",), 10**30))
+def test_to_json_writes_what_json_dumps_writes(report):
+    try:
+        expected = json.dumps(report._payload(), ensure_ascii=False, indent=2)
+    except Exception as exc:  # no rows, or floats whose mean fsum refuses
+        with pytest.raises(type(exc)):
+            report.to_json()
+    else:
+        assert report.to_json() == expected
+
+
 _NEAR_EXAMPLE = st.fixed_dictionaries(
     {
         "id": st.just("a") | json_values,
@@ -849,7 +963,7 @@ _NEAR_REPORT = st.fixed_dictionaries(
 @given(text=st.text(max_size=30) | (json_values | _NEAR_REPORT).map(json.dumps))
 @example(text=_report_record(predictor="\ud800"))
 @example(text=_report_record(mean_score=10**400))
-@example(text=_rows_record([_row("a", (1e308,)), _row("b", (1e308,))], mean_score=1e308))
+@example(text=_OVERFLOWING_LATENCY)
 @example(text=_rows_record([_row()], per_example=[]))
 def test_report_from_json_raises_only_schema_errors(text):
     try:

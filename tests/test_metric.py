@@ -167,6 +167,25 @@ def test_empty_prediction_set_abstains_and_scores_zero():
         assert type(got.value) is float and type(got.per_prediction) is tuple
 
 
+@pytest.mark.parametrize(
+    "scores, value, aggregation",
+    [
+        ([math.nan, 0.5], math.nan, Aggregation.MAX_POSITIVE),  # max keeps the first item nothing beats
+        ([0.5, math.nan], 0.5, Aggregation.MAX_POSITIVE),
+        ([math.nan, -0.5], math.nan, Aggregation.AVERAGE),  # NaN is not positive
+        ([-0.5, math.nan, 0.0], math.nan, Aggregation.AVERAGE),
+        ([0, 1], 1.0, Aggregation.MAX_POSITIVE),
+    ],
+    ids=["nan-before-positive", "nan-after-positive", "nan-and-negative", "nan-between", "ints"],
+)
+def test_aggregate_scores_with_nan_or_ints(scores, value, aggregation):
+    got = aggregate_scores(scores)
+    assert got.aggregation is aggregation
+    assert math.isnan(got.value) if math.isnan(value) else got.value == value
+    assert type(got.value) is float and all(type(s) is float for s in got.per_prediction)
+    assert got.per_prediction == tuple(scores) or any(map(math.isnan, got.per_prediction))
+
+
 # --- dataset_score -------------------------------------------------------
 
 def test_dataset_score_trivial_values():

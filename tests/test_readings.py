@@ -29,7 +29,7 @@ _NO_REVISION = _no_revision_reason()
 
 @pytest.mark.skipif(_NO_REVISION is not None, reason=str(_NO_REVISION))
 def test_a_revision_read_against_itself_moves_nothing(tmp_path, capsys):
-    src = readings._export("HEAD", tmp_path / "head")
+    src = readings.export("HEAD", tmp_path / "head", "src") / "src"
     pool, generated = readings.build_pool(0, 300, 200)
     readings.compare(pool, generated, src, src, tmp_path)
     out = capsys.readouterr().out

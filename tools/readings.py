@@ -25,20 +25,19 @@ substitution's body, so it accepts what such a body hides.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "tools")]
 
+from revisions import export, git  # noqa: E402
 from shell_fragments import ANY, SHAPES  # noqa: E402
 
 from nlbash.synth import command_corpus, toy_corpus  # noqa: E402
@@ -108,18 +107,6 @@ def build_pool(seed: int, texts: int, corpus: int) -> tuple[list[str], set[str]]
     rng = random.Random(seed)
     pool = generated | {random_text(rng) for _ in range(texts)}
     return sorted(pool), generated
-
-
-def _git(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True)
-
-
-def _export(rev: str, into: Path) -> Path:
-    """``src/`` of ``rev``, written under ``into``."""
-    tar = tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev, "src").stdout))
-    with tar:
-        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return into / "src"
 
 
 def _read(src: Path, pool_file: Path, out: Path) -> None:
@@ -203,9 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="readings-") as tmp:
         work = Path(tmp)
         try:
-            base_src = _export(args.base, work / "base")
-            head_src = _export(args.head, work / "head") if args.head else ROOT / "src"
-            labels = _git("rev-parse", "--short", args.base).stdout.decode().strip(), args.head or "working tree"
+            base_src = export(args.base, work / "base", "src") / "src"
+            head_src = export(args.head, work / "head", "src") / "src" if args.head else ROOT / "src"
+            labels = git("rev-parse", "--short", args.base).stdout.decode().strip(), args.head or "working tree"
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", b"") or b""
             print(f"error: cannot export src/ with git: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
