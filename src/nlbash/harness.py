@@ -400,6 +400,8 @@ def score_prediction_file(
 
 # Longest wait, in seconds, for one whole reply line from a subprocess predictor.
 REPLY_TIMEOUT_S = 60.0
+# Longest wait, in seconds, for a subprocess predictor to exit after SIGTERM before close kills it.
+CLOSE_TIMEOUT_S = 5.0
 # Most bytes a subprocess predictor may send without ending its reply line.
 MAX_REPLY_BYTES = 4 << 20
 
@@ -482,7 +484,7 @@ class SubprocessPredictor:
                 self._proc.stdin.close()
             self._proc.terminate()
             try:
-                self._proc.wait(timeout=5)
+                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
         with self._proc:  # Popen's exit closes the pipes and reaps the child

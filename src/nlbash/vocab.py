@@ -134,6 +134,7 @@ def _shared_default() -> UtilityVocabulary:
 
 
 def default_vocabulary() -> UtilityVocabulary:
-    """A new vocabulary object over the flag map shipped with the package
-    (Ubuntu 18.04 utility set), with an empty template table of its own."""
-    return UtilityVocabulary(_shared_default().flags)
+    """A new vocabulary object with a copy of the flag map shipped with the
+    package (Ubuntu 18.04 utility set) and an empty template table of its
+    own; editing its flags changes no other vocabulary."""
+    return UtilityVocabulary(dict(_shared_default().flags))

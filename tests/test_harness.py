@@ -1272,7 +1272,8 @@ def test_subprocess_reply_times_out(tmp_path, monkeypatch, reply):
     assert "exited" in report.per_example[1].error
 
 
-def test_close_kills_and_reaps_a_child_that_ignores_sigterm(tmp_path):
+def test_close_kills_and_reaps_a_child_that_ignores_sigterm(tmp_path, monkeypatch):
+    monkeypatch.setattr("nlbash.harness.CLOSE_TIMEOUT_S", 0.5)
     script = tmp_path / "stubborn.py"
     script.write_text(
         "import signal, sys, time\n"
@@ -1285,6 +1286,6 @@ def test_close_kills_and_reaps_a_child_that_ignores_sigterm(tmp_path):
     assert predictor.predict("list files", 5) == []  # SIGTERM is ignored from here on
     start = time.monotonic()
     predictor.close()
-    # terminate is ignored, so close kills the child after its 5 s wait and reaps it
-    assert 5 <= time.monotonic() - start < 30
+    # terminate is ignored, so close kills the child after its 0.5 s wait and reaps it
+    assert 0.5 <= time.monotonic() - start < 30
     assert predictor._proc.returncode == -signal.SIGKILL

@@ -4,6 +4,7 @@ import importlib.util
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("readings", ROOT / "tools" / "readings.py")
 readings = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(readings)
+revisions = sys.modules["revisions"]  # imported by readings, from tools/
 
 
 def _no_revision_reason():
@@ -29,7 +31,7 @@ _NO_REVISION = _no_revision_reason()
 
 @pytest.mark.skipif(_NO_REVISION is not None, reason=str(_NO_REVISION))
 def test_a_revision_read_against_itself_moves_nothing(tmp_path, capsys):
-    src = readings.export("HEAD", tmp_path / "head", "src") / "src"
+    src = revisions.export("HEAD", tmp_path / "head", "src") / "src"
     pool, generated = readings.build_pool(0, 300, 200)
     readings.compare(pool, generated, src, src, tmp_path)
     out = capsys.readouterr().out

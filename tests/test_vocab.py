@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from nlbash import vocab as vocab_module
 from nlbash.corpus import filter_examples
-from nlbash.errors import VocabularyFormatError
+from nlbash.errors import UnknownUtilityError, VocabularyFormatError
+from nlbash.parser import parse
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary, load_vocabulary, parse_vocabulary
 
@@ -45,8 +46,17 @@ def test_each_default_vocabulary_has_a_template_table_of_its_own():
     filter_examples(toy_corpus(300, seed=3))  # parse reads the shared default, with no table to fill
     fresh = default_vocabulary()
     assert filled._templates and not fresh._templates
-    assert fresh == filled and fresh.flags is filled.flags  # one parsed flag map
+    assert fresh == filled and fresh.flags is not filled.flags  # equal flag maps, one each
     assert not vocab_module._shared_default()._templates
+
+
+def test_a_default_vocabulary_s_flag_edit_leaks_nowhere():
+    edited = default_vocabulary()
+    edited.flags["frobnicate"] = frozenset()
+    assert parse("frobnicate -x y", edited).stages[0].utility == "frobnicate"
+    assert default_vocabulary().lookup("frobnicate") is None
+    with pytest.raises(UnknownUtilityError):
+        parse("frobnicate -x y")  # the shared default parse reads when given no vocabulary
 
 
 def test_parse_vocabulary_flags_accept_leading_dashes():

@@ -4,10 +4,10 @@
 
 Each side is the ``src/`` and ``perfbench/`` trees of a git revision, exported
 with ``git archive`` into a temporary directory; without ``--head`` the head
-side is the working tree. Each pair runs ``perfbench/run.py --workload W
---seed S --seconds S --trace 0`` once on each side, the base side first in
-even pairs and the head side first in odd ones, so drift in machine speed
-falls on both alike.
+side is a snapshot of the working tree taken at the start, exported alike.
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds S --trace 0``
+once on each side, the base side first in even pairs and the head side first
+in odd ones, so drift in machine speed falls on both alike.
 
 For each end-to-end metric of ``BENCHMARK.json`` the tool prints each side's
 median and quartiles, the median over pairs of head / base - 1, and the
@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from revisions import ROOT, export, git  # noqa: E402
+from revisions import ROOT, export_sides  # noqa: E402
 
 BENCHMARK = ROOT / "BENCHMARK.json"
 
@@ -97,16 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        try:
-            base = export(args.base, Path(tmp) / "base", "src", "perfbench")
-            head = export(args.head, Path(tmp) / "head", "src", "perfbench") if args.head else ROOT
-            labels = git("rev-parse", "--short", args.base).stdout.decode().strip(), args.head or "working tree"
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", b"") or b""
-            print(f"error: cannot export with git: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
-            return 2
+        (base_label, base), (head_label, head) = export_sides(args.base, args.head, Path(tmp), "src", "perfbench")
         print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seed {args.seed}; "
-              f"base {labels[0]}, head {labels[1]}", flush=True)
+              f"base {base_label}, head {head_label}", flush=True)
         pairs = []
         try:
             for i in range(args.pairs):

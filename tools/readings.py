@@ -4,8 +4,8 @@
 
 Each side is the ``src/`` tree of a git revision, exported with
 ``git archive`` into a temporary directory; without ``--head`` the head side
-is the working tree's ``src/``. Each side parses the same pool in an
-interpreter of its own. The pool holds the references of
+is a snapshot of the working tree's ``src/``, exported alike. Each side parses
+the same pool in an interpreter of its own. The pool holds the references of
 ``command_corpus(20000)`` and ``toy_corpus(5000)`` for seeds 0 and 1 (the
 generated texts) and ``--texts`` random texts drawn with
 ``random.Random(--seed)`` in the shapes of ``tests/shell_fragments.py``,
@@ -37,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "tools")]
 
-from revisions import export, git  # noqa: E402
+from revisions import export_sides  # noqa: E402
 from shell_fragments import ANY, SHAPES  # noqa: E402
 
 from nlbash.synth import command_corpus, toy_corpus  # noqa: E402
@@ -189,17 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="readings-") as tmp:
         work = Path(tmp)
-        try:
-            base_src = export(args.base, work / "base", "src") / "src"
-            head_src = export(args.head, work / "head", "src") / "src" if args.head else ROOT / "src"
-            labels = git("rev-parse", "--short", args.base).stdout.decode().strip(), args.head or "working tree"
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", b"") or b""
-            print(f"error: cannot export src/ with git: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
-            return 2
-        print(f"base {labels[0]}, head {labels[1]}")
+        (base_label, base), (head_label, head) = export_sides(args.base, args.head, work, "src")
+        print(f"base {base_label}, head {head_label}")
         pool, generated = build_pool(args.seed, args.texts, CORPUS)
-        compare(pool, generated, base_src, head_src, work)
+        compare(pool, generated, base / "src", head / "src", work)
     return 0
 
 
