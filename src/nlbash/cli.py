@@ -52,6 +52,19 @@ def _load_filtered(path, vocab):
     return report.kept
 
 
+def _print_report(report, out: str | None) -> int:
+    """Print ``report``'s table, and write its JSON to ``out`` when given; with
+    ``out`` "-" print the JSON, its last line ended, in place of the table."""
+    if out == "-":
+        print(emit_report(report, "json").decode("utf-8"))
+        return 0
+    if out:
+        with open(out, "wb") as fh:
+            fh.write(emit_report(report, "json"))
+    sys.stdout.write(emit_report(report, "table").decode("utf-8"))
+    return 0
+
+
 def _cmd_parse(args, vocab):
     ast = parse(args.command, vocab)
     template = normalize_template(ast)  # one unit per command of ast.walk(), in order
@@ -107,14 +120,7 @@ def _cmd_stats(args, vocab):
 
 def _cmd_score(args, vocab):
     dataset = _load_filtered(args.refs, vocab)
-    report = score_prediction_file(args.pred, dataset, k=args.k, vocab=vocab)
-    print(f"mean score: {report.mean_score:.4f}")
-    print(f"examples: {len(report.per_example)}  "
-          f"unparseable predictions: {report.unparseable_prediction_count}")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(emit_report(report, "json"))
-    return 0
+    return _print_report(score_prediction_file(args.pred, dataset, k=args.k, vocab=vocab), args.out)
 
 
 def _cmd_index(args, vocab):
@@ -165,16 +171,7 @@ def _cmd_eval(args, vocab):
     else:
         with SubprocessPredictor(args.predictor_cmd) as predictor:
             report = evaluate(predictor, dataset, k=args.k, vocab=vocab)
-    payload = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-        print(f"report -> {args.out}")
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-        if not payload.endswith(b"\n"):
-            sys.stdout.write("\n")
-    return 0
+    return _print_report(report, args.out)
 
 
 def _int_at_least(lowest: int):
@@ -213,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     vocab_arg.add_argument("--vocab")
     k_arg = argparse.ArgumentParser(add_help=False)
     k_arg.add_argument("--k", type=_int_at_least(1), default=DEFAULT_TOP_K)
+    report_arg = argparse.ArgumentParser(add_help=False)
+    report_arg.add_argument("--out", help="also write the JSON report to this file; '-' prints it instead of the table")
 
     p = sub.add_parser(
         "parse", parents=[vocab_arg], help="print the pipeline and template of one command"
@@ -247,12 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "score",
-        parents=[vocab_arg, k_arg],
+        parents=[vocab_arg, k_arg, report_arg],
         help="score a prediction file against references offline",
     )
     p.add_argument("--pred", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser(
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser(
-        "eval", parents=[vocab_arg, k_arg], help="evaluate a baseline or external predictor"
+        "eval", parents=[vocab_arg, k_arg, report_arg], help="evaluate a baseline or external predictor"
     )
     p.add_argument("--data", required=True)
     one_predictor = p.add_mutually_exclusive_group(required=True)
@@ -287,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["raw", "dedup", "normalize", "full"], default="full")
     p.add_argument("--train", help="training data for --baseline tfidf")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--format", choices=["json", "table"], default="table")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -131,12 +131,19 @@ class EvaluationReport:
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvaluationReport":
         """Read a report written by ``to_json``, as text or UTF-8 bytes: the stored facts,
-        of their types and each number finite, every per-prediction score in [-1, 1] and no
-        latency negative, with each row scored by ``aggregate_scores``.
-        SchemaError unless every key that ``to_json`` writes, at the top and in each row,
-        holds what the rows give (the mean, latency, failure count, row scores and
-        aggregations among them); other keys are ignored."""
+        of their types and each number finite, with each row scored by ``aggregate_scores``.
+        Each holds what an evaluation writes: ``k`` at least 1; in each row at most k
+        per-prediction scores, each in [-1, 1], exactly ``[-1.0]`` for a row with an
+        error, and a latency not negative; an unparseable count from 0 to the number of
+        scores in rows without an error. SchemaError unless every key that ``to_json``
+        writes, at the top and in each row, holds what the rows give (the mean, latency,
+        failure count, row scores and aggregations among them); other keys are ignored."""
         obj = decode_json(text, "report")
+        stored = {"predictor": str, "k": int, "dataset_fingerprint": str, "unparseable_prediction_count": int}
+        facts = {key: json_field(obj, key, kind, "report") for key, kind in stored.items()}
+        k = facts["k"]
+        if k < 1:
+            raise SchemaError(f"report: 'k' must be at least 1, got {k!r}")
         rows = json_field(obj, "per_example", list, "report")
         per_example = []
         for r in rows:
@@ -147,12 +154,20 @@ class EvaluationReport:
             for score in per_prediction:  # prediction_score lies in [-delta, delta], delta in [0, 1]
                 if not -1.0 <= score <= 1.0:
                     raise SchemaError(f"{where}: 'per_prediction' must hold scores in [-1, 1], got {score!r}")
+            if len(per_prediction) > k:
+                raise SchemaError(f"{where}: 'per_prediction' must hold at most k = {k} scores, got {len(per_prediction)}")
             if latency_s < 0.0:
                 raise SchemaError(f"{where}: 'latency_s' must not be negative, got {latency_s!r}")
             error = json_field(r, "error", (str, type(None)), where, None)
+            if error is not None and per_prediction != [-1.0]:
+                raise SchemaError(f"{where}: a failure's 'per_prediction' must be [-1.0], got {per_prediction!r}")
             per_example.append(ExampleResult(example_id, aggregate_scores(per_prediction), latency_s, error))
-        stored = {"predictor": str, "k": int, "dataset_fingerprint": str, "unparseable_prediction_count": int}
-        report = cls(per_example=per_example, **{key: json_field(obj, key, kind, "report") for key, kind in stored.items()})
+        answered = sum(len(r.score.per_prediction) for r in per_example if r.error is None)
+        unparseable = facts["unparseable_prediction_count"]
+        if not 0 <= unparseable <= answered:
+            raise SchemaError(f"report: 'unparseable_prediction_count' must be in [0, {answered}], "
+                              f"the scores of rows without an error, got {unparseable!r}")
+        report = cls(per_example=per_example, **facts)
         try:
             payload = report._payload()
         except (OverflowError, statistics.StatisticsError, EmptyDatasetError) as exc:  # fsum, fmean([]), no rows
@@ -392,7 +407,14 @@ def score_prediction_file(
     k: int = DEFAULT_TOP_K,
     vocab: UtilityVocabulary | None = None,
 ) -> EvaluationReport:
-    """Offline scoring: evaluate() with a replay predictor; an example the file lacks abstains."""
+    """Offline scoring: evaluate() with a replay predictor; an example the file lacks abstains.
+    The file answers an id once, so SchemaError, before any scoring, for an id the dataset repeats."""
+    ids: set[str] = set()
+    for ex in dataset:
+        if ex.id in ids:
+            raise SchemaError(f"reference id {ex.id!r} is held by more than one example; "
+                              "a prediction file answers each id once")
+        ids.add(ex.id)
     by_id = load_prediction_file(prediction_path)
     replay = ReplayPredictor(by_id.get(ex.id, []) for ex in dataset)
     return evaluate(replay, dataset, k=k, vocab=vocab)

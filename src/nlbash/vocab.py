@@ -12,7 +12,10 @@ vocabulary, so ``harness.evaluate``, the TF-IDF index and
 ``utility_histogram`` read a text's template there before they parse it
 themselves. The table is neither compared nor shown in the repr, and lives
 as long as the object: ``default_vocabulary()`` returns a new object on each
-call, and each ``nlbash`` command makes its own.
+call, and each ``nlbash`` command makes its own. So that no recorded template
+goes stale, the flag map of every vocabulary this module builds is read-only
+(a ``types.MappingProxyType``; an edit raises TypeError, and such a vocabulary
+does not pickle): a changed vocabulary is built as a new object.
 
 File format (UTF-8, one record per utility, one per line)::
 
@@ -29,9 +32,11 @@ so no utility's flags depend on the order of the lines.
 from __future__ import annotations
 
 import importlib.resources
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import VocabularyFormatError
@@ -46,12 +51,13 @@ _DEFAULT_RESOURCE = "ubuntu_utilities.txt"
 class UtilityVocabulary:
     """Map from each known utility to its unsplittable flags (mostly none).
 
-    The fields are frozen, but the object also carries the corpus filter's
-    template table, which grows as ``filter_examples`` keeps references with
-    this object; the table is neither compared nor shown in the repr.
+    The fields are frozen, and ``parse_vocabulary`` and ``default_vocabulary``
+    give ``flags`` as a read-only map. The object also carries the corpus
+    filter's template table, which grows as ``filter_examples`` keeps references
+    with this object; the table is neither compared nor shown in the repr.
     """
 
-    flags: dict[str, frozenset[str]]
+    flags: Mapping[str, frozenset[str]]
     # Reference text -> its template, for every reference a filter_examples
     # run with this vocabulary object kept; only that filter writes here.
     _templates: dict[str, TemplateCommand] = field(
@@ -81,7 +87,8 @@ def _bad_word(word: str) -> bool:
 
 
 def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
-    """Parse vocabulary file contents. Raises VocabularyFormatError."""
+    """Parse vocabulary file contents into a vocabulary with a read-only flag map.
+    Raises VocabularyFormatError."""
     flags_of: dict[str, frozenset[str]] = {}
     line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -106,7 +113,7 @@ def parse_vocabulary(text: str, origin: str = "<string>") -> UtilityVocabulary:
         flags_of[name] = frozenset(flags)
     if not flags_of:
         raise VocabularyFormatError(f"{origin}: no utility records found")
-    return UtilityVocabulary(flags_of)
+    return UtilityVocabulary(MappingProxyType(flags_of))
 
 
 def load_vocabulary(path: str | Path) -> UtilityVocabulary:
@@ -134,7 +141,6 @@ def _shared_default() -> UtilityVocabulary:
 
 
 def default_vocabulary() -> UtilityVocabulary:
-    """A new vocabulary object with a copy of the flag map shipped with the
-    package (Ubuntu 18.04 utility set) and an empty template table of its
-    own; editing its flags changes no other vocabulary."""
-    return UtilityVocabulary(dict(_shared_default().flags))
+    """A new vocabulary object with the read-only flag map shipped with the
+    package (Ubuntu 18.04 utility set) and an empty template table of its own."""
+    return UtilityVocabulary(_shared_default().flags)

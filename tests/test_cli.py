@@ -12,7 +12,7 @@ import pytest
 from nlbash import corpus, harness, retrieval
 from nlbash.cli import cli
 from nlbash.corpus import filter_examples, load_examples, save_examples
-from nlbash.harness import EvaluationReport, score_prediction_file
+from nlbash.harness import EvaluationReport, emit_report, score_prediction_file
 from nlbash.retrieval import CalibrationModel, TfIdfPredictor, pairs_from_examples
 from nlbash.synth import toy_corpus
 from nlbash.vocab import default_vocabulary
@@ -129,6 +129,10 @@ def test_usage_error_exit_code(data_file, tmp_path, capsys):
         assert cli(argv) == 1, argv
         err = capsys.readouterr().err
         assert "error: argument --" in err and "Traceback" not in err, argv
+    # a report leaves eval one way: its table on stdout, and its JSON through --out
+    assert cli(["eval", "--data", str(data_file), "--baseline", "tfidf", "--train", str(data_file),
+                "--format", "json"]) == 1
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
     # split reads no vocabulary, so it takes no --vocab
     assert cli(["split", "--data", str(data_file), "--out-prefix", prefix, "--vocab", "x"]) == 1
     assert "unrecognized arguments: --vocab x" in capsys.readouterr().err
@@ -336,7 +340,7 @@ def test_index_and_eval_baseline(data_file, tmp_path, capsys):
 
     code = cli(
         ["eval", "--baseline", "tfidf", "--variant", "dedup", "--train", str(data_file),
-         "--data", str(data_file), "--k", "5", "--format", "table"]
+         "--data", str(data_file), "--k", "5"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -392,7 +396,7 @@ def test_eval_json_report(data_file, tmp_path):
     for variant in ("raw", "normalize"):
         code = cli(
             ["eval", "--baseline", "tfidf", "--variant", variant, "--train", str(data_file),
-             "--data", str(data_file), "--format", "json", "--out", str(out_path)]
+             "--data", str(data_file), "--out", str(out_path)]
         )
         assert code == 0
         report = json.loads(out_path.read_text(encoding="utf-8"))
@@ -403,7 +407,7 @@ def test_eval_json_report(data_file, tmp_path):
 
 def test_eval_json_report_on_stdout_ends_its_line(data_file, capsys):
     code = cli(["eval", "--baseline", "tfidf", "--variant", "raw", "--train", str(data_file),
-                "--data", str(data_file), "--format", "json"])
+                "--data", str(data_file), "--out", "-"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.endswith("}\n") and out.count("\n}") == 1  # one report, its last line ended
@@ -465,9 +469,8 @@ def test_eval_runs_an_external_predictor(data_file, tmp_path, capsys):
     script.write_text(CHILD_PREDICTOR, encoding="utf-8")
     out_path = tmp_path / "report.json"
     command = shlex.join([sys.executable, str(script)])
-    assert cli(["eval", "--data", str(data_file), "--predictor-cmd", command,
-                "--format", "json", "--out", str(out_path)]) == 0
-    assert capsys.readouterr().out == f"report -> {out_path}\n"
+    assert cli(["eval", "--data", str(data_file), "--predictor-cmd", command, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == emit_report(EvaluationReport.from_json(out_path.read_bytes()), "table").decode()
     report = json.loads(out_path.read_text(encoding="utf-8"))
     assert report["predictor"] == f"subprocess:{sys.executable}"
     assert report["predictor_failure_count"] == 0
@@ -508,7 +511,7 @@ def test_a_command_parses_each_distinct_reference_once(command, data_file, tmp_p
         "index": ["index", "--data", str(data_file), "--out", str(tmp_path / "index.json")],
         "stats": ["stats", "--data", str(data_file)],
         "eval": ["eval", "--baseline", "tfidf", "--variant", "full", "--train", str(train_path),
-                 "--data", str(data_file), "--format", "json", "--out", str(tmp_path / "report.json")],
+                 "--data", str(data_file), "--out", str(tmp_path / "report.json")],
     }[command]
     assert cli(argv) == 0
     assert parsed == Counter(set(references))
@@ -534,6 +537,54 @@ def test_score_out_writes_the_report_of_score_prediction_file(data_file, tmp_pat
     assert {r.score.value > 0 for r in written.per_example} == {True, False}
 
 
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_a_report_leaves_score_and_eval_as_its_table_or_its_json(command, data_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a file named "-" would be written
+    examples = load_examples(data_file)
+    pred_path = tmp_path / "preds.jsonl"
+    pred_path.write_text("".join(
+        json.dumps({"id": ex.id, "predictions": [{"cmd": "ls |" if i == 0 else ex.references[0], "confidence": 0.5}]})
+        + "\n" for i, ex in enumerate(examples)
+    ), encoding="utf-8")
+    argv = {
+        "score": ["score", "--pred", str(pred_path), "--refs", str(data_file)],
+        "eval": ["eval", "--baseline", "tfidf", "--variant", "raw", "--train", str(data_file),
+                 "--data", str(data_file)],
+    }[command]
+    out_path = tmp_path / "report.json"
+    capsys.readouterr()
+    # --out PATH: the table on stdout, and in the file the JSON report that from_json reads back
+    assert cli([*argv, "--out", str(out_path)]) == 0
+    written = EvaluationReport.from_json(out_path.read_bytes())
+    assert out_path.read_bytes() == emit_report(written, "json")
+    assert capsys.readouterr().out == emit_report(written, "table").decode()
+    # no --out: the table alone
+    assert cli(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["Predictor", "Accuracy", "Score", "Latency", "(sec)"] and len(table) == 7
+    assert table[2].split()[1] == f"{written.mean_score:.4f}"
+    # --out -: the JSON report in place of the table, its last line ended, and no file named "-"
+    assert cli([*argv, "--out", "-"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("{\n") and printed.endswith("\n}\n") and printed.count("\n}") == 1
+    assert [r.score for r in EvaluationReport.from_json(printed).per_example] == [r.score for r in written.per_example]
+    assert not (tmp_path / "-").exists()
+
+
+def test_score_refuses_references_that_share_an_id(tmp_path, capsys):
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text('{"id": "a", "invocation": "list files", "cmd": "ls"}\n'
+                    '{"id": "a", "invocation": "count lines", "cmd": "wc -l f"}\n', encoding="utf-8")
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text('{"id": "a", "predictions": [{"cmd": "ls", "confidence": 1.0}]}\n', encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli(["score", "--pred", str(pred), "--refs", str(refs), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: reference id 'a' is held by more than one example")
+    assert captured.out == "" and not out_path.exists()
+
+
 def test_score_prediction_file(data_file, tmp_path, capsys):
     examples = filter_examples(toy_corpus(120, seed=17), VOCAB).kept
     pred_path = tmp_path / "preds.jsonl"
@@ -546,8 +597,8 @@ def test_score_prediction_file(data_file, tmp_path, capsys):
                 + "\n"
             )
     assert cli(["score", "--pred", str(pred_path), "--refs", str(data_file)]) == 0
-    out = capsys.readouterr().out
-    assert "mean score: 1.0000" in out
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[:2] == ["replay", "1.0000"]
 
 
 # Run in a fresh interpreter: numpy must stay unexecuted through the
@@ -578,7 +629,7 @@ steps = {
     "index": ["index", "--data", "kept.jsonl", "--out", "index.json"],
     "calibrate": ["calibrate", "--data", "kept.jsonl", "--out", "model.json"],
     "eval": ["eval", "--baseline", "tfidf", "--variant", "full", "--train", "kept.jsonl",
-             "--data", "kept.jsonl", "--format", "json", "--out", "report.json"],
+             "--data", "kept.jsonl", "--out", "report.json"],
 }
 loaded = {"import nlbash": "numpy" in sys.modules}
 for name in order:

@@ -716,7 +716,7 @@ def test_a_report_whose_summaries_match_its_rows_loads():
                      "'latency' must be", id="latency-mean"),
         pytest.param(_rows_record([_row()], predictor_failure_count=1), "'predictor_failure_count' must be 0",
                      id="failure-count"),
-        pytest.param(_rows_record([_row(error="boom")], predictor_failure_count=0),
+        pytest.param(_rows_record([_row(per_prediction=(-1.0,), error="boom")], predictor_failure_count=0),
                      "'predictor_failure_count' must be 1", id="uncounted-failure"),
         pytest.param(_rows_record([_row()], mean_score=True), "'mean_score' must be 1.0", id="bool-mean"),
         pytest.param(_rows_record([_row(per_prediction=(0.0,))], predictor_failure_count=False),
@@ -734,30 +734,72 @@ def test_report_from_json_refuses_a_summary_its_rows_do_not_give(text, message):
 
 
 @pytest.mark.parametrize(
-    "row, message",
+    "row, changes, message",
     [
-        pytest.param(_row(per_prediction=(1.0000001,)), "'per_prediction' must hold scores in [-1, 1], got 1.0000001",
+        pytest.param(_row(per_prediction=(1.0000001,)), {},
+                     "report example 'a': 'per_prediction' must hold scores in [-1, 1], got 1.0000001",
                      id="score-above-one"),
-        pytest.param(_row(per_prediction=(0.5, -1.5)), "'per_prediction' must hold scores in [-1, 1], got -1.5",
+        pytest.param(_row(per_prediction=(0.5, -1.5)), {},
+                     "report example 'a': 'per_prediction' must hold scores in [-1, 1], got -1.5",
                      id="score-below-minus-one"),
-        pytest.param(_row(per_prediction=(-1e308, -1e308), score=float("-inf")),
-                     "'per_prediction' must hold scores in [-1, 1], got -1e+308", id="scores-whose-mean-is-infinite"),
-        pytest.param(_row(latency_s=-1e-9), "'latency_s' must not be negative, got -1e-09", id="negative-latency"),
-        pytest.param(_row(latency_s=-3), "'latency_s' must not be negative, got -3.0", id="negative-int-latency"),
+        pytest.param(_row(per_prediction=(-1e308, -1e308), score=float("-inf")), {},
+                     "report example 'a': 'per_prediction' must hold scores in [-1, 1], got -1e+308",
+                     id="scores-whose-mean-is-infinite"),
+        pytest.param(_row(latency_s=-1e-9), {}, "report example 'a': 'latency_s' must not be negative, got -1e-09",
+                     id="negative-latency"),
+        pytest.param(_row(latency_s=-3), {}, "report example 'a': 'latency_s' must not be negative, got -3.0",
+                     id="negative-int-latency"),
+        pytest.param(_row(), {"k": -3}, "report: 'k' must be at least 1, got -3", id="negative-k"),
+        pytest.param(_row(), {"k": 0}, "report: 'k' must be at least 1, got 0", id="zero-k"),
+        pytest.param(_row(per_prediction=(1.0, 0.5, 0.5)), {"k": 1},
+                     "report example 'a': 'per_prediction' must hold at most k = 1 scores, got 3",
+                     id="more-scores-than-k"),
+        pytest.param(_row(error="boom"), {},
+                     "report example 'a': a failure's 'per_prediction' must be [-1.0], got [1.0]",
+                     id="failure-that-scores"),
+        pytest.param(_row(per_prediction=(), error="boom"), {},
+                     "report example 'a': a failure's 'per_prediction' must be [-1.0], got []",
+                     id="failure-that-abstains"),
+        pytest.param(_row(per_prediction=(-1.0, -1.0), error="boom"), {},
+                     "report example 'a': a failure's 'per_prediction' must be [-1.0], got [-1.0, -1.0]",
+                     id="failure-scored-twice"),
+        pytest.param(_row(), {"unparseable_prediction_count": -7},
+                     "report: 'unparseable_prediction_count' must be in [0, 2], the scores of rows without an "
+                     "error, got -7", id="negative-unparseable-count"),
+        pytest.param(_row(per_prediction=(-1.0,), error="boom"), {"unparseable_prediction_count": 99},
+                     "report: 'unparseable_prediction_count' must be in [0, 1], the scores of rows without an "
+                     "error, got 99", id="more-unparseable-than-answered"),
+        pytest.param(_row(per_prediction=(-1.0,), error="boom"), {"unparseable_prediction_count": 2},
+                     "report: 'unparseable_prediction_count' must be in [0, 1]", id="a-failure-is-not-unparseable"),
     ],
 )
-def test_report_from_json_refuses_a_score_or_latency_no_evaluation_writes(row, message):
-    text = _rows_record([_row("b"), {**row, "id": "a"}], mean_score=0.0)
-    with pytest.raises(SchemaError, match=re.escape(f"report example 'a': {message}")):
+def test_report_from_json_refuses_a_score_or_latency_no_evaluation_writes(row, changes, message):
+    text = _rows_record([_row("b"), {**row, "id": "a"}], mean_score=0.0, **changes)
+    with pytest.raises(SchemaError, match=re.escape(message)):
         EvaluationReport.from_json(text)
 
 
-@pytest.mark.parametrize("per_prediction, latency_s", [((1.0,), 0.5), ((-1.0,), 0.5), ((1.0, -1.0), -0.0),
-                                                       ((-1, 1), 0)])
-def test_report_from_json_loads_the_ends_of_each_range(per_prediction, latency_s):
-    report = EvaluationReport.from_json(_rows_record([_row(per_prediction=per_prediction, latency_s=latency_s)]))
-    assert report.per_example[0].score.per_prediction == per_prediction
-    assert report.per_example[0].latency_s == latency_s
+@pytest.mark.parametrize(
+    "row, changes",
+    [
+        (_row(per_prediction=(1.0,), latency_s=0.5), {}),
+        (_row(per_prediction=(-1.0,), latency_s=0.5), {}),
+        (_row(per_prediction=(1.0, -1.0), latency_s=-0.0), {}),
+        (_row(per_prediction=(-1, 1), latency_s=0), {}),
+        (_row(per_prediction=(1.0,)), {"k": 1}),
+        (_row(per_prediction=(-1.0,), error="boom"), {}),
+        (_row(per_prediction=(-0.5, -1.0, 0.0)), {"k": 3, "unparseable_prediction_count": 3}),
+    ],
+    ids=["score-one", "score-minus-one", "negative-zero-latency", "int-scores", "k-one", "failure",
+         "all-unparseable"],
+)
+def test_report_from_json_loads_the_ends_of_each_range(row, changes):
+    report = EvaluationReport.from_json(_rows_record([row], **changes))
+    loaded = report.per_example[0]
+    assert loaded.score.per_prediction == tuple(row["per_prediction"])
+    assert loaded.latency_s == row["latency_s"] and loaded.error == row.get("error")
+    assert (report.k, report.unparseable_prediction_count) == (changes.get("k", 5),
+                                                               changes.get("unparseable_prediction_count", 0))
 
 
 class _BlankError(Exception):
@@ -1100,6 +1142,23 @@ def test_offline_score_abstains_on_a_missing_id_and_ignores_an_extra_one(tmp_pat
             assert got.score == ExampleScore(0.0, (), Aggregation.AVERAGE)
         else:
             assert got.score == want.score
+
+
+def test_offline_score_refuses_a_reference_id_held_twice(tmp_path, monkeypatch):
+    # the file answers "a" once, so the two examples with that id have no single answer
+    data = [Example("a", "list files", ("ls",)), Example("b", "where am i", ("pwd",)),
+            Example("a", "count lines", ("wc -l f",))]
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"id": "a", "predictions": [{"cmd": "ls", "confidence": 1.0}]}) + "\n",
+                    encoding="utf-8")
+    scored = []
+    monkeypatch.setattr(harness, "evaluate", lambda *args, **kwargs: scored.append(args))
+    with pytest.raises(SchemaError, match=re.escape("reference id 'a' is held by more than one example")):
+        score_prediction_file(str(path), data, vocab=VOCAB)
+    assert scored == []
+    monkeypatch.undo()
+    live = evaluate(OraclePredictor(data), data, vocab=VOCAB)  # evaluate keeps taking a repeated id
+    assert [r.example_id for r in live.per_example] == ["a", "b", "a"] and live.mean_score == 1.0
 
 
 def test_replay_predictor_answers_each_call_with_the_next_list():

@@ -25,9 +25,10 @@ def test_summary_gives_medians_quartiles_pair_ratio_and_wins():
     canned = [(_result(100, 0.10), _result(110, 0.10)), (_result(200, 0.20), _result(180, 0.19)),
               (_result(300, 0.30), _result(345, 0.33)), (_result(400, 0.40), _result(440, 0.38))]
     lines = pairs.summarize(canned, END_TO_END)
-    # base 100..400: median 250, inclusive quartiles 175 and 325; pair ratios +10%, -10%, +15%, +10%
+    # base 100..400: median 250, inclusive quartiles 175 and 325; pair ratios +10%, -10%, +15%, +10%,
+    # whose inclusive quartiles are +5% and +11.25%
     assert _row(lines, "examples_per_s") == ["examples_per_s", "250", "[175,", "325]", "262.5", "[162.5,", "368.75]",
-                                             "+10.0%", "3", "of", "4"]
+                                             "+10.0%", "[+5.0%,", "+11.3%]", "3", "of", "4"]
     # lower is better: the head won the pairs it made faster, and the tie counts for neither side
     assert _row(lines, "setup_s")[-3:] == ["2", "of", "4"]
     assert "base: 4 of 4 runs correct, 0 of 400 operations failed" in lines
@@ -37,7 +38,7 @@ def test_summary_gives_medians_quartiles_pair_ratio_and_wins():
 def test_summary_of_one_pair_and_of_failed_runs():
     lines = pairs.summarize([(_result(100, 0.5), _result(90, 0.5, correct=False, failed=7))], END_TO_END)
     assert _row(lines, "examples_per_s") == ["examples_per_s", "100", "[100,", "100]", "90", "[90,", "90]",
-                                             "-10.0%", "0", "of", "1"]
+                                             "-10.0%", "[-10.0%,", "-10.0%]", "0", "of", "1"]
     assert "head: 0 of 1 runs correct, 7 of 100 operations failed" in lines
 
 
@@ -55,4 +56,13 @@ def test_summary_reads_the_benchmark_s_own_metrics():
               "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in end_to_end}}
     lines = pairs.summarize([(result, result)], end_to_end)
     for metric in end_to_end:
-        assert _row(lines, metric["name"])[-4:] == ["+0.0%", "0", "of", "1"]
+        assert _row(lines, metric["name"])[-6:] == ["+0.0%", "[+0.0%,", "+0.0%]", "0", "of", "1"]
+
+
+def test_summary_of_an_a_a_run_prints_its_noise_floor():
+    # the same code on both sides: pair ratios -2%, -1%, 0%, +1%, +2%, whose quartiles are the floor
+    canned = [(_result(100, 0.5), _result(rate, 0.5)) for rate in (101, 98, 100, 102, 99)]
+    lines = pairs.summarize(canned, END_TO_END)
+    assert _row(lines, "examples_per_s")[-6:] == ["+0.0%", "[-1.0%,", "+1.0%]", "2", "of", "5"]
+    assert _row(lines, "setup_s")[-6:] == ["+0.0%", "[+0.0%,", "+0.0%]", "0", "of", "5"]
+    assert lines[0].split()[-6:] == ["pair", "ratio", "[q1,", "q3]", "head", "won"]

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlbash import vocab as vocab_module
-from nlbash.corpus import filter_examples
+from nlbash.corpus import Example, filter_examples
 from nlbash.errors import UnknownUtilityError, VocabularyFormatError
+from nlbash.harness import evaluate
+from nlbash.metric import Prediction
 from nlbash.parser import parse
 from nlbash.synth import toy_corpus
-from nlbash.vocab import default_vocabulary, load_vocabulary, parse_vocabulary
+from nlbash.vocab import UtilityVocabulary, default_vocabulary, load_vocabulary, parse_vocabulary
 
 
 def test_default_vocabulary_size():
@@ -46,17 +48,52 @@ def test_each_default_vocabulary_has_a_template_table_of_its_own():
     filter_examples(toy_corpus(300, seed=3))  # parse reads the shared default, with no table to fill
     fresh = default_vocabulary()
     assert filled._templates and not fresh._templates
-    assert fresh == filled and fresh.flags is not filled.flags  # equal flag maps, one each
+    assert fresh == filled and fresh.flags is filled.flags  # one read-only flag map, shared
     assert not vocab_module._shared_default()._templates
 
 
-def test_a_default_vocabulary_s_flag_edit_leaks_nowhere():
-    edited = default_vocabulary()
-    edited.flags["frobnicate"] = frozenset()
+def test_a_default_vocabulary_s_flag_edit_leaks_nowhere(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("ls\nfind\tname\n", encoding="utf-8")
+    for vocab in (default_vocabulary(), parse_vocabulary("ls\nfind\tname\n"), load_vocabulary(path)):
+        with pytest.raises(TypeError):
+            vocab.flags["frobnicate"] = frozenset()
+        with pytest.raises(TypeError):
+            del vocab.flags["ls"]
+        assert vocab.lookup("frobnicate") is None and vocab.lookup("ls") == "ls"
+    # a changed vocabulary is a new object, built from the old one's flags
+    edited = UtilityVocabulary({**default_vocabulary().flags, "frobnicate": frozenset()})
     assert parse("frobnicate -x y", edited).stages[0].utility == "frobnicate"
     assert default_vocabulary().lookup("frobnicate") is None
     with pytest.raises(UnknownUtilityError):
         parse("frobnicate -x y")  # the shared default parse reads when given no vocabulary
+
+
+class _Answers:
+    def __init__(self, cmd):
+        self.cmd = cmd
+
+    def predict(self, nlc, k):
+        return [Prediction(self.cmd, 1.0)]
+
+
+def test_a_filtered_vocabulary_s_templates_follow_its_flags():
+    # the filter records "ls -la /tmp" as ls[a,l]; an edit making "la" one flag of ls
+    # would leave that template stale, so the edit is refused and builds a new vocabulary
+    data = [Example("a", "list /tmp in long form", ("ls -la /tmp",))]
+    vocab = default_vocabulary()
+    assert filter_examples(data, vocab).kept == data
+    with pytest.raises(TypeError):
+        vocab.flags["ls"] = frozenset({"la"})
+    edited = UtilityVocabulary({**vocab.flags, "ls": frozenset({"la"})})
+    filter_examples(data, edited)
+    fresh = UtilityVocabulary({**default_vocabulary().flags, "ls": frozenset({"la"})})
+
+    def score(v):
+        return evaluate(_Answers("ls -l -a /tmp"), data, k=1, vocab=v).mean_score
+
+    assert score(vocab) == score(default_vocabulary()) == 1.0
+    assert score(edited) == score(fresh) == -0.25
 
 
 def test_parse_vocabulary_flags_accept_leading_dashes():

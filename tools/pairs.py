@@ -10,10 +10,12 @@ once on each side, the base side first in even pairs and the head side first
 in odd ones, so drift in machine speed falls on both alike.
 
 For each end-to-end metric of ``BENCHMARK.json`` the tool prints each side's
-median and quartiles, the median over pairs of head / base - 1, and the
-number of pairs the head side won in the direction the metric is better
-(ties count for neither side). It also prints how many runs of each side
-passed the benchmark's checks and how many operations failed.
+median and quartiles, the median and quartiles over pairs of head / base - 1,
+and the number of pairs the head side won in the direction the metric is
+better (ties count for neither side). With ``--head`` equal to ``--base`` the
+pair-ratio quartiles are the noise floor of that workload and run length. It
+also prints how many runs of each side passed the benchmark's checks and how
+many operations failed.
 """
 
 from __future__ import annotations
@@ -55,10 +57,17 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _spread(values: list[float], spec: str) -> str:
+    """``median [q1, q3]`` of ``values``, each number formatted by ``spec``."""
+    q1, median, q3 = _quartiles(values)
+    return f"{median:{spec}} [{q1:{spec}}, {q3:{spec}}]"
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[str]:
     """Lines comparing the (base, head) result lines of ``pairs`` on each metric of
     ``end_to_end`` (BENCHMARK.json's entries: ``name`` and ``better``)."""
-    lines = [f"{'metric':<18} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} {'pair ratio':>10}  head won"]
+    lines = [f"{'metric':<18} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36} "
+             f"{'pair ratio [q1, q3]':>26}  head won"]
     for metric in end_to_end:
         name = metric["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs if name in b["metrics"]]
@@ -66,15 +75,12 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         if len(base) != len(pairs) or len(head) != len(pairs):
             lines.append(f"{name:<18} missing from some runs")
             continue
-        sides = []
-        for values in (base, head):
-            q1, median, q3 = _quartiles(values)
-            sides.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
+        sides = [_spread(values, ".6g") for values in (base, head)]
         ratios = [h / b - 1.0 for b, h in zip(base, head) if b]
-        ratio = f"{statistics.median(ratios):+.1%}" if len(ratios) == len(pairs) else "n/a"
+        ratio = _spread(ratios, "+.1%") if len(ratios) == len(pairs) else "n/a"
         sign = 1 if metric["better"] == "higher" else -1
         won = sum(sign * (h - b) > 0 for b, h in zip(base, head))
-        lines.append(f"{name:<18} {sides[0]:>36} {sides[1]:>36} {ratio:>10}  {won} of {len(pairs)}")
+        lines.append(f"{name:<18} {sides[0]:>36} {sides[1]:>36} {ratio:>26}  {won} of {len(pairs)}")
     for side, results in (("base", [b for b, _ in pairs]), ("head", [h for _, h in pairs])):
         correct = sum(r["correct"] for r in results)
         failed = sum(r["failed"] for r in results)
